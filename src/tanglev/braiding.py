@@ -39,16 +39,18 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from . import factgroup
 from .factgroup import Factorization, Mat2
 from .uqalgebra import (CentralCharacter, CyclicRep, NonGenericCharacter,
-                        RootData, build_irrep, is_generic)
+                        RootData, build_irrep, central_values, is_generic)
 
 NORMALIZATION_VERSION = "det1-phase-1"
+
+#: Condition number above which a series factor counts as singular.
+COND_LIMIT = 1e12
 
 
 class SingularN(ValueError):
@@ -110,7 +112,7 @@ def _pair_eval(ra: CyclicRep, rb: CyclicRep):
 
 
 def r_images(rep_a: CyclicRep, rep_b: CyclicRep,
-             cond_limit=1e12) -> RImages:
+             cond_limit=COND_LIMIT) -> RImages:
     """Evaluate the braiding automorphism in the pair V_a (x) V_b."""
     rd = rep_a.rd
     slot = _pair_eval(rep_a, rep_b)
@@ -135,6 +137,40 @@ def r_images(rep_a: CyclicRep, rep_b: CyclicRep,
     img["F1"] = (slot["F2"] + slot["F1"] @ np.linalg.inv(slot["L2"])) \
         - np.linalg.inv(img["L1"]) @ img["F2"]
     return RImages((rep_a, rep_b), img)
+
+
+def r_inverse_images(rep_c: CyclicRep, rep_d: CyclicRep) -> RImages:
+    """Evaluate the inverse automorphism R^-1 in the pair V_c (x) V_d.
+
+    R^-1(N) = 1 - eps E (x) F, so 1 (x) K -> (1 (x) K)(1 - eps E (x) F) and
+    likewise for L; the rest follows from R(E (x) 1) = E (x) L,
+    R(1 (x) F) = K^-1 (x) F and R^-1(flip Delta(u)) = Delta(u).
+    """
+    rd = rep_c.rd
+    slot = _pair_eval(rep_c, rep_d)
+    eye = np.eye(rd.ell * rep_d.dim, dtype=complex)
+    n_mat = eye - rd.eps * slot["E1"] @ slot["F2"]
+    if np.linalg.cond(n_mat) > COND_LIMIT:
+        raise SingularN("series factor R^-1(N) numerically singular")
+    inv = np.linalg.inv
+
+    img = {}
+    img["K2"] = slot["K2"] @ n_mat
+    img["L2"] = slot["L2"] @ n_mat
+    img["K1"] = slot["K1"] @ slot["K2"] @ inv(img["K2"])
+    img["L1"] = slot["L1"] @ slot["L2"] @ inv(img["L2"])
+    img["E1"] = slot["E1"] @ inv(img["L2"])
+    img["F2"] = img["K1"] @ slot["F2"]
+    img["E2"] = inv(img["K1"]) @ (slot["E1"] @ slot["K2"] + slot["E2"]
+                                  - img["E1"])
+    img["F1"] = (slot["F1"] + inv(slot["L1"]) @ slot["F2"] - img["F2"]) \
+        @ img["L2"]
+    return RImages((rep_c, rep_d), img)
+
+
+#: Generator slot names under the tensor flip.
+_SWAP = {name: name[0] + ("2" if name[1] == "1" else "1")
+         for name in RImages.SLOTS}
 
 
 def automorphism_residuals(ri: RImages):
@@ -328,58 +364,55 @@ def _require_generic(chars, rd):
             raise NonGenericCharacter("crossing output character not generic")
 
 
-def _solve_over_branches(sources, chars, rd, slots_at, rel_tol,
-                         retry_branches):
-    """The first output branch pair, principal first, with a unique
-    intertwiner M source_w = target_w M.
+def _read_branch(char, slots, suffix, rd):
+    """The label (r, s) of the irrep of `char` on which K L^-1 and the
+    central element c = E F + K eps^-1 + eps L^-1 act as they do on the
+    given source slot: r from kappa/lam, s from the central value.
 
-    slots_at(rep_first, rep_second) gives the (source, target) slot
-    matrices for output irreps of `chars`.  Labels that collapse to an
-    already tried pair of modules are skipped.
+    Both act by scalars on the source module, and an intertwiner can only
+    reach the irrep with the same scalars, so no other label is tried.
     """
-    pairs = [((0, 0), (0, 0))]
-    if retry_branches:
-        pairs += [b for b in product(product(range(rd.ell), repeat=2),
-                                     repeat=2) if b != pairs[0]]
-    tried = set()
-    last_exc = None
-    for branches in pairs:
-        reps = [build_irrep(ch, b, rd) for ch, b in zip(chars, branches)]
-        labels = tuple(rep.branch for rep in reps)
-        if labels in tried:
-            continue
-        tried.add(labels)
-        source_slots, target_slots = slots_at(*reps)
-        try:
-            m, nullity = _solve_intertwiner(
-                source_slots, target_slots, rel_tol)
-            if nullity > 1:
-                raise AmbiguousIntertwiner(
-                    "solution space has dimension %d" % nullity)
-            m = _normalize(m)
-        except (NoIntertwiner, SingularM) as exc:
-            last_exc = exc
-            continue
-        residual = 0.0
-        for name in RImages.SLOTS:
-            residual = max(residual, float(np.max(np.abs(
-                m @ source_slots[name] - target_slots[name] @ m))))
-        return BraidingBlock(
-            m, tuple(rep.char for rep in sources),
-            tuple(rep.branch for rep in sources), tuple(chars), labels,
-            nullity, residual, len(tried) > 1)
-    raise last_exc or NoIntertwiner("no branch pair admits an intertwiner")
+    k, l, e, f = (slots[g + suffix] for g in "KLEF")
+    l_inv = np.linalg.inv(l)
+    z = np.trace(k @ l_inv) / k.shape[0]
+    c = np.trace(e @ f + k / rd.eps + rd.eps * l_inv) / k.shape[0]
+    cands = [central_values(char, rd, r) for r in range(rd.ell)]
+    r = min(range(rd.ell), key=lambda r: abs(cands[r][0] / cands[r][1] - z))
+    values = cands[r][2]
+    s = min(range(rd.ell), key=lambda s: abs(values[s] - c))
+    return r, s
+
+
+def _solve_crossing(sources, source_slots, chars, rel_tol):
+    """The unique intertwiner M source_w = target_w M, with target_w the
+    plain pair evaluation in the output irreps of `chars` whose branches
+    are read off the source slots."""
+    rd = sources[0].rd
+    reps = [build_irrep(ch, _read_branch(ch, source_slots, suffix, rd), rd)
+            for ch, suffix in zip(chars, "12")]
+    target_slots = _pair_eval(*reps)
+    m, nullity = _solve_intertwiner(source_slots, target_slots, rel_tol)
+    if nullity > 1:
+        raise AmbiguousIntertwiner("solution space has dimension %d" % nullity)
+    m = _normalize(m)
+    residual = max(float(np.max(np.abs(
+        m @ source_slots[name] - target_slots[name] @ m)))
+        for name in RImages.SLOTS)
+    labels = tuple(rep.branch for rep in reps)
+    return BraidingBlock(
+        m, tuple(rep.char for rep in sources),
+        tuple(rep.branch for rep in sources), tuple(chars), labels,
+        nullity, residual, labels != ((0, 0), (0, 0)))
 
 
 def solve_braiding(repx: CyclicRep, repy: CyclicRep,
-                   rel_tol=1e-8, retry_branches=True) -> BraidingBlock:
+                   rel_tol=1e-8) -> BraidingBlock:
     """Solve for the colored positive-crossing operator.
 
     The source side of the intertwiner equation is the flip-conjugated
     R-image evaluated in (rho_y, rho_x); the target side is the plain
-    pair evaluation in the output irreps.  Tries the principal branch
-    for both targets first; on NoIntertwiner walks all branch pairs and
-    records that a retry happened.
+    pair evaluation in the output irreps, whose branches are derived from
+    the source side.
     """
     rd = repx.rd
     chars = target_chars(repx.char, repy.char)
@@ -387,36 +420,27 @@ def solve_braiding(repx: CyclicRep, repy: CyclicRep,
     flip = _flip(rd.ell)
     ri = r_images(repy, repx)
     source_slots = {name: flip @ m @ flip for name, m in ri.images.items()}
-    return _solve_over_branches(
-        (repx, repy), chars, rd,
-        lambda rep_l, rep_r: (source_slots, _pair_eval(rep_l, rep_r)),
-        rel_tol, retry_branches)
+    return _solve_crossing((repx, repy), source_slots, chars, rel_tol)
 
 
 def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
-                           rel_tol=1e-8, retry_branches=True) -> BraidingBlock:
+                           rel_tol=1e-8) -> BraidingBlock:
     """Solve for the colored negative crossing V_c (x) V_d -> V_a (x) V_b.
 
     (a, b) is the group-level preimage of (c, d) under the crossing map.
-    The positive block M for sources (a, b) satisfies M S_w = T_w M, so its
-    inverse satisfies N T_w = S_w N; this solves that equation directly from
-    the given source irreps, searching the (a, b) branches.
+    The positive block M for sources (a, b) satisfies
+    M (rho_a (x) rho_b)(flip R(w)) = (rho_c (x) rho_d)(w) M, so its inverse
+    N satisfies N S'_w = (rho_a (x) rho_b)(w) N with S'_w = R^-1(flip w)
+    evaluated in (rho_c, rho_d): R^-1 of the slot-swapped generator.
     """
     rd = repc.rd
     ga, gb = factgroup.xlr_inverse(char_to_group(repc.char),
                                    char_to_group(repd.char))
     chars = (group_to_char(ga), group_to_char(gb))
     _require_generic(chars, rd)
-    flip = _flip(rd.ell)
-    source_slots = _pair_eval(repc, repd)
-
-    def slots_at(rep_a, rep_b):
-        ri = r_images(rep_b, rep_a)
-        return source_slots, {name: flip @ m @ flip
-                              for name, m in ri.images.items()}
-
-    return _solve_over_branches((repc, repd), chars, rd, slots_at,
-                                rel_tol, retry_branches)
+    img = r_inverse_images(repc, repd).images
+    source_slots = {name: img[_SWAP[name]] for name in RImages.SLOTS}
+    return _solve_crossing((repc, repd), source_slots, chars, rel_tol)
 
 
 def braiding_inverse(blk: BraidingBlock) -> BraidingBlock:
