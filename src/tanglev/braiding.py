@@ -49,7 +49,9 @@ from .uqalgebra import (CentralCharacter, CyclicRep, NonGenericCharacter,
 
 NORMALIZATION_VERSION = "det1-phase-1"
 
-#: Condition number above which a series factor counts as singular.
+#: Condition number above which a series factor N or an intertwiner M
+#: counts as singular.  Scale-free: M has unit norm when solved, so its
+#: determinant shrinks like (1/ell^2)^(ell^2) and says nothing by itself.
 COND_LIMIT = 1e12
 
 
@@ -321,10 +323,10 @@ def _normalize(m):
     """Determinant one, then the distinguished phase: among the det-1
     rescalings by roots of unity, make the first entry of maximal modulus
     have the lexicographically largest (re, im)."""
+    if np.linalg.cond(m) > COND_LIMIT:
+        raise SingularM("intertwiner is singular")
     dim = m.shape[0]
     det = np.linalg.det(m)
-    if abs(det) < 1e-13:
-        raise SingularM("intertwiner is singular")
     m = m / det ** (1.0 / dim)
     flat = np.abs(m).ravel()
     first = int(np.argmax(flat > flat.max() - 1e-9 * flat.max()))

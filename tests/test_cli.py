@@ -43,7 +43,7 @@ class TestInvariantMode:
         code, rep = run_cli(capsys, "invariant", trefoil_file)
         assert code == 0
         assert rep["writhe"] == 3
-        assert rep["magnitude"] == pytest.approx(5.6235793267812735,
+        assert rep["magnitude"] == pytest.approx(5.196152422706661,
                                                  abs=1e-6)
         assert rep["normalization"] == "det1-phase-1"
         assert rep["framing"] == "balanced"

@@ -122,7 +122,7 @@ class TestInvariant:
         col = coloring.propagate(d, ColoredBoundary(((1, x1),)),
                                  cup_seeds={0: x2})
         val, log = evaluator.invariant(d, col, ctx)
-        assert abs(val) == pytest.approx(5.6235793267812735, abs=1e-9)
+        assert abs(val) == pytest.approx(5.196152422706661, abs=1e-9)
         off = dict(log)["schur_off_scalar"]
         assert off < 1e-9
 
@@ -160,17 +160,29 @@ class TestReidemeisterReport:
         for entry in report["moves"]:
             assert entry["magnitude_defect"] < 1e-8
 
-    def test_trefoil_r3_report_handles_obstruction(self, ctx):
-        # of the two R3 sites of the torus word, one evaluates and agrees;
-        # the other admits no consistent branch section and must be
-        # reported as skipped rather than failed or silently dropped
+    def test_trefoil_r3_report_all_pass(self, ctx):
         d = diagram.close_braid_partial(
             diagram.braid_word([1, 2, 1, 2], 3))
         y1, y2, y3 = trefoil_boundary_3()
         report = evaluator.reidemeister_report(
             d, ColoredBoundary(((1, y1),)), [y2, y3], ["R3"], ctx)
         assert report["all_pass"]
-        evaluated = [m for m in report["moves"] if m["pass"] is not None]
-        assert evaluated and report["skipped"] >= 1
-        skipped = [m for m in report["moves"] if m["pass"] is None]
-        assert all("skipped" in m for m in skipped)
+        assert report["skipped"] == 0
+        assert [m["variant"] for m in report["moves"]] \
+            == ["pos-121", "pos-212"]
+
+    def test_report_skips_unrecolourable_sites(self, ctx):
+        # the R2 sites of the curl pair cannot be recoloured from the
+        # bottom strand alone; they are reported as skipped with the
+        # reason, not failed or silently dropped
+        d = diagram.parse("id+")
+        d = diagram.apply_move(
+            d, "FramedR1", next(diagram.find_move_sites(d, "FramedR1")))
+        x1, _ = trefoil_boundary_2()
+        report = evaluator.reidemeister_report(
+            d, ColoredBoundary(((1, x1),)), [], ["R2"], ctx)
+        assert report["all_pass"]
+        assert report["skipped"] == len(report["moves"]) == 2
+        assert all(m["pass"] is None
+                   and m["skipped"].startswith("Inconsistent")
+                   for m in report["moves"])
