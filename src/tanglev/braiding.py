@@ -350,7 +350,7 @@ def _solve_intertwiner(source_slots, target_slots, rel_tol=1e-8):
         t = target_slots[name]
         rows.append(np.kron(eye, s.T) - np.kron(t, eye))
     system = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(system)
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
     cutoff = rel_tol * svals[0]
     nullity = int(np.sum(svals < cutoff))
     if nullity == 0:
@@ -364,6 +364,19 @@ def _require_generic(chars, rd):
     for ch in chars:
         if not is_generic(ch, rd):
             raise NonGenericCharacter("crossing output character not generic")
+
+
+def _positive_slots(repx, repy):
+    """Source slots P R(w) P of the positive crossing, R in (rho_y, rho_x)."""
+    flip = _flip(repx.rd.ell)
+    ri = r_images(repy, repx)
+    return {name: flip @ m @ flip for name, m in ri.images.items()}
+
+
+def _negative_slots(repc, repd):
+    """Source slots R^-1(flip w) of the negative crossing, in (rho_c, rho_d)."""
+    img = r_inverse_images(repc, repd).images
+    return {name: img[_SWAP[name]] for name in RImages.SLOTS}
 
 
 def _read_branch(char, slots, suffix, rd):
@@ -416,13 +429,10 @@ def solve_braiding(repx: CyclicRep, repy: CyclicRep,
     pair evaluation in the output irreps, whose branches are derived from
     the source side.
     """
-    rd = repx.rd
     chars = target_chars(repx.char, repy.char)
-    _require_generic(chars, rd)
-    flip = _flip(rd.ell)
-    ri = r_images(repy, repx)
-    source_slots = {name: flip @ m @ flip for name, m in ri.images.items()}
-    return _solve_crossing((repx, repy), source_slots, chars, rel_tol)
+    _require_generic(chars, repx.rd)
+    return _solve_crossing((repx, repy), _positive_slots(repx, repy), chars,
+                           rel_tol)
 
 
 def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
@@ -435,25 +445,12 @@ def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
     N satisfies N S'_w = (rho_a (x) rho_b)(w) N with S'_w = R^-1(flip w)
     evaluated in (rho_c, rho_d): R^-1 of the slot-swapped generator.
     """
-    rd = repc.rd
     ga, gb = factgroup.xlr_inverse(char_to_group(repc.char),
                                    char_to_group(repd.char))
     chars = (group_to_char(ga), group_to_char(gb))
-    _require_generic(chars, rd)
-    img = r_inverse_images(repc, repd).images
-    source_slots = {name: img[_SWAP[name]] for name in RImages.SLOTS}
-    return _solve_crossing((repc, repd), source_slots, chars, rel_tol)
-
-
-def braiding_inverse(blk: BraidingBlock) -> BraidingBlock:
-    """The negative crossing: matrix inverse with swapped colors."""
-    if abs(np.linalg.det(blk.matrix)) < 1e-13:
-        raise SingularM("braiding block is singular")
-    return BraidingBlock(
-        np.linalg.inv(blk.matrix),
-        blk.target_chars, blk.target_branches,
-        blk.source_chars, blk.source_branches,
-        blk.nullity, blk.residual, blk.branch_retry, blk.normalization)
+    _require_generic(chars, repc.rd)
+    return _solve_crossing((repc, repd), _negative_slots(repc, repd), chars,
+                           rel_tol)
 
 
 def twist_mu(rep: CyclicRep, choice="K") -> np.ndarray:

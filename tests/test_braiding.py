@@ -1,13 +1,15 @@
 """Unit tests for colored crossing operators and the central pull-back."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from tanglev import braiding, factgroup
-from tanglev.braiding import (BlockCache, BraidingBlock, braiding_inverse,
-                              char_to_group, group_to_char, solve_braiding,
+from tanglev.braiding import (BlockCache, BraidingBlock, char_to_group,
+                              group_to_char, solve_braiding,
                               solve_braiding_inverse, twist_mu)
-from tanglev.uqalgebra import build_irrep
+from tanglev.uqalgebra import RootData, build_irrep
 
 from conftest import generic_char, generic_group
 
@@ -20,6 +22,31 @@ def random_block(rng, rd):
             return rx, ry, solve_braiding(rx, ry)
         except (braiding.NoIntertwiner, braiding.NonGenericCharacter):
             continue
+
+
+def _assert_inverse_inverts(blk, rd):
+    """The negative crossing out of blk's outputs lands on its sources and
+    composes with it to a unimodular scalar."""
+    rl = build_irrep(blk.target_chars[0], blk.target_branches[0], rd)
+    rr = build_irrep(blk.target_chars[1], blk.target_branches[1], rd)
+    neg = solve_braiding_inverse(rl, rr)
+    assert blk.nullity == neg.nullity == 1
+    assert neg.target_branches == blk.source_branches
+    prod = neg.matrix @ blk.matrix
+    scalar = np.trace(prod) / prod.shape[0]
+    assert abs(abs(scalar) - 1.0) < 1e-8
+    assert np.max(np.abs(prod - scalar * np.eye(prod.shape[0]))) < 1e-8
+
+
+def _admits(source_slots, target_reps):
+    """Whether an invertible intertwiner reaches the given output irreps."""
+    try:
+        m, _ = braiding._solve_intertwiner(
+            source_slots, braiding._pair_eval(*target_reps))
+        braiding._normalize(m)
+    except (braiding.NoIntertwiner, braiding.SingularM):
+        return False
+    return True
 
 
 class TestCharGroupDictionary:
@@ -66,29 +93,34 @@ class TestSolver:
         assert blk.target_chars[1].rounded() == cr.rounded()
 
     def test_inverse_block_inverts(self, rng, rd3):
-        rx, ry, blk = random_block(rng, rd3)
-        rl = build_irrep(blk.target_chars[0], blk.target_branches[0], rd3)
-        rr = build_irrep(blk.target_chars[1], blk.target_branches[1], rd3)
-        try:
-            neg = solve_braiding_inverse(rl, rr)
-        except braiding.NoIntertwiner:
-            pytest.skip("negative crossing not solvable at this pair")
-        # when the branch search lands back on the original sources the
-        # product is the identity up to the normalization phase
-        if neg.target_branches != blk.source_branches:
-            pytest.skip("branch search chose another preimage pair")
-        prod = neg.matrix @ blk.matrix
-        scalar = np.trace(prod) / prod.shape[0]
-        assert abs(abs(scalar) - 1.0) < 1e-8
-        assert np.max(np.abs(prod - scalar * np.eye(prod.shape[0]))) < 1e-8
-
-    def test_matrix_inverse_helper(self, rng, rd3):
         _, _, blk = random_block(rng, rd3)
-        neg = braiding_inverse(blk)
-        eye = np.eye(blk.matrix.shape[0])
-        assert np.max(np.abs(neg.matrix @ blk.matrix - eye)) < 1e-8
-        assert neg.source_chars == blk.target_chars
-        assert neg.target_chars == blk.source_chars
+        _assert_inverse_inverts(blk, rd3)
+
+    def test_ell5_blocks_invert(self, rng):
+        rd = RootData(5)
+        rx = build_irrep(generic_char(rng, rd), (0, 0), rd)
+        ry = build_irrep(generic_char(rng, rd), (0, 0), rd)
+        _assert_inverse_inverts(solve_braiding(rx, ry), rd)
+
+    def test_derived_branches_are_the_only_ones(self, rng, rd3):
+        # every other pair of output labels admits no invertible
+        # intertwiner, so deriving the labels loses no solution
+        labels = list(product(range(rd3.ell), repeat=2))
+        for _ in range(2):
+            rx, ry = (build_irrep(generic_char(rng, rd3),
+                                  (rng.randrange(3), rng.randrange(3)), rd3)
+                      for _ in range(2))
+            for blk, slots in (
+                    (solve_braiding(rx, ry),
+                     braiding._positive_slots(rx, ry)),
+                    (solve_braiding_inverse(rx, ry),
+                     braiding._negative_slots(rx, ry))):
+                reps = [[build_irrep(ch, b, rd3) for b in labels]
+                        for ch in blk.target_chars]
+                admitted = [(rl.branch, rr.branch)
+                            for rl, rr in product(*reps)
+                            if _admits(slots, (rl, rr))]
+                assert admitted == [blk.target_branches]
 
     def test_twist_mu_choices(self, rng, rd3):
         rep = build_irrep(generic_char(rng, rd3), (0, 0), rd3)
