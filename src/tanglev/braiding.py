@@ -113,8 +113,7 @@ def _pair_eval(ra: CyclicRep, rb: CyclicRep):
     return out
 
 
-def r_images(rep_a: CyclicRep, rep_b: CyclicRep,
-             cond_limit=COND_LIMIT) -> RImages:
+def r_images(rep_a: CyclicRep, rep_b: CyclicRep) -> RImages:
     """Evaluate the braiding automorphism in the pair V_a (x) V_b."""
     rd = rep_a.rd
     slot = _pair_eval(rep_a, rep_b)
@@ -123,7 +122,7 @@ def r_images(rep_a: CyclicRep, rep_b: CyclicRep,
     kinv_e = np.linalg.inv(rep_a.Kmat) @ rep_a.Emat
     f_l = rep_b.Fmat @ rep_b.Lmat
     n_mat = eye - rd.eps * np.kron(kinv_e, f_l)
-    if np.linalg.cond(n_mat) > cond_limit:
+    if np.linalg.cond(n_mat) > COND_LIMIT:
         raise SingularN("series factor N numerically singular")
     n_inv = np.linalg.inv(n_mat)
 

@@ -8,11 +8,13 @@ and copairing on the left-duality side and their mu-twisted versions on
 the right-duality side, where mu implements the squared antipode.
 
 Irrep branches are bookkept per arc: boundary arcs get prescribed
-branches, crossing outputs get the branches picked by the intertwiner
-solver, and arcs born at a cup are free variables.  A backtracking
-planning pass searches the free branches until every arc is consistent
-(caps silently enforce equality because both legs share an arc); the
-numeric pass then runs with all branches pinned.
+branches, crossing outputs get the branches the crossing solver derives
+from the central scalars of its inputs (one candidate, no retries), and
+arcs born at a cup are free variables.  A backtracking planning pass
+searches the free branches until every arc is consistent (caps silently
+enforce equality because both legs share an arc); a crossing whose solve
+raises makes the search backtrack.  The numeric pass then runs with all
+branches pinned.
 """
 
 from __future__ import annotations
@@ -283,17 +285,21 @@ def _branch_candidates(ell):
                              if b != (0, 0))
 
 
+#: Crossing attempts after which the branch search gives up.
+PLANNER_NODE_LIMIT = 4000
+
+
 def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
-                   bottom_branches, max_nodes=4000):
+                   bottom_branches):
     """Assign an irrep branch to every arc, searching free cup branches.
 
-    The search is exhaustive up to max_nodes crossing attempts; colorings
-    whose branch constraints have no solution (the section x -> V_x does
-    not close up around every cycle) fail fast instead of scanning the
-    full product space.
+    The search is exhaustive up to PLANNER_NODE_LIMIT crossing attempts;
+    colorings whose branch constraints have no solution (the section
+    x -> V_x does not close up around every cycle) fail fast instead of
+    scanning the full product space.
     """
     uf, _, _ = coloring._scan(d)
-    budget = [max_nodes]
+    budget = [PLANNER_NODE_LIMIT]
     events = [e for e in _walk(d)
               if e[1] not in (Piece.ID_UP, Piece.ID_DOWN,
                               Piece.CAP_L, Piece.CAP_R)]
