@@ -30,7 +30,11 @@ twisted intertwiner M solving
     M (P R(w) P) = (rho_{x_L} (x) rho_{x_R})(w) M
 
 for all eight generator slots w, with R(w) evaluated in (rho_y, rho_x)
-and P the tensor flip.
+and P the tensor flip.  Its output branches are not searched for: K L^-1
+and c = E F + K eps^-1 + eps L^-1 act by scalars on each source slot,
+and only the irreps with those scalars can be reached, so each crossing
+is one nullspace solve.  The negative crossing solves the same equation
+with source slots R^-1(flip w), evaluated in its own input pair.
 """
 
 from __future__ import annotations
@@ -170,8 +174,7 @@ def r_inverse_images(rep_c: CyclicRep, rep_d: CyclicRep) -> RImages:
 
 
 #: Generator slot names under the tensor flip.
-_SWAP = {name: name[0] + ("2" if name[1] == "1" else "1")
-         for name in RImages.SLOTS}
+_SWAP = dict(zip(RImages.SLOTS, RImages.SLOTS[4:] + RImages.SLOTS[:4]))
 
 
 def automorphism_residuals(ri: RImages):
@@ -258,14 +261,6 @@ def z0_pullback_check(x: Mat2, y: Mat2, rd: RootData):
                                   for v in report.values()
                                   if isinstance(v, dict))
     return report
-
-
-def _flip(ell):
-    p = np.zeros((ell * ell, ell * ell))
-    for i in range(ell):
-        for j in range(ell):
-            p[j * ell + i, i * ell + j] = 1.0
-    return p
 
 
 @dataclass(frozen=True)
@@ -359,33 +354,25 @@ def _solve_intertwiner(source_slots, target_slots, rel_tol=1e-8):
     return m, nullity
 
 
-def _require_generic(chars, rd):
-    for ch in chars:
-        if not is_generic(ch, rd):
-            raise NonGenericCharacter("crossing output character not generic")
-
-
 def _positive_slots(repx, repy):
     """Source slots P R(w) P of the positive crossing, R in (rho_y, rho_x)."""
-    flip = _flip(repx.rd.ell)
-    ri = r_images(repy, repx)
-    return {name: flip @ m @ flip for name, m in ri.images.items()}
+    ell = repx.rd.ell
+    return {name: m.reshape(ell, ell, ell, ell).transpose(1, 0, 3, 2)
+            .reshape(ell * ell, ell * ell)
+            for name, m in r_images(repy, repx).images.items()}
 
 
 def _negative_slots(repc, repd):
-    """Source slots R^-1(flip w) of the negative crossing, in (rho_c, rho_d)."""
+    """Source slots R^-1(flip w) of the negative crossing, R^-1 in
+    (rho_c, rho_d)."""
     img = r_inverse_images(repc, repd).images
     return {name: img[_SWAP[name]] for name in RImages.SLOTS}
 
 
 def _read_branch(char, slots, suffix, rd):
     """The label (r, s) of the irrep of `char` on which K L^-1 and the
-    central element c = E F + K eps^-1 + eps L^-1 act as they do on the
-    given source slot: r from kappa/lam, s from the central value.
-
-    Both act by scalars on the source module, and an intertwiner can only
-    reach the irrep with the same scalars, so no other label is tried.
-    """
+    central element c = E F + K eps^-1 + eps L^-1 act by the scalars they
+    act by on the given source slot: r from kappa/lam, s from c."""
     k, l, e, f = (slots[g + suffix] for g in "KLEF")
     l_inv = np.linalg.inv(l)
     z = np.trace(k @ l_inv) / k.shape[0]
@@ -397,11 +384,14 @@ def _read_branch(char, slots, suffix, rd):
     return r, s
 
 
-def _solve_crossing(sources, source_slots, chars, rel_tol):
-    """The unique intertwiner M source_w = target_w M, with target_w the
-    plain pair evaluation in the output irreps of `chars` whose branches
-    are read off the source slots."""
+def _solve_crossing(sources, chars, slots_of, rel_tol):
+    """The unique intertwiner M source_w = target_w M, with source_w =
+    slots_of(*sources) and target_w the plain pair evaluation in the
+    output irreps of `chars` whose branches are read off the source."""
     rd = sources[0].rd
+    if not all(is_generic(ch, rd) for ch in chars):
+        raise NonGenericCharacter("crossing output character not generic")
+    source_slots = slots_of(*sources)
     reps = [build_irrep(ch, _read_branch(ch, source_slots, suffix, rd), rd)
             for ch, suffix in zip(chars, "12")]
     target_slots = _pair_eval(*reps)
@@ -428,10 +418,8 @@ def solve_braiding(repx: CyclicRep, repy: CyclicRep,
     pair evaluation in the output irreps, whose branches are derived from
     the source side.
     """
-    chars = target_chars(repx.char, repy.char)
-    _require_generic(chars, repx.rd)
-    return _solve_crossing((repx, repy), _positive_slots(repx, repy), chars,
-                           rel_tol)
+    return _solve_crossing((repx, repy), target_chars(repx.char, repy.char),
+                           _positive_slots, rel_tol)
 
 
 def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
@@ -447,9 +435,7 @@ def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
     ga, gb = factgroup.xlr_inverse(char_to_group(repc.char),
                                    char_to_group(repd.char))
     chars = (group_to_char(ga), group_to_char(gb))
-    _require_generic(chars, repc.rd)
-    return _solve_crossing((repc, repd), _negative_slots(repc, repd), chars,
-                           rel_tol)
+    return _solve_crossing((repc, repd), chars, _negative_slots, rel_tol)
 
 
 def twist_mu(rep: CyclicRep, choice="K") -> np.ndarray:

@@ -9,12 +9,10 @@ the right-duality side, where mu implements the squared antipode.
 
 Irrep branches are bookkept per arc: boundary arcs get prescribed
 branches, crossing outputs get the branches the crossing solver derives
-from the central scalars of its inputs (one candidate, no retries), and
-arcs born at a cup are free variables.  A backtracking planning pass
-searches the free branches until every arc is consistent (caps silently
-enforce equality because both legs share an arc); a crossing whose solve
-raises makes the search backtrack.  The numeric pass then runs with all
-branches pinned.
+from its inputs, and arcs born at a cup are free variables.  A
+backtracking planning pass searches the free branches until every arc
+is consistent (caps silently enforce equality because both legs share
+an arc); the numeric pass then runs with all branches pinned.
 """
 
 from __future__ import annotations
@@ -184,25 +182,6 @@ class EvalContext:
         return val
 
 
-def dual_matrices(rep):
-    """Generator action on V*: rho*(u) = rho(S(u))^T."""
-    kinv = np.linalg.inv(rep.Kmat)
-    linv = np.linalg.inv(rep.Lmat)
-    return {"K": kinv.T, "L": linv.T,
-            "E": (-(rep.Emat @ kinv)).T,
-            "F": (-(rep.Lmat @ rep.Fmat)).T}
-
-
-def object_space(o: ColoredObject, ctx: EvalContext):
-    """Dimension and per-strand dual structure of Phi(o)."""
-    entries = []
-    for sign, char, branch in o.entries:
-        ctx.rep(char, branch)  # raises NonGenericCharacter early
-        entries.append({"sign": sign, "dual": sign < 0,
-                        "branch": list(branch)})
-    return {"dimension": o.dimension(ctx.rd.ell), "entries": entries}
-
-
 # ---------------------------------------------------------------------------
 # Elementary operators
 
@@ -280,11 +259,6 @@ def _walk(d: TangleDiagram):
             tcol += len(p.top)
 
 
-def _branch_candidates(ell):
-    return [(0, 0)] + sorted(b for b in product(range(ell), repeat=2)
-                             if b != (0, 0))
-
-
 #: Crossing attempts after which the branch search gives up.
 PLANNER_NODE_LIMIT = 4000
 
@@ -315,9 +289,7 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
                 "boundary strands on one arc carry different branches")
 
     def solve_event(level, piece, bcol, tcol):
-        """Returns ([(root, branch)] to assign, log) or raises."""
-        if piece in (Piece.CUP_L, Piece.CUP_R):
-            return None  # handled by the search
+        """The [(root, branch)] a crossing assigns, or raises."""
         rx = uf.find((level, bcol))
         ry = uf.find((level, bcol + 1))
         chx = group_to_char(col.color(level, bcol))
@@ -347,8 +319,9 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
             char = group_to_char(col.color(level + 1, tcol))
             try:
                 # coincident labels name one module; try it once
-                cands = dict.fromkeys(ctx.rep(char, b).branch for b in
-                                      _branch_candidates(ctx.rd.ell))
+                cands = dict.fromkeys(
+                    ctx.rep(char, b).branch
+                    for b in product(range(ctx.rd.ell), repeat=2))
             except NonGenericCharacter:
                 return False
             for cand in cands:
