@@ -173,10 +173,6 @@ def r_inverse_images(rep_c: CyclicRep, rep_d: CyclicRep) -> RImages:
     return RImages((rep_c, rep_d), img)
 
 
-#: Generator slot names under the tensor flip.
-_SWAP = dict(zip(RImages.SLOTS, RImages.SLOTS[4:] + RImages.SLOTS[:4]))
-
-
 def automorphism_residuals(ri: RImages):
     """Residuals of the defining algebra relations among the image matrices."""
     rd = ri.pair[0].rd
@@ -366,7 +362,8 @@ def _negative_slots(repc, repd):
     """Source slots R^-1(flip w) of the negative crossing, R^-1 in
     (rho_c, rho_d)."""
     img = r_inverse_images(repc, repd).images
-    return {name: img[_SWAP[name]] for name in RImages.SLOTS}
+    slots = RImages.SLOTS
+    return {w: img[flip_w] for w, flip_w in zip(slots, slots[4:] + slots[:4])}
 
 
 def _read_branch(char, slots, suffix, rd):
