@@ -13,7 +13,7 @@ from .diagram import TangleDiagram, Piece, parse, braid_word, close_braid, \
     close_braid_partial, apply_move, find_move_sites
 from .coloring import ColoredBoundary, GColoring, propagate, solve_closed, \
     functor_f_object
-from .braiding import solve_braiding, solve_braiding_inverse, BlockCache, \
+from .braiding import solve_braiding, solve_braiding_inverse, \
     group_to_char, char_to_group
 from .evaluator import EvalContext, ColoredObject, LinearBlock, contract, \
     invariant, reidemeister_report
@@ -27,7 +27,7 @@ __all__ = [
     "close_braid", "close_braid_partial", "apply_move", "find_move_sites",
     "ColoredBoundary", "GColoring", "propagate", "solve_closed",
     "functor_f_object", "solve_braiding", "solve_braiding_inverse",
-    "BlockCache", "group_to_char", "char_to_group", "EvalContext",
+    "group_to_char", "char_to_group", "EvalContext",
     "ColoredObject", "LinearBlock", "contract", "invariant",
     "reidemeister_report",
 ]

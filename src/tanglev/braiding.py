@@ -35,13 +35,21 @@ and c = E F + K eps^-1 + eps L^-1 act by scalars on each source slot,
 and only the irreps with those scalars can be reached, so each crossing
 is one nullspace solve.  The negative crossing solves the same equation
 with source slots R^-1(flip w), evaluated in its own input pair.
+
+The solve is graded by weight.  K is diagonal in every cyclic irrep and
+R(Delta K) = flip Delta K, so total K = K1 K2 is diagonal on source and
+target alike, and M can only map a weight space of the source to the
+equal weight space of the target: ell^3 unknowns instead of ell^4.
+Distinct weights differ by a power of eps^2, a relative distance of at
+least 2 sin(pi/ell), while equal ones agree to rounding (about 1e-15):
+weights within WEIGHT_RTOL are equal, weights at least sin(pi/ell) apart
+are distinct, and a pair in between, like a source total K that is not
+diagonal, raises WeightGrading.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +66,11 @@ NORMALIZATION_VERSION = "det1-phase-1"
 #: determinant shrinks like (1/ell^2)^(ell^2) and says nothing by itself.
 COND_LIMIT = 1e12
 
+#: Relative distance below which two weights of total K count as equal.
+#: Distinct weights sit at least 2 sin(pi/ell) apart; rounding puts equal
+#: ones about 1e-15 apart.
+WEIGHT_RTOL = 1e-8
+
 
 class SingularN(ValueError):
     """The series factor N is not invertible for this pair."""
@@ -73,6 +86,16 @@ class AmbiguousIntertwiner(ValueError):
 
 class SingularM(ValueError):
     pass
+
+
+class WeightGrading(ValueError):
+    """Total K is not diagonal on the source, or a source and a target
+    weight are neither equal nor separated."""
+
+
+#: What a crossing solve raises when the crossing has no usable block.
+CROSSING_ERRORS = (NoIntertwiner, AmbiguousIntertwiner, SingularM, SingularN,
+                   WeightGrading, NonGenericCharacter)
 
 
 def group_to_char(g: Mat2) -> CentralCharacter:
@@ -273,41 +296,6 @@ class BraidingBlock:
     branch_retry: bool
     normalization: str = NORMALIZATION_VERSION
 
-    def to_json(self):
-        m = self.matrix
-        return {
-            "matrix": [[[z.real, z.imag] for z in row] for row in m.tolist()],
-            "source_chars": [list(map(_cpair, c.coords()))
-                             for c in self.source_chars],
-            "source_branches": [list(b) for b in self.source_branches],
-            "target_chars": [list(map(_cpair, c.coords()))
-                             for c in self.target_chars],
-            "target_branches": [list(b) for b in self.target_branches],
-            "nullity": self.nullity,
-            "residual": self.residual,
-            "branch_retry": self.branch_retry,
-            "normalization": self.normalization,
-        }
-
-    @staticmethod
-    def from_json(obj):
-        mat = np.array([[complex(re, im) for re, im in row]
-                        for row in obj["matrix"]])
-        chars = tuple(CentralCharacter(*(complex(re, im) for re, im in c))
-                      for c in obj["source_chars"])
-        tchars = tuple(CentralCharacter(*(complex(re, im) for re, im in c))
-                       for c in obj["target_chars"])
-        return BraidingBlock(
-            mat, chars, tuple(tuple(b) for b in obj["source_branches"]),
-            tchars, tuple(tuple(b) for b in obj["target_branches"]),
-            obj["nullity"], obj["residual"], obj["branch_retry"],
-            obj["normalization"])
-
-
-def _cpair(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
 
 def _normalize(m):
     """Determinant one, then the distinguished phase: among the det-1
@@ -331,22 +319,59 @@ def _normalize(m):
     return m * best[1]
 
 
+def _total_weights(slots):
+    """The diagonal of total K = K1 K2, which must be diagonal."""
+    kk = slots["K1"] @ slots["K2"]
+    weights = np.diag(kk)
+    off = np.max(np.abs(kk - np.diag(weights)))
+    if off > WEIGHT_RTOL * np.max(np.abs(weights)):
+        raise WeightGrading("total K is not diagonal (off-diagonal %.1e)"
+                            % off)
+    return weights
+
+
+def _weight_mask(target_w, source_w):
+    """mask[i, j]: target weight i equals source weight j, under the
+    margin rule of the module docstring."""
+    ell = math.isqrt(len(source_w))
+    dist = np.abs(target_w[:, None] / source_w[None, :] - 1)
+    mask = dist < WEIGHT_RTOL
+    if np.any(~mask & (dist < math.sin(math.pi / ell))):
+        raise WeightGrading("weights neither equal nor separated "
+                            "(relative distance %.1e)"
+                            % np.min(dist[~mask]))
+    return mask
+
+
 def _solve_intertwiner(source_slots, target_slots, rel_tol=1e-8):
-    dim = next(iter(source_slots.values())).shape[0]
-    rows = []
-    eye = np.eye(dim, dtype=complex)
+    """The nullspace of M S_w - T_w M over the eight slots.
+
+    M commutes total K from source to target, so only entries M[i, j]
+    with equal weights are unknowns (ell^3 of the ell^4).  For each slot
+    the rows of M S_w - T_w M that these entries reach are built directly:
+    with unknowns x_a = M[i_a, j_a], row (p, q) has coefficient
+    [i_a = p] S_w[j_a, q] - [j_a = q] T_w[p, i_a].
+    """
+    dim = source_slots["K1"].shape[0]
+    mask = _weight_mask(_total_weights(target_slots),
+                        _total_weights(source_slots))
+    i, j = np.nonzero(mask)
+    if not len(i):
+        raise NoIntertwiner("no target weight matches a source weight")
+    blocks = []
     for name in RImages.SLOTS:
-        s = source_slots[name]
-        t = target_slots[name]
-        rows.append(np.kron(eye, s.T) - np.kron(t, eye))
-    system = np.vstack(rows)
+        s, t = source_slots[name], target_slots[name]
+        p, q = np.nonzero((mask @ (s != 0)) | ((t != 0) @ mask))
+        p, q = p[:, None], q[:, None]
+        blocks.append((p == i) * s[j, q] - (q == j) * t[p, i])
+    system = np.vstack(blocks)
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
     cutoff = rel_tol * svals[0]
     nullity = int(np.sum(svals < cutoff))
     if nullity == 0:
         raise NoIntertwiner("no solution at this branch choice")
-    vec = vh[-1].conj()
-    m = vec.reshape(dim, dim)
+    m = np.zeros((dim, dim), dtype=complex)
+    m[i, j] = vh[-1].conj()
     return m, nullity
 
 
@@ -366,19 +391,25 @@ def _negative_slots(repc, repd):
     return {w: img[flip_w] for w, flip_w in zip(slots, slots[4:] + slots[:4])}
 
 
-def _read_branch(char, slots, suffix, rd):
-    """The label (r, s) of the irrep of `char` on which K L^-1 and the
-    central element c = E F + K eps^-1 + eps L^-1 act by the scalars they
-    act by on the given source slot: r from kappa/lam, s from c."""
-    k, l, e, f = (slots[g + suffix] for g in "KLEF")
-    l_inv = np.linalg.inv(l)
-    z = np.trace(k @ l_inv) / k.shape[0]
-    c = np.trace(e @ f + k / rd.eps + rd.eps * l_inv) / k.shape[0]
+def branch_of(char, z, c, rd):
+    """The label (r, s) of the irrep of `char` on which the central
+    elements K L^-1 and c = E F + K eps^-1 + eps L^-1 act by the scalars
+    z and c: r from z = kappa/lam, s from c against `central_values`."""
     cands = [central_values(char, rd, r) for r in range(rd.ell)]
     r = min(range(rd.ell), key=lambda r: abs(cands[r][0] / cands[r][1] - z))
     values = cands[r][2]
     s = min(range(rd.ell), key=lambda s: abs(values[s] - c))
     return r, s
+
+
+def _read_branch(char, slots, suffix, rd):
+    """The label of the irrep of `char` whose central scalars are those
+    K L^-1 and c act by on the given source slot."""
+    k, l, e, f = (slots[g + suffix] for g in "KLEF")
+    l_inv = np.linalg.inv(l)
+    z = np.trace(k @ l_inv) / k.shape[0]
+    c = np.trace(e @ f + k / rd.eps + rd.eps * l_inv) / k.shape[0]
+    return branch_of(char, z, c, rd)
 
 
 def _solve_crossing(sources, chars, slots_of, rel_tol):
@@ -446,56 +477,3 @@ def twist_mu(rep: CyclicRep, choice="K") -> np.ndarray:
     if choice == "L":
         return rep.Lmat.copy()
     raise ValueError("twist choice must be 'K' or 'L'")
-
-
-class BlockCache:
-    """Directory-backed cache of solved braiding blocks."""
-
-    def __init__(self, root):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-
-    @staticmethod
-    def key(repx: CyclicRep, repy: CyclicRep, inverse=False):
-        parts = ["ell%d" % repx.rd.ell]
-        if inverse:
-            parts.append("inv")
-        for rep in (repx, repy):
-            for re_, im_ in rep.char.rounded(12):
-                parts.append("%.12g_%.12g" % (re_, im_))
-            parts.append("b%d-%d" % rep.branch)
-        parts.append(NORMALIZATION_VERSION)
-        return "-".join(parts).replace("/", "_")
-
-    def path(self, key):
-        # keys encode two full characters and can exceed filename limits
-        digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-        return os.path.join(self.root, "%s-%s.json" % (key[:64], digest))
-
-    def get(self, repx, repy, inverse=False):
-        p = self.path(self.key(repx, repy, inverse))
-        if not os.path.exists(p):
-            return None
-        with open(p) as fh:
-            return BraidingBlock.from_json(json.load(fh))
-
-    def put(self, repx, repy, blk: BraidingBlock, inverse=False):
-        p = self.path(self.key(repx, repy, inverse))
-        tmp = p + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(blk.to_json(), fh, sort_keys=True)
-        os.replace(tmp, p)
-
-    def solve(self, repx, repy, **kw) -> BraidingBlock:
-        blk = self.get(repx, repy)
-        if blk is None:
-            blk = solve_braiding(repx, repy, **kw)
-            self.put(repx, repy, blk)
-        return blk
-
-    def solve_inverse(self, repc, repd, **kw) -> BraidingBlock:
-        blk = self.get(repc, repd, inverse=True)
-        if blk is None:
-            blk = solve_braiding_inverse(repc, repd, **kw)
-            self.put(repc, repd, blk, inverse=True)
-        return blk

@@ -264,10 +264,6 @@ def solve_closed(d: TangleDiagram, seeds, tol=1e-9) -> GColoring:
         raise Inconsistent(str(exc)) from exc
 
 
-def boundary_object(coloring: GColoring, side) -> ColoredBoundary:
-    return coloring.boundary(side)
-
-
 def holonomy_of_boundary(boundary: ColoredBoundary, i: int) -> Mat2:
     """Meridian holonomy across the first i strands of a boundary object."""
     if not 1 <= i <= len(boundary):
@@ -282,10 +278,6 @@ def holonomy_of_boundary(boundary: ColoredBoundary, i: int) -> Mat2:
         plus_acc = p if plus_acc is None else plus_acc * p
         minus_acc = m.inv() if minus_acc is None else m.inv() * minus_acc
     return plus_acc * minus_acc
-
-
-def holonomy(coloring: GColoring, side, i: int) -> Mat2:
-    return holonomy_of_boundary(coloring.boundary(side), i)
 
 
 def functor_f_object(signs_and_holonomies) -> ColoredBoundary:

@@ -23,7 +23,8 @@ from itertools import combinations, product
 import numpy as np
 
 from . import braiding, coloring, factgroup
-from .braiding import BlockCache, NoIntertwiner, group_to_char, twist_mu
+from .braiding import CROSSING_ERRORS, NoIntertwiner, group_to_char, \
+    twist_mu
 from .coloring import GColoring, Inconsistent, UnderdeterminedColoring
 from .diagram import Piece, TangleDiagram
 from .uqalgebra import CentralCharacter, NonGenericCharacter, RootData, \
@@ -40,6 +41,10 @@ class ObjectMismatch(ValueError):
 
 class BranchObstruction(ValueError):
     """No assignment of free arc branches makes every crossing solvable."""
+
+
+class KinkObstruction(ValueError):
+    """The curl that normalizes mu does not close on its loop's module."""
 
 
 @dataclass(frozen=True)
@@ -87,12 +92,11 @@ def tensor_blocks(left: LinearBlock, right: LinearBlock) -> LinearBlock:
 
 
 class EvalContext:
-    """Shared representation store, braiding cache and conventions."""
+    """Shared representation store, crossing-block memo and conventions."""
 
-    def __init__(self, rd: RootData, cache: BlockCache = None,
-                 mu_choice="K", framing="balanced", tol=1e-8):
+    def __init__(self, rd: RootData, mu_choice="K", framing="balanced",
+                 tol=1e-8):
         self.rd = rd
-        self.cache = cache
         self.mu_choice = mu_choice
         self.framing = framing
         self.tol = tol
@@ -108,34 +112,33 @@ class EvalContext:
             self._reps[key] = rep
         return rep
 
-    def _solve_memo(self, repx, repy, inverse):
-        key = BlockCache.key(repx, repy, inverse=inverse)
+    def _solve_memo(self, repx, repy, sign):
+        """The crossing block, solved once per (inputs, sign).
+
+        A failure is kept as its type and message, not as the exception,
+        whose traceback would tie this context into a reference cycle.
+        """
+        key = (repx.char.rounded(12), repx.branch,
+               repy.char.rounded(12), repy.branch, sign)
         hit = self._blocks.get(key)
-        if hit is not None:
-            if isinstance(hit, Exception):
-                raise hit
-            return hit
-        try:
-            if self.cache is not None:
-                blk = (self.cache.solve_inverse if inverse
-                       else self.cache.solve)(repx, repy, rel_tol=self.tol)
-            elif inverse:
-                blk = braiding.solve_braiding_inverse(
-                    repx, repy, rel_tol=self.tol)
-            else:
-                blk = braiding.solve_braiding(repx, repy, rel_tol=self.tol)
-        except (NoIntertwiner, NonGenericCharacter, braiding.SingularM,
-                braiding.AmbiguousIntertwiner) as exc:
-            self._blocks[key] = exc
-            raise
-        self._blocks[key] = blk
-        return blk
+        if hit is None:
+            solve = braiding.solve_braiding if sign > 0 \
+                else braiding.solve_braiding_inverse
+            try:
+                hit = solve(repx, repy, rel_tol=self.tol)
+            except CROSSING_ERRORS as exc:
+                self._blocks[key] = (type(exc), str(exc))
+                raise
+            self._blocks[key] = hit
+        if isinstance(hit, tuple):
+            raise hit[0](hit[1])
+        return hit
 
     def solve(self, repx, repy):
-        return self._solve_memo(repx, repy, False)
+        return self._solve_memo(repx, repy, 1)
 
     def solve_inverse(self, repc, repd):
-        return self._solve_memo(repc, repd, True)
+        return self._solve_memo(repc, repd, -1)
 
     def mu(self, char, branch):
         m = twist_mu(self.rep(char, branch), self.mu_choice)
@@ -143,7 +146,7 @@ class EvalContext:
             m = self.twist_scale(char, branch) * m
         return m
 
-    def _kink_scalar(self, blk, loop_branch):
+    def _kink_scalar(self, blk):
         """Schur scalar of the partial right trace Tr_2(M (1 x mu))."""
         ell = self.rd.ell
         mu = twist_mu(self.rep(blk.target_chars[1],
@@ -157,27 +160,34 @@ class EvalContext:
 
         The pivotal map on an irrep is only pinned up to a scalar; the curl
         scalars theta_+- of a kink pair with loop color d fix its magnitude
-        through |lambda|^2 |theta_+ theta_-| = 1.  Characters where the curl
-        crossings are not solvable keep the raw normalization.
+        through |lambda|^2 |theta_+ theta_-| = 1.  The crossing automorphism
+        fixes the central elements K L^-1 and c slot by slot up to the flip,
+        so a crossing's slot-2 output carries the central scalars of its
+        slot-1 input.  The through-strand therefore gets the label whose
+        scalars are the loop's; a kink whose crossings still do not return
+        the through and loop modules raises KinkObstruction.
         """
         key = (char.rounded(12), tuple(branch))
         val = self._twist.get(key)
         if val is None:
-            val = 1.0
-            try:
-                strand = factgroup.curl_unpartner(
-                    braiding.char_to_group(char))
-                rep_c = self.rep(group_to_char(strand), (0, 0))
-                rep_d = self.rep(char, branch)
-                pos = self.solve(rep_c, rep_d)
-                neg = self.solve_inverse(rep_c, rep_d)
-                prod = self._kink_scalar(pos, branch) \
-                    * self._kink_scalar(neg, branch)
-                if abs(prod) > 1e-12:
-                    val = 1.0 / np.sqrt(abs(prod))
-            except (factgroup.NotFactorizable, NonGenericCharacter,
-                    NoIntertwiner, braiding.SingularN, braiding.SingularM):
-                pass
+            loop = self.rep(char, branch)
+            strand = group_to_char(factgroup.curl_unpartner(
+                braiding.char_to_group(char)))
+            through = self.rep(strand, braiding.branch_of(
+                strand, loop.kappa / loop.lam, loop.cval, self.rd))
+            prod = 1.0
+            for blk in (self.solve(through, loop),
+                        self.solve_inverse(through, loop)):
+                if blk.target_branches != (through.branch, loop.branch):
+                    raise KinkObstruction(
+                        "curl outputs %r, not the through and loop labels "
+                        "%r" % (blk.target_branches,
+                                (through.branch, loop.branch)))
+                prod *= self._kink_scalar(blk)
+            if not abs(prod) > 1e-12:
+                raise KinkObstruction("curl scalars vanish (%.1e)"
+                                      % abs(prod))
+            val = 1.0 / np.sqrt(abs(prod))
             self._twist[key] = val
         return val
 
@@ -270,10 +280,17 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     The search is exhaustive up to PLANNER_NODE_LIMIT crossing attempts;
     colorings whose branch constraints have no solution (the section
     x -> V_x does not close up around every cycle) fail fast instead of
-    scanning the full product space.
+    scanning the full product space, with a BranchObstruction that names
+    the first typed error the search met.
     """
     uf, _, _ = coloring._scan(d)
     budget = [PLANNER_NODE_LIMIT]
+    first_cause = []  # the first typed error the search met, as text
+
+    def note(exc):
+        if not first_cause:
+            first_cause.append("%s: %s" % (type(exc).__name__, exc))
+
     events = [e for e in _walk(d)
               if e[1] not in (Piece.ID_UP, Piece.ID_DOWN,
                               Piece.CAP_L, Piece.CAP_R)]
@@ -322,7 +339,8 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
                 cands = dict.fromkeys(
                     ctx.rep(char, b).branch
                     for b in product(range(ctx.rd.ell), repeat=2))
-            except NonGenericCharacter:
+            except NonGenericCharacter as exc:
+                note(exc)
                 return False
             for cand in cands:
                 assign[root] = cand
@@ -336,7 +354,8 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
         try:
             news = solve_event(level, piece, bcol, tcol)
         except (BranchObstruction, NoIntertwiner, NonGenericCharacter,
-                braiding.SingularM):
+                braiding.SingularM) as exc:
+            note(exc)
             return False
         for root, branch in news:
             assign[root] = branch
@@ -347,9 +366,10 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
         return False
 
     if not search(0):
+        cause = " (first cause: %s)" % first_cause[0] if first_cause else ""
         raise BranchObstruction(
             "no branch assignment closes up; diagram not evaluable "
-            "at this coloring")
+            "at this coloring" + cause)
     return uf, assign
 
 
@@ -484,8 +504,8 @@ def reidemeister_report(d: TangleDiagram, bottom, seeds, moves,
             try:
                 col2 = _recolor(d2, bnd, seeds)
                 val, _ = invariant(d2, col2, ctx)
-            except (Inconsistent, BranchObstruction, NoIntertwiner,
-                    NonGenericCharacter, braiding.SingularM,
+            except (Inconsistent, BranchObstruction, KinkObstruction,
+                    NoIntertwiner, NonGenericCharacter, braiding.SingularM,
                     braiding.AmbiguousIntertwiner) as exc:
                 report["moves"].append({
                     "move": move, "variant": site.variant,

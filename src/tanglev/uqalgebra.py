@@ -42,10 +42,6 @@ class BranchDegenerate(ValueError):
     distinct irreps."""
 
 
-class SingularGram(ValueError):
-    """The trace pairing is degenerate for this character."""
-
-
 @dataclass(frozen=True)
 class RootData:
     """An odd order ell together with the primitive root exp(2 pi i/ell)."""
@@ -488,25 +484,6 @@ def coproduct_matrix(ra: CyclicRep, rb: CyclicRep, gen: str) -> np.ndarray:
     raise ValueError("unknown generator %r" % gen)
 
 
-def coproduct_terms(gen: str, rd: RootData, char: CentralCharacter):
-    """Delta(gen) as a list of (left, right) algebra-element pairs."""
-    one = unit(rd, char)
-    K = generator("K", rd, char)
-    L = generator("L", rd, char)
-    E = generator("E", rd, char)
-    F = generator("F", rd, char)
-    Linv = _lmul_Linv(one)
-    if gen == "K":
-        return [(K, K)]
-    if gen == "L":
-        return [(L, L)]
-    if gen == "E":
-        return [(E, K), (one, E)]
-    if gen == "F":
-        return [(F, one), (Linv, F)]
-    raise ValueError("unknown generator %r" % gen)
-
-
 def antipode(gen: str, rd: RootData, char: CentralCharacter) -> AlgebraElement:
     """S(K) = K^-1, S(L) = L^-1, S(E) = -E K^-1, S(F) = -L F."""
     one = unit(rd, char)
@@ -629,22 +606,3 @@ def gram_matrix(rd: RootData, char: CentralCharacter) -> np.ndarray:
         for q, v in enumerate(basis):
             g[p, q] = pairing_e(u, v)
     return g
-
-
-def copairing_basis(rd: RootData, char: CentralCharacter, tol=1e-8):
-    """PBW basis together with its dual under the trace pairing."""
-    basis = basis_elements(rd, char)
-    g = gram_matrix(rd, char)
-    if np.linalg.cond(g) > 1.0 / tol:
-        raise SingularGram("trace pairing is numerically degenerate")
-    ginv = np.linalg.inv(g)
-    duals = []
-    for q in range(len(basis)):
-        coeffs = {}
-        for p, e in enumerate(basis):
-            z = ginv[p, q]
-            if abs(z) > 1e-14:
-                (key,) = e.coeffs
-                coeffs[key] = z
-        duals.append(AlgebraElement(rd, char, coeffs))
-    return list(zip(basis, duals))

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from tanglev import braiding, factgroup
-from tanglev.braiding import (BlockCache, BraidingBlock, char_to_group,
-                              group_to_char, solve_braiding,
+from tanglev.braiding import (char_to_group, group_to_char, solve_braiding,
                               solve_braiding_inverse, twist_mu)
 from tanglev.uqalgebra import RootData, build_irrep
 
-from conftest import generic_char, generic_group
+from conftest import generic_char, generic_group, trefoil_magnitudes
 
 
 def random_block(rng, rd):
@@ -47,6 +46,19 @@ def _admits(source_slots, target_reps):
     except (braiding.NoIntertwiner, braiding.SingularM):
         return False
     return True
+
+
+def _dense_intertwiner(source_slots, target_slots, rel_tol=1e-8):
+    """Reference solve: the nullspace of M S_w = T_w M over all ell^4
+    entries of M, ignoring the weight grading."""
+    dim = source_slots["K1"].shape[0]
+    eye = np.eye(dim)
+    system = np.vstack([np.kron(eye, source_slots[w].T)
+                        - np.kron(target_slots[w], eye)
+                        for w in braiding.RImages.SLOTS])
+    _, svals, vh = np.linalg.svd(system)
+    nullity = int(np.sum(svals < rel_tol * svals[0]))
+    return vh[-1].conj().reshape(dim, dim), nullity
 
 
 class TestCharGroupDictionary:
@@ -130,34 +142,60 @@ class TestSolver:
             twist_mu(rep, "Q")
 
 
-class TestBlockJsonAndCache:
-    def test_block_json_round_trip(self, rng, rd3):
-        _, _, blk = random_block(rng, rd3)
-        blk2 = BraidingBlock.from_json(blk.to_json())
-        assert np.max(np.abs(blk2.matrix - blk.matrix)) < 1e-12
-        assert blk2.source_branches == blk.source_branches
-        assert blk2.target_branches == blk.target_branches
-        assert blk2.normalization == blk.normalization
+class TestGradedSolve:
+    def test_matches_dense_reference(self, rng, rd3):
+        for _ in range(4):
+            rx, ry = (build_irrep(generic_char(rng, rd3),
+                                  (rng.randrange(3), rng.randrange(3)), rd3)
+                      for _ in range(2))
+            for blk, slots in (
+                    (solve_braiding(rx, ry),
+                     braiding._positive_slots(rx, ry)),
+                    (solve_braiding_inverse(rx, ry),
+                     braiding._negative_slots(rx, ry))):
+                targets = braiding._pair_eval(*(
+                    build_irrep(ch, b, rd3) for ch, b in
+                    zip(blk.target_chars, blk.target_branches)))
+                m, nullity = _dense_intertwiner(slots, targets)
+                assert nullity == blk.nullity == 1
+                assert np.max(np.abs(braiding._normalize(m)
+                                     - blk.matrix)) < 1e-12
 
-    def test_cache_round_trip(self, rng, rd3, tmp_path):
-        cache = BlockCache(tmp_path)
+    def test_one_small_svd_per_solve(self, rng, rd3, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rx, ry, _ = random_block(rng, rd3)
+        solve_braiding_inverse(rx, ry)
+        ell = rd3.ell
+        assert shapes == [(8 * ell ** 3, ell ** 3)] * 2
+
+    def test_weight_rule(self, rng, rd3):
         rx, ry, blk = random_block(rng, rd3)
-        assert cache.get(rx, ry) is None
-        cache.put(rx, ry, blk)
-        hit = cache.get(rx, ry)
-        assert hit is not None
-        assert np.max(np.abs(hit.matrix - blk.matrix)) < 1e-12
+        slots = braiding._positive_slots(rx, ry)
 
-    def test_cache_solve_populates_disk(self, rng, rd3, tmp_path):
-        cache = BlockCache(tmp_path)
-        rx, ry, _ = random_block(rng, rd3)
-        blk1 = cache.solve(rx, ry)
-        assert list(tmp_path.iterdir())
-        blk2 = cache.solve(rx, ry)
-        assert np.array_equal(blk1.matrix, blk2.matrix)
+        def targets_scaled(factor):
+            t = braiding._pair_eval(*(
+                build_irrep(ch, b, rd3) for ch, b in
+                zip(blk.target_chars, blk.target_branches)))
+            t["K1"] = t["K1"] * factor
+            return t
 
-    def test_cache_key_separates_inverse(self, rng, rd3):
-        rx, ry, _ = random_block(rng, rd3)
-        assert BlockCache.key(rx, ry) != BlockCache.key(rx, ry,
-                                                        inverse=True)
-        assert braiding.NORMALIZATION_VERSION in BlockCache.key(rx, ry)
+        # every target weight far from every source weight: no entry
+        with pytest.raises(braiding.NoIntertwiner):
+            braiding._solve_intertwiner(slots, targets_scaled(2.5))
+        # neither equal nor separated: refused, not guessed
+        with pytest.raises(braiding.WeightGrading):
+            braiding._solve_intertwiner(slots, targets_scaled(1 + 1e-5))
+        twisted = dict(slots, K1=slots["K1"] + 1e-3 * slots["E1"])
+        with pytest.raises(braiding.WeightGrading):
+            braiding._solve_intertwiner(twisted, targets_scaled(1))
+
+    def test_ell5_trefoil_presentations_agree(self):
+        two, three = trefoil_magnitudes(RootData(5))
+        assert two == pytest.approx(three, abs=1e-8)

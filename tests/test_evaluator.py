@@ -1,14 +1,19 @@
 """Unit tests for diagram contraction and the scalar invariant."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from tanglev import braiding, coloring, diagram, evaluator
+from tanglev import braiding, coloring, diagram, evaluator, factgroup
+from tanglev.braiding import group_to_char
 from tanglev.coloring import ColoredBoundary
 from tanglev.evaluator import EvalContext
-from tanglev.uqalgebra import RootData
+from tanglev.uqalgebra import CentralCharacter, RootData
 
-from conftest import trefoil_boundary_2, trefoil_boundary_3
+from conftest import (mat2_of, trefoil_boundary_2, trefoil_boundary_3,
+                      trefoil_curve_meridians, trefoil_magnitudes)
 
 
 @pytest.fixture(scope="module")
@@ -140,12 +145,89 @@ class TestInvariant:
         v3, _ = evaluator.invariant(d3, col3, ctx)
         assert abs(v2) == pytest.approx(abs(v3), abs=1e-8)
 
+    @pytest.mark.parametrize("m", [1, 2 + 1j, 1.3 + 0.2j])
+    def test_presentations_agree_along_curve(self, m):
+        two, three = trefoil_magnitudes(RootData(3),
+                                        trefoil_curve_meridians(m))
+        assert two == pytest.approx(three, abs=1e-8)
+
+    def test_obstruction_names_its_cause(self, ctx):
+        # unconjugated triangular meridians colour the strands with
+        # characters that have no cyclic irrep
+        s, lam = 0.5 + 1j, 0.8 - 0.5j
+        a = lam * np.array([[1, s], [0, 1]])
+        b = lam * np.array([[1, 0], [-1 / s, 1]])
+        x1, x2 = coloring.functor_f_object(
+            [(1, mat2_of(a)), (1, mat2_of(a @ b))]).colors()
+        d = diagram.close_braid_partial(diagram.braid_word([1, 1, 1], 2))
+        col = coloring.propagate(d, ColoredBoundary(((1, x1),)),
+                                 cup_seeds={0: x2})
+        with pytest.raises(evaluator.BranchObstruction,
+                           match="first cause: NonGenericCharacter"):
+            evaluator.invariant(d, col, ctx)
+
     def test_full_closure_vanishes(self, ctx):
         d = diagram.close_braid(diagram.braid_word([1, 1, 1], 2))
         x1, x2 = trefoil_boundary_2()
         col = evaluator._recolor(d, ColoredBoundary(()), [x1, x2])
         val, _ = evaluator.invariant(d, col, ctx)
         assert abs(val) < 1e-9
+
+
+class TestTwistScale:
+    def test_curl_closes_off_the_principal_branch(self, monkeypatch):
+        # at m = 2+i the curl of x2's loop on (0,0) needs a through-strand
+        # off (0,0); pinning it to (0,0) does not close the kink
+        _, x2 = trefoil_boundary_2(trefoil_curve_meridians(2 + 1j))
+        char = group_to_char(x2)
+        assert EvalContext(RootData(3)).twist_scale(char, (0, 0)) > 0
+
+        class PrincipalThrough:
+            def __getattr__(self, name):
+                return getattr(braiding, name)
+
+            @staticmethod
+            def branch_of(*_):
+                return (0, 0)
+
+        monkeypatch.setattr(evaluator, "braiding", PrincipalThrough())
+        with pytest.raises(evaluator.KinkObstruction):
+            EvalContext(RootData(3)).twist_scale(char, (0, 0))
+
+    def test_no_fallback_without_a_through_strand(self):
+        # (1 + beta b)/a is the (1,1) entry of the loop colour, so b =
+        # -1/beta leaves the kink without a through-strand colour
+        char = CentralCharacter(1.3 + 0.2j, 2.0, 0.7 - 0.1j, -0.5)
+        ctx = EvalContext(RootData(3))
+        ctx.rep(char, (0, 0))
+        with pytest.raises(factgroup.NotFactorizable):
+            ctx.twist_scale(char, (0, 0))
+
+
+class TestSolveMemo:
+    def test_failure_is_cached_as_type_and_message(self, monkeypatch):
+        calls = []
+
+        def failing(repx, repy, rel_tol):
+            calls.append(rel_tol)
+            raise braiding.NoIntertwiner("probe")
+
+        monkeypatch.setattr(braiding, "solve_braiding", failing)
+        ctx = EvalContext(RootData(3))
+        x1, _ = trefoil_boundary_2()
+        rep = ctx.rep(group_to_char(x1), (0, 0))
+        for _ in range(2):
+            with pytest.raises(braiding.NoIntertwiner, match="probe"):
+                ctx.solve(rep, rep)
+        assert len(calls) == 1
+        # no cached traceback ties the context into a cycle
+        ref = weakref.ref(ctx)
+        gc.disable()
+        try:
+            del ctx
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestReidemeisterReport:
