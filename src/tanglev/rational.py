@@ -10,24 +10,36 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+_ZERO = Fraction(0)
+
 
 class QC:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
+
+    Most scalars of the group layer are real, so the arithmetic skips the
+    Fraction operations on imaginary parts that are zero.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re=_ZERO, im=_ZERO):
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
 
     def __add__(self, other):
         other = _coerce(other)
+        if not other.im:
+            return QC(self.re + other.re, self.im)
+        if not self.im:
+            return QC(self.re + other.re, other.im)
         return QC(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
+        if not other.im:
+            return QC(self.re - other.re, self.im)
         return QC(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -35,6 +47,11 @@ class QC:
 
     def __mul__(self, other):
         other = _coerce(other)
+        if not other.im:
+            return QC(self.re * other.re, self.im * other.re if self.im
+                      else _ZERO)
+        if not self.im:
+            return QC(self.re * other.re, self.re * other.im)
         return QC(self.re * other.re - self.im * other.im,
                   self.re * other.im + self.im * other.re)
 
@@ -42,6 +59,12 @@ class QC:
 
     def __truediv__(self, other):
         other = _coerce(other)
+        if not other.im:
+            if not other.re:
+                raise ZeroDivisionError(
+                    "division by zero rational-complex scalar")
+            return QC(self.re / other.re, self.im / other.re if self.im
+                      else _ZERO)
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero rational-complex scalar")
