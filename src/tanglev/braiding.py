@@ -57,7 +57,8 @@ import numpy as np
 from . import factgroup
 from .factgroup import Factorization, Mat2
 from .uqalgebra import (CentralCharacter, CyclicRep, NonGenericCharacter,
-                        RootData, build_irrep, central_values, is_generic)
+                        RootData, build_irrep, central_values, is_generic,
+                        principal_root)
 
 NORMALIZATION_VERSION = "det1-phase-1"
 
@@ -394,10 +395,11 @@ def _negative_slots(repc, repd):
 def branch_of(char, z, c, rd):
     """The label (r, s) of the irrep of `char` on which the central
     elements K L^-1 and c = E F + K eps^-1 + eps L^-1 act by the scalars
-    z and c: r from z = kappa/lam, s from c against `central_values`."""
-    cands = [central_values(char, rd, r) for r in range(rd.ell)]
-    r = min(range(rd.ell), key=lambda r: abs(cands[r][0] / cands[r][1] - z))
-    values = cands[r][2]
+    z and c: r from z = kappa/lam, with kappa = alpha^(1/ell) eps^(2r) as
+    in `central_values`, and s from c against the values at that r."""
+    z0 = principal_root(char.alpha, rd.ell) / principal_root(char.a, rd.ell)
+    r = min(range(rd.ell), key=lambda r: abs(z0 * rd.eps_pow(2 * r) - z))
+    values = central_values(char, rd, r)[2]
     s = min(range(rd.ell), key=lambda s: abs(values[s] - c))
     return r, s
 

@@ -421,13 +421,7 @@ def main(argv=None):
     args = build_parser().parse_intermixed_args(argv)
     try:
         code, report = run(args)
-    except (ConfigError, OSError, json.JSONDecodeError,
-            diagram.ArityMismatch, diagram.OrientationMismatch,
-            diagram.DiagramSyntaxError, coloring.ArityMismatch,
-            coloring.UnderdeterminedColoring, coloring.CapMismatch,
-            coloring.Inconsistent, factgroup.NotFactorizable,
-            uqalgebra.NonGenericCharacter, braiding.NoIntertwiner,
-            evaluator.BranchObstruction, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # tanglev's errors are ValueErrors
         print(json.dumps({"error": str(exc) or type(exc).__name__,
                           "type": type(exc).__name__}, sort_keys=True))
         return 1

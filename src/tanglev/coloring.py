@@ -14,7 +14,6 @@ is known, the unique consistent loop color is d = c_-^-1 c c_- with a = c.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import factgroup
@@ -146,9 +145,6 @@ class GColoring:
             if root in self._colors:
                 seen["%d:%d" % key] = self._colors[root].to_json()
         return seen
-
-    def dump(self):
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _set_color(colors, uf, point, value, tol):

@@ -7,28 +7,27 @@ antipode image.  The four cup/cap chiralities get the canonical pairing
 and copairing on the left-duality side and their mu-twisted versions on
 the right-duality side, where mu implements the squared antipode.
 
-Irrep branches are bookkept per arc: boundary arcs get prescribed
-branches, crossing outputs get the branches the crossing solver derives
-from its inputs, and arcs born at a cup are free variables.  A
-backtracking planning pass searches the free branches until every arc
-is consistent (caps silently enforce equality because both legs share
-an arc); the numeric pass then runs with all branches pinned.
+Irrep branches are bookkept per arc and derived, not searched.  A
+crossing carries the central scalars of K L^-1 and c from each input slot
+to the opposite output slot, so they are constant along a strand: each
+arc gets the label of its colour with its strand's scalars, taken from
+the strand's bottom boundary arc or, on a closed strand, from label
+(0, 0) at its first arc.  The numeric pass then runs with all branches
+pinned and checks each crossing's solved outputs against the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from . import braiding, coloring, factgroup
-from .braiding import CROSSING_ERRORS, NoIntertwiner, group_to_char, \
-    twist_mu
+from .braiding import CROSSING_ERRORS, group_to_char, twist_mu
 from .coloring import GColoring, Inconsistent, UnderdeterminedColoring
 from .diagram import Piece, TangleDiagram
-from .uqalgebra import CentralCharacter, NonGenericCharacter, RootData, \
-    build_irrep
+from .uqalgebra import CentralCharacter, RootData, build_irrep
 
 
 class ArityMismatch(ValueError):
@@ -40,7 +39,8 @@ class ObjectMismatch(ValueError):
 
 
 class BranchObstruction(ValueError):
-    """No assignment of free arc branches makes every crossing solvable."""
+    """The arc branches do not close up: a boundary branch is off its
+    strand's module, or a crossing's outputs differ from the plan."""
 
 
 class KinkObstruction(ValueError):
@@ -269,107 +269,50 @@ def _walk(d: TangleDiagram):
             tcol += len(p.top)
 
 
-#: Crossing attempts after which the branch search gives up.
-PLANNER_NODE_LIMIT = 4000
-
-
 def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
                    bottom_branches):
-    """Assign an irrep branch to every arc, searching free cup branches.
+    """Assign an irrep branch to every arc, derived from its strand.
 
-    The search is exhaustive up to PLANNER_NODE_LIMIT crossing attempts;
-    colorings whose branch constraints have no solution (the section
-    x -> V_x does not close up around every cycle) fail fast instead of
-    scanning the full product space, with a BranchObstruction that names
-    the first typed error the search met.
+    A crossing carries the central scalars of K L^-1 and c from each input
+    slot to the opposite output slot, so they are constant along a strand.
+    A strand takes them from the module on its first bottom boundary arc;
+    a closed strand starts on label (0, 0) at its first arc in evaluation
+    order.  Each arc then gets the label of its colour with those scalars
+    (braiding.branch_of), and no crossing is solved.
     """
     uf, _, _ = coloring._scan(d)
-    budget = [PLANNER_NODE_LIMIT]
-    first_cause = []  # the first typed error the search met, as text
-
-    def note(exc):
-        if not first_cause:
-            first_cause.append("%s: %s" % (type(exc).__name__, exc))
-
-    events = [e for e in _walk(d)
-              if e[1] not in (Piece.ID_UP, Piece.ID_DOWN,
-                              Piece.CAP_L, Piece.CAP_R)]
+    strands = coloring._UnionFind()
+    arcs = [(0, i) for i in range(d.bottom_arity)]
+    for level, piece, bcol, tcol in _walk(d):
+        arcs += [(level + 1, tcol + j) for j in range(len(piece.top))]
+        if piece in (Piece.X_POS, Piece.X_NEG):
+            for j in (0, 1):
+                strands.union(uf.find((level, bcol + j)),
+                              uf.find((level + 1, tcol + 1 - j)))
+    bottom = [ctx.rep(group_to_char(col.color(0, i)), branch)
+              for i, branch in enumerate(
+                  bottom_branches or [(0, 0)] * d.bottom_arity)]
+    scalars = {}
+    for i, rep in enumerate(bottom):
+        scalars.setdefault(strands.find(uf.find((0, i))),
+                           (rep.kappa / rep.lam, rep.cval))
     assign = {}
-    for i in range(d.bottom_arity):
-        root = uf.find((0, i))
-        want = (0, 0)
-        if bottom_branches:
-            char = group_to_char(col.color(0, i))
-            want = ctx.rep(char, bottom_branches[i]).branch
-        if assign.setdefault(root, want) != want:
+    for point in arcs:
+        root = uf.find(point)
+        if root in assign:
+            continue
+        char = group_to_char(col.color(*point))
+        strand = strands.find(root)
+        if strand not in scalars:
+            rep = ctx.rep(char, (0, 0))
+            scalars[strand] = rep.kappa / rep.lam, rep.cval
+        assign[root] = ctx.rep(char, braiding.branch_of(
+            char, *scalars[strand], ctx.rd)).branch
+    for i, rep in enumerate(bottom):
+        if assign[uf.find((0, i))] != rep.branch:
             raise BranchObstruction(
-                "boundary strands on one arc carry different branches")
-
-    def solve_event(level, piece, bcol, tcol):
-        """The [(root, branch)] a crossing assigns, or raises."""
-        rx = uf.find((level, bcol))
-        ry = uf.find((level, bcol + 1))
-        chx = group_to_char(col.color(level, bcol))
-        chy = group_to_char(col.color(level, bcol + 1))
-        repx = ctx.rep(chx, assign[rx])
-        repy = ctx.rep(chy, assign[ry])
-        blk = ctx.solve(repx, repy) if piece is Piece.X_POS \
-            else ctx.solve_inverse(repx, repy)
-        out = []
-        for j, branch in enumerate(blk.target_branches):
-            root = uf.find((level + 1, tcol + j))
-            got = assign.get(root)
-            if got is None:
-                out.append((root, tuple(branch)))
-            elif got != tuple(branch):
-                raise BranchObstruction("arc branch conflict at crossing")
-        return out
-
-    def search(i):
-        if i == len(events):
-            return True
-        level, piece, bcol, tcol = events[i]
-        if piece in (Piece.CUP_L, Piece.CUP_R):
-            root = uf.find((level + 1, tcol))
-            if root in assign:
-                return search(i + 1)
-            char = group_to_char(col.color(level + 1, tcol))
-            try:
-                # coincident labels name one module; try it once
-                cands = dict.fromkeys(
-                    ctx.rep(char, b).branch
-                    for b in product(range(ctx.rd.ell), repeat=2))
-            except NonGenericCharacter as exc:
-                note(exc)
-                return False
-            for cand in cands:
-                assign[root] = cand
-                if search(i + 1):
-                    return True
-                del assign[root]
-            return False
-        if budget[0] <= 0:
-            raise BranchObstruction("branch search budget exceeded")
-        budget[0] -= 1
-        try:
-            news = solve_event(level, piece, bcol, tcol)
-        except (BranchObstruction, NoIntertwiner, NonGenericCharacter,
-                braiding.SingularM) as exc:
-            note(exc)
-            return False
-        for root, branch in news:
-            assign[root] = branch
-        if search(i + 1):
-            return True
-        for root, _ in news:
-            del assign[root]
-        return False
-
-    if not search(0):
-        cause = " (first cause: %s)" % first_cause[0] if first_cause else ""
-        raise BranchObstruction(
-            "no branch assignment closes up; diagram not evaluable "
-            "at this coloring" + cause)
+                "bottom branch %r at boundary point %d is not the module "
+                "of its strand" % (rep.branch, i))
     return uf, assign
 
 
@@ -504,9 +447,8 @@ def reidemeister_report(d: TangleDiagram, bottom, seeds, moves,
             try:
                 col2 = _recolor(d2, bnd, seeds)
                 val, _ = invariant(d2, col2, ctx)
-            except (Inconsistent, BranchObstruction, KinkObstruction,
-                    NoIntertwiner, NonGenericCharacter, braiding.SingularM,
-                    braiding.AmbiguousIntertwiner) as exc:
+            except CROSSING_ERRORS + (Inconsistent, BranchObstruction,
+                                      KinkObstruction) as exc:
                 report["moves"].append({
                     "move": move, "variant": site.variant,
                     "direction": site.direction,

@@ -10,7 +10,7 @@ from tanglev import braiding, coloring, diagram, evaluator, factgroup
 from tanglev.braiding import group_to_char
 from tanglev.coloring import ColoredBoundary
 from tanglev.evaluator import EvalContext
-from tanglev.uqalgebra import CentralCharacter, RootData
+from tanglev.uqalgebra import CentralCharacter, NonGenericCharacter, RootData
 
 from conftest import (mat2_of, trefoil_boundary_2, trefoil_boundary_3,
                       trefoil_curve_meridians, trefoil_magnitudes)
@@ -151,7 +151,7 @@ class TestInvariant:
                                         trefoil_curve_meridians(m))
         assert two == pytest.approx(three, abs=1e-8)
 
-    def test_obstruction_names_its_cause(self, ctx):
+    def test_non_generic_colour_raises_its_own_error(self, ctx):
         # unconjugated triangular meridians colour the strands with
         # characters that have no cyclic irrep
         s, lam = 0.5 + 1j, 0.8 - 0.5j
@@ -162,8 +162,7 @@ class TestInvariant:
         d = diagram.close_braid_partial(diagram.braid_word([1, 1, 1], 2))
         col = coloring.propagate(d, ColoredBoundary(((1, x1),)),
                                  cup_seeds={0: x2})
-        with pytest.raises(evaluator.BranchObstruction,
-                           match="first cause: NonGenericCharacter"):
+        with pytest.raises(NonGenericCharacter):
             evaluator.invariant(d, col, ctx)
 
     def test_full_closure_vanishes(self, ctx):
@@ -172,6 +171,53 @@ class TestInvariant:
         col = evaluator._recolor(d, ColoredBoundary(()), [x1, x2])
         val, _ = evaluator.invariant(d, col, ctx)
         assert abs(val) < 1e-9
+
+
+class TestPlanner:
+    def test_labels_come_without_crossing_solves(self, monkeypatch):
+        # off the fixture colouring the cup strands start off the branch
+        # their crossings reach; the labels are still derived, not searched
+        y1, y2, y3 = trefoil_boundary_3(trefoil_curve_meridians(1))
+        d = diagram.close_braid_partial(diagram.braid_word([1, 2, 1, 2], 3))
+        col = coloring.propagate(d, ColoredBoundary(((1, y1),)),
+                                 cup_seeds={0: y2, 1: y3})
+
+        def no_solve(*_):
+            raise AssertionError("the planner solved a crossing")
+
+        ctx = EvalContext(RootData(3))
+        with monkeypatch.context() as patch:
+            patch.setattr(ctx, "solve", no_solve)
+            patch.setattr(ctx, "solve_inverse", no_solve)
+            uf, assign = evaluator._plan_branches(d, col, ctx, None)
+        assert uf.find((0, 0)) in assign
+
+        solves = []
+        for name in ("solve_braiding", "solve_braiding_inverse"):
+            def counted(*args, _solve=getattr(braiding, name), **kw):
+                solves.append(args)
+                return _solve(*args, **kw)
+            monkeypatch.setattr(braiding, name, counted)
+        ctx = EvalContext(RootData(3))
+        evaluator.invariant(d, col, ctx)
+        crossings = sum(p in (diagram.Piece.X_POS, diagram.Piece.X_NEG)
+                        for pieces in d.slices for p in pieces)
+        # each diagram crossing once, and the two curls of each twist
+        assert len(solves) == crossings + 2 * len(ctx._twist) == 8
+
+    def test_bottom_branch_off_its_strand_is_refused(self, ctx):
+        # the crossing's slot-2 output turns down through the cap, so
+        # bottom points 0 and 2 lie on one strand
+        d = diagram.parse("x+ id-; id+ capR")
+        x1, x2 = trefoil_boundary_2()
+        _, xr = factgroup.xlr(x1, x2)
+        col = coloring.propagate(
+            d, ColoredBoundary(((1, x1), (1, x2), (-1, xr))))
+        evaluator.contract(d, col, ctx, bottom_branches=[(0, 0)] * 3)
+        with pytest.raises(evaluator.BranchObstruction,
+                           match="boundary point 2"):
+            evaluator.contract(d, col, ctx,
+                               bottom_branches=[(0, 0), (0, 0), (1, 0)])
 
 
 class TestTwistScale:
@@ -231,6 +277,24 @@ class TestSolveMemo:
 
 
 class TestReidemeisterReport:
+    @pytest.mark.parametrize("error", [braiding.SingularN,
+                                       braiding.WeightGrading])
+    def test_report_skips_failing_crossing(self, monkeypatch, error):
+        # the bare strand needs no solve; its curl sites all do
+        def failing(*_, **__):
+            raise error("probe")
+
+        monkeypatch.setattr(braiding, "solve_braiding", failing)
+        monkeypatch.setattr(braiding, "solve_braiding_inverse", failing)
+        x1, _ = trefoil_boundary_2()
+        report = evaluator.reidemeister_report(
+            diagram.parse("id+"), ColoredBoundary(((1, x1),)), [],
+            ["FramedR1"], EvalContext(RootData(3)))
+        assert report["skipped"] == len(report["moves"]) == 2
+        assert all(m["pass"] is None
+                   and m["skipped"] == "%s: probe" % error.__name__
+                   for m in report["moves"])
+
     def test_strand_report_all_pass(self, ctx):
         d = diagram.parse("id+")
         x1, _ = trefoil_boundary_2()
