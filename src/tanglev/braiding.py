@@ -467,15 +467,3 @@ def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
     chars = (group_to_char(ga), group_to_char(gb))
     return _solve_crossing((repc, repd), chars, _negative_slots, rel_tol)
 
-
-def twist_mu(rep: CyclicRep, choice="K") -> np.ndarray:
-    """The framing twist on V, implementing the antipode squared.
-
-    Both K and L conjugate every generator to its antipode-squared image;
-    the choice is a convention switch recorded by callers.
-    """
-    if choice == "K":
-        return rep.Kmat.copy()
-    if choice == "L":
-        return rep.Lmat.copy()
-    raise ValueError("twist choice must be 'K' or 'L'")

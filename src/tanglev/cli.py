@@ -157,8 +157,7 @@ def run_invariant(args):
     char = parse_char(args.char, "float") if args.char else None
     bnd, seeds = build_boundary(d, cdata, char, "float")
     rd = uqalgebra.RootData(args.ell)
-    ctx = evaluator.EvalContext(rd, mu_choice=args.mu, framing=args.framing,
-                                tol=args.tolerance)
+    ctx = evaluator.EvalContext(rd, framing=args.framing, tol=args.tolerance)
     col = coloring.propagate(d, bnd, cup_seeds=seeds or None,
                              tol=args.tolerance)
     branches = [parse_branch(args.branch)] * d.bottom_arity
@@ -173,7 +172,7 @@ def run_invariant(args):
         "character": list(map(_cnum, char)) if char else None,
         "branch_policy": list(parse_branch(args.branch)),
         "normalization": braiding.NORMALIZATION_VERSION,
-        "mu": args.mu,
+        "mu": "K",
         "framing": args.framing,
         "writhe": d.writhe(),
         "invariant": _cnum(value),
@@ -393,7 +392,6 @@ def build_parser():
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--mu", choices=["K", "L"], default="K")
     p.add_argument("--framing", choices=["balanced", "raw"],
                    default="balanced")
     return p

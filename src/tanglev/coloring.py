@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import factgroup
-from .diagram import Piece, TangleDiagram
+from .diagram import ArityMismatch, Piece, TangleDiagram
 from .factgroup import Mat2, NotFactorizable, factorize, mats_equal, star_inv
 
 
@@ -31,10 +31,6 @@ class Inconsistent(ValueError):
 
 class UnderdeterminedColoring(ValueError):
     """Propagation needs seed colors for cups it cannot resolve."""
-
-
-class ArityMismatch(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -116,11 +112,13 @@ def _scan(d: TangleDiagram):
 
 
 class GColoring:
-    """A total coloring of a diagram's edges."""
+    """A total coloring of a diagram's edges, with the arc union-find and
+    crossing records it was propagated over."""
 
-    def __init__(self, diagram, uf, colors, tol=1e-9):
+    def __init__(self, diagram, uf, crossings, colors, tol=1e-9):
         self.diagram = diagram
         self._uf = uf
+        self._crossings = crossings
         self._colors = colors
         self.tol = tol
 
@@ -160,48 +158,37 @@ def _set_color(colors, uf, point, value, tol):
 
 
 def _apply_crossing(cr: _Crossing, colors, uf, tol):
+    """Apply one crossing's relations in whichever direction is solvable.
+
+    A negative crossing is a positive one read with its pairs (c, d) and
+    (a, b) swapped, so both run the rules below on (inputs, outputs).
+    """
     def get(pt):
         return colors.get(uf.find(pt))
 
-    c, d, a, b = get(cr.c), get(cr.d), get(cr.a), get(cr.b)
-    progress = False
-    if cr.kind is Piece.X_POS:
-        if c is not None and d is not None:
-            xl, xr = factgroup.xlr(c, d)
-            progress |= _set_color(colors, uf, cr.a, xl, tol)
-            progress |= _set_color(colors, uf, cr.b, xr, tol)
-        elif a is not None and b is not None:
-            cc, dd = factgroup.xlr_inverse(a, b)
-            progress |= _set_color(colors, uf, cr.c, cc, tol)
-            progress |= _set_color(colors, uf, cr.d, dd, tol)
-        elif c is not None and a is not None:
-            cm = factorize(c).minus()
-            ap = factorize(a).plus()
-            progress |= _set_color(colors, uf, cr.d, cm.inv() * a * cm, tol)
-            progress |= _set_color(colors, uf, cr.b, ap.inv() * c * ap, tol)
-        elif c is not None and uf.find(cr.b) == uf.find(cr.d):
-            loop = factgroup.curl_partner(c)
-            progress |= _set_color(colors, uf, cr.d, loop, tol)
-            progress |= _set_color(colors, uf, cr.a, c, tol)
-    else:
-        if a is not None and b is not None:
-            xl, xr = factgroup.xlr(a, b)
-            progress |= _set_color(colors, uf, cr.c, xl, tol)
-            progress |= _set_color(colors, uf, cr.d, xr, tol)
-        elif c is not None and d is not None:
-            aa, bb = factgroup.xlr_inverse(c, d)
-            progress |= _set_color(colors, uf, cr.a, aa, tol)
-            progress |= _set_color(colors, uf, cr.b, bb, tol)
-        elif a is not None and c is not None:
-            am = factorize(a).minus()
-            cp = factorize(c).plus()
-            progress |= _set_color(colors, uf, cr.b, am.inv() * c * am, tol)
-            progress |= _set_color(colors, uf, cr.d, cp.inv() * a * cp, tol)
-        elif c is not None and uf.find(cr.b) == uf.find(cr.d):
-            loop = factgroup.curl_partner(c)
-            progress |= _set_color(colors, uf, cr.d, loop, tol)
-            progress |= _set_color(colors, uf, cr.a, c, tol)
-    return progress
+    def put(points, values):
+        progress = False
+        for pt, value in zip(points, values):
+            progress |= _set_color(colors, uf, pt, value, tol)
+        return progress
+
+    ins, outs = (cr.c, cr.d), (cr.a, cr.b)
+    if cr.kind is not Piece.X_POS:
+        ins, outs = outs, ins
+    x, y = map(get, ins)
+    u, v = map(get, outs)
+    if x is not None and y is not None:
+        return put(outs, factgroup.xlr(x, y))
+    if u is not None and v is not None:
+        return put(ins, factgroup.xlr_inverse(u, v))
+    if x is not None and u is not None:
+        xm = factorize(x).minus()
+        up = factorize(u).plus()
+        return put((ins[1], outs[1]), (xm.inv() * u * xm, up.inv() * x * up))
+    c = get(cr.c)
+    if c is not None and uf.find(cr.b) == uf.find(cr.d):
+        return put((cr.d, cr.a), (factgroup.curl_partner(c), c))
+    return False
 
 
 def propagate(d: TangleDiagram, bottom: ColoredBoundary,
@@ -240,7 +227,7 @@ def propagate(d: TangleDiagram, bottom: ColoredBoundary,
     if missing:
         raise UnderdeterminedColoring(
             "no color for cups %s; supply cup_seeds" % missing)
-    return GColoring(d, uf, colors, tol)
+    return GColoring(d, uf, crossings, colors, tol)
 
 
 def solve_closed(d: TangleDiagram, seeds, tol=1e-9) -> GColoring:

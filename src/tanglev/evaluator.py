@@ -7,11 +7,12 @@ antipode image.  The four cup/cap chiralities get the canonical pairing
 and copairing on the left-duality side and their mu-twisted versions on
 the right-duality side, where mu implements the squared antipode.
 
-Irrep branches are bookkept per arc and derived, not searched.  A
-crossing carries the central scalars of K L^-1 and c from each input slot
-to the opposite output slot, so they are constant along a strand: each
-arc gets the label of its colour with its strand's scalars, taken from
-the strand's bottom boundary arc or, on a closed strand, from label
+Irrep branches are bookkept per arc and derived, not searched.  The
+planner reads the colouring's arcs and crossing records, not the diagram.
+A crossing carries the central scalars of K L^-1 and c from each input
+slot to the opposite output slot, so they are constant along a strand:
+each arc gets the irrep of its colour with its strand's scalars, taken
+from the strand's bottom boundary arc or, on a closed strand, from label
 (0, 0) at its first arc.  The numeric pass then runs with all branches
 pinned and checks each crossing's solved outputs against the plan.
 """
@@ -24,14 +25,10 @@ from itertools import combinations
 import numpy as np
 
 from . import braiding, coloring, factgroup
-from .braiding import CROSSING_ERRORS, group_to_char, twist_mu
+from .braiding import CROSSING_ERRORS, group_to_char
 from .coloring import GColoring, Inconsistent, UnderdeterminedColoring
-from .diagram import Piece, TangleDiagram
+from .diagram import ArityMismatch, Piece, TangleDiagram, slice_top
 from .uqalgebra import CentralCharacter, RootData, build_irrep
-
-
-class ArityMismatch(ValueError):
-    pass
 
 
 class ObjectMismatch(ValueError):
@@ -56,15 +53,12 @@ class ColoredObject:
     def __len__(self):
         return len(self.entries)
 
-    def dimension(self, ell):
-        return ell ** len(self.entries)
-
-    def key(self, digits=9):
-        return tuple((s, ch.rounded(digits), tuple(b))
+    def key(self):
+        return tuple((s, ch.rounded(9), tuple(b))
                      for s, ch, b in self.entries)
 
-    def equal(self, other, digits=9):
-        return self.key(digits) == other.key(digits)
+    def equal(self, other):
+        return self.key() == other.key()
 
 
 @dataclass(frozen=True)
@@ -94,10 +88,8 @@ def tensor_blocks(left: LinearBlock, right: LinearBlock) -> LinearBlock:
 class EvalContext:
     """Shared representation store, crossing-block memo and conventions."""
 
-    def __init__(self, rd: RootData, mu_choice="K", framing="balanced",
-                 tol=1e-8):
+    def __init__(self, rd: RootData, framing="balanced", tol=1e-8):
         self.rd = rd
-        self.mu_choice = mu_choice
         self.framing = framing
         self.tol = tol
         self._reps = {}
@@ -141,7 +133,9 @@ class EvalContext:
         return self._solve_memo(repc, repd, -1)
 
     def mu(self, char, branch):
-        m = twist_mu(self.rep(char, branch), self.mu_choice)
+        """The framing twist on V: K, which conjugates every generator to
+        its antipode-squared image."""
+        m = self.rep(char, branch).Kmat.copy()
         if self.framing == "balanced":
             m = self.twist_scale(char, branch) * m
         return m
@@ -149,8 +143,7 @@ class EvalContext:
     def _kink_scalar(self, blk):
         """Schur scalar of the partial right trace Tr_2(M (1 x mu))."""
         ell = self.rd.ell
-        mu = twist_mu(self.rep(blk.target_chars[1],
-                               blk.target_branches[1]), self.mu_choice)
+        mu = self.rep(blk.target_chars[1], blk.target_branches[1]).Kmat
         m4 = blk.matrix.reshape(ell, ell, ell, ell)
         t = np.einsum("abik,kb->ai", m4, mu)
         return complex(np.trace(t) / ell)
@@ -259,60 +252,45 @@ def elementary_op(piece: Piece, colors: ColoredObject,
 # Branch planning
 
 
-def _walk(d: TangleDiagram):
-    """Yield (level, piece, bottom_col, top_col) in evaluation order."""
-    for level, pieces in enumerate(d.slices):
-        bcol = tcol = 0
-        for p in pieces:
-            yield level, p, bcol, tcol
-            bcol += len(p.bottom)
-            tcol += len(p.top)
-
-
 def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
                    bottom_branches):
-    """Assign an irrep branch to every arc, derived from its strand.
+    """Assign an irrep to every arc, derived from its strand.
 
     A crossing carries the central scalars of K L^-1 and c from each input
     slot to the opposite output slot, so they are constant along a strand.
     A strand takes them from the module on its first bottom boundary arc;
     a closed strand starts on label (0, 0) at its first arc in evaluation
-    order.  Each arc then gets the label of its colour with those scalars
-    (braiding.branch_of), and no crossing is solved.
+    order (level by level, left to right).  Each arc then gets the irrep
+    of its colour with those scalars (braiding.branch_of), and no crossing
+    is solved.  Arcs and crossings are the colouring's own.
     """
-    uf, _, _ = coloring._scan(d)
+    uf = col._uf
     strands = coloring._UnionFind()
-    arcs = [(0, i) for i in range(d.bottom_arity)]
-    for level, piece, bcol, tcol in _walk(d):
-        arcs += [(level + 1, tcol + j) for j in range(len(piece.top))]
-        if piece in (Piece.X_POS, Piece.X_NEG):
-            for j in (0, 1):
-                strands.union(uf.find((level, bcol + j)),
-                              uf.find((level + 1, tcol + 1 - j)))
-    bottom = [ctx.rep(group_to_char(col.color(0, i)), branch)
-              for i, branch in enumerate(
-                  bottom_branches or [(0, 0)] * d.bottom_arity)]
+    for cr in col._crossings:
+        strands.union(uf.find(cr.c), uf.find(cr.b))
+        strands.union(uf.find(cr.d), uf.find(cr.a))
+    given = bottom_branches or [(0, 0)] * d.bottom_arity
+    widths = [d.bottom_arity] + [len(slice_top(s)) for s in d.slices]
     scalars = {}
-    for i, rep in enumerate(bottom):
-        scalars.setdefault(strands.find(uf.find((0, i))),
-                           (rep.kappa / rep.lam, rep.cval))
     assign = {}
-    for point in arcs:
-        root = uf.find(point)
-        if root in assign:
-            continue
-        char = group_to_char(col.color(*point))
-        strand = strands.find(root)
-        if strand not in scalars:
-            rep = ctx.rep(char, (0, 0))
-            scalars[strand] = rep.kappa / rep.lam, rep.cval
-        assign[root] = ctx.rep(char, braiding.branch_of(
-            char, *scalars[strand], ctx.rd)).branch
-    for i, rep in enumerate(bottom):
-        if assign[uf.find((0, i))] != rep.branch:
+    for level, width in enumerate(widths):
+        for pos in range(width):
+            root = uf.find((level, pos))
+            if root in assign:
+                continue
+            char = group_to_char(col.color(level, pos))
+            strand = strands.find(root)
+            if strand not in scalars:
+                start = ctx.rep(char, given[pos] if level == 0 else (0, 0))
+                scalars[strand] = start.kappa / start.lam, start.cval
+            assign[root] = ctx.rep(char, braiding.branch_of(
+                char, *scalars[strand], ctx.rd))
+    for i, branch in enumerate(given):
+        rep = assign[uf.find((0, i))]
+        if ctx.rep(rep.char, branch).branch != rep.branch:
             raise BranchObstruction(
                 "bottom branch %r at boundary point %d is not the module "
-                "of its strand" % (rep.branch, i))
+                "of its strand" % (branch, i))
     return uf, assign
 
 
@@ -320,12 +298,11 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
 # Contraction
 
 
-def _local_object(col, arc_branch, uf, level, cols, signs):
+def _local_object(arc_rep, uf, level, cols, signs):
     entries = []
     for j, s in enumerate(signs):
-        point = (level, cols + j)
-        entries.append((s, group_to_char(col.color(*point)),
-                        arc_branch[uf.find(point)]))
+        rep = arc_rep[uf.find((level, cols + j))]
+        entries.append((s, rep.char, rep.branch))
     return ColoredObject(tuple(entries))
 
 
@@ -335,12 +312,12 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     if col.diagram is not d and col.diagram.to_json() != d.to_json():
         raise ArityMismatch("coloring belongs to a different diagram")
     ell = ctx.rd.ell
-    uf, arc_branch = _plan_branches(d, col, ctx, bottom_branches)
-    domain = _local_object(col, arc_branch, uf, 0, 0, d.bottom_signs)
+    uf, arc_rep = _plan_branches(d, col, ctx, bottom_branches)
+    domain = _local_object(arc_rep, uf, 0, 0, d.bottom_signs)
     in_dim = ell ** d.bottom_arity
     state = np.eye(in_dim, dtype=complex)
     log = [("normalization", braiding.NORMALIZATION_VERSION),
-           ("mu", ctx.mu_choice), ("framing", ctx.framing)]
+           ("mu", "K"), ("framing", ctx.framing)]
     for level, pieces in enumerate(d.slices):
         done_dim = 1
         rest = sum(len(p.bottom) for p in pieces)
@@ -348,15 +325,13 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
         for p in pieces:
             nb, nt = len(p.bottom), len(p.top)
             if p in (Piece.CUP_L, Piece.CUP_R):
-                local = _local_object(col, arc_branch, uf,
-                                      level + 1, tcol, p.top)
+                local = _local_object(arc_rep, uf, level + 1, tcol, p.top)
             else:
-                local = _local_object(col, arc_branch, uf,
-                                      level, bcol, p.bottom)
+                local = _local_object(arc_rep, uf, level, bcol, p.bottom)
             blk = elementary_op(p, local, ctx)
             if p in (Piece.X_POS, Piece.X_NEG):
                 want = tuple(blk.codomain.entries[j][2] for j in (0, 1))
-                got = tuple(arc_branch[uf.find((level + 1, tcol + j))]
+                got = tuple(arc_rep[uf.find((level + 1, tcol + j))].branch
                             for j in (0, 1))
                 if want != got:
                     raise BranchObstruction("planner/solver branch mismatch")
@@ -368,9 +343,7 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
             bcol += nb
             tcol += nt
         state = state.reshape(done_dim, in_dim)
-    top_level = len(d.slices)
-    codomain = _local_object(col, arc_branch, uf,
-                             top_level, 0, d.top_signs)
+    codomain = _local_object(arc_rep, uf, len(d.slices), 0, d.top_signs)
     return LinearBlock(state, domain, codomain, tuple(log))
 
 
@@ -401,15 +374,15 @@ def invariant(d: TangleDiagram, col: GColoring, ctx: EvalContext,
 # Move invariance reporting
 
 
-def _recolor(d2: TangleDiagram, bottom, seeds, tol=1e-9):
+def _recolor(d2: TangleDiagram, bottom, seeds):
     """Re-solve a moved diagram, redistributing the cup seed colors.
 
     Moves change the cup count and positions, so the given seeds are tried
     over cup slots (order preserved, largest subset first); cups left
     unseeded must resolve themselves through arcs or the kink rule.
     """
-    _, _, cups = coloring._scan(d2)
-    n = len(cups)
+    n = sum(p in (Piece.CUP_L, Piece.CUP_R)
+            for pieces in d2.slices for p in pieces)
     seeds = list(seeds)
     for k in range(min(len(seeds), n), -1, -1):
         for keep in combinations(range(len(seeds)), k):
@@ -417,8 +390,7 @@ def _recolor(d2: TangleDiagram, bottom, seeds, tol=1e-9):
                 try:
                     return coloring.propagate(
                         d2, bottom,
-                        cup_seeds=dict(zip(slots, (seeds[i] for i in keep))),
-                        tol=tol)
+                        cup_seeds=dict(zip(slots, (seeds[i] for i in keep))))
                 except (Inconsistent, UnderdeterminedColoring,
                         coloring.CapMismatch, factgroup.NotFactorizable):
                     continue
@@ -426,12 +398,14 @@ def _recolor(d2: TangleDiagram, bottom, seeds, tol=1e-9):
 
 
 def reidemeister_report(d: TangleDiagram, bottom, seeds, moves,
-                        ctx: EvalContext, sites_per_move=2, tol=1e-8):
+                        ctx: EvalContext):
     """Apply framed moves, recolor, re-evaluate; tabulate scalar agreement.
 
     Works for closed diagrams (bottom = empty ColoredBoundary) and for
-    (1,1)-tangles, where the Schur scalar is compared.
+    (1,1)-tangles, where the Schur scalar is compared.  The first two sites
+    of each move are tried; a magnitude within 1e-8 of the base passes.
     """
+    tol = 1e-8
     from . import diagram as dg
     if isinstance(bottom, coloring.ColoredBoundary):
         bnd = bottom
@@ -441,7 +415,7 @@ def reidemeister_report(d: TangleDiagram, bottom, seeds, moves,
     base, _ = invariant(d, base_col, ctx)
     report = {"base": base, "moves": []}
     for move in moves:
-        sites = list(dg.find_move_sites(d, move))[:sites_per_move]
+        sites = list(dg.find_move_sites(d, move))[:2]
         for site in sites:
             d2 = dg.apply_move(d, move, site)
             try:

@@ -30,8 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .factgroup import Mat2, factorize
-
 
 class NonGenericCharacter(ValueError):
     """The character lies outside the cyclic-representation locus."""
@@ -74,12 +72,6 @@ class CentralCharacter:
     beta: complex
     a: complex
     b: complex
-
-    @staticmethod
-    def from_group(x: Mat2) -> "CentralCharacter":
-        f = factorize(x)
-        alpha, beta, a, b = (complex(v) for v in f.coords())
-        return CentralCharacter(alpha, beta, a, b)
 
     def f_ell(self):
         return self.b / self.a
@@ -214,8 +206,7 @@ class CyclicRep:
         }
 
 
-def build_irrep(char: CentralCharacter, branch, rd: RootData,
-                tol=1e-8) -> CyclicRep:
+def build_irrep(char: CentralCharacter, branch, rd: RootData) -> CyclicRep:
     """Construct the cyclic irrep with branch (r, s).
 
     s indexes the sorted central values; labels whose values coincide (at
@@ -228,7 +219,7 @@ def build_irrep(char: CentralCharacter, branch, rd: RootData,
         F v_n = phi_n v_{n-1},        F v_0 = (phi_0/beta) v_{ell-1},
     phi_n = cval - kappa eps^{2n-1} - lam^-1 eps^{1-2n}.
     """
-    if not is_generic(char, rd, tol):
+    if not is_generic(char, rd):
         raise NonGenericCharacter("character fails the genericity test")
     ell = rd.ell
     r, s = (k % ell for k in branch)

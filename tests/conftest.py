@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tanglev import coloring, diagram, evaluator, factgroup
+from tanglev.braiding import group_to_char
 from tanglev.factgroup import Mat2
 from tanglev.rational import QC
 from tanglev.uqalgebra import CentralCharacter, RootData, is_generic
@@ -41,7 +42,7 @@ def generic_group(rng, rd):
             factgroup.factorize(g)
         except factgroup.NotFactorizable:
             continue
-        if is_generic(CentralCharacter.from_group(g), rd):
+        if is_generic(group_to_char(g), rd):
             return g
 
 

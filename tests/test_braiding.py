@@ -7,7 +7,7 @@ import pytest
 
 from tanglev import braiding, factgroup
 from tanglev.braiding import (char_to_group, group_to_char, solve_braiding,
-                              solve_braiding_inverse, twist_mu)
+                              solve_braiding_inverse)
 from tanglev.uqalgebra import RootData, build_irrep
 
 from conftest import generic_char, generic_group, trefoil_magnitudes
@@ -133,13 +133,6 @@ class TestSolver:
                             for rl, rr in product(*reps)
                             if _admits(slots, (rl, rr))]
                 assert admitted == [blk.target_branches]
-
-    def test_twist_mu_choices(self, rng, rd3):
-        rep = build_irrep(generic_char(rng, rd3), (0, 0), rd3)
-        assert np.array_equal(twist_mu(rep, "K"), rep.Kmat)
-        assert np.array_equal(twist_mu(rep, "L"), rep.Lmat)
-        with pytest.raises(ValueError):
-            twist_mu(rep, "Q")
 
 
 class TestGradedSolve:

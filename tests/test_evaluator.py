@@ -205,6 +205,20 @@ class TestPlanner:
         # each diagram crossing once, and the two curls of each twist
         assert len(solves) == crossings + 2 * len(ctx._twist) == 8
 
+    def test_contract_reuses_the_colouring(self, monkeypatch, ctx):
+        # the planner reads the arcs and crossings propagation recorded
+        y1, y2, y3 = trefoil_boundary_3()
+        d = diagram.close_braid_partial(diagram.braid_word([1, 2, 1, 2], 3))
+        col = coloring.propagate(d, ColoredBoundary(((1, y1),)),
+                                 cup_seeds={0: y2, 1: y3})
+
+        def no_scan(_):
+            raise AssertionError("the diagram was scanned again")
+
+        monkeypatch.setattr(coloring, "_scan", no_scan)
+        val, _ = evaluator.invariant(d, col, ctx)
+        assert abs(val) == pytest.approx(5.196152422706661, abs=1e-9)
+
     def test_bottom_branch_off_its_strand_is_refused(self, ctx):
         # the crossing's slot-2 output turns down through the cap, so
         # bottom points 0 and 2 lie on one strand

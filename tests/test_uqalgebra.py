@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from tanglev import factgroup
 from tanglev.factgroup import Mat2
 from tanglev.braiding import group_to_char
 from tanglev.uqalgebra import (AlgebraElement, BranchDegenerate,
@@ -34,14 +33,6 @@ class TestRootData:
 
 
 class TestCentralCharacter:
-    def test_from_group_round_trip(self, rng, rd3):
-        from conftest import generic_group
-        g = generic_group(rng, rd3)
-        ch = CentralCharacter.from_group(g)
-        f = factgroup.factorize(g)
-        assert ch.alpha == f.alpha and ch.beta == f.beta
-        assert ch.a == f.a and ch.b == f.b
-
     def test_genericity_filter(self, rd3):
         # beta = b = 0 makes the raising/lowering powers vanish
         assert not is_generic(CentralCharacter(2.0, 0.0, 0.5, 0.0), rd3)
