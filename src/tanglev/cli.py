@@ -23,6 +23,7 @@ import numpy as np
 from . import braiding, coloring, diagram, evaluator, factgroup, uqalgebra
 from .factgroup import Mat2
 from .rational import QC, parse_scalar
+from .samplers import float_group, generic_char, rational_mat, yb_sides
 
 
 class ConfigError(ValueError):
@@ -123,32 +124,6 @@ def build_boundary(d, cdata, char_coords, backend):
 
 
 # ---------------------------------------------------------------------------
-# Samplers
-
-
-def _rational_mat(rng, span=5, maxden=4):
-    def q():
-        den = rng.randint(1, maxden)
-        return QC(Fraction(rng.randint(-span * den, span * den), den))
-    while True:
-        m = Mat2(q(), q(), q(), q())
-        try:
-            factgroup.factorize(m)
-            return m
-        except factgroup.NotFactorizable:
-            continue
-
-
-def _generic_char(rng, rd):
-    while True:
-        coords = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                  for _ in range(4)]
-        ch = uqalgebra.CentralCharacter(*coords)
-        if uqalgebra.is_generic(ch, rd):
-            return ch
-
-
-# ---------------------------------------------------------------------------
 # Modes
 
 
@@ -214,22 +189,8 @@ def run_color_check(args):
 
 def _yb_triple_check(mats):
     """Exact R12 R13 R23 = R23 R13 R12 on one triple."""
-    def r12(t):
-        u, v = factgroup.yb_map(t[0], t[1])
-        return (u, v, t[2])
-
-    def r13(t):
-        u, v = factgroup.yb_map(t[0], t[2])
-        return (u, t[1], v)
-
-    def r23(t):
-        u, v = factgroup.yb_map(t[1], t[2])
-        return (t[0], u, v)
-
-    t = tuple(mats)
     try:
-        lhs = r12(r13(r23(t)))
-        rhs = r23(r13(r12(t)))
+        lhs, rhs = yb_sides(tuple(mats))
     except factgroup.NotFactorizable:
         return None
     return all(p == q for m, n in zip(lhs, rhs)
@@ -238,7 +199,7 @@ def _yb_triple_check(mats):
 
 def run_yb_fuzz(args):
     rng = random.Random(args.seed)
-    triples = [tuple(_rational_mat(rng) for _ in range(3))
+    triples = [tuple(rational_mat(rng) for _ in range(3))
                for _ in range(args.samples)]
     results = [_yb_triple_check(t) for t in triples]
     skipped = sum(r is None for r in results)
@@ -254,7 +215,7 @@ def run_yb_fuzz(args):
 def _verify_factorization(rng, samples):
     bad = 0
     for _ in range(samples):
-        g, h, k = (_rational_mat(rng) for _ in range(3))
+        g, h, k = (rational_mat(rng) for _ in range(3))
         f = factgroup.factorize(g)
         if f.assemble() != g:
             bad += 1
@@ -276,7 +237,7 @@ def _verify_factorization(rng, samples):
 def _verify_relations(rng, samples, rd):
     bad = 0
     for _ in range(samples):
-        ch = _generic_char(rng, rd)
+        ch = generic_char(rng, rd)
         rep = uqalgebra.build_irrep(ch, (0, 0), rd)
         res = uqalgebra.relation_residuals(rep)
         if max(res.values()) > 1e-9:
@@ -287,8 +248,8 @@ def _verify_relations(rng, samples, rd):
 def _verify_pullback(rng, samples, rd):
     bad = 0
     for _ in range(samples):
-        x = _float_group(rng)
-        y = _float_group(rng)
+        x = float_group(rng)
+        y = float_group(rng)
         try:
             dev = braiding.z0_pullback_check(x, y, rd)["max_deviation"]
         except (factgroup.NotFactorizable, uqalgebra.NonGenericCharacter):
@@ -298,18 +259,13 @@ def _verify_pullback(rng, samples, rd):
     return bad
 
 
-def _float_group(rng):
-    return Mat2(*(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                  for _ in range(4)))
-
-
 def _verify_moves(rng, samples):
     bad = 0
     for _ in range(samples):
         word = [rng.choice([1, -1]) for _ in range(rng.randint(1, 4))]
         d = diagram.braid_word(word, 2)
         bnd = coloring.ColoredBoundary(
-            tuple((1, _rational_mat(rng)) for _ in range(2)))
+            tuple((1, rational_mat(rng)) for _ in range(2)))
         try:
             base = coloring.propagate(d, bnd).boundary("top")
         except factgroup.NotFactorizable:
@@ -337,7 +293,7 @@ def run_verify(args):
         "samples": args.samples,
         "failures": _verify_factorization(rng, args.samples)}
     yb_rng = random.Random(args.seed + 1)
-    yb = [_yb_triple_check(tuple(_rational_mat(yb_rng) for _ in range(3)))
+    yb = [_yb_triple_check(tuple(rational_mat(yb_rng) for _ in range(3)))
           for _ in range(args.samples)]
     sections["yang_baxter_exact"] = {
         "samples": args.samples,

@@ -47,36 +47,24 @@ class DiagramSyntaxError(ValueError):
 
 
 class Piece(enum.Enum):
-    ID_UP = "id+"
-    ID_DOWN = "id-"
-    CAP_L = "capL"
-    CAP_R = "capR"
-    CUP_L = "cupL"
-    CUP_R = "cupR"
-    X_POS = "x+"
-    X_NEG = "x-"
+    """An elementary piece: its token and its bottom and top signs."""
 
-    @property
-    def bottom(self):
-        return _BOTTOM[self]
+    ID_UP = "id+", (1,), (1,)
+    ID_DOWN = "id-", (-1,), (-1,)
+    CAP_L = "capL", (-1, 1), ()
+    CAP_R = "capR", (1, -1), ()
+    CUP_L = "cupL", (), (1, -1)
+    CUP_R = "cupR", (), (-1, 1)
+    X_POS = "x+", (1, 1), (1, 1)
+    X_NEG = "x-", (1, 1), (1, 1)
 
-    @property
-    def top(self):
-        return _TOP[self]
+    def __new__(cls, token, bottom, top):
+        piece = object.__new__(cls)
+        piece._value_ = token
+        piece.bottom = bottom
+        piece.top = top
+        return piece
 
-
-_BOTTOM = {
-    Piece.ID_UP: (1,), Piece.ID_DOWN: (-1,),
-    Piece.CAP_L: (-1, 1), Piece.CAP_R: (1, -1),
-    Piece.CUP_L: (), Piece.CUP_R: (),
-    Piece.X_POS: (1, 1), Piece.X_NEG: (1, 1),
-}
-_TOP = {
-    Piece.ID_UP: (1,), Piece.ID_DOWN: (-1,),
-    Piece.CAP_L: (), Piece.CAP_R: (),
-    Piece.CUP_L: (1, -1), Piece.CUP_R: (-1, 1),
-    Piece.X_POS: (1, 1), Piece.X_NEG: (1, 1),
-}
 
 _TOKENS = {p.value: p for p in Piece}
 
@@ -263,10 +251,6 @@ def close_braid_partial(d: TangleDiagram) -> TangleDiagram:
               [Piece.ID_DOWN] * (k - 2)
         slices.append(tuple(row))
     return TangleDiagram(tuple(slices), (1,))
-
-
-def writhe(d: TangleDiagram) -> int:
-    return d.writhe()
 
 
 # ---------------------------------------------------------------------------

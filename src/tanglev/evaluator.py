@@ -13,8 +13,9 @@ A crossing carries the central scalars of K L^-1 and c from each input
 slot to the opposite output slot, so they are constant along a strand:
 each arc gets the irrep of its colour with its strand's scalars, taken
 from the strand's bottom boundary arc or, on a closed strand, from label
-(0, 0) at its first arc.  The numeric pass then runs with all branches
-pinned and checks each crossing's solved outputs against the plan.
+(0, 0) at its first arc.  Contraction then hands each piece the irreps of
+its arcs from the plan, looks none of them up again, and checks each
+crossing's solved outputs against the plan.
 """
 
 from __future__ import annotations
@@ -107,11 +108,12 @@ class EvalContext:
     def _solve_memo(self, repx, repy, sign):
         """The crossing block, solved once per (inputs, sign).
 
-        A failure is kept as its type and message, not as the exception,
-        whose traceback would tie this context into a reference cycle.
+        Reps come from `rep`, one object per rounded character and label,
+        so their own characters key the memo.  A failure is kept as its
+        type and message, not as the exception, whose traceback would tie
+        this context into a reference cycle.
         """
-        key = (repx.char.rounded(12), repx.branch,
-               repy.char.rounded(12), repy.branch, sign)
+        key = (repx.char, repx.branch, repy.char, repy.branch, sign)
         hit = self._blocks.get(key)
         if hit is None:
             solve = braiding.solve_braiding if sign > 0 \
@@ -132,40 +134,38 @@ class EvalContext:
     def solve_inverse(self, repc, repd):
         return self._solve_memo(repc, repd, -1)
 
-    def mu(self, char, branch):
+    def mu(self, rep):
         """The framing twist on V: K, which conjugates every generator to
         its antipode-squared image."""
-        m = self.rep(char, branch).Kmat.copy()
+        m = rep.Kmat.copy()
         if self.framing == "balanced":
-            m = self.twist_scale(char, branch) * m
+            m = self.twist_scale(rep) * m
         return m
 
-    def _kink_scalar(self, blk):
+    def _kink_scalar(self, blk, mu):
         """Schur scalar of the partial right trace Tr_2(M (1 x mu))."""
         ell = self.rd.ell
-        mu = self.rep(blk.target_chars[1], blk.target_branches[1]).Kmat
         m4 = blk.matrix.reshape(ell, ell, ell, ell)
         t = np.einsum("abik,kb->ai", m4, mu)
         return complex(np.trace(t) / ell)
 
-    def twist_scale(self, char, branch):
+    def twist_scale(self, loop):
         """Positive scalar normalizing mu so cancelling curl pairs drop out.
 
         The pivotal map on an irrep is only pinned up to a scalar; the curl
-        scalars theta_+- of a kink pair with loop color d fix its magnitude
-        through |lambda|^2 |theta_+ theta_-| = 1.  The crossing automorphism
-        fixes the central elements K L^-1 and c slot by slot up to the flip,
-        so a crossing's slot-2 output carries the central scalars of its
-        slot-1 input.  The through-strand therefore gets the label whose
-        scalars are the loop's; a kink whose crossings still do not return
-        the through and loop modules raises KinkObstruction.
+        scalars theta_+- of a kink pair with loop module `loop` fix its
+        magnitude through |lambda|^2 |theta_+ theta_-| = 1.  The crossing
+        automorphism fixes the central elements K L^-1 and c slot by slot
+        up to the flip, so a crossing's slot-2 output carries the central
+        scalars of its slot-1 input.  The through-strand therefore gets the
+        label whose scalars are the loop's; a kink whose crossings still do
+        not return the through and loop modules raises KinkObstruction.
         """
-        key = (char.rounded(12), tuple(branch))
+        key = (loop.char, loop.branch)
         val = self._twist.get(key)
         if val is None:
-            loop = self.rep(char, branch)
             strand = group_to_char(factgroup.curl_unpartner(
-                braiding.char_to_group(char)))
+                braiding.char_to_group(loop.char)))
             through = self.rep(strand, braiding.branch_of(
                 strand, loop.kappa / loop.lam, loop.cval, self.rd))
             prod = 1.0
@@ -176,7 +176,7 @@ class EvalContext:
                         "curl outputs %r, not the through and loop labels "
                         "%r" % (blk.target_branches,
                                 (through.branch, loop.branch)))
-                prod *= self._kink_scalar(blk)
+                prod *= self._kink_scalar(blk, loop.Kmat)
             if not abs(prod) > 1e-12:
                 raise KinkObstruction("curl scalars vanish (%.1e)"
                                       % abs(prod))
@@ -205,47 +205,26 @@ def _cap_r(mu):
     return mu.T.reshape(1, -1).copy()
 
 
-def elementary_op(piece: Piece, colors: ColoredObject,
-                  ctx: EvalContext) -> LinearBlock:
-    """The operator of one elementary piece.
+def elementary_op(piece: Piece, reps, ctx: EvalContext):
+    """The matrix of one elementary piece, and a crossing's BraidingBlock.
 
-    `colors` describes the piece's bottom boundary, except for cups where
-    it describes the created top boundary (a cup has empty bottom).
+    `reps` are the irreps on the piece's bottom arcs, except for cups,
+    where they are those on the created top arcs (a cup has empty bottom).
+    The block is None for every piece but a crossing.
     """
     ell = ctx.rd.ell
-    log = ()
     if piece in (Piece.ID_UP, Piece.ID_DOWN):
-        (entry,) = colors.entries
-        return LinearBlock(np.eye(ell), colors, colors)
-    if piece in (Piece.CUP_L, Piece.CUP_R):
-        (s1, char, branch), (s2, char2, branch2) = colors.entries
-        if (s1, s2) != ((1, -1) if piece is Piece.CUP_L else (-1, 1)):
-            raise ArityMismatch("cup signs do not match chirality")
-        m = _cup_l(ell) if piece is Piece.CUP_L \
-            else _cup_r(ctx.mu(char, branch))
-        return LinearBlock(m, ColoredObject(()), colors)
-    if piece in (Piece.CAP_L, Piece.CAP_R):
-        (s1, char, branch), (s2, char2, branch2) = colors.entries
-        if (s1, s2) != ((-1, 1) if piece is Piece.CAP_L else (1, -1)):
-            raise ArityMismatch("cap signs do not match chirality")
-        m = _cap_l(ell) if piece is Piece.CAP_L \
-            else _cap_r(ctx.mu(char, branch))
-        return LinearBlock(m, colors, ColoredObject(()))
-    # crossings
-    (s1, chx, bx), (s2, chy, by) = colors.entries
-    if (s1, s2) != (1, 1):
-        raise ArityMismatch("crossings need two upward strands")
-    repx, repy = ctx.rep(chx, bx), ctx.rep(chy, by)
-    if piece is Piece.X_POS:
-        blk = ctx.solve(repx, repy)
-    else:
-        blk = ctx.solve_inverse(repx, repy)
-    if blk.branch_retry:
-        log += (("branch-retry", piece.value, blk.target_branches),)
-    codomain = ColoredObject((
-        (1, blk.target_chars[0], blk.target_branches[0]),
-        (1, blk.target_chars[1], blk.target_branches[1])))
-    return LinearBlock(blk.matrix, colors, codomain, log)
+        return np.eye(ell), None
+    if piece is Piece.CUP_L:
+        return _cup_l(ell), None
+    if piece is Piece.CUP_R:
+        return _cup_r(ctx.mu(reps[0])), None
+    if piece is Piece.CAP_L:
+        return _cap_l(ell), None
+    if piece is Piece.CAP_R:
+        return _cap_r(ctx.mu(reps[0])), None
+    blk = (ctx.solve if piece is Piece.X_POS else ctx.solve_inverse)(*reps)
+    return blk.matrix, blk
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +277,9 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
 # Contraction
 
 
-def _local_object(arc_rep, uf, level, cols, signs):
-    entries = []
-    for j, s in enumerate(signs):
-        rep = arc_rep[uf.find((level, cols + j))]
-        entries.append((s, rep.char, rep.branch))
-    return ColoredObject(tuple(entries))
+def _local_object(signs, reps):
+    return ColoredObject(tuple((s, rep.char, rep.branch)
+                               for s, rep in zip(signs, reps)))
 
 
 def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
@@ -313,7 +289,10 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
         raise ArityMismatch("coloring belongs to a different diagram")
     ell = ctx.rd.ell
     uf, arc_rep = _plan_branches(d, col, ctx, bottom_branches)
-    domain = _local_object(arc_rep, uf, 0, 0, d.bottom_signs)
+
+    def arcs(level, start, n):
+        return [arc_rep[uf.find((level, start + j))] for j in range(n)]
+
     in_dim = ell ** d.bottom_arity
     state = np.eye(in_dim, dtype=complex)
     log = [("normalization", braiding.NORMALIZATION_VERSION),
@@ -325,25 +304,26 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
         for p in pieces:
             nb, nt = len(p.bottom), len(p.top)
             if p in (Piece.CUP_L, Piece.CUP_R):
-                local = _local_object(arc_rep, uf, level + 1, tcol, p.top)
+                m, blk = elementary_op(p, arcs(level + 1, tcol, nt), ctx)
             else:
-                local = _local_object(arc_rep, uf, level, bcol, p.bottom)
-            blk = elementary_op(p, local, ctx)
-            if p in (Piece.X_POS, Piece.X_NEG):
-                want = tuple(blk.codomain.entries[j][2] for j in (0, 1))
-                got = tuple(arc_rep[uf.find((level + 1, tcol + j))].branch
-                            for j in (0, 1))
-                if want != got:
+                m, blk = elementary_op(p, arcs(level, bcol, nb), ctx)
+            if blk is not None:
+                got = tuple(rep.branch for rep in arcs(level + 1, tcol, 2))
+                if blk.target_branches != got:
                     raise BranchObstruction("planner/solver branch mismatch")
-            log.extend(blk.phase_log)
+                if blk.branch_retry:
+                    log.append(("branch-retry", p.value,
+                                blk.target_branches))
             rest -= nb
             cur = state.reshape(done_dim, ell ** nb, (ell ** rest) * in_dim)
-            state = np.einsum("ta,iaj->itj", blk.matrix, cur)
+            state = np.einsum("ta,iaj->itj", m, cur)
             done_dim *= ell ** nt
             bcol += nb
             tcol += nt
         state = state.reshape(done_dim, in_dim)
-    codomain = _local_object(arc_rep, uf, len(d.slices), 0, d.top_signs)
+    top = d.top_signs
+    domain = _local_object(d.bottom_signs, arcs(0, 0, d.bottom_arity))
+    codomain = _local_object(top, arcs(len(d.slices), 0, len(top)))
     return LinearBlock(state, domain, codomain, tuple(log))
 
 

@@ -9,7 +9,7 @@ triangular with unit (2,2) entry:
 The closed form (alpha = g22, beta = g12, a = g22/det, b = -g21/det) is exact
 over any field, so the whole module works over both the rational-complex and
 the float backend.  On top of the factorization sit the star product group
-GL2*, the maps x_left / x_right and the set-theoretic Yang-Baxter map.
+GL2*, the maps x_left / x_right (`xlr`) and the set-theoretic Yang-Baxter map.
 """
 
 from __future__ import annotations
@@ -156,12 +156,6 @@ def x_left(x: Mat2, y: Mat2) -> Mat2:
     return xm * y * _lower_inv(xm)
 
 
-def x_right(x: Mat2, y: Mat2) -> Mat2:
-    """x_R(x, y) = x_L(x,y)+^-1 x x_L(x,y)+."""
-    xlp = factorize(x_left(x, y)).plus()
-    return _upper_inv(xlp) * x * xlp
-
-
 def xlr(x: Mat2, y: Mat2):
     """Both components of the crossing map, sharing the factorizations."""
     xl = x_left(x, y)
@@ -170,7 +164,7 @@ def xlr(x: Mat2, y: Mat2):
 
 
 def xlr_inverse(c: Mat2, d: Mat2):
-    """Solve (c, d) = (x_left(a,b), x_right(a,b)) for (a, b)."""
+    """Solve (c, d) = xlr(a, b) for (a, b)."""
     cp = factorize(c).plus()
     a = cp * d * _upper_inv(cp)
     am = factorize(a).minus()

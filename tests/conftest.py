@@ -1,7 +1,6 @@
 """Shared samplers and fixtures for the test suite."""
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,29 +8,9 @@ import pytest
 from tanglev import coloring, diagram, evaluator, factgroup
 from tanglev.braiding import group_to_char
 from tanglev.factgroup import Mat2
-from tanglev.rational import QC
-from tanglev.uqalgebra import CentralCharacter, RootData, is_generic
-
-
-def rational_scalar(rng, span=5, maxden=4):
-    den = rng.randint(1, maxden)
-    return QC(Fraction(rng.randint(-span * den, span * den), den))
-
-
-def rational_mat(rng, span=5, maxden=4):
-    """A random factorizable 2x2 matrix with bounded rational entries."""
-    while True:
-        m = Mat2(*(rational_scalar(rng, span, maxden) for _ in range(4)))
-        try:
-            factgroup.factorize(m)
-            return m
-        except factgroup.NotFactorizable:
-            continue
-
-
-def float_group(rng):
-    return Mat2(*(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                  for _ in range(4)))
+# the samplers live in the library, which `tanglev verify` draws from too
+from tanglev.samplers import float_group, generic_char, rational_mat  # noqa
+from tanglev.uqalgebra import RootData, is_generic
 
 
 def generic_group(rng, rd):
@@ -44,15 +23,6 @@ def generic_group(rng, rd):
             continue
         if is_generic(group_to_char(g), rd):
             return g
-
-
-def generic_char(rng, rd):
-    while True:
-        ch = CentralCharacter(*(complex(rng.uniform(-2, 2),
-                                        rng.uniform(-2, 2))
-                                for _ in range(4)))
-        if is_generic(ch, rd):
-            return ch
 
 
 _LAM = 0.8 - 0.5j

@@ -16,6 +16,7 @@ from tanglev import braiding, coloring, diagram, evaluator, factgroup
 from tanglev.evaluator import EvalContext
 from tanglev.factgroup import Mat2
 from tanglev.rational import QC
+from tanglev.samplers import yb_sides
 from tanglev.uqalgebra import (CentralCharacter, RootData, all_irreps,
                                antipode_applied_coproduct, basis_elements,
                                build_irrep, counit, generator, gram_matrix,
@@ -41,22 +42,6 @@ def _verdict(num, name, ok, detail, elapsed, budget):
 # -- 1 ----------------------------------------------------------------------
 
 
-def _yb_sides(t):
-    def r12(t):
-        u, v = factgroup.yb_map(t[0], t[1])
-        return (u, v, t[2])
-
-    def r13(t):
-        u, v = factgroup.yb_map(t[0], t[2])
-        return (u, t[1], v)
-
-    def r23(t):
-        u, v = factgroup.yb_map(t[1], t[2])
-        return (t[0], u, v)
-
-    return r12(r13(r23(t))), r23(r13(r12(t)))
-
-
 def test_criterion_01_yang_baxter_exact():
     rng = random.Random(101)
     triples = [tuple(rational_mat(rng) for _ in range(3))
@@ -65,7 +50,7 @@ def test_criterion_01_yang_baxter_exact():
     checked = skipped = bad = 0
     for t in triples:
         try:
-            lhs, rhs = _yb_sides(t)
+            lhs, rhs = yb_sides(t)
         except factgroup.NotFactorizable:
             skipped += 1
             continue

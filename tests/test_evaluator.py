@@ -219,6 +219,28 @@ class TestPlanner:
         val, _ = evaluator.invariant(d, col, ctx)
         assert abs(val) == pytest.approx(5.196152422706661, abs=1e-9)
 
+    def test_contract_reads_reps_from_the_plan(self, monkeypatch):
+        # once the twists and crossings are memoized, every irrep lookup
+        # of an evaluation is the planner's: contraction reads the plan
+        y1, y2, y3 = trefoil_boundary_3()
+        d = diagram.close_braid_partial(diagram.braid_word([1, 2, 1, 2], 3))
+        col = coloring.propagate(d, ColoredBoundary(((1, y1),)),
+                                 cup_seeds={0: y2, 1: y3})
+        ctx = EvalContext(RootData(3))
+        evaluator.invariant(d, col, ctx)
+        lookups = []
+
+        def counted(*args, _rep=ctx.rep):
+            lookups.append(args)
+            return _rep(*args)
+
+        monkeypatch.setattr(ctx, "rep", counted)
+        evaluator._plan_branches(d, col, ctx, None)
+        planned = len(lookups)
+        lookups.clear()
+        evaluator.invariant(d, col, ctx)
+        assert len(lookups) == planned > 0
+
     def test_bottom_branch_off_its_strand_is_refused(self, ctx):
         # the crossing's slot-2 output turns down through the cap, so
         # bottom points 0 and 2 lie on one strand
@@ -240,7 +262,8 @@ class TestTwistScale:
         # off (0,0); pinning it to (0,0) does not close the kink
         _, x2 = trefoil_boundary_2(trefoil_curve_meridians(2 + 1j))
         char = group_to_char(x2)
-        assert EvalContext(RootData(3)).twist_scale(char, (0, 0)) > 0
+        ctx = EvalContext(RootData(3))
+        assert ctx.twist_scale(ctx.rep(char, (0, 0))) > 0
 
         class PrincipalThrough:
             def __getattr__(self, name):
@@ -251,17 +274,18 @@ class TestTwistScale:
                 return (0, 0)
 
         monkeypatch.setattr(evaluator, "braiding", PrincipalThrough())
+        ctx = EvalContext(RootData(3))
         with pytest.raises(evaluator.KinkObstruction):
-            EvalContext(RootData(3)).twist_scale(char, (0, 0))
+            ctx.twist_scale(ctx.rep(char, (0, 0)))
 
     def test_no_fallback_without_a_through_strand(self):
         # (1 + beta b)/a is the (1,1) entry of the loop colour, so b =
         # -1/beta leaves the kink without a through-strand colour
         char = CentralCharacter(1.3 + 0.2j, 2.0, 0.7 - 0.1j, -0.5)
         ctx = EvalContext(RootData(3))
-        ctx.rep(char, (0, 0))
+        loop = ctx.rep(char, (0, 0))
         with pytest.raises(factgroup.NotFactorizable):
-            ctx.twist_scale(char, (0, 0))
+            ctx.twist_scale(loop)
 
 
 class TestSolveMemo:
