@@ -129,15 +129,22 @@ class RImages:
     SLOTS = ("K1", "L1", "E1", "F1", "K2", "L2", "E2", "F2")
 
 
+def _kron(a, b):
+    """np.kron of two matrices as one broadcast product: each entry is the
+    same single product, without np.kron's generic reshaping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _pair_eval(ra: CyclicRep, rb: CyclicRep):
     """Evaluations of the eight generator slots in V_a (x) V_b."""
     eye_a = np.eye(ra.dim, dtype=complex)
     eye_b = np.eye(rb.dim, dtype=complex)
     out = {}
     for name, m in ra.matrices().items():
-        out[name + "1"] = np.kron(m, eye_b)
+        out[name + "1"] = _kron(m, eye_b)
     for name, m in rb.matrices().items():
-        out[name + "2"] = np.kron(eye_a, m)
+        out[name + "2"] = _kron(eye_a, m)
     return out
 
 
@@ -149,7 +156,7 @@ def r_images(rep_a: CyclicRep, rep_b: CyclicRep) -> RImages:
     eye = np.eye(ell2, dtype=complex)
     kinv_e = np.linalg.inv(rep_a.Kmat) @ rep_a.Emat
     f_l = rep_b.Fmat @ rep_b.Lmat
-    n_mat = eye - rd.eps * np.kron(kinv_e, f_l)
+    n_mat = eye - rd.eps * _kron(kinv_e, f_l)
     if np.linalg.cond(n_mat) > COND_LIMIT:
         raise SingularN("series factor N numerically singular")
     n_inv = np.linalg.inv(n_mat)
@@ -157,8 +164,8 @@ def r_images(rep_a: CyclicRep, rep_b: CyclicRep) -> RImages:
     img = {}
     img["K2"] = slot["K2"] @ n_inv
     img["L2"] = slot["L2"] @ n_inv
-    img["E1"] = np.kron(rep_a.Emat, rep_b.Lmat)
-    img["F2"] = np.kron(np.linalg.inv(rep_a.Kmat), rep_b.Fmat)
+    img["E1"] = _kron(rep_a.Emat, rep_b.Lmat)
+    img["F2"] = _kron(np.linalg.inv(rep_a.Kmat), rep_b.Fmat)
     # the rest from R(Delta(u)) = flip Delta(u)
     img["K1"] = slot["K1"] @ slot["K2"] @ np.linalg.inv(img["K2"])
     img["L1"] = slot["L1"] @ slot["L2"] @ np.linalg.inv(img["L2"])

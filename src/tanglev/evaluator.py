@@ -142,10 +142,10 @@ class EvalContext:
             m = self.twist_scale(rep) * m
         return m
 
-    def _kink_scalar(self, blk, mu):
-        """Schur scalar of the partial right trace Tr_2(M (1 x mu))."""
+    def _kink_scalar(self, m, mu):
+        """Schur scalar of the partial right trace Tr_2(m (1 x mu))."""
         ell = self.rd.ell
-        m4 = blk.matrix.reshape(ell, ell, ell, ell)
+        m4 = m.reshape(ell, ell, ell, ell)
         t = np.einsum("abik,kb->ai", m4, mu)
         return complex(np.trace(t) / ell)
 
@@ -158,8 +158,15 @@ class EvalContext:
         automorphism fixes the central elements K L^-1 and c slot by slot
         up to the flip, so a crossing's slot-2 output carries the central
         scalars of its slot-1 input.  The through-strand therefore gets the
-        label whose scalars are the loop's; a kink whose crossings still do
-        not return the through and loop modules raises KinkObstruction.
+        label whose scalars are the loop's; a positive curl whose outputs
+        are not the through and loop modules, by label and by character,
+        raises KinkObstruction.
+
+        Only the positive curl M is solved.  It returns both of its input
+        modules, so the negative curl, the inverse crossing on the same
+        pair, is M^-1 up to the root of unity that normalization picks, and
+        theta_- is read from M^-1 (`_normalize` has refused any M with
+        condition number above COND_LIMIT).
         """
         key = (loop.char, loop.branch)
         val = self._twist.get(key)
@@ -168,15 +175,19 @@ class EvalContext:
                 braiding.char_to_group(loop.char)))
             through = self.rep(strand, braiding.branch_of(
                 strand, loop.kappa / loop.lam, loop.cval, self.rd))
-            prod = 1.0
-            for blk in (self.solve(through, loop),
-                        self.solve_inverse(through, loop)):
-                if blk.target_branches != (through.branch, loop.branch):
-                    raise KinkObstruction(
-                        "curl outputs %r, not the through and loop labels "
-                        "%r" % (blk.target_branches,
-                                (through.branch, loop.branch)))
-                prod *= self._kink_scalar(blk, loop.Kmat)
+            blk = self.solve(through, loop)
+            if blk.target_branches != (through.branch, loop.branch):
+                raise KinkObstruction(
+                    "curl outputs %r, not the through and loop labels %r"
+                    % (blk.target_branches, (through.branch, loop.branch)))
+            if tuple(ch.rounded(9) for ch in blk.target_chars) \
+                    != (through.char.rounded(9), loop.char.rounded(9)):
+                raise KinkObstruction(
+                    "curl outputs characters off the through and loop "
+                    "characters")
+            m = blk.matrix
+            prod = (self._kink_scalar(m, loop.Kmat)
+                    * self._kink_scalar(np.linalg.inv(m), loop.Kmat))
             if not abs(prod) > 1e-12:
                 raise KinkObstruction("curl scalars vanish (%.1e)"
                                       % abs(prod))
@@ -210,11 +221,10 @@ def elementary_op(piece: Piece, reps, ctx: EvalContext):
 
     `reps` are the irreps on the piece's bottom arcs, except for cups,
     where they are those on the created top arcs (a cup has empty bottom).
-    The block is None for every piece but a crossing.
+    The block is None for every piece but a crossing.  Identity pieces
+    have no operator: contraction steps over them.
     """
     ell = ctx.rd.ell
-    if piece in (Piece.ID_UP, Piece.ID_DOWN):
-        return np.eye(ell), None
     if piece is Piece.CUP_L:
         return _cup_l(ell), None
     if piece is Piece.CUP_R:
@@ -303,6 +313,13 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
         bcol = tcol = 0
         for p in pieces:
             nb, nt = len(p.bottom), len(p.top)
+            if p in (Piece.ID_UP, Piece.ID_DOWN):
+                # an identity only relabels the state's axes
+                rest -= 1
+                done_dim *= ell
+                bcol += 1
+                tcol += 1
+                continue
             if p in (Piece.CUP_L, Piece.CUP_R):
                 m, blk = elementary_op(p, arcs(level + 1, tcol, nt), ctx)
             else:

@@ -67,9 +67,8 @@ def trefoil_boundary_3(meridians=None):
     return bnd.colors()
 
 
-def trefoil_magnitudes(rd, meridians=None):
-    """|invariant| of the 2- and of the 3-strand trefoil, each evaluated
-    from a fresh context."""
+def trefoil_colourings(meridians=None):
+    """[(diagram, colouring)] of the 2- and of the 3-strand trefoil."""
     x1, x2 = trefoil_boundary_2(meridians)
     y1, y2, y3 = trefoil_boundary_3(meridians)
     out = []
@@ -78,9 +77,15 @@ def trefoil_magnitudes(rd, meridians=None):
         d = diagram.close_braid_partial(diagram.braid_word(word, strands))
         col = coloring.propagate(d, coloring.ColoredBoundary(((1, bottom),)),
                                  cup_seeds=dict(enumerate(seeds)))
-        value, _ = evaluator.invariant(d, col, evaluator.EvalContext(rd))
-        out.append(abs(value))
+        out.append((d, col))
     return out
+
+
+def trefoil_magnitudes(rd, meridians=None):
+    """|invariant| of the 2- and of the 3-strand trefoil, each evaluated
+    from a fresh context."""
+    return [abs(evaluator.invariant(d, col, evaluator.EvalContext(rd))[0])
+            for d, col in trefoil_colourings(meridians)]
 
 
 @pytest.fixture(scope="session")

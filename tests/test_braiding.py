@@ -90,6 +90,18 @@ class TestAutomorphism:
         assert rep["max_deviation"] < 1e-8
         assert rep["max_off_scalar"] < 1e-8
 
+    def test_kron_is_numpy_kron_bitwise(self):
+        # each entry is the same single product, so not even the last
+        # bit may differ; rectangular shapes catch a swapped axis
+        gen = np.random.default_rng(7)
+        a = gen.normal(size=(2, 3)) + 1j * gen.normal(size=(2, 3))
+        b = gen.normal(size=(4, 5)) + 1j * gen.normal(size=(4, 5))
+        for x, y in ((a, b), (b, a), (a, np.eye(3, dtype=complex))):
+            got = braiding._kron(x, y)
+            assert got.shape == np.kron(x, y).shape
+            assert np.array_equal(got.view(np.uint64),
+                                  np.kron(x, y).view(np.uint64))
+
 
 class TestSolver:
     def test_block_intertwines(self, rng, rd3):

@@ -1,5 +1,6 @@
 """Unit tests for diagram contraction and the scalar invariant."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -13,7 +14,8 @@ from tanglev.evaluator import EvalContext
 from tanglev.uqalgebra import CentralCharacter, NonGenericCharacter, RootData
 
 from conftest import (mat2_of, trefoil_boundary_2, trefoil_boundary_3,
-                      trefoil_curve_meridians, trefoil_magnitudes)
+                      trefoil_colourings, trefoil_curve_meridians,
+                      trefoil_magnitudes)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +31,28 @@ def strand_with(move, ctx, variant=None):
     x1, _ = trefoil_boundary_2()
     col = evaluator._recolor(d2, ColoredBoundary(((1, x1),)), [])
     return evaluator.contract(d2, col, ctx)
+
+
+def counted_solves(monkeypatch):
+    """The argument tuples of every crossing solve made from now on."""
+    solves = []
+    for name in ("solve_braiding", "solve_braiding_inverse"):
+        def counted(*args, _solve=getattr(braiding, name), **kw):
+            solves.append(args)
+            return _solve(*args, **kw)
+        monkeypatch.setattr(braiding, name, counted)
+    return solves
+
+
+def cold_knots():
+    """[(diagram, colouring)] of the unknot with a cancelling curl pair and
+    of the 2- and 3-strand trefoils at the fixture colouring."""
+    strand = diagram.parse("id+")
+    d = diagram.apply_move(
+        strand, "FramedR1", next(diagram.find_move_sites(strand, "FramedR1")))
+    x1, _ = trefoil_boundary_2()
+    col = coloring.propagate(d, ColoredBoundary(((1, x1),)), cup_seeds={})
+    return [(d, col)] + trefoil_colourings()
 
 
 class TestElementaryIdentities:
@@ -192,18 +216,23 @@ class TestPlanner:
             uf, assign = evaluator._plan_branches(d, col, ctx, None)
         assert uf.find((0, 0)) in assign
 
-        solves = []
-        for name in ("solve_braiding", "solve_braiding_inverse"):
-            def counted(*args, _solve=getattr(braiding, name), **kw):
-                solves.append(args)
-                return _solve(*args, **kw)
-            monkeypatch.setattr(braiding, name, counted)
+        solves = counted_solves(monkeypatch)
         ctx = EvalContext(RootData(3))
         evaluator.invariant(d, col, ctx)
         crossings = sum(p in (diagram.Piece.X_POS, diagram.Piece.X_NEG)
                         for pieces in d.slices for p in pieces)
-        # each diagram crossing once, and the two curls of each twist
-        assert len(solves) == crossings + 2 * len(ctx._twist) == 8
+        # each diagram crossing once, and the positive curl of each twist
+        assert len(solves) == crossings + len(ctx._twist) == 6
+
+    @pytest.mark.parametrize("knot, count", [(0, 2), (1, 4), (2, 6)],
+                             ids=["unknot-curl", "trefoil-2", "trefoil-3"])
+    def test_cold_solve_count(self, monkeypatch, knot, count):
+        # a fresh context solves each crossing block once and one curl per
+        # twist; the curl pair of the unknot is its own kink
+        d, col = cold_knots()[knot]
+        solves = counted_solves(monkeypatch)
+        evaluator.invariant(d, col, EvalContext(RootData(3)))
+        assert len(solves) == count
 
     def test_contract_reuses_the_colouring(self, monkeypatch, ctx):
         # the planner reads the arcs and crossings propagation recorded
@@ -277,6 +306,52 @@ class TestTwistScale:
         ctx = EvalContext(RootData(3))
         with pytest.raises(evaluator.KinkObstruction):
             ctx.twist_scale(ctx.rep(char, (0, 0)))
+
+    def test_curl_off_its_characters_is_refused(self, monkeypatch):
+        # theta_- comes from M^-1 only because the curl fixes both of its
+        # modules, so a curl whose output character moves is refused
+        _, x2 = trefoil_boundary_2()
+        char = group_to_char(x2)
+        clean = EvalContext(RootData(3))
+        assert clean.twist_scale(clean.rep(char, (0, 0))) > 0
+        ctx = EvalContext(RootData(3))
+        solve = ctx.solve
+
+        def moved(through, loop):
+            blk = solve(through, loop)
+            ch = blk.target_chars[1]
+            off = CentralCharacter(ch.alpha * (1 + 1e-6), ch.beta, ch.a, ch.b)
+            return dataclasses.replace(
+                blk, target_chars=(blk.target_chars[0], off))
+
+        monkeypatch.setattr(ctx, "solve", moved)
+        with pytest.raises(evaluator.KinkObstruction, match="characters"):
+            ctx.twist_scale(ctx.rep(char, (0, 0)))
+
+    @pytest.mark.parametrize("ell, m", [(3, None), (3, 2 + 1j),
+                                        (3, 1.3 + 0.2j), (5, None)])
+    def test_negative_curl_is_the_inverse(self, ell, m):
+        # the solved negative curl N of every loop the trefoils normalize
+        # by is M^-1 up to a root of unity, so it gives the same |theta_-|
+        rd = RootData(ell)
+        ctx = EvalContext(rd)
+        for d, col in trefoil_colourings(
+                None if m is None else trefoil_curve_meridians(m)):
+            evaluator.invariant(d, col, ctx)
+        assert ctx._twist
+        for char, branch in ctx._twist:
+            fresh = EvalContext(rd)
+            loop = fresh.rep(char, branch)
+            fresh.twist_scale(loop)
+            [(key, blk)] = fresh._blocks.items()
+            n = fresh.solve_inverse(fresh.rep(key[0], key[1]), loop).matrix
+            prod = n @ blk.matrix
+            scalar = np.trace(prod) / len(prod)
+            assert np.max(np.abs(prod - scalar * np.eye(len(prod)))) < 1e-10
+            theta_n = abs(fresh._kink_scalar(n, loop.Kmat))
+            theta_inv = abs(fresh._kink_scalar(np.linalg.inv(blk.matrix),
+                                               loop.Kmat))
+            assert theta_n == pytest.approx(theta_inv, rel=1e-10)
 
     def test_no_fallback_without_a_through_strand(self):
         # (1 + beta b)/a is the (1,1) entry of the loop colour, so b =
