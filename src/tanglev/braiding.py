@@ -152,11 +152,12 @@ def r_images(rep_a: CyclicRep, rep_b: CyclicRep) -> RImages:
     """Evaluate the braiding automorphism in the pair V_a (x) V_b."""
     rd = rep_a.rd
     slot = _pair_eval(rep_a, rep_b)
-    ell2 = rd.ell * rep_b.dim
-    eye = np.eye(ell2, dtype=complex)
-    kinv_e = np.linalg.inv(rep_a.Kmat) @ rep_a.Emat
+    k1, k2, l1, l2 = (np.diagonal(slot[g])
+                      for g in ("K1", "K2", "L1", "L2"))
+    eye = np.eye(rd.ell * rep_b.dim, dtype=complex)
+    kinv_a = 1 / np.diagonal(rep_a.Kmat)
     f_l = rep_b.Fmat @ rep_b.Lmat
-    n_mat = eye - rd.eps * _kron(kinv_e, f_l)
+    n_mat = eye - rd.eps * _kron(kinv_a[:, None] * rep_a.Emat, f_l)
     if np.linalg.cond(n_mat) > COND_LIMIT:
         raise SingularN("series factor N numerically singular")
     n_inv = np.linalg.inv(n_mat)
@@ -165,13 +166,14 @@ def r_images(rep_a: CyclicRep, rep_b: CyclicRep) -> RImages:
     img["K2"] = slot["K2"] @ n_inv
     img["L2"] = slot["L2"] @ n_inv
     img["E1"] = _kron(rep_a.Emat, rep_b.Lmat)
-    img["F2"] = _kron(np.linalg.inv(rep_a.Kmat), rep_b.Fmat)
-    # the rest from R(Delta(u)) = flip Delta(u)
-    img["K1"] = slot["K1"] @ slot["K2"] @ np.linalg.inv(img["K2"])
-    img["L1"] = slot["L1"] @ slot["L2"] @ np.linalg.inv(img["L2"])
+    img["F2"] = _kron(np.diag(kinv_a), rep_b.Fmat)
+    # the rest from R(Delta(u)) = flip Delta(u); K and L are diagonal and
+    # img K2^-1 = N K2^-1, likewise for L, so only N needs a dense inverse
+    img["K1"] = (k1 * k2)[:, None] * n_mat / k2
+    img["L1"] = (l1 * l2)[:, None] * n_mat / l2
     img["E2"] = (slot["K1"] @ slot["E2"] + slot["E1"]) - img["E1"] @ img["K2"]
-    img["F1"] = (slot["F2"] + slot["F1"] @ np.linalg.inv(slot["L2"])) \
-        - np.linalg.inv(img["L1"]) @ img["F2"]
+    img["F1"] = (slot["F2"] + slot["F1"] / l2) \
+        - (l2[:, None] * n_inv / (l1 * l2)) @ img["F2"]
     return RImages((rep_a, rep_b), img)
 
 
@@ -180,26 +182,29 @@ def r_inverse_images(rep_c: CyclicRep, rep_d: CyclicRep) -> RImages:
 
     R^-1(N) = 1 - eps E (x) F, so 1 (x) K -> (1 (x) K)(1 - eps E (x) F) and
     likewise for L; the rest follows from R(E (x) 1) = E (x) L,
-    R(1 (x) F) = K^-1 (x) F and R^-1(flip Delta(u)) = Delta(u).
+    R(1 (x) F) = K^-1 (x) F and R^-1(flip Delta(u)) = Delta(u).  As in
+    `r_images`, only 1 - eps E (x) F needs a dense inverse.
     """
     rd = rep_c.rd
     slot = _pair_eval(rep_c, rep_d)
+    k1, k2, l1, l2 = (np.diagonal(slot[g])
+                      for g in ("K1", "K2", "L1", "L2"))
     eye = np.eye(rd.ell * rep_d.dim, dtype=complex)
     n_mat = eye - rd.eps * slot["E1"] @ slot["F2"]
     if np.linalg.cond(n_mat) > COND_LIMIT:
         raise SingularN("series factor R^-1(N) numerically singular")
-    inv = np.linalg.inv
+    n_inv = np.linalg.inv(n_mat)
 
     img = {}
     img["K2"] = slot["K2"] @ n_mat
     img["L2"] = slot["L2"] @ n_mat
-    img["K1"] = slot["K1"] @ slot["K2"] @ inv(img["K2"])
-    img["L1"] = slot["L1"] @ slot["L2"] @ inv(img["L2"])
-    img["E1"] = slot["E1"] @ inv(img["L2"])
+    img["K1"] = (k1 * k2)[:, None] * n_inv / k2
+    img["L1"] = (l1 * l2)[:, None] * n_inv / l2
+    img["E1"] = slot["E1"] @ n_inv / l2
     img["F2"] = img["K1"] @ slot["F2"]
-    img["E2"] = inv(img["K1"]) @ (slot["E1"] @ slot["K2"] + slot["E2"]
-                                  - img["E1"])
-    img["F1"] = (slot["F1"] + inv(slot["L1"]) @ slot["F2"] - img["F2"]) \
+    img["E2"] = (k2[:, None] * n_mat / (k1 * k2)) @ (
+        slot["E1"] @ slot["K2"] + slot["E2"] - img["E1"])
+    img["F1"] = (slot["F1"] + slot["F2"] / l1[:, None] - img["F2"]) \
         @ img["L2"]
     return RImages((rep_c, rep_d), img)
 

@@ -7,14 +7,18 @@ legs of a cup or cap belong to one arc and carry equal colors.
 
 Colors are found by a constraint fixpoint: edge endpoints are merged with a
 union-find (identities, cup legs, cap legs) and crossing relations are
-applied in every solvable direction until nothing changes.  Kinks need one
-non-forward rule: when a crossing's d and b legs are the same arc and only c
-is known, the unique consistent loop color is d = c_-^-1 c c_- with a = c.
+applied in every solvable direction until nothing changes.  One scan of
+the diagram records each crossing and cup on its arc roots, so the
+fixpoint reads colors by root and `recolor` reuses the scan for every
+seed placement it tries.  Kinks need one non-forward rule: when a
+crossing's d and b legs are the same arc and only c is known, the unique
+consistent loop color is d = c_-^-1 c c_- with a = c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import factgroup
 from .diagram import ArityMismatch, Piece, TangleDiagram
@@ -88,7 +92,7 @@ class _Crossing:
 
 
 def _scan(d: TangleDiagram):
-    """Union-find over edge endpoints plus crossing relations and cup roots."""
+    """Flattened union-find of edge endpoints; crossings and cups on roots."""
     uf = _UnionFind()
     crossings = []
     cups = []
@@ -105,10 +109,14 @@ def _scan(d: TangleDiagram):
             elif p in (Piece.CAP_L, Piece.CAP_R):
                 uf.union(bot[0], bot[1])
             else:
-                crossings.append(_Crossing(p, bot[0], bot[1], top[0], top[1]))
+                crossings.append((p, bot[0], bot[1], top[0], top[1]))
             bcol += len(p.bottom)
             tcol += len(p.top)
-    return uf, crossings, cups
+    for key in list(uf.parent):
+        uf.find(key)
+    find = uf.find
+    return (uf, [_Crossing(p, *map(find, pts)) for p, *pts in crossings],
+            [find(pt) for pt in cups])
 
 
 class GColoring:
@@ -136,47 +144,35 @@ class GColoring:
                         for i, s in enumerate(signs))
         return ColoredBoundary(entries)
 
-    def to_json(self):
-        seen = {}
-        for key in self._uf.parent:
-            root = self._uf.find(key)
-            if root in self._colors:
-                seen["%d:%d" % key] = self._colors[root].to_json()
-        return seen
 
-
-def _set_color(colors, uf, point, value, tol):
-    root = uf.find(point)
+def _set_color(colors, root, value, tol):
     old = colors.get(root)
     if old is None:
         colors[root] = value
         return True
     if not mats_equal(old, value, tol):
         raise CapMismatch(
-            "conflicting colors on arc through %s" % (point,))
+            "conflicting colors on arc through %s" % (root,))
     return False
 
 
-def _apply_crossing(cr: _Crossing, colors, uf, tol):
+def _apply_crossing(cr: _Crossing, colors, tol):
     """Apply one crossing's relations in whichever direction is solvable.
 
     A negative crossing is a positive one read with its pairs (c, d) and
     (a, b) swapped, so both run the rules below on (inputs, outputs).
     """
-    def get(pt):
-        return colors.get(uf.find(pt))
-
     def put(points, values):
         progress = False
         for pt, value in zip(points, values):
-            progress |= _set_color(colors, uf, pt, value, tol)
+            progress |= _set_color(colors, pt, value, tol)
         return progress
 
     ins, outs = (cr.c, cr.d), (cr.a, cr.b)
     if cr.kind is not Piece.X_POS:
         ins, outs = outs, ins
-    x, y = map(get, ins)
-    u, v = map(get, outs)
+    x, y = map(colors.get, ins)
+    u, v = map(colors.get, outs)
     if x is not None and y is not None:
         return put(outs, factgroup.xlr(x, y))
     if u is not None and v is not None:
@@ -185,10 +181,42 @@ def _apply_crossing(cr: _Crossing, colors, uf, tol):
         xm = factorize(x).minus()
         up = factorize(u).plus()
         return put((ins[1], outs[1]), (xm.inv() * u * xm, up.inv() * x * up))
-    c = get(cr.c)
-    if c is not None and uf.find(cr.b) == uf.find(cr.d):
+    c = colors.get(cr.c)
+    if c is not None and cr.b == cr.d:
         return put((cr.d, cr.a), (factgroup.curl_partner(c), c))
     return False
+
+
+def _fill(d, scan, bottom, cup_seeds, tol=1e-9):
+    """Seed bottom and cups, then run the crossing fixpoint over a scan."""
+    if len(bottom) != d.bottom_arity:
+        raise ArityMismatch(
+            "boundary has %d entries, diagram wants %d"
+            % (len(bottom), d.bottom_arity))
+    if bottom.signs() != d.bottom_signs:
+        raise ArityMismatch(
+            "boundary signs %s do not match diagram %s"
+            % (bottom.signs(), d.bottom_signs))
+    uf, crossings, cups = scan
+    colors = {}
+    for i, (sign, x) in enumerate(bottom.entries):
+        _set_color(colors, uf.find((0, i)), x, tol)
+    if cup_seeds:
+        for idx, x in dict(cup_seeds).items():
+            if not 0 <= idx < len(cups):
+                raise UnderdeterminedColoring(
+                    "cup index %d out of range (%d cups)" % (idx, len(cups)))
+            _set_color(colors, cups[idx], x, tol)
+    progress = True
+    while progress:
+        progress = False
+        for cr in crossings:
+            progress |= _apply_crossing(cr, colors, tol)
+    missing = [i for i, root in enumerate(cups) if root not in colors]
+    if missing:
+        raise UnderdeterminedColoring(
+            "no color for cups %s; supply cup_seeds" % missing)
+    return GColoring(d, uf, crossings, colors, tol)
 
 
 def propagate(d: TangleDiagram, bottom: ColoredBoundary,
@@ -199,35 +227,30 @@ def propagate(d: TangleDiagram, bottom: ColoredBoundary,
     to the arc color of that cup; cups that close onto known arcs or sit in
     kink patterns are resolved without seeds.
     """
-    if len(bottom) != d.bottom_arity:
-        raise ArityMismatch(
-            "boundary has %d entries, diagram wants %d"
-            % (len(bottom), d.bottom_arity))
-    if bottom.signs() != d.bottom_signs:
-        raise ArityMismatch(
-            "boundary signs %s do not match diagram %s"
-            % (bottom.signs(), d.bottom_signs))
-    uf, crossings, cups = _scan(d)
-    colors = {}
-    for i, (sign, x) in enumerate(bottom.entries):
-        _set_color(colors, uf, (0, i), x, tol)
-    if cup_seeds:
-        for idx, x in dict(cup_seeds).items():
-            if not 0 <= idx < len(cups):
-                raise UnderdeterminedColoring(
-                    "cup index %d out of range (%d cups)" % (idx, len(cups)))
-            _set_color(colors, uf, cups[idx], x, tol)
-    progress = True
-    while progress:
-        progress = False
-        for cr in crossings:
-            progress |= _apply_crossing(cr, colors, uf, tol)
-    missing = [i for i, pt in enumerate(cups)
-               if uf.find(pt) not in colors]
-    if missing:
-        raise UnderdeterminedColoring(
-            "no color for cups %s; supply cup_seeds" % missing)
-    return GColoring(d, uf, crossings, colors, tol)
+    return _fill(d, _scan(d), bottom, cup_seeds, tol)
+
+
+def recolor(d: TangleDiagram, bottom, seeds) -> GColoring:
+    """Re-solve a moved diagram, redistributing the cup seed colors.
+
+    Moves change the cup count and positions, so the given seeds are tried
+    over cup slots (order preserved, largest subset first); cups left
+    unseeded must resolve themselves through arcs or the kink rule.  The
+    diagram is scanned once and each placement runs only the fixpoint.
+    """
+    scan = _scan(d)
+    n = len(scan[2])
+    seeds = list(seeds)
+    for k in range(min(len(seeds), n), -1, -1):
+        for keep in combinations(range(len(seeds)), k):
+            for slots in combinations(range(n), k):
+                try:
+                    return _fill(d, scan, bottom, dict(zip(
+                        slots, (seeds[i] for i in keep))))
+                except (Inconsistent, UnderdeterminedColoring, CapMismatch,
+                        NotFactorizable):
+                    continue
+    raise Inconsistent("no seed placement colors the moved diagram")
 
 
 def solve_closed(d: TangleDiagram, seeds, tol=1e-9) -> GColoring:

@@ -13,21 +13,23 @@ A crossing carries the central scalars of K L^-1 and c from each input
 slot to the opposite output slot, so they are constant along a strand:
 each arc gets the irrep of its colour with its strand's scalars, taken
 from the strand's bottom boundary arc or, on a closed strand, from label
-(0, 0) at its first arc.  Contraction then hands each piece the irreps of
-its arcs from the plan, looks none of them up again, and checks each
-crossing's solved outputs against the plan.
+(0, 0) at its first arc.  The context memoizes each arc's irrep on the
+exact colour and strand scalars; a move keeps every arc outside its window
+with its colour and strand, so re-evaluating a moved diagram derives labels
+only for the window's new colours.  Contraction then hands each
+piece the irreps of its arcs from the plan, looks none of them up again,
+and checks each crossing's solved outputs against the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from . import braiding, coloring, factgroup
 from .braiding import CROSSING_ERRORS, group_to_char
-from .coloring import GColoring, Inconsistent, UnderdeterminedColoring
+from .coloring import GColoring, Inconsistent
 from .diagram import ArityMismatch, Piece, TangleDiagram, slice_top
 from .uqalgebra import CentralCharacter, RootData, build_irrep
 
@@ -94,6 +96,8 @@ class EvalContext:
         self.framing = framing
         self.tol = tol
         self._reps = {}
+        self._chars = {}
+        self._arcs = {}
         self._twist = {}
         self._blocks = {}
 
@@ -103,6 +107,29 @@ class EvalContext:
         if rep is None:
             rep = build_irrep(char, tuple(branch), self.rd)
             self._reps[key] = rep
+        return rep
+
+    def char_of(self, color):
+        """`group_to_char`, memoized on the exact colour."""
+        char = self._chars.get(color)
+        if char is None:
+            char = self._chars[color] = group_to_char(color)
+        return char
+
+    def arc_rep(self, color, z, c):
+        """The irrep of a colour on which K L^-1 and c act by z and c.
+
+        Memoized on the exact colour and scalars.  A miss derives the rep
+        from its key through `char_of` and `rep`, whose entries are set once
+        and never replaced, so a hit returns the very object a miss would
+        derive; a failing derivation stores nothing.
+        """
+        key = (color, z, c)
+        rep = self._arcs.get(key)
+        if rep is None:
+            char = self.char_of(color)
+            rep = self._arcs[key] = self.rep(
+                char, braiding.branch_of(char, z, c, self.rd))
         return rep
 
     def _solve_memo(self, repx, repy, sign):
@@ -250,14 +277,16 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     A strand takes them from the module on its first bottom boundary arc;
     a closed strand starts on label (0, 0) at its first arc in evaluation
     order (level by level, left to right).  Each arc then gets the irrep
-    of its colour with those scalars (braiding.branch_of), and no crossing
-    is solved.  Arcs and crossings are the colouring's own.
+    of its colour with those scalars (`EvalContext.arc_rep`, memoized on
+    the exact colour and scalars), and no crossing is solved.  A warm
+    context derives a label only for a colour and scalars it has not met.
+    Arcs and crossings are the colouring's own.
     """
     uf = col._uf
     strands = coloring._UnionFind()
-    for cr in col._crossings:
-        strands.union(uf.find(cr.c), uf.find(cr.b))
-        strands.union(uf.find(cr.d), uf.find(cr.a))
+    for cr in col._crossings:  # recorded on arc roots
+        strands.union(cr.c, cr.b)
+        strands.union(cr.d, cr.a)
     given = bottom_branches or [(0, 0)] * d.bottom_arity
     widths = [d.bottom_arity] + [len(slice_top(s)) for s in d.slices]
     scalars = {}
@@ -267,13 +296,13 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
             root = uf.find((level, pos))
             if root in assign:
                 continue
-            char = group_to_char(col.color(level, pos))
+            color = col.color(level, pos)
             strand = strands.find(root)
             if strand not in scalars:
-                start = ctx.rep(char, given[pos] if level == 0 else (0, 0))
+                start = ctx.rep(ctx.char_of(color),
+                                given[pos] if level == 0 else (0, 0))
                 scalars[strand] = start.kappa / start.lam, start.cval
-            assign[root] = ctx.rep(char, braiding.branch_of(
-                char, *scalars[strand], ctx.rd))
+            assign[root] = ctx.arc_rep(color, *scalars[strand])
     for i, branch in enumerate(given):
         rep = assign[uf.find((0, i))]
         if ctx.rep(rep.char, branch).branch != rep.branch:
@@ -371,27 +400,8 @@ def invariant(d: TangleDiagram, col: GColoring, ctx: EvalContext,
 # Move invariance reporting
 
 
-def _recolor(d2: TangleDiagram, bottom, seeds):
-    """Re-solve a moved diagram, redistributing the cup seed colors.
-
-    Moves change the cup count and positions, so the given seeds are tried
-    over cup slots (order preserved, largest subset first); cups left
-    unseeded must resolve themselves through arcs or the kink rule.
-    """
-    n = sum(p in (Piece.CUP_L, Piece.CUP_R)
-            for pieces in d2.slices for p in pieces)
-    seeds = list(seeds)
-    for k in range(min(len(seeds), n), -1, -1):
-        for keep in combinations(range(len(seeds)), k):
-            for slots in combinations(range(n), k):
-                try:
-                    return coloring.propagate(
-                        d2, bottom,
-                        cup_seeds=dict(zip(slots, (seeds[i] for i in keep))))
-                except (Inconsistent, UnderdeterminedColoring,
-                        coloring.CapMismatch, factgroup.NotFactorizable):
-                    continue
-    raise Inconsistent("no seed placement colors the moved diagram")
+#: Re-solve a moved diagram over its cup slots (`coloring.recolor`).
+_recolor = coloring.recolor
 
 
 def reidemeister_report(d: TangleDiagram, bottom, seeds, moves,

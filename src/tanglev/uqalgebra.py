@@ -190,21 +190,6 @@ class CyclicRep:
         return {"K": self.Kmat, "L": self.Lmat,
                 "E": self.Emat, "F": self.Fmat}
 
-    def to_json(self):
-        def mat(m):
-            return [[[z.real, z.imag] for z in row] for row in m.tolist()]
-        return {
-            "ell": self.rd.ell,
-            "char": [[complex(v).real, complex(v).imag]
-                     for v in self.char.coords()],
-            "branch": list(self.branch),
-            "kappa": [self.kappa.real, self.kappa.imag],
-            "lambda": [self.lam.real, self.lam.imag],
-            "cval": [self.cval.real, self.cval.imag],
-            "K": mat(self.Kmat), "L": mat(self.Lmat),
-            "E": mat(self.Emat), "F": mat(self.Fmat),
-        }
-
 
 def build_irrep(char: CentralCharacter, branch, rd: RootData) -> CyclicRep:
     """Construct the cyclic irrep with branch (r, s).

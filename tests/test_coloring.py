@@ -1,11 +1,13 @@
 """Unit tests for flat-connection colorings of tangle diagrams."""
 
+import numpy as np
 import pytest
 
-from tanglev import coloring, diagram, factgroup
+from tanglev import coloring, diagram, evaluator, factgroup
 from tanglev.coloring import ColoredBoundary
 
-from conftest import mat2_of, rational_mat, trefoil_meridians
+from conftest import (mat2_of, rational_mat, trefoil_boundary_3,
+                      trefoil_meridians)
 
 
 def two_colors(rng):
@@ -103,6 +105,47 @@ class TestPropagation:
         x, _ = two_colors(rng)
         with pytest.raises(coloring.ArityMismatch):
             coloring.propagate(d, ColoredBoundary(((1, x),)), cup_seeds={})
+
+
+class TestRecolor:
+    def test_one_scan_for_every_placement(self, monkeypatch):
+        # a curl on the 3-strand trefoil leaves four cups; its seeds close
+        # up only on cups 2 and 3, the sixth placement tried
+        y1, y2, y3 = trefoil_boundary_3()
+        d = diagram.close_braid_partial(diagram.braid_word([1, 2, 1, 2], 3))
+        d2 = diagram.apply_move(
+            d, "FramedR1", next(diagram.find_move_sites(d, "FramedR1")))
+        bottom = ColoredBoundary(((1, y1),))
+        scans = []
+
+        def counted(diag, _scan=coloring._scan):
+            scans.append(diag)
+            return _scan(diag)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(coloring, "_scan", counted)
+            col = evaluator._recolor(d2, bottom, [y2, y3])
+        assert len(scans) == 1
+        ref = coloring.propagate(d2, bottom, cup_seeds={2: y2, 3: y3})
+        widths = [d2.bottom_arity] + [len(diagram.slice_top(s))
+                                      for s in d2.slices]
+
+        def bits(c):
+            return np.array([c.color(level, pos).entries()
+                             for level, width in enumerate(widths)
+                             for pos in range(width)]).view(np.uint64)
+
+        assert np.array_equal(bits(col), bits(ref))
+
+    def test_crossings_are_recorded_on_arc_roots(self):
+        y1, y2, y3 = trefoil_boundary_3()
+        d = diagram.close_braid_partial(diagram.braid_word([1, 2, 1, 2], 3))
+        col = coloring.propagate(d, ColoredBoundary(((1, y1),)),
+                                 cup_seeds={0: y2, 1: y3})
+        points = [pt for cr in col._crossings
+                  for pt in (cr.c, cr.d, cr.a, cr.b)]
+        assert len(points) == 16
+        assert all(col._uf.find(pt) == pt for pt in points)
 
 
 class TestClosedDiagrams:

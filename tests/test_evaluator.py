@@ -270,6 +270,50 @@ class TestPlanner:
         evaluator.invariant(d, col, ctx)
         assert len(lookups) == planned > 0
 
+    def test_warm_plan_derives_nothing(self, monkeypatch):
+        # once a context has evaluated the trefoil and a moved copy of it,
+        # re-evaluating either derives no character and no label
+        y1, y2, y3 = trefoil_boundary_3()
+        d, col = trefoil_colourings()[1]
+        d2 = diagram.apply_move(
+            d, "FramedR1", next(diagram.find_move_sites(d, "FramedR1")))
+        col2 = evaluator._recolor(d2, ColoredBoundary(((1, y1),)), [y2, y3])
+        ctx = EvalContext(RootData(3))
+
+        def values():
+            return np.array([evaluator.invariant(*dc, ctx)[0]
+                             for dc in ((d, col), (d2, col2))])
+
+        cold = values()
+        derived = []
+        for module, name in ((braiding, "branch_of"),
+                             (evaluator, "group_to_char")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                derived.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        warm = values()
+        assert derived == []
+        assert np.array_equal(warm.view(np.uint64), cold.view(np.uint64))
+
+    def test_arc_memo_is_keyed_on_the_exact_colour(self):
+        # a hit is the rep a miss derives; a colour 1e-6 away misses and
+        # gets the irrep of its own character
+        y1, _, _ = trefoil_boundary_3()
+        ctx = EvalContext(RootData(3))
+        start = ctx.rep(group_to_char(y1), (0, 0))
+        z, c = start.kappa / start.lam, start.cval
+        rep = ctx.arc_rep(y1, z, c)
+        assert rep is ctx.rep(group_to_char(y1), braiding.branch_of(
+            group_to_char(y1), z, c, ctx.rd))
+        assert ctx.arc_rep(y1, z, c) is rep
+        near = factgroup.Mat2(*(v * (1 + 1e-6) for v in y1.entries()))
+        other = ctx.arc_rep(near, z, c)
+        char = group_to_char(near)
+        assert other is not rep and other.char == char != rep.char
+        assert other.branch == braiding.branch_of(char, z, c, ctx.rd)
+        assert len(ctx._arcs) == 2
+
     def test_bottom_branch_off_its_strand_is_refused(self, ctx):
         # the crossing's slot-2 output turns down through the cap, so
         # bottom points 0 and 2 lie on one strand
