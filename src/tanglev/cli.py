@@ -226,8 +226,9 @@ def _verify_factorization(rng, samples):
             if lhs != rhs:
                 bad += 1
                 continue
-            if factgroup.star_mul(g, factgroup.star_inv(g)) != \
-                    factgroup.star_mul(factgroup.star_inv(g), g):
+            gi = factgroup.star_inv(g)
+            if (factgroup.star_mul(g, gi), factgroup.star_mul(gi, g)) != \
+                    (factgroup.identity(),) * 2:
                 bad += 1
         except factgroup.NotFactorizable:
             continue

@@ -63,8 +63,8 @@ class ColoredBoundary:
 
 
 class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+    def __init__(self, keys=()):
+        self.parent = {key: key for key in keys}
 
     def find(self, key):
         parent = self.parent
@@ -93,7 +93,8 @@ class _Crossing:
 
 def _scan(d: TangleDiagram):
     """Flattened union-find of edge endpoints; crossings and cups on roots."""
-    uf = _UnionFind()
+    # bottom points first: a diagram may have no slices
+    uf = _UnionFind((0, i) for i in range(d.bottom_arity))
     crossings = []
     cups = []
     for k, pieces in enumerate(d.slices):
@@ -126,12 +127,13 @@ class GColoring:
     def __init__(self, diagram, uf, crossings, colors, tol=1e-9):
         self.diagram = diagram
         self._uf = uf
+        self._roots = uf.parent  # flat: every endpoint to its arc root
         self._crossings = crossings
         self._colors = colors
         self.tol = tol
 
     def color(self, level, pos) -> Mat2:
-        return self._colors[self._uf.find((level, pos))]
+        return self._colors[self._roots[(level, pos)]]
 
     def boundary(self, side) -> ColoredBoundary:
         if side == "bottom":
@@ -177,10 +179,11 @@ def _apply_crossing(cr: _Crossing, colors, tol):
         return put(outs, factgroup.xlr(x, y))
     if u is not None and v is not None:
         return put(ins, factgroup.xlr_inverse(u, v))
-    if x is not None and u is not None:
-        xm = factorize(x).minus()
-        up = factorize(u).plus()
-        return put((ins[1], outs[1]), (xm.inv() * u * xm, up.inv() * x * up))
+    if x is not None and u is not None:  # y = x-^-1 u x-, v = u+^-1 x u+
+        fx, fu = factorize(x), factorize(u)
+        return put((ins[1], outs[1]), (
+            factgroup._lower_conj(u, fx.a, fx.b),
+            factgroup._upper_conj(x, fu.beta, fu.alpha)))
     c = colors.get(cr.c)
     if c is not None and cr.b == cr.d:
         return put((cr.d, cr.a), (factgroup.curl_partner(c), c))
@@ -200,7 +203,7 @@ def _fill(d, scan, bottom, cup_seeds, tol=1e-9):
     uf, crossings, cups = scan
     colors = {}
     for i, (sign, x) in enumerate(bottom.entries):
-        _set_color(colors, uf.find((0, i)), x, tol)
+        _set_color(colors, uf.parent[(0, i)], x, tol)
     if cup_seeds:
         for idx, x in dict(cup_seeds).items():
             if not 0 <= idx < len(cups):
@@ -270,35 +273,31 @@ def solve_closed(d: TangleDiagram, seeds, tol=1e-9) -> GColoring:
         raise Inconsistent(str(exc)) from exc
 
 
+def _accumulate(acc, sign, x):
+    """Extend the (plus, minus^-1) products of a boundary by one strand."""
+    f = factorize(x)
+    p, m = f.plus(), f.minus()
+    if sign < 0:
+        p, m = p.inv(), m.inv()
+    return (p, m.inv()) if acc is None else (acc[0] * p, m.inv() * acc[1])
+
+
 def holonomy_of_boundary(boundary: ColoredBoundary, i: int) -> Mat2:
     """Meridian holonomy across the first i strands of a boundary object."""
     if not 1 <= i <= len(boundary):
         raise ArityMismatch("strand index %d out of range" % i)
-    plus_acc = None
-    minus_acc = None
+    acc = None
     for sign, x in boundary.entries[:i]:
-        f = factorize(x)
-        p, m = f.plus(), f.minus()
-        if sign < 0:
-            p, m = p.inv(), m.inv()
-        plus_acc = p if plus_acc is None else plus_acc * p
-        minus_acc = m.inv() if minus_acc is None else m.inv() * minus_acc
-    return plus_acc * minus_acc
+        acc = _accumulate(acc, sign, x)
+    return acc[0] * acc[1]
 
 
 def functor_f_object(signs_and_holonomies) -> ColoredBoundary:
     """Invert the holonomy formula: recover edge colors from meridians."""
-    entries = []
-    plus_acc = None
-    minus_acc = None
+    entries, acc = [], None
     for sign, g in signs_and_holonomies:
-        h = g if plus_acc is None else plus_acc.inv() * g * minus_acc.inv()
+        h = g if acc is None else acc[0].inv() * g * acc[1].inv()
         x = h if sign > 0 else star_inv(h)
         entries.append((sign, x))
-        f = factorize(x)
-        p, m = f.plus(), f.minus()
-        if sign < 0:
-            p, m = p.inv(), m.inv()
-        plus_acc = p if plus_acc is None else plus_acc * p
-        minus_acc = m.inv() if minus_acc is None else m.inv() * minus_acc
+        acc = _accumulate(acc, sign, x)
     return ColoredBoundary(tuple(entries))

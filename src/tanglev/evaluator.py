@@ -282,7 +282,7 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     context derives a label only for a colour and scalars it has not met.
     Arcs and crossings are the colouring's own.
     """
-    uf = col._uf
+    roots = col._roots
     strands = coloring._UnionFind()
     for cr in col._crossings:  # recorded on arc roots
         strands.union(cr.c, cr.b)
@@ -293,7 +293,7 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     assign = {}
     for level, width in enumerate(widths):
         for pos in range(width):
-            root = uf.find((level, pos))
+            root = roots[(level, pos)]
             if root in assign:
                 continue
             color = col.color(level, pos)
@@ -304,12 +304,12 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
                 scalars[strand] = start.kappa / start.lam, start.cval
             assign[root] = ctx.arc_rep(color, *scalars[strand])
     for i, branch in enumerate(given):
-        rep = assign[uf.find((0, i))]
+        rep = assign[roots[(0, i)]]
         if ctx.rep(rep.char, branch).branch != rep.branch:
             raise BranchObstruction(
                 "bottom branch %r at boundary point %d is not the module "
                 "of its strand" % (branch, i))
-    return uf, assign
+    return col._uf, assign
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +330,7 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     uf, arc_rep = _plan_branches(d, col, ctx, bottom_branches)
 
     def arcs(level, start, n):
-        return [arc_rep[uf.find((level, start + j))] for j in range(n)]
+        return [arc_rep[uf.parent[(level, start + j)]] for j in range(n)]
 
     in_dim = ell ** d.bottom_arity
     state = np.eye(in_dim, dtype=complex)

@@ -1,15 +1,24 @@
-"""GL2 as a factorizable group.
+"""GL2 as a factorizable group, in closed form.
 
-A generic invertible 2x2 matrix g splits uniquely as g = g_plus * g_minus^-1
-with g_plus upper triangular with unit (1,1) entry and g_minus lower
-triangular with unit (2,2) entry:
+A generic g is g_plus g_minus^-1 with g_plus = [[1, beta], [0, alpha]],
+g_minus = [[a, 0], [b, 1]], alpha = g22, beta = g12, a = g22/det g and
+b = -g21/det g.  The star product, its inverse and the crossing map
+(x_L, x_R) = `xlr` (no separate x_left) are written entry by entry in these
+coordinates, with no 2x2 matrix products; as field identities they are
+exact over QC and agree up to rounding over floats:
 
-    g_plus = [[1, beta], [0, alpha]],   g_minus = [[a, 0], [b, 1]].
+    g*h  = [[(det g det h + B C)/A, B], [C, A]], with A = g22 h22,
+           B = h12 + g12 h22, C = g21 h22 + h21 det g;
+    i(g) = [[g22^2 + g12 g21, -g12 det g], [-g21, det g]] / (g22 det g);
+    x_L  = [[l11, a y12], [(b (l11 - y22) + y21)/a, b y12 + y22]],
+           l11 = y11 - b y12, with (a, b) those of x;
+    x_R  = [[x11 - u, l12 (x11 - u - x22) + x12 l22], [t, u + x22]],
+           t = x21/l22, u = l12 t, with l = x_L.
 
-The closed form (alpha = g22, beta = g12, a = g22/det, b = -g21/det) is exact
-over any field, so the whole module works over both the rational-complex and
-the float backend.  On top of the factorization sit the star product group
-GL2*, the maps x_left / x_right (`xlr`) and the set-theoretic Yang-Baxter map.
+`NotFactorizable` ("matrix is singular", then "lower-right entry vanishes";
+`_nonzero` decides on both backends) is raised where det or the (2,2)
+entry vanishes, of: g in factorize, star_inv, curl_partner; g, h in
+star_mul; x, x_L in xlr; c, a in xlr_inverse.
 """
 
 from __future__ import annotations
@@ -101,75 +110,70 @@ class Factorization:
         return (self.alpha, self.beta, self.a, self.b)
 
 
-def factorize(g: Mat2) -> Factorization:
-    """Gauss-decompose g into Borel coordinates (alpha, beta, a, b)."""
+def _domain_det(g: Mat2):
+    """det g, once g is checked to lie in the factorization domain."""
     d = g.det()
     if not _nonzero(d):
         raise NotFactorizable("matrix is singular")
     if not _nonzero(g.m22):
         raise NotFactorizable("lower-right entry vanishes")
+    return d
+
+
+def factorize(g: Mat2) -> Factorization:
+    """Gauss-decompose g into Borel coordinates (alpha, beta, a, b)."""
+    d = _domain_det(g)
     return Factorization(alpha=g.m22, beta=g.m12, a=g.m22 / d, b=-g.m21 / d)
 
 
-def star_mul(g: Mat2, h: Mat2) -> Mat2:
-    """Product in GL2*: g*h = g+ h+ (g- h-)^-1, in Borel coordinates.
+def _lower_conj(m: Mat2, a, b) -> Mat2:
+    """L^-1 m L for the lower Borel factor L = [[a, 0], [b, 1]]."""
+    s = m.m12 / a
+    bs = b * s
+    n22 = m.m22 - bs
+    return Mat2(m.m11 + bs, s, a * m.m21 + b * (n22 - m.m11), n22)
 
-    With g = (alpha1, beta1, a1, b1) and h = (alpha2, beta2, a2, b2) the
-    product has plus part [[1, B], [0, A]] and minus part [[P, 0], [Q, 1]]
-    where B = beta2 + beta1 alpha2, A = alpha1 alpha2, P = a1 a2,
-    Q = b1 a2 + b2.
-    """
-    fg, fh = factorize(g), factorize(h)
-    bb = fh.beta + fg.beta * fh.alpha
-    aa = fg.alpha * fh.alpha
-    p = fg.a * fh.a
-    q = fg.b * fh.a + fh.b
-    pinv = aa / (aa * p)
-    qp = q * pinv
-    return Mat2(pinv - bb * qp, bb, -aa * qp, aa)
+
+def _upper_conj(m: Mat2, beta, alpha) -> Mat2:
+    """U^-1 m U for the upper Borel factor U = [[1, beta], [0, alpha]]."""
+    t = m.m21 / alpha
+    u = beta * t
+    n11 = m.m11 - u
+    return Mat2(n11, beta * (n11 - m.m22) + m.m12 * alpha, t, u + m.m22)
+
+
+def star_mul(g: Mat2, h: Mat2) -> Mat2:
+    """Product in GL2*: g*h = g+ h+ (g- h-)^-1."""
+    dg, dh = _domain_det(g), _domain_det(h)
+    aa = g.m22 * h.m22
+    bb = h.m12 + g.m12 * h.m22
+    cc = g.m21 * h.m22 + h.m21 * dg
+    return Mat2((dg * dh + bb * cc) / aa, bb, cc, aa)
 
 
 def star_inv(g: Mat2) -> Mat2:
-    """Inverse in GL2*: i(g) = g+^-1 g-, in Borel coordinates."""
-    f = factorize(g)
-    ba = f.beta / f.alpha
-    return Mat2(f.a - ba * f.b, -ba, f.b / f.alpha, f.a / f.a / f.alpha)
-
-
-def _lower_inv(m: Mat2) -> Mat2:
-    """Closed-form inverse of a lower Borel factor [[p, 0], [q, 1]]."""
-    one = m.m22
-    p = one / m.m11
-    return Mat2(p, m.m12, -m.m21 * p, one)
-
-
-def _upper_inv(m: Mat2) -> Mat2:
-    """Closed-form inverse of an upper Borel factor [[1, q], [0, p]]."""
-    one = m.m11
-    p = one / m.m22
-    return Mat2(one, -m.m12 * p, m.m21, p)
-
-
-def x_left(x: Mat2, y: Mat2) -> Mat2:
-    """x_L(x, y) = x- y x-^-1."""
-    xm = factorize(x).minus()
-    return xm * y * _lower_inv(xm)
+    """Inverse in GL2*: i(g) = g+^-1 g-."""
+    d = _domain_det(g)
+    e = 1 / (g.m22 * d)
+    return Mat2((g.m22 * g.m22 + g.m12 * g.m21) * e, -g.m12 * d * e,
+                -g.m21 * e, d * e)
 
 
 def xlr(x: Mat2, y: Mat2):
-    """Both components of the crossing map, sharing the factorizations."""
-    xl = x_left(x, y)
-    xlp = factorize(xl).plus()
-    return xl, _upper_inv(xlp) * x * xlp
+    """(x_L, x_R); x-^-1 is the lower factor [[det x/x22, 0], [x21/x22, 1]]."""
+    dx = _domain_det(x)
+    xl = _lower_conj(y, dx / x.m22, x.m21 / x.m22)
+    _domain_det(xl)
+    return xl, _upper_conj(x, xl.m12, xl.m22)
 
 
 def xlr_inverse(c: Mat2, d: Mat2):
-    """Solve (c, d) = xlr(a, b) for (a, b)."""
-    cp = factorize(c).plus()
-    a = cp * d * _upper_inv(cp)
-    am = factorize(a).minus()
-    b = _lower_inv(am) * c * am
-    return a, b
+    """Solve (c, d) = xlr(a, b): a = c+ d c+^-1, with c+^-1 the upper factor
+    [[1, -c12/c22], [0, 1/c22]], and b = a-^-1 c a-."""
+    _domain_det(c)
+    a = _upper_conj(d, -c.m12 / c.m22, 1 / c.m22)
+    fa = factorize(a)
+    return a, _lower_conj(c, fa.a, fa.b)
 
 
 def yb_map(x: Mat2, y: Mat2):
@@ -189,17 +193,13 @@ def curl_partner(c: Mat2) -> Mat2:
     At the crossing of a positive or negative curl the loop edge must carry
     d = c-^-1 c c- (= c-^-1 c+), the through edge keeps color c.
     """
-    cm = factorize(c).minus()
-    return _lower_inv(cm) * c * cm
+    f = factorize(c)
+    return _lower_conj(c, f.a, f.b)
 
 
 def curl_unpartner(d: Mat2) -> Mat2:
-    """Invert curl_partner: the strand color whose kink loop is colored d.
-
-    Solves x_-^-1 x_+ = d in closed form; writing x_+ = [[1, beta], [0, alpha]]
-    and x_- = [[a, 0], [b, 1]] gives a = 1/d11, b = -d21/d11, beta = d12/d11,
-    alpha = det(d)/d11, and x = x_+ x_-^-1.
-    """
+    """Invert curl_partner: the strand color x with x-^-1 x+ = d, which has
+    a = 1/d11, b = -d21/d11, beta = d12/d11 and alpha = det(d)/d11."""
     if not _nonzero(d.m11):
         raise NotFactorizable("no strand color: vanishing (1,1) entry")
     one = d.m11 / d.m11

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tanglev import cli
+from tanglev import cli, factgroup
 
 from conftest import trefoil_boundary_2
 
@@ -101,6 +101,15 @@ class TestVerifyMode:
         assert code == 0
         assert all(sec["failures"] == 0
                    for sec in rep["sections"].values())
+
+    def test_star_inverse_checked_against_identity(self, capsys,
+                                                   monkeypatch):
+        # a wrong inverse that is the same on both sides must not pass
+        monkeypatch.setattr(factgroup, "star_inv", lambda g: g)
+        code, rep = run_cli(capsys, "verify", "--samples", "10",
+                            "--seed", "3")
+        assert code == 2
+        assert rep["sections"]["factorization_star_axioms"]["failures"] > 0
 
 
 class TestYbFuzzMode:

@@ -147,6 +147,35 @@ class TestRecolor:
         assert len(points) == 16
         assert all(col._uf.find(pt) == pt for pt in points)
 
+    def test_root_map_holds_every_endpoint(self, rng):
+        # colours, the planner and contraction index the flat parent map
+        # directly, with no find
+        y1, y2, y3 = trefoil_boundary_3()
+        d3 = diagram.close_braid_partial(diagram.braid_word([1, 2, 1, 2], 3))
+        moved = diagram.apply_move(
+            d3, "FramedR1", next(diagram.find_move_sites(d3, "FramedR1")))
+        x, _ = two_colors(rng)
+        cases = [(d3, ColoredBoundary(((1, y1),)), {0: y2, 1: y3}),
+                 (moved, ColoredBoundary(((1, y1),)), {2: y2, 3: y3}),
+                 (diagram.parse("x+ ; x-"),
+                  ColoredBoundary(((1, x), (1, x))), {}),
+                 (diagram.TangleDiagram((), (1,)),
+                  ColoredBoundary(((1, x),)), {})]
+        for d, bottom, seeds in cases:
+            col = coloring.propagate(d, bottom, cup_seeds=seeds)
+            roots = col._roots
+            points = {(0, i) for i in range(d.bottom_arity)}
+            for k, pieces in enumerate(d.slices):
+                bcol = tcol = 0
+                for p in pieces:
+                    points.update((k, bcol + j) for j in range(len(p.bottom)))
+                    points.update((k + 1, tcol + j) for j in range(len(p.top)))
+                    bcol += len(p.bottom)
+                    tcol += len(p.top)
+            assert points <= roots.keys()
+            assert all(roots[roots[pt]] == roots[pt] for pt in points)
+            assert col.color(0, 0) == bottom.entries[0][1]
+
 
 class TestClosedDiagrams:
     def test_solve_closed_accepts_flat_seeds(self):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanglev import factgroup
+from tanglev import coloring, factgroup
+from tanglev.diagram import Piece
 from tanglev.factgroup import Mat2
 from tanglev.rational import QC, parse_scalar, scalar_from_json, scalar_to_json
 
@@ -21,8 +22,8 @@ def qc_strategy(span=6, maxden=3):
     return st.builds(QC, frac, frac)
 
 
-def mat_strategy():
-    return st.builds(Mat2, *(qc_strategy() for _ in range(4)))
+def mat_strategy(span=6, maxden=3):
+    return st.builds(Mat2, *(qc_strategy(span, maxden) for _ in range(4)))
 
 
 def factorizable(m):
@@ -174,6 +175,149 @@ class TestCrossingMap:
                 assert factgroup.xlr(c, d) == (c, d)
             except factgroup.NotFactorizable:
                 continue
+
+
+# The defining products of the group layer, written with the Borel factors
+# and general 2x2 inverses; the library computes them in closed form.
+
+def oracle_xlr(x, y):
+    xm = factgroup.factorize(x).minus()
+    xl = xm * y * xm.inv()
+    xlp = factgroup.factorize(xl).plus()
+    return xl, xlp.inv() * x * xlp
+
+
+def oracle_xlr_inverse(c, d):
+    cp = factgroup.factorize(c).plus()
+    a = cp * d * cp.inv()
+    am = factgroup.factorize(a).minus()
+    return a, am.inv() * c * am
+
+
+def oracle_curl_partner(c):
+    cm = factgroup.factorize(c).minus()
+    return cm.inv() * c * cm
+
+
+def oracle_star_mul(g, h):
+    fg, fh = factgroup.factorize(g), factgroup.factorize(h)
+    return (fg.plus() * fh.plus()) * (fg.minus() * fh.minus()).inv()
+
+
+def oracle_star_inv(g):
+    f = factgroup.factorize(g)
+    return f.plus().inv() * f.minus()
+
+
+PAIRS = ((factgroup.xlr, oracle_xlr),
+         (factgroup.xlr_inverse, oracle_xlr_inverse),
+         (factgroup.star_mul, oracle_star_mul))
+SINGLES = ((factgroup.curl_partner, oracle_curl_partner),
+           (factgroup.star_inv, oracle_star_inv))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the NotFactorizable message it raises."""
+    try:
+        return fn(*args)
+    except factgroup.NotFactorizable as exc:
+        return "NotFactorizable: %s" % exc
+
+
+def complex_rational_mat(rng):
+    while True:
+        m = Mat2(*(QC(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                   for _ in range(4)))
+        if factorizable(m):
+            return m
+
+
+def assert_same_outcomes(x, y):
+    for fn, oracle in PAIRS:
+        assert outcome(fn, x, y) == outcome(oracle, x, y), fn.__name__
+    for fn, oracle in SINGLES:
+        assert outcome(fn, x) == outcome(oracle, x), fn.__name__
+
+
+class TestClosedForms:
+    def test_equal_to_defining_products(self, rng):
+        # complex-rational entries, so the imaginary parts take part too
+        for _ in range(60):
+            x, y = complex_rational_mat(rng), complex_rational_mat(rng)
+            assert_same_outcomes(x, y)
+
+    @pytest.mark.parametrize("x, y, message", [
+        # det x = 0, x22 = 0, det x_L = det y = 0, (x_L)22 = 0
+        ((1, 2, 2, 4), (1, 0, 0, 1), "matrix is singular"),
+        ((1, 1, 1, 0), (1, 0, 0, 1), "lower-right entry vanishes"),
+        ((1, 0, 1, 1), (1, 2, 1, 2), "matrix is singular"),
+        ((1, 0, 1, 1), (1, 1, 0, 1), "lower-right entry vanishes"),
+    ])
+    def test_xlr_border(self, x, y, message):
+        x, y = (Mat2(*map(QC, m)) for m in (x, y))
+        with pytest.raises(factgroup.NotFactorizable, match=message):
+            factgroup.xlr(x, y)
+        assert_same_outcomes(x, y)
+
+    @given(*[st.one_of(mat_strategy(), mat_strategy(span=1, maxden=1))] * 2)
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdicts_on_small_entries(self, x, y):
+        # entries in {-1, 0, 1} + {-1, 0, 1} i put many pairs on the border
+        assert_same_outcomes(x, y)
+
+    @pytest.mark.parametrize("kind", [Piece.X_POS, Piece.X_NEG])
+    def test_float_coloring_branch(self, rng, kind):
+        # x and u = x_L known: the crossing solves y = x-^-1 u x- and
+        # x_R = u+^-1 x u+
+        for _ in range(30):
+            x = factgroup.to_float(rational_mat(rng))
+            y = factgroup.to_float(rational_mat(rng))
+            try:
+                u = oracle_xlr(x, y)[0]
+                xm = factgroup.factorize(x).minus()
+                up = factgroup.factorize(u).plus()
+            except factgroup.NotFactorizable:
+                continue
+            y_ref, v_ref = xm.inv() * u * xm, up.inv() * x * up
+            cr = coloring._Crossing(kind, "c", "d", "a", "b")
+            if kind is Piece.X_POS:
+                x_pt, u_pt, y_pt, v_pt = "c", "a", "d", "b"
+            else:
+                x_pt, u_pt, y_pt, v_pt = "a", "c", "b", "d"
+            colors = {x_pt: x, u_pt: u}
+            assert coloring._apply_crossing(cr, colors, tol=1e-9)
+            assert factgroup.mats_equal(colors[y_pt], y_ref, tol=1e-12)
+            assert factgroup.mats_equal(colors[v_pt], v_ref, tol=1e-12)
+
+
+class TestArithmeticCount:
+    # A guard that does not depend on the machine: the closed forms make a
+    # fixed number of scalar multiplications and divisions.
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        box = {"n": 0}
+        for op in ("__mul__", "__truediv__"):
+            fn = getattr(QC, op)
+
+            def counted(a, b, fn=fn):
+                box["n"] += 1
+                return fn(a, b)
+            monkeypatch.setattr(QC, op, counted)
+        return box
+
+    def test_xlr(self, counts):
+        x = Mat2(QC(Fraction(-4, 3)), QC(1), QC(Fraction(-10, 3)), QC(2))
+        y = Mat2(QC(2), QC(Fraction(1, 2)), QC(-1), QC(3))
+        factgroup.xlr(x, y)
+        assert counts["n"] <= 14
+
+    def test_star_mul(self, counts):
+        g = Mat2(QC(Fraction(-4, 3)), QC(1), QC(Fraction(-10, 3)), QC(2))
+        h = Mat2(QC(2), QC(Fraction(1, 2)), QC(-1), QC(3))
+        factgroup.star_mul(g, h)
+        assert counts["n"] <= 11
 
 
 class TestFloatBackend:
