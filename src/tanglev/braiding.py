@@ -30,11 +30,13 @@ twisted intertwiner M solving
     M (P R(w) P) = (rho_{x_L} (x) rho_{x_R})(w) M
 
 for all eight generator slots w, with R(w) evaluated in (rho_y, rho_x)
-and P the tensor flip.  Its output branches are not searched for: K L^-1
-and c = E F + K eps^-1 + eps L^-1 act by scalars on each source slot,
-and only the irreps with those scalars can be reached, so each crossing
-is one nullspace solve.  The negative crossing solves the same equation
-with source slots R^-1(flip w), evaluated in its own input pair.
+and P the tensor flip.  Its output branches are not searched for: R
+carries the central scalars of K L^-1 and c = E F + K eps^-1 + eps L^-1
+from each input slot to the opposite output slot, so x_L is the irrep
+with y's scalars and x_R the one with x's, and each crossing is one
+nullspace solve.  The negative crossing out of (c, d) is the inverse of
+the positive block out of the preimage pair (a, b), labelled by the same
+rule: there is one solve path, for the positive sign.
 
 The solve is graded by weight.  K is diagonal in every cyclic irrep and
 R(Delta K) = flip Delta K, so total K = K1 K2 is diagonal on source and
@@ -177,38 +179,6 @@ def r_images(rep_a: CyclicRep, rep_b: CyclicRep) -> RImages:
     return RImages((rep_a, rep_b), img)
 
 
-def r_inverse_images(rep_c: CyclicRep, rep_d: CyclicRep) -> RImages:
-    """Evaluate the inverse automorphism R^-1 in the pair V_c (x) V_d.
-
-    R^-1(N) = 1 - eps E (x) F, so 1 (x) K -> (1 (x) K)(1 - eps E (x) F) and
-    likewise for L; the rest follows from R(E (x) 1) = E (x) L,
-    R(1 (x) F) = K^-1 (x) F and R^-1(flip Delta(u)) = Delta(u).  As in
-    `r_images`, only 1 - eps E (x) F needs a dense inverse.
-    """
-    rd = rep_c.rd
-    slot = _pair_eval(rep_c, rep_d)
-    k1, k2, l1, l2 = (np.diagonal(slot[g])
-                      for g in ("K1", "K2", "L1", "L2"))
-    eye = np.eye(rd.ell * rep_d.dim, dtype=complex)
-    n_mat = eye - rd.eps * slot["E1"] @ slot["F2"]
-    if np.linalg.cond(n_mat) > COND_LIMIT:
-        raise SingularN("series factor R^-1(N) numerically singular")
-    n_inv = np.linalg.inv(n_mat)
-
-    img = {}
-    img["K2"] = slot["K2"] @ n_mat
-    img["L2"] = slot["L2"] @ n_mat
-    img["K1"] = (k1 * k2)[:, None] * n_inv / k2
-    img["L1"] = (l1 * l2)[:, None] * n_inv / l2
-    img["E1"] = slot["E1"] @ n_inv / l2
-    img["F2"] = img["K1"] @ slot["F2"]
-    img["E2"] = (k2[:, None] * n_mat / (k1 * k2)) @ (
-        slot["E1"] @ slot["K2"] + slot["E2"] - img["E1"])
-    img["F1"] = (slot["F1"] + slot["F2"] / l1[:, None] - img["F2"]) \
-        @ img["L2"]
-    return RImages((rep_c, rep_d), img)
-
-
 def automorphism_residuals(ri: RImages):
     """Residuals of the defining algebra relations among the image matrices."""
     rd = ri.pair[0].rd
@@ -297,17 +267,16 @@ def z0_pullback_check(x: Mat2, y: Mat2, rd: RootData):
 
 @dataclass(frozen=True)
 class BraidingBlock:
-    """The colored positive crossing V_x (x) V_y -> V_{x_L} (x) V_{x_R}."""
+    """A colored crossing: the positive V_x (x) V_y -> V_{x_L} (x) V_{x_R}
+    or the negative V_c (x) V_d -> V_a (x) V_b."""
 
     matrix: np.ndarray = field(repr=False)
-    source_chars: tuple
     source_branches: tuple
     target_chars: tuple  # (x_L char, x_R char)
     target_branches: tuple  # ((r,s) of x_L rep, (r,s) of x_R rep)
     nullity: int
     residual: float
     branch_retry: bool
-    normalization: str = NORMALIZATION_VERSION
 
 
 def _normalize(m):
@@ -396,14 +365,6 @@ def _positive_slots(repx, repy):
             for name, m in r_images(repy, repx).images.items()}
 
 
-def _negative_slots(repc, repd):
-    """Source slots R^-1(flip w) of the negative crossing, R^-1 in
-    (rho_c, rho_d)."""
-    img = r_inverse_images(repc, repd).images
-    slots = RImages.SLOTS
-    return {w: img[flip_w] for w, flip_w in zip(slots, slots[4:] + slots[:4])}
-
-
 def branch_of(char, z, c, rd):
     """The label (r, s) of the irrep of `char` on which the central
     elements K L^-1 and c = E F + K eps^-1 + eps L^-1 act by the scalars
@@ -416,39 +377,42 @@ def branch_of(char, z, c, rd):
     return r, s
 
 
-def _read_branch(char, slots, suffix, rd):
-    """The label of the irrep of `char` whose central scalars are those
-    K L^-1 and c act by on the given source slot."""
-    k, l, e, f = (slots[g + suffix] for g in "KLEF")
-    l_inv = np.linalg.inv(l)
-    z = np.trace(k @ l_inv) / k.shape[0]
-    c = np.trace(e @ f + k / rd.eps + rd.eps * l_inv) / k.shape[0]
-    return branch_of(char, z, c, rd)
-
-
-def _solve_crossing(sources, chars, slots_of, rel_tol):
-    """The unique intertwiner M source_w = target_w M, with source_w =
-    slots_of(*sources) and target_w the plain pair evaluation in the
-    output irreps of `chars` whose branches are read off the source."""
-    rd = sources[0].rd
+def _strand_reps(chars, carriers, rd):
+    """The irreps of `chars` on which K L^-1 and c act by the scalars of
+    `carriers`, pairwise: a crossing carries these central scalars from
+    each input slot to the opposite output slot."""
     if not all(is_generic(ch, rd) for ch in chars):
-        raise NonGenericCharacter("crossing output character not generic")
-    source_slots = slots_of(*sources)
-    reps = [build_irrep(ch, _read_branch(ch, source_slots, suffix, rd), rd)
-            for ch, suffix in zip(chars, "12")]
-    target_slots = _pair_eval(*reps)
-    m, nullity = _solve_intertwiner(source_slots, target_slots, rel_tol)
+        raise NonGenericCharacter("crossing character not generic")
+    return [build_irrep(ch, branch_of(ch, rep.kappa / rep.lam, rep.cval, rd),
+                        rd)
+            for ch, rep in zip(chars, carriers)]
+
+
+def _solve_positive(repx, repy, chars, rel_tol):
+    """The normalized positive crossing M out of V_x (x) V_y into irreps of
+    `chars` = (x_L, x_R), its nullity, its output irreps and the two sides
+    (source, target) of its equation.  The x_L output carries repy's
+    central scalars, the x_R output repx's."""
+    outputs = _strand_reps(chars, (repy, repx), repx.rd)
+    source, target = _positive_slots(repx, repy), _pair_eval(*outputs)
+    m, nullity = _solve_intertwiner(source, target, rel_tol)
     if nullity > 1:
         raise AmbiguousIntertwiner("solution space has dimension %d" % nullity)
-    m = _normalize(m)
-    residual = max(float(np.max(np.abs(
-        m @ source_slots[name] - target_slots[name] @ m)))
-        for name in RImages.SLOTS)
-    labels = tuple(rep.branch for rep in reps)
+    return _normalize(m), nullity, outputs, source, target
+
+
+def _residual(m, source, target):
+    """max_w |M S_w - T_w M| over the eight slots."""
+    return max(float(np.max(np.abs(m @ source[w] - target[w] @ m)))
+               for w in RImages.SLOTS)
+
+
+def _block(m, sources, targets, nullity, residual):
+    labels = tuple(rep.branch for rep in targets)
     return BraidingBlock(
-        m, tuple(rep.char for rep in sources),
-        tuple(rep.branch for rep in sources), tuple(chars), labels,
-        nullity, residual, labels != ((0, 0), (0, 0)))
+        m, tuple(rep.branch for rep in sources),
+        tuple(rep.char for rep in targets), labels, nullity, residual,
+        labels != ((0, 0), (0, 0)))
 
 
 def solve_braiding(repx: CyclicRep, repy: CyclicRep,
@@ -457,25 +421,38 @@ def solve_braiding(repx: CyclicRep, repy: CyclicRep,
 
     The source side of the intertwiner equation is the flip-conjugated
     R-image evaluated in (rho_y, rho_x); the target side is the plain
-    pair evaluation in the output irreps, whose branches are derived from
-    the source side.
+    pair evaluation in the output irreps, labelled by the strand rule.
     """
-    return _solve_crossing((repx, repy), target_chars(repx.char, repy.char),
-                           _positive_slots, rel_tol)
+    m, nullity, outputs, source, target = _solve_positive(
+        repx, repy, target_chars(repx.char, repy.char), rel_tol)
+    return _block(m, (repx, repy), outputs, nullity,
+                  _residual(m, source, target))
 
 
 def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
                            rel_tol=1e-8) -> BraidingBlock:
     """Solve for the colored negative crossing V_c (x) V_d -> V_a (x) V_b.
 
-    (a, b) is the group-level preimage of (c, d) under the crossing map.
-    The positive block M for sources (a, b) satisfies
-    M (rho_a (x) rho_b)(flip R(w)) = (rho_c (x) rho_d)(w) M, so its inverse
-    N satisfies N S'_w = (rho_a (x) rho_b)(w) N with S'_w = R^-1(flip w)
-    evaluated in (rho_c, rho_d): R^-1 of the slot-swapped generator.
+    (a, b) is the group-level preimage of (c, d) under the crossing map,
+    labelled by the strand rule: a carries d's central scalars, b carries
+    c's.  The positive block M out of V_a (x) V_b lands on V_c (x) V_d, and
+    the negative crossing is its inverse N = M^-1, normalized; nullity is
+    M's and the residual is max_w |N T_w - S_w N| on M's own slots.  A
+    positive block that lands on other labels than (c, d)'s raises
+    NoIntertwiner.  M's outputs are labelled on c's and d's own characters:
+    the crossing map returns them only up to rounding, and `central_values`
+    orders a conjugate pair of values by real parts equal up to rounding.
     """
     ga, gb = factgroup.xlr_inverse(char_to_group(repc.char),
                                    char_to_group(repd.char))
-    chars = (group_to_char(ga), group_to_char(gb))
-    return _solve_crossing((repc, repd), chars, _negative_slots, rel_tol)
-
+    inputs = _strand_reps((group_to_char(ga), group_to_char(gb)),
+                          (repd, repc), repc.rd)
+    m, nullity, outputs, source, target = _solve_positive(
+        *inputs, (repc.char, repd.char), rel_tol)
+    landed = tuple(rep.branch for rep in outputs)
+    if landed != (repc.branch, repd.branch):
+        raise NoIntertwiner("the preimage crossing lands on labels %r, not %r"
+                            % (landed, (repc.branch, repd.branch)))
+    n = _normalize(np.linalg.inv(m))
+    return _block(n, (repc, repd), inputs, nullity,
+                  _residual(n, target, source))

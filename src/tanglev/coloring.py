@@ -50,11 +50,6 @@ class ColoredBoundary:
     def colors(self):
         return tuple(x for _, x in self.entries)
 
-    def twisted(self, i):
-        """The epsilon-twisted color: x for +, i(x) = x+^-1 x- for -."""
-        sign, x = self.entries[i]
-        return x if sign > 0 else star_inv(x)
-
     def equal(self, other, tol=1e-9):
         if self.signs() != other.signs():
             return False

@@ -208,25 +208,31 @@ def tensor(left: TangleDiagram, right: TangleDiagram) -> TangleDiagram:
     return TangleDiagram(tuple(slices), left.bottom_signs + right.bottom_signs)
 
 
-def close_braid(d: TangleDiagram) -> TangleDiagram:
-    """Trace closure: nested cups below, caps above, return strands on the
-    right running downward.  The mu-carrying capR closes each strand."""
+def _close(d: TangleDiagram, open_strands) -> TangleDiagram:
+    """Close every strand but the leftmost `open_strands` (0 or 1): nested
+    cups below, caps above, return strands on the right running downward.
+    The mu-carrying capR closes each strand."""
     n = d.bottom_arity
     if d.top_signs != d.bottom_signs or any(s != 1 for s in d.bottom_signs):
         raise ArityMismatch("closure needs matching all-upward boundaries")
     slices = []
-    for k in range(1, n + 1):
+    for k in range(open_strands + 1, n + 1):
         row = [Piece.ID_UP] * (k - 1) + [Piece.CUP_L] + \
-              [Piece.ID_DOWN] * (k - 1)
+              [Piece.ID_DOWN] * (k - 1 - open_strands)
         slices.append(tuple(row))
-    down = tuple([Piece.ID_DOWN] * n)
+    down = tuple([Piece.ID_DOWN] * (n - open_strands))
     for pieces in d.slices:
         slices.append(tuple(pieces) + down)
-    for k in range(n, 0, -1):
+    for k in range(n, open_strands, -1):
         row = [Piece.ID_UP] * (k - 1) + [Piece.CAP_R] + \
-              [Piece.ID_DOWN] * (k - 1)
+              [Piece.ID_DOWN] * (k - 1 - open_strands)
         slices.append(tuple(row))
-    return TangleDiagram(tuple(slices), ())
+    return TangleDiagram(tuple(slices), (1,) * open_strands)
+
+
+def close_braid(d: TangleDiagram) -> TangleDiagram:
+    """Trace closure of every strand."""
+    return _close(d, 0)
 
 
 def close_braid_partial(d: TangleDiagram) -> TangleDiagram:
@@ -235,22 +241,7 @@ def close_braid_partial(d: TangleDiagram) -> TangleDiagram:
     The open strand avoids the vanishing quantum-dimension trace of the
     full closure; the resulting block is scalar by Schur's lemma.
     """
-    n = d.bottom_arity
-    if d.top_signs != d.bottom_signs or any(s != 1 for s in d.bottom_signs):
-        raise ArityMismatch("closure needs matching all-upward boundaries")
-    slices = []
-    for k in range(2, n + 1):
-        row = [Piece.ID_UP] * (k - 1) + [Piece.CUP_L] + \
-              [Piece.ID_DOWN] * (k - 2)
-        slices.append(tuple(row))
-    down = tuple([Piece.ID_DOWN] * (n - 1))
-    for pieces in d.slices:
-        slices.append(tuple(pieces) + down)
-    for k in range(n, 1, -1):
-        row = [Piece.ID_UP] * (k - 1) + [Piece.CAP_R] + \
-              [Piece.ID_DOWN] * (k - 2)
-        slices.append(tuple(row))
-    return TangleDiagram(tuple(slices), (1,))
+    return _close(d, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +272,10 @@ def _pad_row(signs, position, window, width_after):
     return tuple(row)
 
 
-_R2_VARIANTS = {"pos-neg": (Piece.X_POS, Piece.X_NEG),
-                "neg-pos": (Piece.X_NEG, Piece.X_POS)}
+#: crossing pairs, bottom first: of an R2 site, and of a FramedR1 site's
+#: two curls
+_SIGN_VARIANTS = {"pos-neg": (Piece.X_POS, Piece.X_NEG),
+                  "neg-pos": (Piece.X_NEG, Piece.X_POS)}
 
 # zigzag windows: (strand sign, slice 1 window, slice 2 window)
 _ZIGZAG_VARIANTS = {
@@ -293,9 +286,6 @@ _ZIGZAG_VARIANTS = {
     "down-right": (-1, (Piece.ID_DOWN, Piece.CUP_L),
                    (Piece.CAP_L, Piece.ID_DOWN)),
 }
-
-_CURL_VARIANTS = {"pos-neg": (Piece.X_POS, Piece.X_NEG),
-                  "neg-pos": (Piece.X_NEG, Piece.X_POS)}
 
 
 def _curl_windows(crossing):
@@ -322,10 +312,10 @@ def _find_r2(d):
         signs = _level_signs(d, level)
         for pos in range(len(signs) - 1):
             if signs[pos] == signs[pos + 1] == 1:
-                for var in _R2_VARIANTS:
+                for var in _SIGN_VARIANTS:
                     yield MoveSite("R2", "insert", var, level, pos)
     for k in range(len(d.slices) - 1):
-        for var, (first, second) in _R2_VARIANTS.items():
+        for var, (first, second) in _SIGN_VARIANTS.items():
             for pos in _match_windows(d, k, [(first,), (second,)]):
                 yield MoveSite("R2", "remove", var, k, pos)
 
@@ -393,10 +383,10 @@ def _find_r1(d):
         signs = _level_signs(d, level)
         for pos in range(len(signs)):
             if signs[pos] == 1:
-                for var in _CURL_VARIANTS:
+                for var in _SIGN_VARIANTS:
                     yield MoveSite("FramedR1", "insert", var, level, pos)
     for k in range(len(d.slices) - 5):
-        for var, (first, second) in _CURL_VARIANTS.items():
+        for var, (first, second) in _SIGN_VARIANTS.items():
             windows = list(_curl_windows(first)) + list(_curl_windows(second))
             for pos in _match_windows(d, k, windows):
                 yield MoveSite("FramedR1", "remove", var, k, pos)
@@ -431,12 +421,12 @@ def _insert_move(d, site):
     if site.move == "R2":
         if pos + 1 >= len(signs) or signs[pos] != 1 or signs[pos + 1] != 1:
             raise PatternNotFound("no parallel upward strands at site")
-        for kind in _R2_VARIANTS[site.variant]:
+        for kind in _SIGN_VARIANTS[site.variant]:
             new.append(_pad_row(signs, pos, (kind,), 2))
     elif site.move == "FramedR1":
         if pos >= len(signs) or signs[pos] != 1:
             raise PatternNotFound("no upward strand at site")
-        for kind in _CURL_VARIANTS[site.variant]:
+        for kind in _SIGN_VARIANTS[site.variant]:
             row_signs, width = signs, 1
             for window in _curl_windows(kind):
                 new.append(_pad_row(row_signs, pos, window, width))
@@ -457,10 +447,10 @@ def _insert_move(d, site):
 def _remove_move(d, site):
     k, pos = site.level, site.position
     if site.move == "R2":
-        expect = [(p,) for p in _R2_VARIANTS[site.variant]]
+        expect = [(p,) for p in _SIGN_VARIANTS[site.variant]]
     elif site.move == "FramedR1":
-        expect = list(_curl_windows(_CURL_VARIANTS[site.variant][0])) + \
-            list(_curl_windows(_CURL_VARIANTS[site.variant][1]))
+        expect = list(_curl_windows(_SIGN_VARIANTS[site.variant][0])) + \
+            list(_curl_windows(_SIGN_VARIANTS[site.variant][1]))
     elif site.move == "SlideCupCap":
         _, w1, w2 = _ZIGZAG_VARIANTS[site.variant]
         expect = [w1, w2]

@@ -71,9 +71,8 @@ class Mat2:
         return Mat2(*(scalar_from_json(v) for v in (a, b, c, d)))
 
 
-def identity(rational=True):
-    one, zero = (QC(1), QC(0)) if rational else (1.0 + 0j, 0j)
-    return Mat2(one, zero, zero, one)
+def identity():
+    return Mat2(QC(1), QC(0), QC(0), QC(1))
 
 
 def _nonzero(value, tol=1e-10):

@@ -2,8 +2,9 @@
 
 `bench/workloads.py` calls `coloring.propagate`, `evaluator._recolor` and
 `evaluator.invariant` directly; one round of each numeric workload, with
-every op's own check, catches a refactor that breaks that contract.  This
-imports the workloads only: nothing is timed and nothing is written.
+every op's own check, catches a refactor that breaks that contract, and
+one traced `knot-cold` round checks what `bench/tracer.py` counts.  Nothing
+is timed and nothing is written.
 """
 
 import pathlib
@@ -32,3 +33,27 @@ def test_one_round_checks_clean(workloads, name):
     assert ops
     for op in ops:
         assert wl.check(op, wl.run(op)) is None, wl.label(op)
+
+
+def test_traced_knot_cold_solves_once_per_crossing(workloads):
+    # one solve and one SVD per crossing block, 2, 4 and 6 for the three
+    # knots: a negative crossing that went through the public positive
+    # solve would count twice
+    import tracer
+    wl = workloads.WORKLOADS["knot-cold"]()
+    wl.setup(1)
+    ops = wl.round(random.Random(1))
+    tr = tracer.Tracer()
+    try:
+        for op in ops:
+            tr.begin_op(wl.label(op))
+            try:
+                out = wl.run(op)
+            finally:
+                tr.end_op()
+            assert wl.check(op, out) is None, wl.label(op)
+    finally:
+        tr.uninstall()
+    metrics = tr.metrics(len(ops))
+    assert metrics["braiding.solve_calls"]["value"] == 4.0
+    assert metrics["braiding.nullspace_factorizations"]["value"] == 4.0

@@ -37,6 +37,34 @@ def _assert_inverse_inverts(blk, rd):
     assert np.max(np.abs(prod - scalar * np.eye(prod.shape[0]))) < 1e-8
 
 
+def _negative_slots(repc, repd):
+    """Oracle: the source slots R^-1(flip w) of the negative crossing, with
+    R^-1 evaluated in (rho_c, rho_d).
+
+    R^-1(N) = 1 - eps E (x) F, so 1 (x) K -> (1 (x) K)(1 - eps E (x) F) and
+    likewise for L; the rest follows from R(E (x) 1) = E (x) L,
+    R(1 (x) F) = K^-1 (x) F and R^-1(flip Delta(u)) = Delta(u).  The
+    negative block N solves N S_w = (rho_a (x) rho_b)(w) N on these slots.
+    """
+    slot = braiding._pair_eval(repc, repd)
+    k1, k2, l1, l2 = (np.diagonal(slot[g]) for g in ("K1", "K2", "L1", "L2"))
+    n_mat = np.eye(len(k1)) - repc.rd.eps * slot["E1"] @ slot["F2"]
+    n_inv = np.linalg.inv(n_mat)
+    img = {}
+    img["K2"] = slot["K2"] @ n_mat
+    img["L2"] = slot["L2"] @ n_mat
+    img["K1"] = (k1 * k2)[:, None] * n_inv / k2
+    img["L1"] = (l1 * l2)[:, None] * n_inv / l2
+    img["E1"] = slot["E1"] @ n_inv / l2
+    img["F2"] = img["K1"] @ slot["F2"]
+    img["E2"] = (k2[:, None] * n_mat / (k1 * k2)) @ (
+        slot["E1"] @ slot["K2"] + slot["E2"] - img["E1"])
+    img["F1"] = (slot["F1"] + slot["F2"] / l1[:, None] - img["F2"]) \
+        @ img["L2"]
+    slots = braiding.RImages.SLOTS
+    return {w: img[flip_w] for w, flip_w in zip(slots, slots[4:] + slots[:4])}
+
+
 def _admits(source_slots, target_reps):
     """Whether an invertible intertwiner reaches the given output irreps."""
     try:
@@ -126,6 +154,51 @@ class TestSolver:
         ry = build_irrep(generic_char(rng, rd), (0, 0), rd)
         _assert_inverse_inverts(solve_braiding(rx, ry), rd)
 
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_negative_is_inverse_of_preimage_positive(self, rng, ell):
+        rd = RootData(ell)
+        rc, rd_ = (build_irrep(generic_char(rng, rd),
+                               (rng.randrange(ell), rng.randrange(ell)), rd)
+                   for _ in range(2))
+        neg = solve_braiding_inverse(rc, rd_)
+        ga, gb = factgroup.xlr_inverse(char_to_group(rc.char),
+                                       char_to_group(rd_.char))
+        assert factgroup.mats_equal(
+            char_to_group(neg.target_chars[0]), ga, tol=1e-9)
+        assert factgroup.mats_equal(
+            char_to_group(neg.target_chars[1]), gb, tol=1e-9)
+        pos = solve_braiding(*(build_irrep(ch, b, rd) for ch, b in
+                               zip(neg.target_chars, neg.target_branches)))
+        assert pos.target_branches == neg.source_branches \
+            == (rc.branch, rd_.branch)
+        assert pos.nullity == neg.nullity == 1
+        inv = braiding._normalize(np.linalg.inv(pos.matrix))
+        assert np.max(np.abs(inv - neg.matrix)) < 1e-12
+
+    def test_negative_off_its_labels_raises(self, rng, rd3, monkeypatch):
+        # put the preimage pair on labels (0, 0): its positive block then
+        # lands off the inputs' labels, which is refused, never answered
+        # by a block between other modules
+        while True:
+            rc, rd_ = (build_irrep(generic_char(rng, rd3),
+                                   (rng.randrange(3), rng.randrange(3)), rd3)
+                       for _ in range(2))
+            if solve_braiding_inverse(rc, rd_).target_branches \
+                    != ((0, 0), (0, 0)):
+                break
+        strand_reps = braiding._strand_reps
+        calls = []
+
+        def preimage_at_origin(chars, carriers, rd):
+            calls.append(chars)
+            if len(calls) == 1:
+                return [build_irrep(ch, (0, 0), rd) for ch in chars]
+            return strand_reps(chars, carriers, rd)
+
+        monkeypatch.setattr(braiding, "_strand_reps", preimage_at_origin)
+        with pytest.raises(braiding.NoIntertwiner, match="lands on labels"):
+            solve_braiding_inverse(rc, rd_)
+
     def test_derived_branches_are_the_only_ones(self, rng, rd3):
         # every other pair of output labels admits no invertible
         # intertwiner, so deriving the labels loses no solution
@@ -138,7 +211,7 @@ class TestSolver:
                     (solve_braiding(rx, ry),
                      braiding._positive_slots(rx, ry)),
                     (solve_braiding_inverse(rx, ry),
-                     braiding._negative_slots(rx, ry))):
+                     _negative_slots(rx, ry))):
                 reps = [[build_irrep(ch, b, rd3) for b in labels]
                         for ch in blk.target_chars]
                 admitted = [(rl.branch, rr.branch)
@@ -157,7 +230,7 @@ class TestGradedSolve:
                     (solve_braiding(rx, ry),
                      braiding._positive_slots(rx, ry)),
                     (solve_braiding_inverse(rx, ry),
-                     braiding._negative_slots(rx, ry))):
+                     _negative_slots(rx, ry))):
                 targets = braiding._pair_eval(*(
                     build_irrep(ch, b, rd3) for ch, b in
                     zip(blk.target_chars, blk.target_branches)))
