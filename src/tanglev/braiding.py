@@ -30,13 +30,14 @@ twisted intertwiner M solving
     M (P R(w) P) = (rho_{x_L} (x) rho_{x_R})(w) M
 
 for all eight generator slots w, with R(w) evaluated in (rho_y, rho_x)
-and P the tensor flip.  Its output branches are not searched for: R
-carries the central scalars of K L^-1 and c = E F + K eps^-1 + eps L^-1
-from each input slot to the opposite output slot, so x_L is the irrep
-with y's scalars and x_R the one with x's, and each crossing is one
-nullspace solve.  The negative crossing out of (c, d) is the inverse of
-the positive block out of the preimage pair (a, b), labelled by the same
-rule: there is one solve path, for the positive sign.
+and P the tensor flip.  The colouring fixes both sides of a crossing, so
+the caller hands the solve its output irreps as well as its inputs, and
+the solve labels nothing: an output pair off the strand rule (each
+output carries the central scalars of the opposite input) admits no
+intertwiner, and the one nullspace solve raises NoIntertwiner.  The
+negative crossing V_c (x) V_d -> V_a (x) V_b is the normalized inverse of
+the positive block out of (a, b) into (c, d): there is one solve path,
+for the positive sign.
 
 The solve is graded by weight.  K is diagonal in every cyclic irrep and
 R(Delta K) = flip Delta K, so total K = K1 K2 is diagonal on source and
@@ -59,8 +60,7 @@ import numpy as np
 from . import factgroup
 from .factgroup import Factorization, Mat2
 from .uqalgebra import (CentralCharacter, CyclicRep, NonGenericCharacter,
-                        RootData, build_irrep, central_values, is_generic,
-                        principal_root)
+                        RootData, build_irrep, central_values, principal_root)
 
 NORMALIZATION_VERSION = "det1-phase-1"
 
@@ -80,7 +80,7 @@ class SingularN(ValueError):
 
 
 class NoIntertwiner(ValueError):
-    """Empty solution space under the attempted branch choice."""
+    """Empty solution space: no intertwiner into the given outputs."""
 
 
 class AmbiguousIntertwiner(ValueError):
@@ -113,12 +113,6 @@ def char_to_group(char: CentralCharacter) -> Mat2:
     f = Factorization(complex(char.alpha), complex(char.beta),
                       complex(char.a), -complex(char.b))
     return f.assemble()
-
-
-def target_chars(x: CentralCharacter, y: CentralCharacter):
-    """Characters (x_L, x_R) of the positive-crossing outputs."""
-    gl, gr = factgroup.xlr(char_to_group(x), char_to_group(y))
-    return group_to_char(gl), group_to_char(gr)
 
 
 @dataclass(frozen=True)
@@ -271,9 +265,7 @@ class BraidingBlock:
     or the negative V_c (x) V_d -> V_a (x) V_b."""
 
     matrix: np.ndarray = field(repr=False)
-    source_branches: tuple
-    target_chars: tuple  # (x_L char, x_R char)
-    target_branches: tuple  # ((r,s) of x_L rep, (r,s) of x_R rep)
+    target_branches: tuple  # the labels (r, s) of the two output irreps
     nullity: int
     residual: float
     branch_retry: bool
@@ -351,7 +343,7 @@ def _solve_intertwiner(source_slots, target_slots, rel_tol=1e-8):
     cutoff = rel_tol * svals[0]
     nullity = int(np.sum(svals < cutoff))
     if nullity == 0:
-        raise NoIntertwiner("no solution at this branch choice")
+        raise NoIntertwiner("no intertwiner into these output irreps")
     m = np.zeros((dim, dim), dtype=complex)
     m[i, j] = vh[-1].conj()
     return m, nullity
@@ -377,28 +369,15 @@ def branch_of(char, z, c, rd):
     return r, s
 
 
-def _strand_reps(chars, carriers, rd):
-    """The irreps of `chars` on which K L^-1 and c act by the scalars of
-    `carriers`, pairwise: a crossing carries these central scalars from
-    each input slot to the opposite output slot."""
-    if not all(is_generic(ch, rd) for ch in chars):
-        raise NonGenericCharacter("crossing character not generic")
-    return [build_irrep(ch, branch_of(ch, rep.kappa / rep.lam, rep.cval, rd),
-                        rd)
-            for ch, rep in zip(chars, carriers)]
-
-
-def _solve_positive(repx, repy, chars, rel_tol):
-    """The normalized positive crossing M out of V_x (x) V_y into irreps of
-    `chars` = (x_L, x_R), its nullity, its output irreps and the two sides
-    (source, target) of its equation.  The x_L output carries repy's
-    central scalars, the x_R output repx's."""
-    outputs = _strand_reps(chars, (repy, repx), repx.rd)
+def _solve_positive(repx, repy, outputs, rel_tol):
+    """The normalized positive crossing M out of V_x (x) V_y into the
+    irreps `outputs`, its nullity and the two sides (source, target) of
+    its equation."""
     source, target = _positive_slots(repx, repy), _pair_eval(*outputs)
     m, nullity = _solve_intertwiner(source, target, rel_tol)
     if nullity > 1:
         raise AmbiguousIntertwiner("solution space has dimension %d" % nullity)
-    return _normalize(m), nullity, outputs, source, target
+    return _normalize(m), nullity, source, target
 
 
 def _residual(m, source, target):
@@ -407,52 +386,35 @@ def _residual(m, source, target):
                for w in RImages.SLOTS)
 
 
-def _block(m, sources, targets, nullity, residual):
-    labels = tuple(rep.branch for rep in targets)
-    return BraidingBlock(
-        m, tuple(rep.branch for rep in sources),
-        tuple(rep.char for rep in targets), labels, nullity, residual,
-        labels != ((0, 0), (0, 0)))
+def _block(m, outputs, nullity, residual):
+    labels = tuple(rep.branch for rep in outputs)
+    return BraidingBlock(m, labels, nullity, residual,
+                         labels != ((0, 0), (0, 0)))
 
 
-def solve_braiding(repx: CyclicRep, repy: CyclicRep,
+def solve_braiding(repx: CyclicRep, repy: CyclicRep, outputs,
                    rel_tol=1e-8) -> BraidingBlock:
-    """Solve for the colored positive-crossing operator.
+    """Solve for the colored positive crossing V_x (x) V_y -> `outputs`.
 
     The source side of the intertwiner equation is the flip-conjugated
     R-image evaluated in (rho_y, rho_x); the target side is the plain
-    pair evaluation in the output irreps, labelled by the strand rule.
+    pair evaluation in the output irreps.
     """
-    m, nullity, outputs, source, target = _solve_positive(
-        repx, repy, target_chars(repx.char, repy.char), rel_tol)
-    return _block(m, (repx, repy), outputs, nullity,
-                  _residual(m, source, target))
+    m, nullity, source, target = _solve_positive(repx, repy, outputs,
+                                                 rel_tol)
+    return _block(m, outputs, nullity, _residual(m, source, target))
 
 
-def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
+def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep, outputs,
                            rel_tol=1e-8) -> BraidingBlock:
-    """Solve for the colored negative crossing V_c (x) V_d -> V_a (x) V_b.
+    """Solve for the colored negative crossing V_c (x) V_d -> `outputs`.
 
-    (a, b) is the group-level preimage of (c, d) under the crossing map,
-    labelled by the strand rule: a carries d's central scalars, b carries
-    c's.  The positive block M out of V_a (x) V_b lands on V_c (x) V_d, and
-    the negative crossing is its inverse N = M^-1, normalized; nullity is
-    M's and the residual is max_w |N T_w - S_w N| on M's own slots.  A
-    positive block that lands on other labels than (c, d)'s raises
-    NoIntertwiner.  M's outputs are labelled on c's and d's own characters:
-    the crossing map returns them only up to rounding, and `central_values`
-    orders a conjugate pair of values by real parts equal up to rounding.
+    With `outputs` = (V_a, V_b), the positive block M out of V_a (x) V_b
+    into V_c (x) V_d is solved, and the negative crossing is its inverse
+    N = M^-1, normalized; nullity is M's and the residual is
+    max_w |N T_w - S_w N| on M's own slots.
     """
-    ga, gb = factgroup.xlr_inverse(char_to_group(repc.char),
-                                   char_to_group(repd.char))
-    inputs = _strand_reps((group_to_char(ga), group_to_char(gb)),
-                          (repd, repc), repc.rd)
-    m, nullity, outputs, source, target = _solve_positive(
-        *inputs, (repc.char, repd.char), rel_tol)
-    landed = tuple(rep.branch for rep in outputs)
-    if landed != (repc.branch, repd.branch):
-        raise NoIntertwiner("the preimage crossing lands on labels %r, not %r"
-                            % (landed, (repc.branch, repd.branch)))
+    m, nullity, source, target = _solve_positive(*outputs, (repc, repd),
+                                                 rel_tol)
     n = _normalize(np.linalg.inv(m))
-    return _block(n, (repc, repd), inputs, nullity,
-                  _residual(n, target, source))
+    return _block(n, outputs, nullity, _residual(n, target, source))

@@ -78,6 +78,14 @@ def _mat_from_json(rows, backend):
     return Mat2(*out)
 
 
+def _fields(obj, *names):
+    """The named fields of an input object; a missing one is a ConfigError."""
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise ConfigError("input lacks %s" % ", ".join(map(repr, missing)))
+    return [obj[name] for name in names]
+
+
 def load_diagram(path):
     if path.endswith(".tgl"):
         with open(path) as fh:
@@ -85,7 +93,7 @@ def load_diagram(path):
     if path.endswith(".braid"):
         with open(path) as fh:
             obj = json.load(fh)
-        d = diagram.braid_word(obj["word"], obj["strands"])
+        d = diagram.braid_word(*_fields(obj, "word", "strands"))
         closure = obj.get("closure", "none")
         if closure == "trace":
             d = diagram.close_braid(d)
@@ -99,8 +107,11 @@ def load_diagram(path):
             obj = json.load(fh)
         if "tgl" in obj:
             d = diagram.parse(obj["tgl"])
-        else:
+        elif "diagram" in obj:
+            _fields(obj["diagram"], "slices", "bottom_signs")
             d = diagram.TangleDiagram.from_json(obj["diagram"])
+        else:
+            raise ConfigError("a .coloring needs a 'tgl' or a 'diagram'")
         return d, obj
     raise ConfigError("input must be a .tgl, .braid or .coloring file")
 

@@ -20,6 +20,7 @@ rewrites with explicit sites, in both directions, for the property suite.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -131,7 +132,9 @@ class TangleDiagram:
 
     @staticmethod
     def from_json(obj):
-        slices = tuple(tuple(_TOKENS[t] for t in s) for s in obj["slices"])
+        position = itertools.count(1)
+        slices = tuple(tuple(_piece(t, next(position)) for t in s)
+                       for s in obj["slices"])
         return TangleDiagram(slices, tuple(obj["bottom_signs"]))
 
 
@@ -142,6 +145,13 @@ def diagram(slices) -> TangleDiagram:
     return TangleDiagram(slices, slice_bottom(slices[0]))
 
 
+def _piece(token, position):
+    piece = _TOKENS.get(token)
+    if piece is None:
+        raise DiagramSyntaxError("unknown piece %r" % token, position)
+    return piece
+
+
 def parse(text: str) -> TangleDiagram:
     """Parse the slice DSL: pieces split by spaces, slices by ';'."""
     slices = []
@@ -150,10 +160,7 @@ def parse(text: str) -> TangleDiagram:
         pieces = []
         for token in chunk.split():
             position += 1
-            piece = _TOKENS.get(token)
-            if piece is None:
-                raise DiagramSyntaxError("unknown piece %r" % token, position)
-            pieces.append(piece)
+            pieces.append(_piece(token, position))
         if pieces:
             slices.append(tuple(pieces))
         elif chunk.strip():

@@ -7,18 +7,14 @@ antipode image.  The four cup/cap chiralities get the canonical pairing
 and copairing on the left-duality side and their mu-twisted versions on
 the right-duality side, where mu implements the squared antipode.
 
-Irrep branches are bookkept per arc and derived, not searched.  The
-planner reads the colouring's arcs and crossing records, not the diagram.
-A crossing carries the central scalars of K L^-1 and c from each input
-slot to the opposite output slot, so they are constant along a strand:
-each arc gets the irrep of its colour with its strand's scalars, taken
-from the strand's bottom boundary arc or, on a closed strand, from label
-(0, 0) at its first arc.  The context memoizes each arc's irrep on the
-exact colour and strand scalars; a move keeps every arc outside its window
-with its colour and strand, so re-evaluating a moved diagram derives labels
-only for the window's new colours.  Contraction then hands each
-piece the irreps of its arcs from the plan, looks none of them up again,
-and checks each crossing's solved outputs against the plan.
+Irrep branches are bookkept per arc and derived, not searched
+(`_plan_branches`): a crossing carries the central scalars of K L^-1 and c
+from each input slot to the opposite output slot, so each arc gets the
+irrep of its colour with its strand's scalars.  The plan is the only
+labelling.  Contraction hands each piece the irreps of its arcs from the
+plan and looks none of them up again; a crossing is solved between the
+irreps of its bottom and its top arcs, so a plan off the strand rule
+leaves the solve without an intertwiner, and it raises NoIntertwiner.
 """
 
 from __future__ import annotations
@@ -39,8 +35,7 @@ class ObjectMismatch(ValueError):
 
 
 class BranchObstruction(ValueError):
-    """The arc branches do not close up: a boundary branch is off its
-    strand's module, or a crossing's outputs differ from the plan."""
+    """A given bottom boundary branch is not the module of its strand."""
 
 
 class KinkObstruction(ValueError):
@@ -132,21 +127,22 @@ class EvalContext:
                 char, braiding.branch_of(char, z, c, self.rd))
         return rep
 
-    def _solve_memo(self, repx, repy, sign):
-        """The crossing block, solved once per (inputs, sign).
+    def _solve_memo(self, repx, repy, outputs, sign):
+        """The crossing block, solved once per (inputs, outputs, sign).
 
         Reps come from `rep`, one object per rounded character and label,
-        so their own characters key the memo.  A failure is kept as its
-        type and message, not as the exception, whose traceback would tie
-        this context into a reference cycle.
+        so the (character, label) of all four irreps key the memo.  A
+        failure is kept as its type and message, not as the exception,
+        whose traceback would tie this context into a reference cycle.
         """
-        key = (repx.char, repx.branch, repy.char, repy.branch, sign)
+        key = tuple((rep.char, rep.branch)
+                    for rep in (repx, repy, *outputs)) + (sign,)
         hit = self._blocks.get(key)
         if hit is None:
             solve = braiding.solve_braiding if sign > 0 \
                 else braiding.solve_braiding_inverse
             try:
-                hit = solve(repx, repy, rel_tol=self.tol)
+                hit = solve(repx, repy, outputs, rel_tol=self.tol)
             except CROSSING_ERRORS as exc:
                 self._blocks[key] = (type(exc), str(exc))
                 raise
@@ -155,11 +151,11 @@ class EvalContext:
             raise hit[0](hit[1])
         return hit
 
-    def solve(self, repx, repy):
-        return self._solve_memo(repx, repy, 1)
+    def solve(self, repx, repy, outputs):
+        return self._solve_memo(repx, repy, outputs, 1)
 
-    def solve_inverse(self, repc, repd):
-        return self._solve_memo(repc, repd, -1)
+    def solve_inverse(self, repc, repd, outputs):
+        return self._solve_memo(repc, repd, outputs, -1)
 
     def mu(self, rep):
         """The framing twist on V: K, which conjugates every generator to
@@ -185,11 +181,11 @@ class EvalContext:
         automorphism fixes the central elements K L^-1 and c slot by slot
         up to the flip, so a crossing's slot-2 output carries the central
         scalars of its slot-1 input.  The through-strand therefore gets the
-        label whose scalars are the loop's; a positive curl whose outputs
-        are not the through and loop modules, by label and by character,
-        raises KinkObstruction.
+        label whose scalars are the loop's, and the positive curl M is
+        solved from (through, loop) to (through, loop); a curl with no such
+        intertwiner raises KinkObstruction.
 
-        Only the positive curl M is solved.  It returns both of its input
+        Only the positive curl is solved.  It returns both of its input
         modules, so the negative curl, the inverse crossing on the same
         pair, is M^-1 up to the root of unity that normalization picks, and
         theta_- is read from M^-1 (`_normalize` has refused any M with
@@ -202,17 +198,12 @@ class EvalContext:
                 braiding.char_to_group(loop.char)))
             through = self.rep(strand, braiding.branch_of(
                 strand, loop.kappa / loop.lam, loop.cval, self.rd))
-            blk = self.solve(through, loop)
-            if blk.target_branches != (through.branch, loop.branch):
+            try:
+                m = self.solve(through, loop, (through, loop)).matrix
+            except braiding.NoIntertwiner as exc:
                 raise KinkObstruction(
-                    "curl outputs %r, not the through and loop labels %r"
-                    % (blk.target_branches, (through.branch, loop.branch)))
-            if tuple(ch.rounded(9) for ch in blk.target_chars) \
-                    != (through.char.rounded(9), loop.char.rounded(9)):
-                raise KinkObstruction(
-                    "curl outputs characters off the through and loop "
-                    "characters")
-            m = blk.matrix
+                    "the curl does not return its through and loop "
+                    "modules") from exc
             prod = (self._kink_scalar(m, loop.Kmat)
                     * self._kink_scalar(np.linalg.inv(m), loop.Kmat))
             if not abs(prod) > 1e-12:
@@ -243,24 +234,25 @@ def _cap_r(mu):
     return mu.T.reshape(1, -1).copy()
 
 
-def elementary_op(piece: Piece, reps, ctx: EvalContext):
+def elementary_op(piece: Piece, bottom, top, ctx: EvalContext):
     """The matrix of one elementary piece, and a crossing's BraidingBlock.
 
-    `reps` are the irreps on the piece's bottom arcs, except for cups,
-    where they are those on the created top arcs (a cup has empty bottom).
-    The block is None for every piece but a crossing.  Identity pieces
-    have no operator: contraction steps over them.
+    `bottom` and `top` are the irreps on the piece's bottom and top arcs;
+    a crossing is solved between the two.  The block is None for every
+    piece but a crossing.  Identity pieces have no operator: contraction
+    steps over them.
     """
     ell = ctx.rd.ell
     if piece is Piece.CUP_L:
         return _cup_l(ell), None
     if piece is Piece.CUP_R:
-        return _cup_r(ctx.mu(reps[0])), None
+        return _cup_r(ctx.mu(top[0])), None
     if piece is Piece.CAP_L:
         return _cap_l(ell), None
     if piece is Piece.CAP_R:
-        return _cap_r(ctx.mu(reps[0])), None
-    blk = (ctx.solve if piece is Piece.X_POS else ctx.solve_inverse)(*reps)
+        return _cap_r(ctx.mu(bottom[0])), None
+    solve = ctx.solve if piece is Piece.X_POS else ctx.solve_inverse
+    blk = solve(*bottom, top)
     return blk.matrix, blk
 
 
@@ -349,17 +341,10 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
                 bcol += 1
                 tcol += 1
                 continue
-            if p in (Piece.CUP_L, Piece.CUP_R):
-                m, blk = elementary_op(p, arcs(level + 1, tcol, nt), ctx)
-            else:
-                m, blk = elementary_op(p, arcs(level, bcol, nb), ctx)
-            if blk is not None:
-                got = tuple(rep.branch for rep in arcs(level + 1, tcol, 2))
-                if blk.target_branches != got:
-                    raise BranchObstruction("planner/solver branch mismatch")
-                if blk.branch_retry:
-                    log.append(("branch-retry", p.value,
-                                blk.target_branches))
+            m, blk = elementary_op(p, arcs(level, bcol, nb),
+                                   arcs(level + 1, tcol, nt), ctx)
+            if blk is not None and blk.branch_retry:
+                log.append(("branch-retry", p.value, blk.target_branches))
             rest -= nb
             cur = state.reshape(done_dim, ell ** nb, (ell ** rest) * in_dim)
             state = np.einsum("ta,iaj->itj", m, cur)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from tanglev import coloring, diagram, evaluator, factgroup
-from tanglev.braiding import group_to_char
+from tanglev.braiding import branch_of, char_to_group, group_to_char
 from tanglev.factgroup import Mat2
 # the samplers live in the library, which `tanglev verify` draws from too
 from tanglev.samplers import float_group, generic_char, rational_mat  # noqa
-from tanglev.uqalgebra import RootData, is_generic
+from tanglev.uqalgebra import RootData, build_irrep, is_generic
 
 
 def generic_group(rng, rd):
@@ -23,6 +23,19 @@ def generic_group(rng, rd):
             continue
         if is_generic(group_to_char(g), rd):
             return g
+
+
+def strand_outputs(repx, repy, sign=1):
+    """The output irreps of the crossing of `sign` out of (repx, repy), by
+    the strand rule: the characters are the crossing map's (`xlr`, or
+    `xlr_inverse` for a negative crossing), and each output carries the
+    central scalars of K L^-1 and c of the opposite input."""
+    rd = repx.rd
+    crossing = factgroup.xlr if sign > 0 else factgroup.xlr_inverse
+    groups = crossing(char_to_group(repx.char), char_to_group(repy.char))
+    return tuple(
+        build_irrep(ch, branch_of(ch, rep.kappa / rep.lam, rep.cval, rd), rd)
+        for ch, rep in zip(map(group_to_char, groups), (repy, repx)))
 
 
 _LAM = 0.8 - 0.5j

@@ -24,7 +24,7 @@ from tanglev.uqalgebra import (CentralCharacter, RootData, all_irreps,
                                trace_form, unit)
 
 from conftest import (generic_char, generic_group, mat2_of, rational_mat,
-                      trefoil_boundary_2, trefoil_boundary_3,
+                      strand_outputs, trefoil_boundary_2, trefoil_boundary_3,
                       trefoil_meridians)
 
 _SHARED = {}
@@ -224,10 +224,11 @@ def _braid_state(word, groups, rd):
     for i in word:
         rx = build_irrep(chars[i - 1], branches[i - 1], rd)
         ry = build_irrep(chars[i], branches[i], rd)
-        blk = braiding.solve_braiding(rx, ry)
+        outputs = strand_outputs(rx, ry)
+        blk = braiding.solve_braiding(rx, ry, outputs)
         op = np.kron(np.kron(np.eye(ell ** (i - 1)), blk.matrix),
                      np.eye(ell ** (n - i - 1)))
-        chars[i - 1], chars[i] = blk.target_chars
+        chars[i - 1], chars[i] = (rep.char for rep in outputs)
         branches[i - 1], branches[i] = blk.target_branches
         state = op @ state
     return state, chars, branches
@@ -243,7 +244,8 @@ def test_criterion_07_colored_braiding():
         rx = build_irrep(generic_char(rng, rd), (0, 0), rd)
         ry = build_irrep(generic_char(rng, rd), (0, 0), rd)
         try:
-            blocks.append(braiding.solve_braiding(rx, ry))
+            blocks.append(braiding.solve_braiding(rx, ry,
+                                                  strand_outputs(rx, ry)))
         except braiding.NonGenericCharacter:
             continue
         n += 1

@@ -5,12 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tanglev import braiding, factgroup
+from tanglev import braiding, coloring, diagram, evaluator, factgroup
 from tanglev.braiding import (char_to_group, group_to_char, solve_braiding,
                               solve_braiding_inverse)
 from tanglev.uqalgebra import RootData, build_irrep
 
-from conftest import generic_char, generic_group, trefoil_magnitudes
+from conftest import (generic_char, generic_group, strand_outputs,
+                      trefoil_magnitudes)
 
 
 def random_block(rng, rd):
@@ -18,19 +19,20 @@ def random_block(rng, rd):
         rx = build_irrep(generic_char(rng, rd), (0, 0), rd)
         ry = build_irrep(generic_char(rng, rd), (0, 0), rd)
         try:
-            return rx, ry, solve_braiding(rx, ry)
+            return rx, ry, solve_braiding(rx, ry, strand_outputs(rx, ry))
         except (braiding.NoIntertwiner, braiding.NonGenericCharacter):
             continue
 
 
-def _assert_inverse_inverts(blk, rd):
-    """The negative crossing out of blk's outputs lands on its sources and
-    composes with it to a unimodular scalar."""
-    rl = build_irrep(blk.target_chars[0], blk.target_branches[0], rd)
-    rr = build_irrep(blk.target_chars[1], blk.target_branches[1], rd)
-    neg = solve_braiding_inverse(rl, rr)
+def _assert_inverse_inverts(rx, ry):
+    """The negative crossing out of the positive crossing's outputs lands
+    on its sources and composes with it to a unimodular scalar."""
+    outputs = strand_outputs(rx, ry)
+    blk = solve_braiding(rx, ry, outputs)
+    back = strand_outputs(*outputs, sign=-1)
+    neg = solve_braiding_inverse(*outputs, back)
     assert blk.nullity == neg.nullity == 1
-    assert neg.target_branches == blk.source_branches
+    assert neg.target_branches == (rx.branch, ry.branch)
     prod = neg.matrix @ blk.matrix
     scalar = np.trace(prod) / prod.shape[0]
     assert abs(abs(scalar) - 1.0) < 1e-8
@@ -65,17 +67,6 @@ def _negative_slots(repc, repd):
     return {w: img[flip_w] for w, flip_w in zip(slots, slots[4:] + slots[:4])}
 
 
-def _admits(source_slots, target_reps):
-    """Whether an invertible intertwiner reaches the given output irreps."""
-    try:
-        m, _ = braiding._solve_intertwiner(
-            source_slots, braiding._pair_eval(*target_reps))
-        braiding._normalize(m)
-    except (braiding.NoIntertwiner, braiding.SingularM):
-        return False
-    return True
-
-
 def _dense_intertwiner(source_slots, target_slots, rel_tol=1e-8):
     """Reference solve: the nullspace of M S_w = T_w M over all ell^4
     entries of M, ignoring the weight grading."""
@@ -97,11 +88,23 @@ class TestCharGroupDictionary:
                 char_to_group(group_to_char(g)), g, tol=1e-10)
 
     def test_target_chars_match_group_map(self, rng, rd3):
+        # the plan is the only labelling: a crossing's top arcs carry the
+        # characters of the group map and the labels of the strand rule
         x, y = generic_group(rng, rd3), generic_group(rng, rd3)
-        cl, cr = braiding.target_chars(group_to_char(x), group_to_char(y))
-        gl, gr = factgroup.xlr(x, y)
-        assert factgroup.mats_equal(char_to_group(cl), gl, tol=1e-9)
-        assert factgroup.mats_equal(char_to_group(cr), gr, tol=1e-9)
+        ctx = evaluator.EvalContext(rd3)
+        bottom = [ctx.rep(group_to_char(g), (0, 0)) for g in (x, y)]
+        for sign, crossing in ((1, factgroup.xlr),
+                               (-1, factgroup.xlr_inverse)):
+            d = diagram.braid_word([sign], 2)
+            col = coloring.propagate(d, coloring.ColoredBoundary(
+                ((1, x), (1, y))))
+            uf, plan = evaluator._plan_branches(d, col, ctx, None)
+            top = [plan[uf.parent[(1, i)]] for i in range(2)]
+            for rep, g in zip(top, crossing(x, y)):
+                assert factgroup.mats_equal(char_to_group(rep.char), g,
+                                            tol=1e-9)
+            assert [rep.branch for rep in top] == [
+                rep.branch for rep in strand_outputs(*bottom, sign=sign)]
 
 
 class TestAutomorphism:
@@ -139,20 +142,23 @@ class TestSolver:
         assert abs(abs(np.linalg.det(blk.matrix)) - 1.0) < 1e-8
 
     def test_targets_follow_group_map(self, rng, rd3):
+        # outputs off the group map's characters admit no intertwiner
         rx, ry, blk = random_block(rng, rd3)
-        cl, cr = braiding.target_chars(rx.char, ry.char)
-        assert blk.target_chars[0].rounded() == cl.rounded()
-        assert blk.target_chars[1].rounded() == cr.rounded()
+        outputs = strand_outputs(rx, ry)
+        assert blk.target_branches == tuple(rep.branch for rep in outputs)
+        for off in (outputs[::-1], (rx, ry), (ry, rx)):
+            with pytest.raises(braiding.NoIntertwiner):
+                solve_braiding(rx, ry, off)
 
     def test_inverse_block_inverts(self, rng, rd3):
-        _, _, blk = random_block(rng, rd3)
-        _assert_inverse_inverts(blk, rd3)
+        rx, ry, _ = random_block(rng, rd3)
+        _assert_inverse_inverts(rx, ry)
 
     def test_ell5_blocks_invert(self, rng):
         rd = RootData(5)
         rx = build_irrep(generic_char(rng, rd), (0, 0), rd)
         ry = build_irrep(generic_char(rng, rd), (0, 0), rd)
-        _assert_inverse_inverts(solve_braiding(rx, ry), rd)
+        _assert_inverse_inverts(rx, ry)
 
     @pytest.mark.parametrize("ell", [3, 5])
     def test_negative_is_inverse_of_preimage_positive(self, rng, ell):
@@ -160,64 +166,59 @@ class TestSolver:
         rc, rd_ = (build_irrep(generic_char(rng, rd),
                                (rng.randrange(ell), rng.randrange(ell)), rd)
                    for _ in range(2))
-        neg = solve_braiding_inverse(rc, rd_)
+        outputs = strand_outputs(rc, rd_, sign=-1)
+        neg = solve_braiding_inverse(rc, rd_, outputs)
         ga, gb = factgroup.xlr_inverse(char_to_group(rc.char),
                                        char_to_group(rd_.char))
         assert factgroup.mats_equal(
-            char_to_group(neg.target_chars[0]), ga, tol=1e-9)
+            char_to_group(outputs[0].char), ga, tol=1e-9)
         assert factgroup.mats_equal(
-            char_to_group(neg.target_chars[1]), gb, tol=1e-9)
-        pos = solve_braiding(*(build_irrep(ch, b, rd) for ch, b in
-                               zip(neg.target_chars, neg.target_branches)))
-        assert pos.target_branches == neg.source_branches \
-            == (rc.branch, rd_.branch)
+            char_to_group(outputs[1].char), gb, tol=1e-9)
+        assert neg.target_branches == tuple(rep.branch for rep in outputs)
+        landed = strand_outputs(*outputs)
+        pos = solve_braiding(*outputs, landed)
+        assert pos.target_branches == (rc.branch, rd_.branch)
         assert pos.nullity == neg.nullity == 1
         inv = braiding._normalize(np.linalg.inv(pos.matrix))
         assert np.max(np.abs(inv - neg.matrix)) < 1e-12
 
-    def test_negative_off_its_labels_raises(self, rng, rd3, monkeypatch):
-        # put the preimage pair on labels (0, 0): its positive block then
-        # lands off the inputs' labels, which is refused, never answered
-        # by a block between other modules
+    def test_negative_off_its_labels_raises(self, rng, rd3):
+        # outputs on labels (0, 0) where the strand rule says otherwise:
+        # the solve refuses them, never answers with a block between
+        # other modules
         while True:
             rc, rd_ = (build_irrep(generic_char(rng, rd3),
                                    (rng.randrange(3), rng.randrange(3)), rd3)
                        for _ in range(2))
-            if solve_braiding_inverse(rc, rd_).target_branches \
-                    != ((0, 0), (0, 0)):
+            outputs = strand_outputs(rc, rd_, sign=-1)
+            if tuple(rep.branch for rep in outputs) != ((0, 0), (0, 0)):
                 break
-        strand_reps = braiding._strand_reps
-        calls = []
-
-        def preimage_at_origin(chars, carriers, rd):
-            calls.append(chars)
-            if len(calls) == 1:
-                return [build_irrep(ch, (0, 0), rd) for ch in chars]
-            return strand_reps(chars, carriers, rd)
-
-        monkeypatch.setattr(braiding, "_strand_reps", preimage_at_origin)
-        with pytest.raises(braiding.NoIntertwiner, match="lands on labels"):
-            solve_braiding_inverse(rc, rd_)
+        origin = tuple(build_irrep(rep.char, (0, 0), rd3) for rep in outputs)
+        with pytest.raises(braiding.NoIntertwiner):
+            solve_braiding_inverse(rc, rd_, origin)
 
     def test_derived_branches_are_the_only_ones(self, rng, rd3):
-        # every other pair of output labels admits no invertible
-        # intertwiner, so deriving the labels loses no solution
+        # of all ell^4 output label pairs, exactly the strand rule's admits
+        # an intertwiner; every other pair raises NoIntertwiner, so the
+        # solve itself checks the plan's labels
         labels = list(product(range(rd3.ell), repeat=2))
         for _ in range(2):
             rx, ry = (build_irrep(generic_char(rng, rd3),
                                   (rng.randrange(3), rng.randrange(3)), rd3)
                       for _ in range(2))
-            for blk, slots in (
-                    (solve_braiding(rx, ry),
-                     braiding._positive_slots(rx, ry)),
-                    (solve_braiding_inverse(rx, ry),
-                     _negative_slots(rx, ry))):
-                reps = [[build_irrep(ch, b, rd3) for b in labels]
-                        for ch in blk.target_chars]
-                admitted = [(rl.branch, rr.branch)
-                            for rl, rr in product(*reps)
-                            if _admits(slots, (rl, rr))]
-                assert admitted == [blk.target_branches]
+            for sign, solve in ((1, solve_braiding),
+                                (-1, solve_braiding_inverse)):
+                rule = strand_outputs(rx, ry, sign)
+                admitted = []
+                for bl, br in product(labels, repeat=2):
+                    outputs = (build_irrep(rule[0].char, bl, rd3),
+                               build_irrep(rule[1].char, br, rd3))
+                    try:
+                        blk = solve(rx, ry, outputs)
+                    except braiding.NoIntertwiner:
+                        continue
+                    admitted.append(blk.target_branches)
+                assert admitted == [tuple(rep.branch for rep in rule)]
 
 
 class TestGradedSolve:
@@ -226,15 +227,13 @@ class TestGradedSolve:
             rx, ry = (build_irrep(generic_char(rng, rd3),
                                   (rng.randrange(3), rng.randrange(3)), rd3)
                       for _ in range(2))
-            for blk, slots in (
-                    (solve_braiding(rx, ry),
-                     braiding._positive_slots(rx, ry)),
-                    (solve_braiding_inverse(rx, ry),
-                     _negative_slots(rx, ry))):
-                targets = braiding._pair_eval(*(
-                    build_irrep(ch, b, rd3) for ch, b in
-                    zip(blk.target_chars, blk.target_branches)))
-                m, nullity = _dense_intertwiner(slots, targets)
+            for sign, solve, slots in (
+                    (1, solve_braiding, braiding._positive_slots(rx, ry)),
+                    (-1, solve_braiding_inverse, _negative_slots(rx, ry))):
+                outputs = strand_outputs(rx, ry, sign)
+                blk = solve(rx, ry, outputs)
+                m, nullity = _dense_intertwiner(
+                    slots, braiding._pair_eval(*outputs))
                 assert nullity == blk.nullity == 1
                 assert np.max(np.abs(braiding._normalize(m)
                                      - blk.matrix)) < 1e-12
@@ -249,18 +248,16 @@ class TestGradedSolve:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         rx, ry, _ = random_block(rng, rd3)
-        solve_braiding_inverse(rx, ry)
+        solve_braiding_inverse(rx, ry, strand_outputs(rx, ry, sign=-1))
         ell = rd3.ell
         assert shapes == [(8 * ell ** 3, ell ** 3)] * 2
 
     def test_weight_rule(self, rng, rd3):
-        rx, ry, blk = random_block(rng, rd3)
+        rx, ry, _ = random_block(rng, rd3)
         slots = braiding._positive_slots(rx, ry)
 
         def targets_scaled(factor):
-            t = braiding._pair_eval(*(
-                build_irrep(ch, b, rd3) for ch, b in
-                zip(blk.target_chars, blk.target_branches)))
+            t = braiding._pair_eval(*strand_outputs(rx, ry))
             t["K1"] = t["K1"] * factor
             return t
 

@@ -75,6 +75,23 @@ class TestInvariantMode:
         assert code == 1
         assert rep["type"] in ("FileNotFoundError", "OSError")
 
+    @pytest.mark.parametrize("name, data, error", [
+        ("no-strands.braid", {"word": [1]}, "ConfigError"),
+        ("no-diagram.coloring", {"bottom": []}, "ConfigError"),
+        ("no-slices.coloring", {"diagram": {"bottom_signs": [1]}},
+         "ConfigError"),
+        ("bogus.coloring", {"diagram": {"slices": [["id+"], ["bogus"]],
+                                        "bottom_signs": [1]}},
+         "DiagramSyntaxError"),
+    ])
+    def test_malformed_input_is_an_error_report(self, capsys, tmp_path,
+                                                name, data, error):
+        p = tmp_path / name
+        p.write_text(json.dumps(data))
+        code, rep = run_cli(capsys, "invariant", str(p))
+        assert code == 1
+        assert rep["type"] == error and rep["error"]
+
 
 class TestColorCheckMode:
     def test_consistent_coloring(self, capsys, trefoil_file):
