@@ -39,15 +39,24 @@ negative crossing V_c (x) V_d -> V_a (x) V_b is the normalized inverse of
 the positive block out of (a, b) into (c, d): there is one solve path,
 for the positive sign.
 
-The solve is graded by weight.  K is diagonal in every cyclic irrep and
-R(Delta K) = flip Delta K, so total K = K1 K2 is diagonal on source and
-target alike, and M can only map a weight space of the source to the
-equal weight space of the target: ell^3 unknowns instead of ell^4.
-Distinct weights differ by a power of eps^2, a relative distance of at
-least 2 sin(pi/ell), while equal ones agree to rounding (about 1e-15):
+The solve is graded by weight and transported along E1.  K is diagonal
+in every cyclic irrep and R(Delta K) = flip Delta K, so total K = K1 K2 is
+diagonal on both sides and M maps each source weight space to the equal
+target one.  Distinct weights differ by a power of eps^2, a relative
+distance of at least 2 sin(pi/ell), while equal ones agree to rounding:
 weights within WEIGHT_RTOL are equal, weights at least sin(pi/ell) apart
 are distinct, and a pair in between, like a source total K that is not
-diagonal, raises WeightGrading.
+diagonal, raises WeightGrading.  E1 moves each weight by eps^2 and is
+invertible (E^ell acts by beta != 0), so M = T_E1 M S_E1^-1 is fixed by
+its block on one weight class.  Both E1 slots are monomial, so the ell^2
+matrices X_c = sum_k T_E1^k e_c S_E1^-k, c an entry of the first class,
+have disjoint supports, one entry in each class: normalized, they are an
+orthonormal basis of the E1 equation's solutions, and the system
+X_c S_w - T_w X_c is 8 ell^3 x ell^2 (216 x 9 at ell = 3, 1000 x 25 at
+ell = 5).  Its singular values interlace those on all ell^3 graded
+entries: the second smallest only grows and the largest only shrinks, so
+a block of nullity one stays one.  An S_E1 whose entry moduli spread
+beyond COND_LIMIT raises SingularM.
 """
 
 from __future__ import annotations
@@ -64,9 +73,10 @@ from .uqalgebra import (CentralCharacter, CyclicRep, NonGenericCharacter,
 
 NORMALIZATION_VERSION = "det1-phase-1"
 
-#: Condition number above which a series factor N or an intertwiner M
-#: counts as singular.  Scale-free: M has unit norm when solved, so its
-#: determinant shrinks like (1/ell^2)^(ell^2) and says nothing by itself.
+#: Condition number above which a series factor N, an intertwiner M or an
+#: E1 source slot counts as singular.  Scale-free: M has unit norm when
+#: solved, so its determinant shrinks like (1/ell^2)^(ell^2) and says
+#: nothing by itself.
 COND_LIMIT = 1e12
 
 #: Relative distance below which two weights of total K count as equal.
@@ -88,7 +98,8 @@ class AmbiguousIntertwiner(ValueError):
 
 
 class SingularM(ValueError):
-    pass
+    """The intertwiner M, or the E1 slot it is transported by, is not
+    invertible."""
 
 
 class WeightGrading(ValueError):
@@ -134,13 +145,10 @@ def _kron(a, b):
 
 def _pair_eval(ra: CyclicRep, rb: CyclicRep):
     """Evaluations of the eight generator slots in V_a (x) V_b."""
-    eye_a = np.eye(ra.dim, dtype=complex)
-    eye_b = np.eye(rb.dim, dtype=complex)
-    out = {}
-    for name, m in ra.matrices().items():
-        out[name + "1"] = _kron(m, eye_b)
-    for name, m in rb.matrices().items():
-        out[name + "2"] = _kron(eye_a, m)
+    eye_a, eye_b = (np.eye(r.dim, dtype=complex) for r in (ra, rb))
+    out = {name + "1": _kron(m, eye_b) for name, m in ra.matrices().items()}
+    out.update((name + "2", _kron(eye_a, m))
+               for name, m in rb.matrices().items())
     return out
 
 
@@ -173,16 +181,14 @@ def r_images(rep_a: CyclicRep, rep_b: CyclicRep) -> RImages:
     return RImages((rep_a, rep_b), img)
 
 
+def _dev(m):
+    return float(np.max(np.abs(m)))
+
+
 def automorphism_residuals(ri: RImages):
     """Residuals of the defining algebra relations among the image matrices."""
     rd = ri.pair[0].rd
-    eps = rd.eps
-    e2 = rd.eps_pow(2)
-    img = ri.images
-
-    def dev(m):
-        return float(np.max(np.abs(m)))
-
+    eps, e2, img, dev = rd.eps, rd.eps_pow(2), ri.images, _dev
     out = {}
     for suf in ("1", "2"):
         K, L = img["K" + suf], img["L" + suf]
@@ -203,20 +209,14 @@ def automorphism_residuals(ri: RImages):
 
 def sigma_delta_residuals(ri: RImages):
     """Residuals of R(Delta(u)) = flip Delta(u) on the four generators."""
-    slot = _pair_eval(*ri.pair)
-    img = ri.images
-
-    def dev(m):
-        return float(np.max(np.abs(m)))
-
-    out = {}
-    out["K"] = dev(img["K1"] @ img["K2"] - slot["K1"] @ slot["K2"])
-    out["L"] = dev(img["L1"] @ img["L2"] - slot["L1"] @ slot["L2"])
-    out["E"] = dev(img["E1"] @ img["K2"] + img["E2"]
-                   - (slot["K1"] @ slot["E2"] + slot["E1"]))
-    out["F"] = dev(img["F1"] + np.linalg.inv(img["L1"]) @ img["F2"]
-                   - (slot["F2"] + slot["F1"] @ np.linalg.inv(slot["L2"])))
-    return out
+    slot, img, dev = _pair_eval(*ri.pair), ri.images, _dev
+    return {
+        "K": dev(img["K1"] @ img["K2"] - slot["K1"] @ slot["K2"]),
+        "L": dev(img["L1"] @ img["L2"] - slot["L1"] @ slot["L2"]),
+        "E": dev(img["E1"] @ img["K2"] + img["E2"]
+                 - (slot["K1"] @ slot["E2"] + slot["E1"])),
+        "F": dev(img["F1"] + np.linalg.inv(img["L1"]) @ img["F2"]
+                 - (slot["F2"] + slot["F1"] @ np.linalg.inv(slot["L2"])))}
 
 
 def z0_pullback_check(x: Mat2, y: Mat2, rd: RootData):
@@ -236,26 +236,18 @@ def z0_pullback_check(x: Mat2, y: Mat2, rd: RootData):
         return {"K": complex(ch.alpha), "E": complex(ch.beta),
                 "L": complex(ch.a), "F": complex(ch.f_ell())}
 
-    expected = {}
-    for gen, val in coords(cl).items():
-        expected[gen + "1"] = val
-    for gen, val in coords(cr).items():
-        expected[gen + "2"] = val
+    expected = {gen + suffix: val for suffix, ch in (("1", cl), ("2", cr))
+                for gen, val in coords(ch).items()}
     ell2 = rd.ell ** 2
     report = {}
     for slotname, m in ri.images.items():
         p = np.linalg.matrix_power(m, rd.ell)
         scalar = np.trace(p) / ell2
         off = float(np.max(np.abs(p - scalar * np.eye(ell2))))
-        dev = abs(scalar - expected[slotname])
         report[slotname] = {"scalar": scalar, "off_scalar": off,
-                            "deviation": dev}
-    report["max_off_scalar"] = max(v["off_scalar"]
-                                   for v in report.values()
-                                   if isinstance(v, dict))
-    report["max_deviation"] = max(v["deviation"]
-                                  for v in report.values()
-                                  if isinstance(v, dict))
+                            "deviation": abs(scalar - expected[slotname])}
+    report.update({"max_" + key: max(v[key] for v in report.values())
+                   for key in ("off_scalar", "deviation")})
     return report
 
 
@@ -278,24 +270,25 @@ def _normalize(m):
     if np.linalg.cond(m) > COND_LIMIT:
         raise SingularM("intertwiner is singular")
     dim = m.shape[0]
-    det = np.linalg.det(m)
-    m = m / det ** (1.0 / dim)
+    m = m / np.linalg.det(m) ** (1.0 / dim)
     flat = np.abs(m).ravel()
-    first = int(np.argmax(flat > flat.max() - 1e-9 * flat.max()))
-    pivot = m.ravel()[first]
-    best = None
-    for k in range(dim):
-        w = np.exp(2j * np.pi * k / dim)
-        z = pivot * w
-        key = (round(z.real, 9), round(z.imag, 9))
-        if best is None or key > best[0]:
-            best = (key, w)
-    return m * best[1]
+    pivot = m.ravel()[np.argmax(flat > flat.max() - 1e-9 * flat.max())]
+    roots = np.exp(2j * np.pi * np.arange(dim) / dim)
+    keys = [(z.real, z.imag) for z in np.round(pivot * roots, 9).tolist()]
+    return m * roots[keys.index(max(keys))]
+
+
+def _stack(slots):
+    """A slot dict as one (8, dim, dim) array in RImages.SLOTS order."""
+    return np.stack([slots[w] for w in RImages.SLOTS])
+
+
+_K1, _K2, _E1 = (RImages.SLOTS.index(w) for w in ("K1", "K2", "E1"))
 
 
 def _total_weights(slots):
     """The diagonal of total K = K1 K2, which must be diagonal."""
-    kk = slots["K1"] @ slots["K2"]
+    kk = slots[_K1] @ slots[_K2]
     weights = np.diag(kk)
     off = np.max(np.abs(kk - np.diag(weights)))
     if off > WEIGHT_RTOL * np.max(np.abs(weights)):
@@ -317,44 +310,52 @@ def _weight_mask(target_w, source_w):
     return mask
 
 
-def _solve_intertwiner(source_slots, target_slots, rel_tol=1e-8):
-    """The nullspace of M S_w - T_w M over the eight slots.
-
-    M commutes total K from source to target, so only entries M[i, j]
-    with equal weights are unknowns (ell^3 of the ell^4).  For each slot
-    the rows of M S_w - T_w M that these entries reach are built directly:
-    with unknowns x_a = M[i_a, j_a], row (p, q) has coefficient
-    [i_a = p] S_w[j_a, q] - [j_a = q] T_w[p, i_a].
-    """
-    dim = source_slots["K1"].shape[0]
-    mask = _weight_mask(_total_weights(target_slots),
-                        _total_weights(source_slots))
-    i, j = np.nonzero(mask)
-    if not len(i):
+def _solve_intertwiner(source, target, rel_tol=1e-8):
+    """The nullspace of M S_w - T_w M over the stacked slots, on the basis
+    X_c of the module docstring.  Column i of T_E1 holds its one entry
+    tv[i] in row tr[i] (S_E1: sv, sr), and X_c holds x[k, c] at (ii[k, c],
+    jj[k, c]).  Row (p, q) meets step kt[p] of X_c S_w and step ks[q] of
+    T_w X_c: the steps in the weight classes of p and of q."""
+    dim = source.shape[1]
+    ell = math.isqrt(dim)
+    mask = _weight_mask(_total_weights(target), _total_weights(source))
+    if not mask.any():
         raise NoIntertwiner("no target weight matches a source weight")
-    blocks = []
-    for name in RImages.SLOTS:
-        s, t = source_slots[name], target_slots[name]
-        p, q = np.nonzero((mask @ (s != 0)) | ((t != 0) @ mask))
-        p, q = p[:, None], q[:, None]
-        blocks.append((p == i) * s[j, q] - (q == j) * t[p, i])
-    system = np.vstack(blocks)
+    tr, sr = (np.argmax(a[_E1] != 0, axis=0) for a in (target, source))
+    tv, sv = target[_E1, tr, range(dim)], source[_E1, sr, range(dim)]
+    if np.max(np.abs(sv)) > COND_LIMIT * np.min(np.abs(sv)):
+        raise SingularM("E1 slot of the source is singular")
+    i0, j0 = np.argwhere(mask)[0]
+    first = np.nonzero(np.outer(mask[:, j0], mask[i0]))
+    ii, jj = np.empty((2, ell, len(first[0])), dtype=int)
+    ii[0], jj[0] = first
+    x = np.ones(ii.shape, dtype=complex)
+    for k in range(1, ell):
+        ii[k], jj[k] = tr[ii[k - 1]], sr[jj[k - 1]]
+        x[k] = x[k - 1] * tv[ii[k - 1]] / sv[jj[k - 1]]
+    x /= np.linalg.norm(x, axis=0)
+    kt, ks = np.zeros((2, dim), dtype=int)
+    kt[ii] = ks[jj] = np.arange(ell)[:, None]
+    w, p, q = np.nonzero((mask @ (source != 0)) | ((target != 0) @ mask))
+    kp, kq, w, p, q = kt[p], ks[q], w[:, None], p[:, None], q[:, None]
+    system = ((ii[kp] == p) * x[kp] * source[w, jj[kp], q]
+              - (jj[kq] == q) * x[kq] * target[w, p, ii[kq]])
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    cutoff = rel_tol * svals[0]
-    nullity = int(np.sum(svals < cutoff))
+    nullity = int(np.sum(svals < rel_tol * svals[0]))
     if nullity == 0:
         raise NoIntertwiner("no intertwiner into these output irreps")
     m = np.zeros((dim, dim), dtype=complex)
-    m[i, j] = vh[-1].conj()
+    m[ii, jj] = vh[-1].conj() * x
     return m, nullity
 
 
 def _positive_slots(repx, repy):
-    """Source slots P R(w) P of the positive crossing, R in (rho_y, rho_x)."""
+    """Source slots P R(w) P of the positive crossing, R in (rho_y, rho_x),
+    stacked."""
     ell = repx.rd.ell
-    return {name: m.reshape(ell, ell, ell, ell).transpose(1, 0, 3, 2)
-            .reshape(ell * ell, ell * ell)
-            for name, m in r_images(repy, repx).images.items()}
+    return (_stack(r_images(repy, repx).images)
+            .reshape(8, ell, ell, ell, ell).transpose(0, 2, 1, 4, 3)
+            .reshape(8, ell * ell, ell * ell))
 
 
 def branch_of(char, z, c, rd):
@@ -373,7 +374,7 @@ def _solve_positive(repx, repy, outputs, rel_tol):
     """The normalized positive crossing M out of V_x (x) V_y into the
     irreps `outputs`, its nullity and the two sides (source, target) of
     its equation."""
-    source, target = _positive_slots(repx, repy), _pair_eval(*outputs)
+    source, target = _positive_slots(repx, repy), _stack(_pair_eval(*outputs))
     m, nullity = _solve_intertwiner(source, target, rel_tol)
     if nullity > 1:
         raise AmbiguousIntertwiner("solution space has dimension %d" % nullity)
@@ -381,9 +382,8 @@ def _solve_positive(repx, repy, outputs, rel_tol):
 
 
 def _residual(m, source, target):
-    """max_w |M S_w - T_w M| over the eight slots."""
-    return max(float(np.max(np.abs(m @ source[w] - target[w] @ m)))
-               for w in RImages.SLOTS)
+    """max_w |M S_w - T_w M| over the eight stacked slots."""
+    return float(np.max(np.abs(m @ source - target @ m)))
 
 
 def _block(m, outputs, nullity, residual):

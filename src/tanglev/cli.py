@@ -13,6 +13,7 @@ error JSON), 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -59,6 +60,8 @@ def parse_branch(text):
 
 
 def _mat_from_json(rows, backend):
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        raise ConfigError("a matrix needs two rows of two entries")
     (a, b), (c, d) = rows
     out = []
     for v in (a, b, c, d):
@@ -86,6 +89,19 @@ def _fields(obj, *names):
     return [obj[name] for name in names]
 
 
+def _typed_fields(parse):
+    """`parse` with an input field of the wrong type reported as a
+    ConfigError rather than as the TypeError it meets downstream."""
+    @functools.wraps(parse)
+    def checked(*args):
+        try:
+            return parse(*args)
+        except (TypeError, AttributeError, IndexError) as exc:
+            raise ConfigError("malformed input field: %s" % exc) from exc
+    return checked
+
+
+@_typed_fields
 def load_diagram(path):
     if path.endswith(".tgl"):
         with open(path) as fh:
@@ -116,6 +132,7 @@ def load_diagram(path):
     raise ConfigError("input must be a .tgl, .braid or .coloring file")
 
 
+@_typed_fields
 def build_boundary(d, cdata, char_coords, backend):
     """Bottom boundary + cup seeds from the coloring data or --char."""
     if cdata and "bottom" in cdata:

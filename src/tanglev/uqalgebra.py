@@ -128,7 +128,9 @@ def is_branch_degenerate(char: CentralCharacter) -> bool:
 
 def central_values(char: CentralCharacter, rd: RootData, r: int):
     """(kappa, lam, values): the ell roots of the central-value polynomial
-    at K-shift r, sorted by (real, imaginary) part.
+    at K-shift r, sorted by (real, imaginary) part rounded to 9 digits, so
+    that a conjugate pair, whose real parts tie up to rounding, keeps its
+    order across two roundings of one character.
 
     Closed form c_k = y_k + q/y_k, q = kappa/lam, with y_k the ell-th roots
     of a root Y of Y^2 - T Y + alpha/a (both roots give the same set).  At
@@ -155,7 +157,8 @@ def central_values(char: CentralCharacter, rd: RootData, r: int):
         y0 = principal_root(big / 2, ell)
         ys = [y0 * rd.eps_pow(2 * k) for k in range(ell)]
         values = [y + q / y for y in ys]
-    return kappa, lam, sorted(values, key=lambda z: (z.real, z.imag))
+    return kappa, lam, sorted(values, key=lambda z: (round(z.real, 9),
+                                                     round(z.imag, 9)))
 
 
 def is_generic(char: CentralCharacter, rd: RootData, tol=1e-8) -> bool:

@@ -64,17 +64,17 @@ def _negative_slots(repc, repd):
     img["F1"] = (slot["F1"] + slot["F2"] / l1[:, None] - img["F2"]) \
         @ img["L2"]
     slots = braiding.RImages.SLOTS
-    return {w: img[flip_w] for w, flip_w in zip(slots, slots[4:] + slots[:4])}
+    return braiding._stack({w: img[flip_w] for w, flip_w
+                            in zip(slots, slots[4:] + slots[:4])})
 
 
 def _dense_intertwiner(source_slots, target_slots, rel_tol=1e-8):
     """Reference solve: the nullspace of M S_w = T_w M over all ell^4
-    entries of M, ignoring the weight grading."""
-    dim = source_slots["K1"].shape[0]
+    entries of M, ignoring the weight grading and the E1 transport."""
+    dim = source_slots.shape[1]
     eye = np.eye(dim)
-    system = np.vstack([np.kron(eye, source_slots[w].T)
-                        - np.kron(target_slots[w], eye)
-                        for w in braiding.RImages.SLOTS])
+    system = np.vstack([np.kron(eye, s.T) - np.kron(t, eye)
+                        for s, t in zip(source_slots, target_slots)])
     _, svals, vh = np.linalg.svd(system)
     nullity = int(np.sum(svals < rel_tol * svals[0]))
     return vh[-1].conj().reshape(dim, dim), nullity
@@ -233,7 +233,7 @@ class TestGradedSolve:
                 outputs = strand_outputs(rx, ry, sign)
                 blk = solve(rx, ry, outputs)
                 m, nullity = _dense_intertwiner(
-                    slots, braiding._pair_eval(*outputs))
+                    slots, braiding._stack(braiding._pair_eval(*outputs)))
                 assert nullity == blk.nullity == 1
                 assert np.max(np.abs(braiding._normalize(m)
                                      - blk.matrix)) < 1e-12
@@ -250,15 +250,15 @@ class TestGradedSolve:
         rx, ry, _ = random_block(rng, rd3)
         solve_braiding_inverse(rx, ry, strand_outputs(rx, ry, sign=-1))
         ell = rd3.ell
-        assert shapes == [(8 * ell ** 3, ell ** 3)] * 2
+        assert shapes == [(8 * ell ** 3, ell ** 2)] * 2
 
     def test_weight_rule(self, rng, rd3):
         rx, ry, _ = random_block(rng, rd3)
         slots = braiding._positive_slots(rx, ry)
 
         def targets_scaled(factor):
-            t = braiding._pair_eval(*strand_outputs(rx, ry))
-            t["K1"] = t["K1"] * factor
+            t = braiding._stack(braiding._pair_eval(*strand_outputs(rx, ry)))
+            t[braiding._K1] *= factor
             return t
 
         # every target weight far from every source weight: no entry
@@ -267,10 +267,41 @@ class TestGradedSolve:
         # neither equal nor separated: refused, not guessed
         with pytest.raises(braiding.WeightGrading):
             braiding._solve_intertwiner(slots, targets_scaled(1 + 1e-5))
-        twisted = dict(slots, K1=slots["K1"] + 1e-3 * slots["E1"])
+        twisted = slots.copy()
+        twisted[braiding._K1] += 1e-3 * slots[braiding._E1]
         with pytest.raises(braiding.WeightGrading):
             braiding._solve_intertwiner(twisted, targets_scaled(1))
+        # an ill-conditioned E1 source slot would amplify rounding along
+        # the transport: refused by its entry moduli
+        skewed = slots.copy()
+        skewed[braiding._E1][:, 0] *= 1e13
+        with pytest.raises(braiding.SingularM):
+            braiding._solve_intertwiner(skewed, targets_scaled(1))
+        braiding._solve_intertwiner(slots, targets_scaled(1))
+
+    def test_ell5_shifted_outputs_are_refused(self, rng):
+        # an output label shifted in r or in s names another module with
+        # the same character: the transported basis still spans every
+        # candidate, and the other slots leave no intertwiner
+        rd = RootData(5)
+        rx, ry = (build_irrep(generic_char(rng, rd),
+                              (rng.randrange(5), rng.randrange(5)), rd)
+                  for _ in range(2))
+        for sign, solve in ((1, solve_braiding), (-1, solve_braiding_inverse)):
+            rule = strand_outputs(rx, ry, sign)
+            solve(rx, ry, rule)
+            for side, (dr, ds) in product((0, 1), ((1, 0), (0, 1), (2, 3))):
+                outputs = list(rule)
+                r, s = outputs[side].branch
+                outputs[side] = build_irrep(outputs[side].char,
+                                            (r + dr, s + ds), rd)
+                with pytest.raises(braiding.NoIntertwiner):
+                    solve(rx, ry, tuple(outputs))
 
     def test_ell5_trefoil_presentations_agree(self):
         two, three = trefoil_magnitudes(RootData(5))
+        assert two == pytest.approx(three, abs=1e-8)
+
+    def test_ell7_trefoil_presentations_agree(self):
+        two, three = trefoil_magnitudes(RootData(7))
         assert two == pytest.approx(three, abs=1e-8)

@@ -83,6 +83,11 @@ class TestInvariantMode:
         ("bogus.coloring", {"diagram": {"slices": [["id+"], ["bogus"]],
                                         "bottom_signs": [1]}},
          "DiagramSyntaxError"),
+        ("string-word.braid", {"word": "ab", "strands": 2}, "ConfigError"),
+        ("scalar-colour.coloring", {"tgl": "id+", "bottom": [[1, 5]]},
+         "ConfigError"),
+        ("short-row.coloring", {"tgl": "id+", "bottom": [[1, [[1, 2], [3]]]]},
+         "ConfigError"),
     ])
     def test_malformed_input_is_an_error_report(self, capsys, tmp_path,
                                                 name, data, error):

@@ -1,21 +1,24 @@
 """Unit tests for the root-of-unity algebra and its cyclic irreps."""
 
+import random
+
 import numpy as np
 import pytest
 
 from tanglev.factgroup import Mat2
-from tanglev.braiding import group_to_char
+from tanglev.braiding import char_to_group, group_to_char
 from tanglev.uqalgebra import (AlgebraElement, BranchDegenerate,
                                CentralCharacter, NonGenericCharacter,
                                RootData, all_irreps, antipode,
                                antipode_applied_coproduct, basis_elements,
-                               build_irrep, coproduct_matrix, counit,
+                               build_irrep, central_values,
+                               coproduct_matrix, counit,
                                generator, gram_matrix, is_branch_degenerate,
                                is_generic, pairing_e, pbw_multiply,
                                relation_residuals, rep_matrix, trace_form,
                                unit)
 
-from conftest import generic_char, trefoil_boundary_2
+from conftest import generic_char, rational_mat, trefoil_boundary_2
 
 
 class TestRootData:
@@ -37,6 +40,22 @@ class TestCentralCharacter:
         # beta = b = 0 makes the raising/lowering powers vanish
         assert not is_generic(CentralCharacter(2.0, 0.0, 0.5, 0.0), rd3)
         assert is_generic(CentralCharacter(2.0, 1.0, 0.5, 1.0), rd3)
+
+    def test_labels_survive_a_group_round_trip(self):
+        # real group entries give conjugate pairs of central values whose
+        # real parts tie up to rounding; label s must name the same value
+        # on the character and on its round trip through the group
+        rd = RootData(5)
+        rng = random.Random(5)
+        for _ in range(300):
+            ch = group_to_char(rational_mat(rng))
+            if not is_generic(ch, rd):
+                continue
+            again = group_to_char(char_to_group(ch))
+            for r in range(rd.ell):
+                values = central_values(ch, rd, r)[2]
+                assert np.allclose(central_values(again, rd, r)[2], values,
+                                   rtol=0, atol=1e-6)
 
 
 class TestIrreps:

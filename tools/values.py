@@ -1,0 +1,158 @@
+"""The numbers a numeric change must keep, as JSON, and the largest
+differences between two such files.
+
+    python tools/values.py OUT.json [--against OTHER.json]
+
+Writes to OUT.json:
+
+- `knots`: the value of each `knot-cold` knot (`bench/workloads.py`),
+  evaluated from a fresh EvalContext at l = 3 and at l = 5;
+- `moves`: the value of each `moves-warm` move site at l = 3, re-evaluated
+  against the context its set-up filled (or the error that set-up met);
+- `sweep`: for l = 3 and 5 and each of SWEEP_PAIRS pairs (x, y) drawn by
+  `samplers.rational_mat(random.Random(5))`, each braid word of
+  SWEEP_WORDS on two strands coloured (x, y) at the bottom and contracted
+  from a fresh context: "ok" with its block, or the error's type.
+
+tanglev is imported from the `src/` next to this file, and the workloads
+from the `bench/` next to it, so a copy of this file in another checkout
+writes that checkout's numbers.  With --against, the differences to
+OTHER.json are printed section by section: the largest |a - b| of the
+values, the outcomes that differ, and for blocks the largest |A - B|
+relative to the largest entry of B.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import random
+import sys
+from collections import Counter
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.dont_write_bytecode = True
+
+import numpy as np  # noqa: E402
+
+from tanglev import coloring, diagram, evaluator, samplers  # noqa: E402
+from tanglev.uqalgebra import RootData  # noqa: E402
+
+import workloads  # noqa: E402
+
+ELLS = (3, 5)
+SWEEP_PAIRS = 400
+SWEEP_WORDS = ([1], [-1], [1, -1], [-1, 1])
+
+
+def _pair(z):
+    return [z.real, z.imag]
+
+
+def knot_values():
+    out = {}
+    for ell in ELLS:
+        for name, d, bottom, seeds in workloads.knots():
+            col = coloring.propagate(d, bottom,
+                                     cup_seeds=dict(enumerate(seeds)))
+            value, _ = evaluator.invariant(
+                d, col, evaluator.EvalContext(RootData(ell)))
+            out["%s@%d" % (name, ell)] = _pair(value)
+    return out
+
+
+def move_values():
+    wl = workloads.MovesWarm()
+    wl.setup(1)
+    out = {}
+    for op in wl.sites:
+        label = wl.label(op)
+        if label in wl.setup_errors:
+            out[label] = wl.setup_errors[label]
+        else:
+            out[label] = _pair(wl.run(op)[0])
+    return out
+
+
+def sweep_outcomes():
+    rng = random.Random(5)
+    pairs = [(samplers.rational_mat(rng), samplers.rational_mat(rng))
+             for _ in range(SWEEP_PAIRS)]
+    out = {}
+    for ell in ELLS:
+        for k, (x, y) in enumerate(pairs):
+            for word in SWEEP_WORDS:
+                d = diagram.braid_word(word, 2)
+                key = "%d/%d/%s" % (ell, k, ",".join(map(str, word)))
+                try:
+                    col = coloring.propagate(d, coloring.ColoredBoundary(
+                        ((1, x), (1, y))))
+                    blk = evaluator.contract(
+                        d, col, evaluator.EvalContext(RootData(ell)))
+                except Exception as exc:  # the outcome is the error type
+                    out[key] = type(exc).__name__
+                    continue
+                out[key] = [_pair(z) for z in blk.matrix.ravel()]
+    return out
+
+
+def _complex(v):
+    return np.array(v, dtype=float).view(complex).ravel()
+
+
+def _largest(rows, n=3):
+    rows.sort(key=lambda r: -r[1])
+    return ", ".join("%s %.1e" % r for r in rows[:n]) or "-"
+
+
+def compare(new, old):
+    for section in ("knots", "moves"):
+        rows, moved = [], []
+        for key, a in new[section].items():
+            b = old[section].get(key)
+            if isinstance(a, str) or isinstance(b, str) or b is None:
+                if a != b:
+                    moved.append(key)
+                continue
+            rows.append((key, abs(_complex(a) - _complex(b))[0]))
+        print("%s: %d compared, outcomes differ on %s; largest |a - b|: %s"
+              % (section, len(rows), moved or "none", _largest(rows)))
+    for ell in ELLS:
+        prefix = "%d/" % ell
+        keys = [k for k in new["sweep"] if k.startswith(prefix)]
+        counts = Counter("ok" if isinstance(new["sweep"][k], list)
+                         else new["sweep"][k] for k in keys)
+        rows, moved = [], []
+        for key in keys:
+            a, b = new["sweep"][key], old["sweep"].get(key)
+            if not (isinstance(a, list) and isinstance(b, list)):
+                if a != b:
+                    moved.append(key)
+                continue
+            ca, cb = _complex(a), _complex(b)
+            rows.append((key, np.max(abs(ca - cb)) / np.max(abs(cb))))
+        print("sweep l = %d: %s; outcomes differ on %d: %s; largest "
+              "|A - B| / max |B|: %s" % (ell, dict(counts), len(moved),
+                                         moved[:5], _largest(rows)))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", help="JSON file to write")
+    ap.add_argument("--against", help="JSON file of another checkout")
+    args = ap.parse_args()
+    values = {"knots": knot_values(), "moves": move_values(),
+              "sweep": sweep_outcomes()}
+    with open(args.out, "w") as fh:
+        json.dump(values, fh)
+    if args.against:
+        with open(args.against) as fh:
+            compare(values, json.load(fh))
+
+
+if __name__ == "__main__":
+    main()
