@@ -8,17 +8,20 @@ legs of a cup or cap belong to one arc and carry equal colors.
 Colors are found by a constraint fixpoint: edge endpoints are merged with a
 union-find (identities, cup legs, cap legs) and crossing relations are
 applied in every solvable direction until nothing changes.  One scan of
-the diagram records each crossing and cup on its arc roots, so the
-fixpoint reads colors by root and `recolor` reuses the scan for every
-seed placement it tries.  Kinks need one non-forward rule: when a
-crossing's d and b legs are the same arc and only c is known, the unique
-consistent loop color is d = c_-^-1 c c_- with a = c.
+the diagram maps every endpoint to its arc root and records each crossing
+and cup on arc roots, so the fixpoint reads colors by root.  Kinks need
+one non-forward rule: when a crossing's d and b legs are the same arc and
+only c is known, the unique consistent loop color is d = c_-^-1 c c_-
+with a = c.
+
+A move changes a diagram only inside its window, so `recolor` searches
+for nothing: at each stall of the fixpoint the first uncolored cup takes
+the next seed, and a failure raises Inconsistent led by its cause's name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import factgroup
 from .diagram import ArityMismatch, Piece, TangleDiagram
@@ -74,7 +77,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
-        return rb
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class _Crossing:
 
 
 def _scan(d: TangleDiagram):
-    """Flattened union-find of edge endpoints; crossings and cups on roots."""
+    """Each edge endpoint's arc root; crossings and cups on roots."""
     # bottom points first: a diagram may have no slices
     uf = _UnionFind((0, i) for i in range(d.bottom_arity))
     crossings = []
@@ -110,22 +112,20 @@ def _scan(d: TangleDiagram):
             tcol += len(p.top)
     for key in list(uf.parent):
         uf.find(key)
-    find = uf.find
-    return (uf, [_Crossing(p, *map(find, pts)) for p, *pts in crossings],
-            [find(pt) for pt in cups])
+    find = uf.find  # adds crossing legs on no identity as their own roots
+    crossings = [_Crossing(p, *map(find, pts)) for p, *pts in crossings]
+    return uf.parent, crossings, [find(pt) for pt in cups]
 
 
 class GColoring:
-    """A total coloring of a diagram's edges, with the arc union-find and
+    """A total coloring of a diagram's edges, with the arc root map and
     crossing records it was propagated over."""
 
-    def __init__(self, diagram, uf, crossings, colors, tol=1e-9):
+    def __init__(self, diagram, roots, crossings, colors):
         self.diagram = diagram
-        self._uf = uf
-        self._roots = uf.parent  # flat: every endpoint to its arc root
+        self._roots = roots  # flat: every endpoint to its arc root
         self._crossings = crossings
         self._colors = colors
-        self.tol = tol
 
     def color(self, level, pos) -> Mat2:
         return self._colors[self._roots[(level, pos)]]
@@ -185,8 +185,9 @@ def _apply_crossing(cr: _Crossing, colors, tol):
     return False
 
 
-def _fill(d, scan, bottom, cup_seeds, tol=1e-9):
-    """Seed bottom and cups, then run the crossing fixpoint over a scan."""
+def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
+    """Seed bottom and cups, then run the crossing fixpoint over a scan;
+    at each stall the first uncolored cup takes the next of `seeds`."""
     if len(bottom) != d.bottom_arity:
         raise ArityMismatch(
             "boundary has %d entries, diagram wants %d"
@@ -195,26 +196,31 @@ def _fill(d, scan, bottom, cup_seeds, tol=1e-9):
         raise ArityMismatch(
             "boundary signs %s do not match diagram %s"
             % (bottom.signs(), d.bottom_signs))
-    uf, crossings, cups = scan
+    roots, crossings, cups = scan
     colors = {}
     for i, (sign, x) in enumerate(bottom.entries):
-        _set_color(colors, uf.parent[(0, i)], x, tol)
+        _set_color(colors, roots[(0, i)], x, tol)
     if cup_seeds:
         for idx, x in dict(cup_seeds).items():
             if not 0 <= idx < len(cups):
                 raise UnderdeterminedColoring(
                     "cup index %d out of range (%d cups)" % (idx, len(cups)))
             _set_color(colors, cups[idx], x, tol)
-    progress = True
-    while progress:
-        progress = False
-        for cr in crossings:
-            progress |= _apply_crossing(cr, colors, tol)
-    missing = [i for i, root in enumerate(cups) if root not in colors]
-    if missing:
-        raise UnderdeterminedColoring(
-            "no color for cups %s; supply cup_seeds" % missing)
-    return GColoring(d, uf, crossings, colors, tol)
+    seeds = iter(seeds)
+    while True:
+        progress = True
+        while progress:
+            progress = False
+            for cr in crossings:
+                progress |= _apply_crossing(cr, colors, tol)
+        missing = [i for i, root in enumerate(cups) if root not in colors]
+        if not missing:
+            return GColoring(d, roots, crossings, colors)
+        seed = next(seeds, None)
+        if seed is None:
+            raise UnderdeterminedColoring(
+                "no color for cups %s; supply cup_seeds" % missing)
+        colors[cups[missing[0]]] = seed
 
 
 def propagate(d: TangleDiagram, bottom: ColoredBoundary,
@@ -225,30 +231,20 @@ def propagate(d: TangleDiagram, bottom: ColoredBoundary,
     to the arc color of that cup; cups that close onto known arcs or sit in
     kink patterns are resolved without seeds.
     """
-    return _fill(d, _scan(d), bottom, cup_seeds, tol)
+    return _fill(d, _scan(d), bottom, cup_seeds, tol=tol)
 
 
 def recolor(d: TangleDiagram, bottom, seeds) -> GColoring:
-    """Re-solve a moved diagram, redistributing the cup seed colors.
+    """Re-solve a moved diagram from its bottom colors and cup seeds.
 
-    Moves change the cup count and positions, so the given seeds are tried
-    over cup slots (order preserved, largest subset first); cups left
-    unseeded must resolve themselves through arcs or the kink rule.  The
-    diagram is scanned once and each placement runs only the fixpoint.
+    One scan, one fill: at each stall of the fixpoint the first uncolored
+    cup takes the next seed.  UnderdeterminedColoring (no seed left),
+    CapMismatch and NotFactorizable become Inconsistent, led by their name.
     """
-    scan = _scan(d)
-    n = len(scan[2])
-    seeds = list(seeds)
-    for k in range(min(len(seeds), n), -1, -1):
-        for keep in combinations(range(len(seeds)), k):
-            for slots in combinations(range(n), k):
-                try:
-                    return _fill(d, scan, bottom, dict(zip(
-                        slots, (seeds[i] for i in keep))))
-                except (Inconsistent, UnderdeterminedColoring, CapMismatch,
-                        NotFactorizable):
-                    continue
-    raise Inconsistent("no seed placement colors the moved diagram")
+    try:
+        return _fill(d, _scan(d), bottom, seeds=seeds)
+    except (UnderdeterminedColoring, CapMismatch, NotFactorizable) as exc:
+        raise Inconsistent("%s: %s" % (type(exc).__name__, exc)) from exc
 
 
 def solve_closed(d: TangleDiagram, seeds, tol=1e-9) -> GColoring:

@@ -301,7 +301,7 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
             raise BranchObstruction(
                 "bottom branch %r at boundary point %d is not the module "
                 "of its strand" % (branch, i))
-    return col._uf, assign
+    return assign
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +319,10 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     if col.diagram is not d and col.diagram.to_json() != d.to_json():
         raise ArityMismatch("coloring belongs to a different diagram")
     ell = ctx.rd.ell
-    uf, arc_rep = _plan_branches(d, col, ctx, bottom_branches)
+    arc_rep = _plan_branches(d, col, ctx, bottom_branches)
 
     def arcs(level, start, n):
-        return [arc_rep[uf.parent[(level, start + j)]] for j in range(n)]
+        return [arc_rep[col._roots[(level, start + j)]] for j in range(n)]
 
     in_dim = ell ** d.bottom_arity
     state = np.eye(in_dim, dtype=complex)
@@ -347,7 +347,7 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
                 log.append(("branch-retry", p.value, blk.target_branches))
             rest -= nb
             cur = state.reshape(done_dim, ell ** nb, (ell ** rest) * in_dim)
-            state = np.einsum("ta,iaj->itj", m, cur)
+            state = m @ cur
             done_dim *= ell ** nt
             bcol += nb
             tcol += nt
@@ -385,7 +385,7 @@ def invariant(d: TangleDiagram, col: GColoring, ctx: EvalContext,
 # Move invariance reporting
 
 
-#: Re-solve a moved diagram over its cup slots (`coloring.recolor`).
+#: Re-colour a moved diagram from its bottom and seeds (`coloring.recolor`).
 _recolor = coloring.recolor
 
 

@@ -15,13 +15,17 @@ from conftest import (generic_char, generic_group, strand_outputs,
 
 
 def random_block(rng, rd):
-    while True:
+    """A crossing block on a random generic pair.  A pair whose solve fails
+    is redrawn, at most 50 times; then the last failure is raised, so a
+    broken solve fails the test instead of hanging it."""
+    for _ in range(50):
         rx = build_irrep(generic_char(rng, rd), (0, 0), rd)
         ry = build_irrep(generic_char(rng, rd), (0, 0), rd)
         try:
             return rx, ry, solve_braiding(rx, ry, strand_outputs(rx, ry))
-        except (braiding.NoIntertwiner, braiding.NonGenericCharacter):
-            continue
+        except (braiding.NoIntertwiner, braiding.NonGenericCharacter) as exc:
+            last = exc
+    raise last
 
 
 def _assert_inverse_inverts(rx, ry):
@@ -98,8 +102,8 @@ class TestCharGroupDictionary:
             d = diagram.braid_word([sign], 2)
             col = coloring.propagate(d, coloring.ColoredBoundary(
                 ((1, x), (1, y))))
-            uf, plan = evaluator._plan_branches(d, col, ctx, None)
-            top = [plan[uf.parent[(1, i)]] for i in range(2)]
+            plan = evaluator._plan_branches(d, col, ctx, None)
+            top = [plan[col._roots[(1, i)]] for i in range(2)]
             for rep, g in zip(top, crossing(x, y)):
                 assert factgroup.mats_equal(char_to_group(rep.char), g,
                                             tol=1e-9)

@@ -6,8 +6,8 @@ import pytest
 from tanglev import coloring, diagram, evaluator, factgroup
 from tanglev.coloring import ColoredBoundary
 
-from conftest import (mat2_of, rational_mat, trefoil_boundary_3,
-                      trefoil_meridians)
+from conftest import (mat2_of, rational_mat, trefoil_boundary_2,
+                      trefoil_boundary_3, trefoil_meridians)
 
 
 def two_colors(rng):
@@ -108,25 +108,34 @@ class TestPropagation:
 
 
 class TestRecolor:
-    def test_one_scan_for_every_placement(self, monkeypatch):
-        # a curl on the 3-strand trefoil leaves four cups; its seeds close
-        # up only on cups 2 and 3, the sixth placement tried
+    @pytest.mark.parametrize("site, cups", [(0, (2, 3)), (2, (0, 3))],
+                             ids=["curl-below", "curl-between"])
+    def test_one_scan_one_fill(self, monkeypatch, site, cups):
+        # a curl on the 3-strand trefoil leaves four cups; the fixpoint
+        # colours the curl cups, and each stall seeds the first cup still
+        # uncoloured, whether the curl sits below the closure cups or
+        # between them
         y1, y2, y3 = trefoil_boundary_3()
         d = diagram.close_braid_partial(diagram.braid_word([1, 2, 1, 2], 3))
         d2 = diagram.apply_move(
-            d, "FramedR1", next(diagram.find_move_sites(d, "FramedR1")))
+            d, "FramedR1", list(diagram.find_move_sites(d, "FramedR1"))[site])
         bottom = ColoredBoundary(((1, y1),))
-        scans = []
+        calls = []
 
-        def counted(diag, _scan=coloring._scan):
-            scans.append(diag)
-            return _scan(diag)
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
 
         with monkeypatch.context() as patch:
-            patch.setattr(coloring, "_scan", counted)
+            for name in ("_scan", "_fill"):
+                patch.setattr(coloring, name,
+                              counted(name, getattr(coloring, name)))
             col = evaluator._recolor(d2, bottom, [y2, y3])
-        assert len(scans) == 1
-        ref = coloring.propagate(d2, bottom, cup_seeds={2: y2, 3: y3})
+        assert calls == ["_scan", "_fill"]
+        ref = coloring.propagate(d2, bottom, cup_seeds=dict(zip(cups,
+                                                                 (y2, y3))))
         widths = [d2.bottom_arity] + [len(diagram.slice_top(s))
                                       for s in d2.slices]
 
@@ -137,6 +146,37 @@ class TestRecolor:
 
         assert np.array_equal(bits(col), bits(ref))
 
+    def test_every_move_site(self):
+        # every site of every move on the three benchmark knots: the
+        # trefoils' and most of the unknot's colour; the rest stall with
+        # no seed left and say so
+        x1, x2 = trefoil_boundary_2()
+        y1, y2, y3 = trefoil_boundary_3()
+        strand = diagram.parse("id+")
+        knots = [
+            ("unknot-curl", diagram.apply_move(strand, "FramedR1", next(
+                diagram.find_move_sites(strand, "FramedR1"))), x1, []),
+            ("trefoil-2", diagram.close_braid_partial(
+                diagram.braid_word([1, 1, 1], 2)), x1, [x2]),
+            ("trefoil-3", diagram.close_braid_partial(
+                diagram.braid_word([1, 2, 1, 2], 3)), y1, [y2, y3])]
+        coloured, failed = 0, []
+        for name, d, y, seeds in knots:
+            for move in ("R2", "R3", "FramedR1", "SlideCupCap"):
+                for site in diagram.find_move_sites(d, move):
+                    try:
+                        coloring.recolor(diagram.apply_move(d, move, site),
+                                         ColoredBoundary(((1, y),)), seeds)
+                    except coloring.Inconsistent as exc:
+                        failed.append((name, str(exc)))
+                        continue
+                    coloured += 1
+        assert coloured == 239
+        assert len(failed) == 16
+        assert all(name == "unknot-curl"
+                   and msg.startswith("UnderdeterminedColoring: ")
+                   for name, msg in failed)
+
     def test_crossings_are_recorded_on_arc_roots(self):
         y1, y2, y3 = trefoil_boundary_3()
         d = diagram.close_braid_partial(diagram.braid_word([1, 2, 1, 2], 3))
@@ -145,7 +185,7 @@ class TestRecolor:
         points = [pt for cr in col._crossings
                   for pt in (cr.c, cr.d, cr.a, cr.b)]
         assert len(points) == 16
-        assert all(col._uf.find(pt) == pt for pt in points)
+        assert all(col._roots[pt] == pt for pt in points)
 
     def test_root_map_holds_every_endpoint(self, rng):
         # colours, the planner and contraction index the flat parent map

@@ -212,8 +212,8 @@ class TestPlanner:
         with monkeypatch.context() as patch:
             patch.setattr(ctx, "solve", no_solve)
             patch.setattr(ctx, "solve_inverse", no_solve)
-            uf, assign = evaluator._plan_branches(d, col, ctx, None)
-        assert uf.find((0, 0)) in assign
+            assign = evaluator._plan_branches(d, col, ctx, None)
+        assert col._roots[(0, 0)] in assign
 
         solves = counted_solves(monkeypatch)
         ctx = EvalContext(RootData(3))

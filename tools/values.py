@@ -9,6 +9,8 @@ Writes to OUT.json:
   evaluated from a fresh EvalContext at l = 3 and at l = 5;
 - `moves`: the value of each `moves-warm` move site at l = 3, re-evaluated
   against the context its set-up filled (or the error that set-up met);
+- `sites`: for every site of every `moves-warm` move on each knot, "ok"
+  if `evaluator._recolor` colours the moved diagram, or the error's type;
 - `sweep`: for l = 3 and 5 and each of SWEEP_PAIRS pairs (x, y) drawn by
   `samplers.rational_mat(random.Random(5))`, each braid word of
   SWEEP_WORDS on two strands coloured (x, y) at the bottom and contracted
@@ -78,6 +80,22 @@ def move_values():
     return out
 
 
+def site_outcomes():
+    out = {}
+    for name, d, bottom, seeds in workloads.knots():
+        for move in workloads.MOVES:
+            for i, site in enumerate(diagram.find_move_sites(d, move)):
+                key = "%s/%s/%d" % (name, move, i)
+                try:
+                    evaluator._recolor(diagram.apply_move(d, move, site),
+                                       bottom, seeds)
+                except Exception as exc:  # the outcome is the error type
+                    out[key] = type(exc).__name__
+                    continue
+                out[key] = "ok"
+    return out
+
+
 def sweep_outcomes():
     rng = random.Random(5)
     pairs = [(samplers.rational_mat(rng), samplers.rational_mat(rng))
@@ -121,6 +139,10 @@ def compare(new, old):
             rows.append((key, abs(_complex(a) - _complex(b))[0]))
         print("%s: %d compared, outcomes differ on %s; largest |a - b|: %s"
               % (section, len(rows), moved or "none", _largest(rows)))
+    sites = new.get("sites", {})
+    moved = [k for k, a in sites.items() if a != old.get("sites", {}).get(k)]
+    print("sites: %s; outcomes differ on %d: %s" % (
+        dict(Counter(sites.values())), len(moved), moved[:5]))
     for ell in ELLS:
         prefix = "%d/" % ell
         keys = [k for k in new["sweep"] if k.startswith(prefix)]
@@ -146,7 +168,7 @@ def main():
     ap.add_argument("--against", help="JSON file of another checkout")
     args = ap.parse_args()
     values = {"knots": knot_values(), "moves": move_values(),
-              "sweep": sweep_outcomes()}
+              "sites": site_outcomes(), "sweep": sweep_outcomes()}
     with open(args.out, "w") as fh:
         json.dump(values, fh)
     if args.against:
