@@ -219,7 +219,7 @@ def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
         seed = next(seeds, None)
         if seed is None:
             raise UnderdeterminedColoring(
-                "no color for cups %s; supply cup_seeds" % missing)
+                "no color for cups %s; each needs a seed color" % missing)
         colors[cups[missing[0]]] = seed
 
 

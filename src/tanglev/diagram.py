@@ -12,9 +12,9 @@ Sign conventions (+ = strand oriented upward through the boundary):
     capL  (-,+) -> ()         capR  (+,-) -> ()
     cupL  () -> (+,-)         cupR  () -> (-,+)
 
-The framed Reidemeister moves R2, R3, FramedR1 (cancelling curl pair) and
-SlideCupCap (zigzag insertion/removal) are implemented as local slice-window
-rewrites with explicit sites, in both directions, for the property suite.
+Each variant of the framed Reidemeister moves R2, R3, FramedR1 (cancelling
+curl pair) and SlideCupCap (zigzag) is one stack of slice windows, and a
+move site inserts, removes or (R3) swaps one window stack.
 """
 
 from __future__ import annotations
@@ -271,81 +271,69 @@ def _level_signs(d: TangleDiagram, level: int):
     return signs
 
 
-def _pad_row(signs, position, window, width_after):
-    """One inserted slice: identities matching `signs` outside the window."""
+def _pad_row(signs, position, window):
+    """One new slice: identities matching `signs` outside the window."""
+    width = len(slice_bottom(window))
     row = [_id_for_sign(s) for s in signs[:position]]
     row.extend(window)
-    row.extend(_id_for_sign(s) for s in signs[position + width_after:])
+    row.extend(_id_for_sign(s) for s in signs[position + width:])
     return tuple(row)
 
 
-#: crossing pairs, bottom first: of an R2 site, and of a FramedR1 site's
-#: two curls
-_SIGN_VARIANTS = {"pos-neg": (Piece.X_POS, Piece.X_NEG),
-                  "neg-pos": (Piece.X_NEG, Piece.X_POS)}
-
-# zigzag windows: (strand sign, slice 1 window, slice 2 window)
-_ZIGZAG_VARIANTS = {
-    "up-left": (1, (Piece.CUP_L, Piece.ID_UP), (Piece.ID_UP, Piece.CAP_L)),
-    "up-right": (1, (Piece.ID_UP, Piece.CUP_R), (Piece.CAP_R, Piece.ID_UP)),
-    "down-left": (-1, (Piece.CUP_R, Piece.ID_DOWN),
-                  (Piece.ID_DOWN, Piece.CAP_R)),
-    "down-right": (-1, (Piece.ID_DOWN, Piece.CUP_L),
-                   (Piece.CAP_L, Piece.ID_DOWN)),
-}
-
-
-def _curl_windows(crossing):
+def _curl(crossing):
     return ((Piece.ID_UP, Piece.CUP_L),
             (crossing, Piece.ID_DOWN),
             (Piece.ID_UP, Piece.CAP_R))
 
 
+def _braid(crossing, shape):
+    """One crossing per slice, on the left ("1") or right ("2") strand pair."""
+    return tuple((crossing, Piece.ID_UP) if col == "1"
+                 else (Piece.ID_UP, crossing) for col in shape)
+
+
+#: move -> variant -> its stack of slice windows, bottom to top
+_WINDOWS = {
+    "R2": {"pos-neg": ((Piece.X_POS,), (Piece.X_NEG,)),
+           "neg-pos": ((Piece.X_NEG,), (Piece.X_POS,))},
+    "R3": {"%s-%s" % (sign, shape): _braid(crossing, shape)
+           for sign, crossing in (("pos", Piece.X_POS), ("neg", Piece.X_NEG))
+           for shape in ("121", "212")},
+    "FramedR1": {"pos-neg": _curl(Piece.X_POS) + _curl(Piece.X_NEG),
+                 "neg-pos": _curl(Piece.X_NEG) + _curl(Piece.X_POS)},
+    "SlideCupCap": {
+        "up-left": ((Piece.CUP_L, Piece.ID_UP), (Piece.ID_UP, Piece.CAP_L)),
+        "up-right": ((Piece.ID_UP, Piece.CUP_R), (Piece.CAP_R, Piece.ID_UP)),
+        "down-left": ((Piece.CUP_R, Piece.ID_DOWN),
+                      (Piece.ID_DOWN, Piece.CAP_R)),
+        "down-right": ((Piece.ID_DOWN, Piece.CUP_L),
+                       (Piece.CAP_L, Piece.ID_DOWN)),
+    },
+}
+
+#: moves that swap a stack for its partner's instead of inserting one
+_SWAPS = {"R3": {"pos-121": "pos-212", "pos-212": "pos-121",
+                 "neg-121": "neg-212", "neg-212": "neg-121"}}
+
+
 def find_move_sites(d: TangleDiagram, move: str) -> Iterator[MoveSite]:
-    if move == "R2":
-        yield from _find_r2(d)
-    elif move == "R3":
-        yield from _find_r3(d)
-    elif move == "FramedR1":
-        yield from _find_r1(d)
-    elif move == "SlideCupCap":
-        yield from _find_zigzag(d)
-    else:
+    """Insert sites at each boundary level and column whose signs equal a
+    variant's bottom signs, then remove sites where its stack matches."""
+    stacks = _WINDOWS.get(move)
+    if stacks is None:
         raise ValueError("unknown move %r" % move)
-
-
-def _find_r2(d):
-    for level in range(len(d.slices) + 1):
-        signs = _level_signs(d, level)
-        for pos in range(len(signs) - 1):
-            if signs[pos] == signs[pos + 1] == 1:
-                for var in _SIGN_VARIANTS:
-                    yield MoveSite("R2", "insert", var, level, pos)
-    for k in range(len(d.slices) - 1):
-        for var, (first, second) in _SIGN_VARIANTS.items():
-            for pos in _match_windows(d, k, [(first,), (second,)]):
-                yield MoveSite("R2", "remove", var, k, pos)
-
-
-def _single_crossing_col(pieces, kind):
-    if sum(p in (Piece.X_POS, Piece.X_NEG) for p in pieces) != 1:
-        return None
-    return next(iter(b for b, _ in _find_window(pieces, (kind,))), None)
-
-
-def _find_r3(d):
-    for k in range(len(d.slices) - 2):
-        for kind in (Piece.X_POS, Piece.X_NEG):
-            a = _single_crossing_col(d.slices[k], kind)
-            b = _single_crossing_col(d.slices[k + 1], kind)
-            c = _single_crossing_col(d.slices[k + 2], kind)
-            if None in (a, b, c):
-                continue
-            sign = "pos" if kind is Piece.X_POS else "neg"
-            if b == a + 1 and c == a:
-                yield MoveSite("R3", "remove", sign + "-121", k, a)
-            elif b == a - 1 and c == a:
-                yield MoveSite("R3", "remove", sign + "-212", k, b)
+    if move not in _SWAPS:
+        bottoms = [(var, slice_bottom(ws[0])) for var, ws in stacks.items()]
+        for level in range(len(d.slices) + 1):
+            signs = _level_signs(d, level)
+            for pos in range(len(signs)):
+                for var, bottom in bottoms:
+                    if signs[pos:pos + len(bottom)] == bottom:
+                        yield MoveSite(move, "insert", var, level, pos)
+    for k in range(len(d.slices)):
+        for var, windows in stacks.items():
+            for pos in _match_windows(d, k, windows):
+                yield MoveSite(move, "remove", var, k, pos)
 
 
 def _find_window(pieces, window):
@@ -370,120 +358,45 @@ def _match_windows(d, start, windows):
     """Bottom columns where `windows` match consecutive slices, aligned."""
     if start + len(windows) > len(d.slices):
         return
-    for b0, t0 in _find_window(d.slices[start], windows[0]):
-        expect = t0
-        ok = True
-        for off, window in enumerate(windows[1:], start=1):
-            hit = next(
-                (t for b, t in _find_window(d.slices[start + off], window)
-                 if b == expect), None)
-            if hit is None:
-                ok = False
+    for b0, expect in _find_window(d.slices[start], windows[0]):
+        for pieces, window in zip(d.slices[start + 1:], windows[1:]):
+            expect = next((t for b, t in _find_window(pieces, window)
+                           if b == expect), None)
+            if expect is None:
                 break
-            expect = hit
-        if ok:
+        else:
             yield b0
 
 
-def _find_r1(d):
-    for level in range(len(d.slices) + 1):
-        signs = _level_signs(d, level)
-        for pos in range(len(signs)):
-            if signs[pos] == 1:
-                for var in _SIGN_VARIANTS:
-                    yield MoveSite("FramedR1", "insert", var, level, pos)
-    for k in range(len(d.slices) - 5):
-        for var, (first, second) in _SIGN_VARIANTS.items():
-            windows = list(_curl_windows(first)) + list(_curl_windows(second))
-            for pos in _match_windows(d, k, windows):
-                yield MoveSite("FramedR1", "remove", var, k, pos)
-
-
-def _find_zigzag(d):
-    for level in range(len(d.slices) + 1):
-        signs = _level_signs(d, level)
-        for pos in range(len(signs)):
-            for var, (sign, _, _) in _ZIGZAG_VARIANTS.items():
-                if signs[pos] == sign:
-                    yield MoveSite("SlideCupCap", "insert", var, level, pos)
-    for k in range(len(d.slices) - 1):
-        for var, (sign, w1, w2) in _ZIGZAG_VARIANTS.items():
-            for pos in _match_windows(d, k, [w1, w2]):
-                yield MoveSite("SlideCupCap", "remove", var, k, pos)
-
-
 def apply_move(d: TangleDiagram, move: str, site: MoveSite) -> TangleDiagram:
-    """Apply a framed Reidemeister move at a site found by find_move_sites."""
+    """Replace the window stack `old` at (level, position) by `new`.
+
+    An insert puts the variant's stack in, a remove takes it out, and R3
+    swaps it for its partner's.  A site that does not fit raises
+    PatternNotFound.
+    """
     if site.move != move:
         raise PatternNotFound("site belongs to move %s" % site.move)
-    if site.direction == "insert":
-        return _insert_move(d, site)
-    return _remove_move(d, site)
-
-
-def _insert_move(d, site):
-    signs = _level_signs(d, site.level)
-    pos = site.position
-    new = []
-    if site.move == "R2":
-        if pos + 1 >= len(signs) or signs[pos] != 1 or signs[pos + 1] != 1:
-            raise PatternNotFound("no parallel upward strands at site")
-        for kind in _SIGN_VARIANTS[site.variant]:
-            new.append(_pad_row(signs, pos, (kind,), 2))
-    elif site.move == "FramedR1":
-        if pos >= len(signs) or signs[pos] != 1:
-            raise PatternNotFound("no upward strand at site")
-        for kind in _SIGN_VARIANTS[site.variant]:
-            row_signs, width = signs, 1
-            for window in _curl_windows(kind):
-                new.append(_pad_row(row_signs, pos, window, width))
-                row_signs, width = slice_top(new[-1]), 3
-            signs = slice_top(new[-1])
-    elif site.move == "SlideCupCap":
-        sign, w1, w2 = _ZIGZAG_VARIANTS[site.variant]
-        if pos >= len(signs) or signs[pos] != sign:
-            raise PatternNotFound("strand orientation does not match variant")
-        new.append(_pad_row(signs, pos, w1, 1))
-        new.append(_pad_row(slice_top(new[0]), pos, w2, 3))
-    else:
-        raise PatternNotFound("cannot insert move %s" % site.move)
-    slices = d.slices[:site.level] + tuple(new) + d.slices[site.level:]
-    return TangleDiagram(slices, d.bottom_signs)
-
-
-def _remove_move(d, site):
+    stack = _WINDOWS.get(move, {}).get(site.variant)
+    if stack is None:
+        raise PatternNotFound("no %s variant %r" % (move, site.variant))
     k, pos = site.level, site.position
-    if site.move == "R2":
-        expect = [(p,) for p in _SIGN_VARIANTS[site.variant]]
-    elif site.move == "FramedR1":
-        expect = list(_curl_windows(_SIGN_VARIANTS[site.variant][0])) + \
-            list(_curl_windows(_SIGN_VARIANTS[site.variant][1]))
-    elif site.move == "SlideCupCap":
-        _, w1, w2 = _ZIGZAG_VARIANTS[site.variant]
-        expect = [w1, w2]
-    elif site.move == "R3":
-        return _rewrite_r3(d, site)
-    else:
-        raise PatternNotFound("cannot remove move %s" % site.move)
-    if pos not in _match_windows(d, k, expect):
-        raise PatternNotFound(
-            "%s pattern absent at slice %d column %d" % (site.move, k, pos))
-    slices = d.slices[:k] + d.slices[k + len(expect):]
-    return TangleDiagram(slices, d.bottom_signs)
-
-
-def _rewrite_r3(d, site):
-    k, a = site.level, site.position
-    sign, shape = site.variant.split("-")
-    kind = Piece.X_POS if sign == "pos" else Piece.X_NEG
     signs = _level_signs(d, k)
-    if shape == "121":
-        cols, newcols = (a, a + 1, a), (a + 1, a, a + 1)
+    if site.direction != "insert":
+        old = stack
+        new = _WINDOWS[move][_SWAPS[move][site.variant]] \
+            if move in _SWAPS else ()
+        fits = pos in _match_windows(d, k, old)
     else:
-        cols, newcols = (a + 1, a, a + 1), (a, a + 1, a)
-    for off, col in enumerate(cols):
-        if _single_crossing_col(d.slices[k + off], kind) != col:
-            raise PatternNotFound("R3 pattern absent at slice %d" % (k + off))
-    new = tuple(_pad_row(signs, col, (kind,), 2) for col in newcols)
-    slices = d.slices[:k] + new + d.slices[k + 3:]
+        old, new = (), stack
+        bottom = slice_bottom(stack[0])
+        fits = move not in _SWAPS and signs[pos:pos + len(bottom)] == bottom
+    if not fits:
+        raise PatternNotFound("%s %s %s does not fit at level %d column %d"
+                              % (move, site.direction, site.variant, k, pos))
+    rows = []
+    for window in new:
+        rows.append(_pad_row(signs, pos, window))
+        signs = slice_top(rows[-1])
+    slices = d.slices[:k] + tuple(rows) + d.slices[k + len(old):]
     return TangleDiagram(slices, d.bottom_signs)

@@ -343,47 +343,23 @@ def _lmul_E(elem):
     return AlgebraElement(rd, char, out)
 
 
-def _lmul_K(elem, power=1):
+def _lmul_KL(elem, gen, power):
+    """Left product by K^power or L^power (gen "K" or "L"), power >= -1."""
     rd, char = elem.rd, elem.char
     ell = rd.ell
+    slot = _GENS.index(gen)
+    wrap = char.alpha if gen == "K" else char.a
     out = {}
-    for (i, j, m, n), v in elem.coeffs.items():
-        coef = v * rd.eps_pow(2 * power * (i - j))
-        m2 = m + power
-        if m2 >= ell:
-            m2 -= ell
-            coef *= char.alpha
-        key = (i, j, m2, n)
-        out[key] = out.get(key, 0j) + coef
-    return AlgebraElement(rd, char, out)
-
-
-def _lmul_L(elem, power=1):
-    rd, char = elem.rd, elem.char
-    ell = rd.ell
-    out = {}
-    for (i, j, m, n), v in elem.coeffs.items():
-        coef = v * rd.eps_pow(2 * power * (i - j))
-        n2 = n + power
-        if n2 >= ell:
-            n2 -= ell
-            coef *= char.a
-        key = (i, j, m, n2)
-        out[key] = out.get(key, 0j) + coef
-    return AlgebraElement(rd, char, out)
-
-
-def _lmul_Linv(elem):
-    rd, char = elem.rd, elem.char
-    ell = rd.ell
-    out = {}
-    for (i, j, m, n), v in elem.coeffs.items():
-        coef = v * rd.eps_pow(-2 * (i - j))
-        n2 = n - 1
-        if n2 < 0:
-            n2 += ell
-            coef /= char.a
-        key = (i, j, m, n2)
+    for key, v in elem.coeffs.items():
+        coef = v * rd.eps_pow(2 * power * (key[0] - key[1]))
+        e = key[slot] + power
+        if e >= ell:
+            e -= ell
+            coef *= wrap
+        elif e < 0:
+            e += ell
+            coef /= wrap
+        key = key[:slot] + (e,) + key[slot + 1:]
         out[key] = out.get(key, 0j) + coef
     return AlgebraElement(rd, char, out)
 
@@ -406,7 +382,7 @@ def _lmul_F(elem):
         else:
             mono = AlgebraElement(rd, char, {(i - 1, j, m, n): v})
             out = out + _lmul_E(_lmul_F(mono))
-            corr = _lmul_K(mono) - _lmul_Linv(mono)
+            corr = _lmul_KL(mono, "K", 1) - _lmul_KL(mono, "L", -1)
             out = out + corr.scale(-(eps - 1 / eps))
     return out + AlgebraElement(rd, char, plain)
 
@@ -418,9 +394,9 @@ def pbw_multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     rd, char = u.rd, u.char
     total = _zero(rd, char)
     for (i, j, m, n), cu in u.coeffs.items():
-        term = _lmul_L(v, n) if n else v
+        term = _lmul_KL(v, "L", n) if n else v
         if m:
-            term = _lmul_K(term, m)
+            term = _lmul_KL(term, "K", m)
         for _ in range(j):
             term = _lmul_F(term)
         for _ in range(i):
@@ -470,7 +446,7 @@ def antipode(gen: str, rd: RootData, char: CentralCharacter) -> AlgebraElement:
         return AlgebraElement(
             rd, char, {(0, 0, rd.ell - 1, 0): 1.0 / char.alpha})
     if gen == "L":
-        return _lmul_Linv(one)
+        return _lmul_KL(one, "L", -1)
     if gen == "E":
         E = generator("E", rd, char)
         Kinv = AlgebraElement(
@@ -502,7 +478,7 @@ def antipode_applied_coproduct(gen: str, rd: RootData,
     E = generator("E", rd, char)
     F = generator("F", rd, char)
     Kinv = AlgebraElement(rd, char, {(0, 0, rd.ell - 1, 0): 1.0 / char.alpha})
-    Linv = _lmul_Linv(one)
+    Linv = _lmul_KL(one, "L", -1)
     if gen == "K":
         return [(Kinv, K)]
     if gen == "L":

@@ -71,17 +71,44 @@ class TestStructure:
 
 
 class TestMoves:
-    def test_r2_insert_remove_round_trip(self):
-        d = diagram.braid_word([1], 3)
-        site = next(s for s in diagram.find_move_sites(d, "R2")
-                    if s.direction == "insert")
-        d2 = diagram.apply_move(d, "R2", site)
-        assert d2.writhe() == d.writhe()
-        removes = [s for s in diagram.find_move_sites(d2, "R2")
-                   if s.direction == "remove"]
-        assert removes
-        d3 = diagram.apply_move(d2, "R2", removes[0])
-        assert d3.to_json() == d.to_json()
+    @pytest.mark.parametrize("move,variant", [
+        (move, variant) for move, stacks in diagram._WINDOWS.items()
+        for variant in stacks])
+    def test_move_round_trip(self, move, variant):
+        # an insert is undone by the remove at its level, column and
+        # variant; an R3 swap is undone by the swap back
+        if move == "R3":
+            sign, shape = variant.split("-")
+            letters = [int(c) if sign == "pos" else -int(c) for c in shape]
+            bases = (diagram.braid_word(letters, 3),
+                     diagram.braid_word(
+                         [g + (g > 0) - (g < 0) for g in letters], 4))
+            direction = "remove"
+            undo = "%s-%s" % (sign, "212" if shape == "121" else "121")
+        else:
+            bases = (diagram.braid_word([1], 3), diagram.parse("id+"),
+                     diagram.parse("id+ cupL; x+ id-; id+ capR"))
+            direction, undo = "insert", variant
+        sites = [(d, s) for d in bases
+                 for s in diagram.find_move_sites(d, move)
+                 if s.direction == direction and s.variant == variant]
+        assert sites
+        for d, site in sites:
+            d2 = diagram.apply_move(d, move, site)
+            assert d2.writhe() == d.writhe()
+            assert d2.bottom_signs == d.bottom_signs
+            assert d2.top_signs == d.top_signs
+            back = diagram.MoveSite(move, "remove", undo, site.level,
+                                    site.position)
+            assert back in diagram.find_move_sites(d2, move)
+            d3 = diagram.apply_move(d2, move, back)
+            assert d3.to_json() == d.to_json()
+
+    def test_stale_r3_site_is_refused(self):
+        d = diagram.braid_word([1, 2, 1], 3)
+        with pytest.raises(diagram.PatternNotFound):
+            diagram.apply_move(d, "R3", diagram.MoveSite(
+                "R3", "remove", "pos-121", 3, 0))
 
     def test_r2_remove_found_in_braid(self):
         d = diagram.braid_word([1, -1], 2)
@@ -90,33 +117,6 @@ class TestMoves:
         assert sites
         d2 = diagram.apply_move(d, "R2", sites[0])
         assert d2.bottom_arity == 2 and len(d2.slices) == 0
-
-    def test_framed_r1_round_trip(self):
-        d = diagram.parse("id+")
-        site = next(diagram.find_move_sites(d, "FramedR1"))
-        d2 = diagram.apply_move(d, "FramedR1", site)
-        assert d2.writhe() == 0  # the two curls cancel
-        assert d2.bottom_signs == d.bottom_signs
-        assert d2.top_signs == d.top_signs
-        removes = [s for s in diagram.find_move_sites(d2, "FramedR1")
-                   if s.direction == "remove"]
-        assert removes
-        d3 = diagram.apply_move(d2, "FramedR1", removes[0])
-        assert d3.to_json() == d.to_json()
-
-    def test_zigzag_round_trip(self):
-        d = diagram.parse("id+")
-        for variant in ("up-left", "up-right"):
-            site = next(s for s in diagram.find_move_sites(d, "SlideCupCap")
-                        if s.variant == variant)
-            d2 = diagram.apply_move(d, "SlideCupCap", site)
-            assert d2.bottom_signs == d2.top_signs == (1,)
-            removes = [s for s in
-                       diagram.find_move_sites(d2, "SlideCupCap")
-                       if s.direction == "remove"]
-            assert removes
-            d3 = diagram.apply_move(d2, "SlideCupCap", removes[0])
-            assert d3.to_json() == d.to_json()
 
     def test_r3_sites_and_rewrite(self):
         d = diagram.braid_word([1, 2, 1], 3)

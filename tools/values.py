@@ -9,8 +9,9 @@ Writes to OUT.json:
   evaluated from a fresh EvalContext at l = 3 and at l = 5;
 - `moves`: the value of each `moves-warm` move site at l = 3, re-evaluated
   against the context its set-up filled (or the error that set-up met);
-- `sites`: for every site of every `moves-warm` move on each knot, "ok"
-  if `evaluator._recolor` colours the moved diagram, or the error's type;
+- `sites`: for every site of every `moves-warm` move on each knot, its
+  `MoveSite` fields, the moved diagram's `to_json()`, and "ok" if
+  `evaluator._recolor` colours the moved diagram, or the error's type;
 - `sweep`: for l = 3 and 5 and each of SWEEP_PAIRS pairs (x, y) drawn by
   `samplers.rational_mat(random.Random(5))`, each braid word of
   SWEEP_WORDS on two strands coloured (x, y) at the bottom and contracted
@@ -21,10 +22,12 @@ from the `bench/` next to it, so a copy of this file in another checkout
 writes that checkout's numbers.  With --against, the differences to
 OTHER.json are printed section by section: the largest |a - b| of the
 values, the outcomes that differ, and for blocks the largest |A - B|
-relative to the largest entry of B.
+relative to the largest entry of B; for sites, also the keys whose site
+or moved diagram differ, so a changed enumeration or rewrite shows.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -85,14 +88,16 @@ def site_outcomes():
     for name, d, bottom, seeds in workloads.knots():
         for move in workloads.MOVES:
             for i, site in enumerate(diagram.find_move_sites(d, move)):
-                key = "%s/%s/%d" % (name, move, i)
+                rec = out["%s/%s/%d" % (name, move, i)] = {
+                    "site": list(dataclasses.astuple(site))}
                 try:
-                    evaluator._recolor(diagram.apply_move(d, move, site),
-                                       bottom, seeds)
+                    moved = diagram.apply_move(d, move, site)
+                    rec["moved"] = moved.to_json()
+                    evaluator._recolor(moved, bottom, seeds)
                 except Exception as exc:  # the outcome is the error type
-                    out[key] = type(exc).__name__
+                    rec["outcome"] = type(exc).__name__
                     continue
-                out[key] = "ok"
+                rec["outcome"] = "ok"
     return out
 
 
@@ -139,10 +144,19 @@ def compare(new, old):
             rows.append((key, abs(_complex(a) - _complex(b))[0]))
         print("%s: %d compared, outcomes differ on %s; largest |a - b|: %s"
               % (section, len(rows), moved or "none", _largest(rows)))
-    sites = new.get("sites", {})
-    moved = [k for k, a in sites.items() if a != old.get("sites", {}).get(k)]
-    print("sites: %s; outcomes differ on %d: %s" % (
-        dict(Counter(sites.values())), len(moved), moved[:5]))
+    sites, before = new["sites"], old["sites"]
+    keys = sorted(set(sites) | set(before))
+
+    def differ(*fields):
+        return [k for k in keys if any(
+            sites.get(k, {}).get(f) != before.get(k, {}).get(f)
+            for f in fields)]
+
+    moved, rewritten = differ("outcome"), differ("site", "moved")
+    print("sites: %s; outcomes differ on %d: %s; sites or moved diagrams "
+          "differ on %d: %s" % (
+              dict(Counter(r["outcome"] for r in sites.values())),
+              len(moved), moved[:5], len(rewritten), rewritten[:5]))
     for ell in ELLS:
         prefix = "%d/" % ell
         keys = [k for k in new["sweep"] if k.startswith(prefix)]
