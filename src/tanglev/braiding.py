@@ -39,30 +39,42 @@ negative crossing V_c (x) V_d -> V_a (x) V_b is the normalized inverse of
 the positive block out of (a, b) into (c, d): there is one solve path,
 for the positive sign.
 
-The solve is graded by weight and transported along E1.  K is diagonal
-in every cyclic irrep and R(Delta K) = flip Delta K, so total K = K1 K2 is
-diagonal on both sides and M maps each source weight space to the equal
-target one.  Distinct weights differ by a power of eps^2, a relative
-distance of at least 2 sin(pi/ell), while equal ones agree to rounding:
-weights within WEIGHT_RTOL are equal, weights at least sin(pi/ell) apart
-are distinct, and a pair in between, like a source total K that is not
-diagonal, raises WeightGrading.  E1 moves each weight by eps^2 and is
-invertible (E^ell acts by beta != 0), so M = T_E1 M S_E1^-1 is fixed by
-its block on one weight class.  Both E1 slots are monomial, so the ell^2
-matrices X_c = sum_k T_E1^k e_c S_E1^-k, c an entry of the first class,
-have disjoint supports, one entry in each class: normalized, they are an
-orthonormal basis of the E1 equation's solutions, and the system
-X_c S_w - T_w X_c is 8 ell^3 x ell^2 (216 x 9 at ell = 3, 1000 x 25 at
-ell = 5).  Its singular values interlace those on all ell^3 graded
-entries: the second smallest only grows and the largest only shrinks, so
-a block of nullity one stays one.  An S_E1 whose entry moduli spread
-beyond COND_LIMIT raises SingularM.
+The solve is graded by weight and transported along E1 and F2.  K is
+diagonal in every cyclic irrep and R(Delta K) = flip Delta K, so total
+K = K1 K2 is diagonal on both sides and M maps each source weight space
+to the equal target one.  Distinct weights differ by a power of eps^2, a
+relative distance of at least 2 sin(pi/ell), while equal ones agree to
+rounding: weights within WEIGHT_RTOL are equal, weights at least
+sin(pi/ell) apart are distinct, and a pair in between, like a source
+total K that is not diagonal, raises WeightGrading.  E and F are
+invertible on a cyclic irrep (E^ell acts by beta, F^ell by b/a, both
+nonzero), so every intertwiner satisfies M = T_w M S_w^-1 for w = E1
+and w = F2, whose slots are monomial on both sides.  The two transports
+commute and move the ell^3 weight-matched entries in ell orbits of
+ell^2 entries, one entry in each target row and each source column.
+Normalized, the monomial matrices X_o = sum_{a,b} T_E1^a T_F2^b e_o
+S_F2^-b S_E1^-a, e_o an entry of orbit o, are an orthonormal basis that
+holds every intertwiner, and the system X_o S_w - T_w X_o is
+8 ell^3 x ell (216 x 3 at ell = 3, 1000 x 5 at ell = 5).  Its singular
+values interlace those on all ell^3 graded entries: the second smallest
+only grows and the largest only shrinks, so a block of nullity one stays
+one.  An S_E1 or S_F2 whose entry moduli spread beyond COND_LIMIT raises
+SingularM.
+
+Which entries form the orbits, and which entries of the slots each row
+of the system meets, depends only on the weight mask and on the zero
+patterns of the two stacks, so `_index_plan` builds those index arrays
+once per pattern and memoizes them (at most PLAN_CAP).  The memo holds
+index arrays only, never a colour, character or block: a fresh
+EvalContext still solves every crossing, and each solve recomputes its
+transport coefficients, its system and its SVD.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,53 +143,73 @@ class RImages:
     """Generator images of R evaluated in a fixed pair of irreps."""
 
     pair: tuple  # (rep_first, rep_second)
-    images: dict = field(repr=False)  # slot -> ell^2 x ell^2 matrix
+    stack: np.ndarray = field(repr=False)  # (8, ell^2, ell^2), SLOTS order
 
     SLOTS = ("K1", "L1", "E1", "F1", "K2", "L2", "E2", "F2")
 
+    @property
+    def images(self):
+        """slot -> ell^2 x ell^2 matrix, views into `stack`."""
+        return dict(zip(self.SLOTS, self.stack))
+
+
+_K1, _L1, _E1, _F1, _K2, _L2, _E2, _F2 = range(len(RImages.SLOTS))
+
 
 def _kron(a, b):
-    """np.kron of two matrices as one broadcast product: each entry is the
-    same single product, without np.kron's generic reshaping."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    """np.kron of two matrices, or of two stacks of matrices pairwise, as
+    one broadcast product: each entry is the same single product, without
+    np.kron's generic reshaping."""
+    *lead, m, n = a.shape
+    p, q = b.shape[-2:]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        *lead, m * p, n * q)
 
 
-def _pair_eval(ra: CyclicRep, rb: CyclicRep):
-    """Evaluations of the eight generator slots in V_a (x) V_b."""
-    eye_a, eye_b = (np.eye(r.dim, dtype=complex) for r in (ra, rb))
-    out = {name + "1": _kron(m, eye_b) for name, m in ra.matrices().items()}
-    out.update((name + "2", _kron(eye_a, m))
-               for name, m in rb.matrices().items())
-    return out
+def _pair_stack(ra: CyclicRep, rb: CyclicRep):
+    """The eight generator slots evaluated in V_a (x) V_b, M (x) 1 for
+    slot 1 and 1 (x) M for slot 2, stacked in RImages.SLOTS order."""
+    eye = np.eye(ra.dim, dtype=complex)
+    return _kron(np.array([ra.Kmat, ra.Lmat, ra.Emat, ra.Fmat] + [eye] * 4),
+                 np.array([eye] * 4 + [rb.Kmat, rb.Lmat, rb.Emat, rb.Fmat]))
 
 
 def r_images(rep_a: CyclicRep, rep_b: CyclicRep) -> RImages:
-    """Evaluate the braiding automorphism in the pair V_a (x) V_b."""
-    rd = rep_a.rd
-    slot = _pair_eval(rep_a, rep_b)
-    k1, k2, l1, l2 = (np.diagonal(slot[g])
-                      for g in ("K1", "K2", "L1", "L2"))
-    eye = np.eye(rd.ell * rep_b.dim, dtype=complex)
+    """Evaluate the braiding automorphism in the pair V_a (x) V_b.
+
+    N = 1 - A with A = eps (K^-1 E) (x) (F L) monomial, and A^ell is the
+    scalar sigma that the two characters fix, so N^-1 is
+    sum_{k < ell} A^k / (1 - sigma) in closed form."""
+    rd, ell = rep_a.rd, rep_a.rd.ell
+    slot = _pair_stack(rep_a, rep_b)
+    k1, l1, k2, l2 = (np.diagonal(slot[w]) for w in (_K1, _L1, _K2, _L2))
+    # A^1 .. A^ell, from the powers of both factors at once
     kinv_a = 1 / np.diagonal(rep_a.Kmat)
-    f_l = rep_b.Fmat @ rep_b.Lmat
-    n_mat = eye - rd.eps * _kron(kinv_a[:, None] * rep_a.Emat, f_l)
+    factors = np.array([rd.eps * kinv_a[:, None] * rep_a.Emat,
+                        rep_b.Fmat @ rep_b.Lmat])
+    powers = [factors]
+    for _ in range(ell - 1):
+        powers.append(powers[-1] @ factors)
+    powers = np.array(powers)
+    a_pow = _kron(powers[:, 0], powers[:, 1])
+    eye = np.eye(ell * ell)
+    n_mat = eye - a_pow[0]
     if np.linalg.cond(n_mat) > COND_LIMIT:
         raise SingularN("series factor N numerically singular")
-    n_inv = np.linalg.inv(n_mat)
+    n_inv = (eye + a_pow[:-1].sum(axis=0)) / (1 - a_pow[-1, 0, 0])
 
-    img = {}
-    img["K2"] = slot["K2"] @ n_inv
-    img["L2"] = slot["L2"] @ n_inv
-    img["E1"] = _kron(rep_a.Emat, rep_b.Lmat)
-    img["F2"] = _kron(np.diag(kinv_a), rep_b.Fmat)
+    img = np.empty_like(slot)
+    img[_K2] = k2[:, None] * n_inv
+    img[_L2] = l2[:, None] * n_inv
+    img[_E1] = slot[_E1] * l2  # E (x) L
+    img[_F2] = slot[_F2] / k1[:, None]  # K^-1 (x) F
     # the rest from R(Delta(u)) = flip Delta(u); K and L are diagonal and
-    # img K2^-1 = N K2^-1, likewise for L, so only N needs a dense inverse
-    img["K1"] = (k1 * k2)[:, None] * n_mat / k2
-    img["L1"] = (l1 * l2)[:, None] * n_mat / l2
-    img["E2"] = (slot["K1"] @ slot["E2"] + slot["E1"]) - img["E1"] @ img["K2"]
-    img["F1"] = (slot["F2"] + slot["F1"] / l2) \
-        - (l2[:, None] * n_inv / (l1 * l2)) @ img["F2"]
+    # img K2^-1 = N K2^-1, likewise for L, so only N needs an inverse
+    img[_K1] = (k1 * k2)[:, None] * n_mat / k2
+    img[_L1] = (l1 * l2)[:, None] * n_mat / l2
+    img[_E2] = (k1[:, None] * slot[_E2] + slot[_E1]) - img[_E1] @ img[_K2]
+    img[_F1] = (slot[_F2] + slot[_F1] / l2) \
+        - (l2[:, None] * n_inv / (l1 * l2)) @ img[_F2]
     return RImages((rep_a, rep_b), img)
 
 
@@ -209,7 +241,8 @@ def automorphism_residuals(ri: RImages):
 
 def sigma_delta_residuals(ri: RImages):
     """Residuals of R(Delta(u)) = flip Delta(u) on the four generators."""
-    slot, img, dev = _pair_eval(*ri.pair), ri.images, _dev
+    slot = dict(zip(RImages.SLOTS, _pair_stack(*ri.pair)))
+    img, dev = ri.images, _dev
     return {
         "K": dev(img["K1"] @ img["K2"] - slot["K1"] @ slot["K2"]),
         "L": dev(img["L1"] @ img["L2"] - slot["L1"] @ slot["L2"]),
@@ -266,24 +299,20 @@ class BraidingBlock:
 def _normalize(m):
     """Determinant one, then the distinguished phase: among the det-1
     rescalings by roots of unity, make the first entry of maximal modulus
-    have the lexicographically largest (re, im)."""
+    have the lexicographically largest (re, im).  The determinant is
+    taken as sign and log modulus: a unit-norm block of dimension ell^2
+    has |det| near (1/ell)^(ell^2), below the smallest double from
+    ell = 11 on."""
     if np.linalg.cond(m) > COND_LIMIT:
         raise SingularM("intertwiner is singular")
     dim = m.shape[0]
-    m = m / np.linalg.det(m) ** (1.0 / dim)
+    sign, logdet = np.linalg.slogdet(m)
+    m = m / (sign ** (1.0 / dim) * np.exp(logdet / dim))
     flat = np.abs(m).ravel()
     pivot = m.ravel()[np.argmax(flat > flat.max() - 1e-9 * flat.max())]
     roots = np.exp(2j * np.pi * np.arange(dim) / dim)
     keys = [(z.real, z.imag) for z in np.round(pivot * roots, 9).tolist()]
     return m * roots[keys.index(max(keys))]
-
-
-def _stack(slots):
-    """A slot dict as one (8, dim, dim) array in RImages.SLOTS order."""
-    return np.stack([slots[w] for w in RImages.SLOTS])
-
-
-_K1, _K2, _E1 = (RImages.SLOTS.index(w) for w in ("K1", "K2", "E1"))
 
 
 def _total_weights(slots):
@@ -310,50 +339,126 @@ def _weight_mask(target_w, source_w):
     return mask
 
 
-def _solve_intertwiner(source, target, rel_tol=1e-8):
-    """The nullspace of M S_w - T_w M over the stacked slots, on the basis
-    X_c of the module docstring.  Column i of T_E1 holds its one entry
-    tv[i] in row tr[i] (S_E1: sv, sr), and X_c holds x[k, c] at (ii[k, c],
-    jj[k, c]).  Row (p, q) meets step kt[p] of X_c S_w and step ks[q] of
-    T_w X_c: the steps in the weight classes of p and of q."""
-    dim = source.shape[1]
+class _Plan(NamedTuple):
+    """The index arrays of one solve (`_build_plan`).  Indices marked flat
+    index the raveled (8, ell^2, ell^2) stacks."""
+
+    moves: np.ndarray  # (2, ell^2): flat, S_E1 and S_F2 entry of column j
+    num: np.ndarray  # (ell, ell): flat, T_E1 or T_F2 entry of the step
+    den: np.ndarray  # (ell, ell, ell): flat, S_E1 or S_F2 entry of orbit o
+    entries: np.ndarray  # (ell, ell, ell): into raveled M, orbit o at (a, b)
+    x1: np.ndarray  # (R, ell): into the coefficients, X_o[p, j] of row r
+    g1: np.ndarray  # (R, ell): flat, the S_w[j, q] it meets
+    x2: np.ndarray  # (R, ell): into the coefficients, X_o[i, q] of row r
+    g2: np.ndarray  # (R, ell): flat, the T_w[p, i] it meets
+
+
+#: Plans by (ell^2, packed mask and zero patterns).  It holds index arrays
+#: only, never a colour, character or block; beyond PLAN_CAP plans it
+#: drops its oldest.  Each benchmark workload meets a single pattern.
+_PLANS = {}
+PLAN_CAP = 16
+
+
+def _index_plan(mask, source_nz, target_nz):
+    """The plan of a solve on these patterns, built once per pattern."""
+    key = (len(mask), np.packbits(np.concatenate(
+        (mask, source_nz, target_nz), axis=None)).tobytes())
+    plan = _PLANS.get(key)
+    if plan is None:
+        if len(_PLANS) >= PLAN_CAP:
+            del _PLANS[next(iter(_PLANS))]
+        plan = _PLANS[key] = _build_plan(mask, source_nz, target_nz)
+    return plan
+
+
+def _build_plan(mask, source_nz, target_nz):
+    """Orbits of E1 and F2 on the weight-matched entries, and the gather
+    indices of the system's rows.
+
+    Orbit o starts at the entry (i0, j_o) of the first weight class, j_o
+    its o-th source column, and holds the images after b F2 and then a E1
+    steps, (path[a, b], src[o, a, b]); the step into (a, b) multiplies
+    the coefficient by the slot entries num[a, b] / den[o, a, b].  An
+    orbit meets every target row and every source column once, so X_o is
+    monomial, and row (w, p, q) of X_o S_w - T_w X_o is
+    X_o[p, j] S_w[j, q] - T_w[p, i] X_o[i, q] with j = src_o(p) and
+    src_o(i) = q.  The rows are those that weight-matched entries reach.
+    """
+    dim = len(mask)
     ell = math.isqrt(dim)
+    cols = np.arange(dim)
+    tr, sr, tf, sf = (np.argmax(nz, axis=0) for nz in (
+        target_nz[_E1], source_nz[_E1], target_nz[_F2], source_nz[_F2]))
+    i0 = np.argmax(mask.any(axis=1))
+    path = np.empty((ell, ell), dtype=int)
+    src = np.empty((ell, ell, ell), dtype=int)
+    path[0, 0], src[:, 0, 0] = i0, np.flatnonzero(mask[i0])
+    for b in range(1, ell):
+        path[0, b], src[:, 0, b] = tf[path[0, b - 1]], sf[src[:, 0, b - 1]]
+    for a in range(1, ell):
+        path[a], src[:, a] = tr[path[a - 1]], sr[src[:, a - 1]]
+    tmoves, smoves = (np.stack((_E1 * dim + e1, _F2 * dim + f2)) * dim
+                      + cols for e1, f2 in ((tr, tf), (sr, sf)))
+    num = np.zeros((ell, ell), dtype=int)
+    den = np.zeros((ell, ell, ell), dtype=int)
+    num[0, 1:] = tmoves[1, path[0, :-1]]  # F2 steps, then E1 steps
+    den[:, 0, 1:] = smoves[1, src[:, 0, :-1]]
+    num[1:] = tmoves[0, path[:-1]]
+    den[:, 1:] = smoves[0, src[:, :-1]]
+    # each target row's position in path order, and each source column's
+    # in orbit o
+    at_row = np.empty(dim, dtype=int)
+    at_row[path.ravel()] = cols
+    at_col = np.empty((ell, dim), dtype=int)
+    np.put_along_axis(at_col, src.reshape(ell, dim), cols[None], axis=1)
+    w, p, q = (v[:, None] for v in np.nonzero(
+        (mask @ source_nz) | (target_nz @ mask)))
+    orbit = np.arange(ell) * dim
+    x1, x2 = orbit + at_row[p], orbit + at_col[:, q[:, 0]].T
+    j, i = src.reshape(-1)[x1], path.reshape(-1)[x2 % dim]
+    return _Plan(
+        smoves, num, den, path * dim + src,
+        x1, (w * dim + j) * dim + q, x2, (w * dim + p) * dim + i)
+
+
+def _solve_intertwiner(source, target, rel_tol=1e-8):
+    """The nullspace of M S_w - T_w M over the stacked slots, on the
+    orthonormal orbit basis X_o of the module docstring: `_index_plan`
+    gives the indices, and this pass computes the transport coefficients,
+    the system of 8 ell^3 rows and ell columns, and its one SVD."""
     mask = _weight_mask(_total_weights(target), _total_weights(source))
     if not mask.any():
         raise NoIntertwiner("no target weight matches a source weight")
-    tr, sr = (np.argmax(a[_E1] != 0, axis=0) for a in (target, source))
-    tv, sv = target[_E1, tr, range(dim)], source[_E1, sr, range(dim)]
-    if np.max(np.abs(sv)) > COND_LIMIT * np.min(np.abs(sv)):
-        raise SingularM("E1 slot of the source is singular")
-    i0, j0 = np.argwhere(mask)[0]
-    first = np.nonzero(np.outer(mask[:, j0], mask[i0]))
-    ii, jj = np.empty((2, ell, len(first[0])), dtype=int)
-    ii[0], jj[0] = first
-    x = np.ones(ii.shape, dtype=complex)
-    for k in range(1, ell):
-        ii[k], jj[k] = tr[ii[k - 1]], sr[jj[k - 1]]
-        x[k] = x[k - 1] * tv[ii[k - 1]] / sv[jj[k - 1]]
-    x /= np.linalg.norm(x, axis=0)
-    kt, ks = np.zeros((2, dim), dtype=int)
-    kt[ii] = ks[jj] = np.arange(ell)[:, None]
-    w, p, q = np.nonzero((mask @ (source != 0)) | ((target != 0) @ mask))
-    kp, kq, w, p, q = kt[p], ks[q], w[:, None], p[:, None], q[:, None]
-    system = ((ii[kp] == p) * x[kp] * source[w, jj[kp], q]
-              - (jj[kq] == q) * x[kq] * target[w, p, ii[kq]])
+    plan = _index_plan(mask, source != 0, target != 0)
+    source, target = source.reshape(-1), target.reshape(-1)
+    spread = np.abs(source[plan.moves])
+    singular = spread.max(axis=1) > COND_LIMIT * spread.min(axis=1)
+    if singular.any():
+        raise SingularM("%s slot of the source is singular"
+                        % ("E1", "F2")[np.argmax(singular)])
+    x = target[plan.num] / source[plan.den]
+    x[:, 0, 0] = 1
+    x[:, 0] = np.cumprod(x[:, 0], axis=1)
+    x = np.cumprod(x, axis=1)
+    x /= np.linalg.norm(x, axis=(1, 2))[:, None, None]
+    coef = x.reshape(-1)
+    system = (coef[plan.x1] * source[plan.g1]
+              - coef[plan.x2] * target[plan.g2])
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
     nullity = int(np.sum(svals < rel_tol * svals[0]))
     if nullity == 0:
         raise NoIntertwiner("no intertwiner into these output irreps")
-    m = np.zeros((dim, dim), dtype=complex)
-    m[ii, jj] = vh[-1].conj() * x
-    return m, nullity
+    m = np.zeros(len(mask) ** 2, dtype=complex)
+    m[plan.entries] = vh[-1].conj()[:, None, None] * x
+    return m.reshape(mask.shape), nullity
 
 
 def _positive_slots(repx, repy):
     """Source slots P R(w) P of the positive crossing, R in (rho_y, rho_x),
     stacked."""
     ell = repx.rd.ell
-    return (_stack(r_images(repy, repx).images)
+    return (r_images(repy, repx).stack
             .reshape(8, ell, ell, ell, ell).transpose(0, 2, 1, 4, 3)
             .reshape(8, ell * ell, ell * ell))
 
@@ -374,7 +479,7 @@ def _solve_positive(repx, repy, outputs, rel_tol):
     """The normalized positive crossing M out of V_x (x) V_y into the
     irreps `outputs`, its nullity and the two sides (source, target) of
     its equation."""
-    source, target = _positive_slots(repx, repy), _stack(_pair_eval(*outputs))
+    source, target = _positive_slots(repx, repy), _pair_stack(*outputs)
     m, nullity = _solve_intertwiner(source, target, rel_tol)
     if nullity > 1:
         raise AmbiguousIntertwiner("solution space has dimension %d" % nullity)

@@ -372,8 +372,8 @@ def apply_move(d: TangleDiagram, move: str, site: MoveSite) -> TangleDiagram:
     """Replace the window stack `old` at (level, position) by `new`.
 
     An insert puts the variant's stack in, a remove takes it out, and R3
-    swaps it for its partner's.  A site that does not fit raises
-    PatternNotFound.
+    swaps it for its partner's.  A site that does not fit, or whose level
+    lies outside 0..len(d.slices), raises PatternNotFound.
     """
     if site.move != move:
         raise PatternNotFound("site belongs to move %s" % site.move)
@@ -381,6 +381,8 @@ def apply_move(d: TangleDiagram, move: str, site: MoveSite) -> TangleDiagram:
     if stack is None:
         raise PatternNotFound("no %s variant %r" % (move, site.variant))
     k, pos = site.level, site.position
+    if not 0 <= k <= len(d.slices):
+        raise PatternNotFound("level %d outside 0..%d" % (k, len(d.slices)))
     signs = _level_signs(d, k)
     if site.direction != "insert":
         old = stack

@@ -183,7 +183,8 @@ class EvalContext:
         scalars of its slot-1 input.  The through-strand therefore gets the
         label whose scalars are the loop's, and the positive curl M is
         solved from (through, loop) to (through, loop); a curl with no such
-        intertwiner raises KinkObstruction.
+        intertwiner, or whose curl scalars vanish or are not finite, raises
+        KinkObstruction.
 
         Only the positive curl is solved.  It returns both of its input
         modules, so the negative curl, the inverse crossing on the same
@@ -206,6 +207,9 @@ class EvalContext:
                     "modules") from exc
             prod = (self._kink_scalar(m, loop.Kmat)
                     * self._kink_scalar(np.linalg.inv(m), loop.Kmat))
+            if not np.isfinite(prod):
+                raise KinkObstruction("curl scalars are not finite (%r)"
+                                      % prod)
             if not abs(prod) > 1e-12:
                 raise KinkObstruction("curl scalars vanish (%.1e)"
                                       % abs(prod))

@@ -52,7 +52,8 @@ def _negative_slots(repc, repd):
     R(1 (x) F) = K^-1 (x) F and R^-1(flip Delta(u)) = Delta(u).  The
     negative block N solves N S_w = (rho_a (x) rho_b)(w) N on these slots.
     """
-    slot = braiding._pair_eval(repc, repd)
+    slot = dict(zip(braiding.RImages.SLOTS,
+                    braiding._pair_stack(repc, repd)))
     k1, k2, l1, l2 = (np.diagonal(slot[g]) for g in ("K1", "K2", "L1", "L2"))
     n_mat = np.eye(len(k1)) - repc.rd.eps * slot["E1"] @ slot["F2"]
     n_inv = np.linalg.inv(n_mat)
@@ -68,8 +69,7 @@ def _negative_slots(repc, repd):
     img["F1"] = (slot["F1"] + slot["F2"] / l1[:, None] - img["F2"]) \
         @ img["L2"]
     slots = braiding.RImages.SLOTS
-    return braiding._stack({w: img[flip_w] for w, flip_w
-                            in zip(slots, slots[4:] + slots[:4])})
+    return np.stack([img[flip_w] for flip_w in slots[4:] + slots[:4]])
 
 
 def _dense_intertwiner(source_slots, target_slots, rel_tol=1e-8):
@@ -79,7 +79,9 @@ def _dense_intertwiner(source_slots, target_slots, rel_tol=1e-8):
     eye = np.eye(dim)
     system = np.vstack([np.kron(eye, s.T) - np.kron(t, eye)
                         for s, t in zip(source_slots, target_slots)])
-    _, svals, vh = np.linalg.svd(system)
+    # the R of a QR has the tall system's singular values and right
+    # singular vectors, for about half the cost of its SVD at ell = 5
+    _, svals, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
     nullity = int(np.sum(svals < rel_tol * svals[0]))
     return vh[-1].conj().reshape(dim, dim), nullity
 
@@ -119,6 +121,20 @@ class TestAutomorphism:
         assert max(braiding.automorphism_residuals(ri).values()) < 1e-9
         assert max(braiding.sigma_delta_residuals(ri).values()) < 1e-9
 
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_series_inverse_matches_dense_inverse(self, rng, ell):
+        # the K2 image is K2 N^-1 with N^-1 in closed form; the oracle
+        # inverts N = 1 - eps K^-1 E (x) F L densely
+        rd = RootData(ell)
+        ra, rb = (build_irrep(generic_char(rng, rd), (0, 0), rd)
+                  for _ in range(2))
+        k2 = np.tile(np.diagonal(rb.Kmat), ell)
+        closed = braiding.r_images(ra, rb).images["K2"] / k2[:, None]
+        kinv_e = np.diag(1 / np.diagonal(ra.Kmat)) @ ra.Emat
+        dense = np.linalg.inv(np.eye(ell * ell) - rd.eps * np.kron(
+            kinv_e, rb.Fmat @ rb.Lmat))
+        assert np.max(np.abs(closed - dense)) < 1e-13 * np.max(np.abs(dense))
+
     def test_pullback_matches_group_map(self, rng, rd3):
         x, y = generic_group(rng, rd3), generic_group(rng, rd3)
         rep = braiding.z0_pullback_check(x, y, rd3)
@@ -144,6 +160,21 @@ class TestSolver:
         assert blk.nullity == 1
         assert blk.residual < 1e-8
         assert abs(abs(np.linalg.det(blk.matrix)) - 1.0) < 1e-8
+
+    def test_normalize_survives_determinant_underflow(self):
+        # a unit-norm 121 x 121 block (ell = 11) of condition number 1e5:
+        # its determinant, about 1e-348, underflows to 0, yet the block
+        # normalizes to det 1
+        gen = np.random.default_rng(11)
+        q, _ = np.linalg.qr(gen.normal(size=(121, 121))
+                            + 1j * gen.normal(size=(121, 121)))
+        m = q * np.logspace(0, -5, 121)
+        m /= np.linalg.norm(m)
+        assert np.linalg.det(m) == 0
+        out = braiding._normalize(m)
+        assert np.all(np.isfinite(out))
+        sign, logdet = np.linalg.slogdet(out)
+        assert abs(sign - 1) < 1e-9 and abs(logdet) < 1e-9
 
     def test_targets_follow_group_map(self, rng, rd3):
         # outputs off the group map's characters admit no intertwiner
@@ -225,11 +256,23 @@ class TestSolver:
                 assert admitted == [tuple(rep.branch for rep in rule)]
 
 
+def _plan_inputs(rx, ry):
+    """The weight mask and the two stacks of the positive crossing out of
+    (rx, ry) into the strand rule's outputs."""
+    source = braiding._positive_slots(rx, ry)
+    target = braiding._pair_stack(*strand_outputs(rx, ry))
+    return (braiding._weight_mask(braiding._total_weights(target),
+                                  braiding._total_weights(source)),
+            source, target)
+
+
 class TestGradedSolve:
-    def test_matches_dense_reference(self, rng, rd3):
-        for _ in range(4):
-            rx, ry = (build_irrep(generic_char(rng, rd3),
-                                  (rng.randrange(3), rng.randrange(3)), rd3)
+    def test_matches_dense_reference(self, rng):
+        for ell in (3, 3, 3, 3, 5, 5):
+            rd = RootData(ell)
+            rx, ry = (build_irrep(generic_char(rng, rd),
+                                  (rng.randrange(ell), rng.randrange(ell)),
+                                  rd)
                       for _ in range(2))
             for sign, solve, slots in (
                     (1, solve_braiding, braiding._positive_slots(rx, ry)),
@@ -237,7 +280,7 @@ class TestGradedSolve:
                 outputs = strand_outputs(rx, ry, sign)
                 blk = solve(rx, ry, outputs)
                 m, nullity = _dense_intertwiner(
-                    slots, braiding._stack(braiding._pair_eval(*outputs)))
+                    slots, braiding._pair_stack(*outputs))
                 assert nullity == blk.nullity == 1
                 assert np.max(np.abs(braiding._normalize(m)
                                      - blk.matrix)) < 1e-12
@@ -254,14 +297,77 @@ class TestGradedSolve:
         rx, ry, _ = random_block(rng, rd3)
         solve_braiding_inverse(rx, ry, strand_outputs(rx, ry, sign=-1))
         ell = rd3.ell
-        assert shapes == [(8 * ell ** 3, ell ** 2)] * 2
+        assert shapes == [(8 * ell ** 3, ell)] * 2
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_orbits_tile_the_weight_classes(self, rng, ell):
+        # ell orbits of ell^2 entries each; every orbit meets each target
+        # row and each source column once, and together they are exactly
+        # the weight-matched entries
+        rd = RootData(ell)
+        rx, ry = (build_irrep(generic_char(rng, rd),
+                              (rng.randrange(ell), rng.randrange(ell)), rd)
+                  for _ in range(2))
+        mask, source, target = _plan_inputs(rx, ry)
+        plan = braiding._index_plan(mask, source != 0, target != 0)
+        dim = ell * ell
+        orbits = plan.entries.reshape(ell, dim)
+        for orbit in orbits:
+            assert sorted(orbit // dim) == sorted(orbit % dim) \
+                == list(range(dim))
+        assert sorted(orbits.ravel()) == list(np.flatnonzero(mask))
+
+    def test_plan_memo_changes_no_bit(self, rng, rd3, monkeypatch):
+        # a block solved on an emptied memo equals, bit for bit, the block
+        # solved again on the plan that the first solve left there
+        monkeypatch.setattr(braiding, "_PLANS", {})
+        rx, ry, cold = random_block(rng, rd3)
+        assert len(braiding._PLANS) == 1
+        warm = solve_braiding(rx, ry, strand_outputs(rx, ry))
+        assert len(braiding._PLANS) == 1
+        assert np.array_equal(cold.matrix.view(np.uint64),
+                              warm.matrix.view(np.uint64))
+
+    def test_plan_memo_holds_index_arrays_under_its_cap(self, rng, rd3,
+                                                        monkeypatch):
+        # fill the memo past its cap with distinct zero patterns: it keeps
+        # PLAN_CAP plans, each of integer or boolean arrays only
+        monkeypatch.setattr(braiding, "_PLANS", {})
+        mask, source, target = _plan_inputs(*random_block(rng, rd3)[:2])
+        # zeros of the slots other than the transports E1 and F2
+        zeros = np.argwhere(source[[braiding._K1, braiding._L1]] == 0)
+        assert len(zeros) > braiding.PLAN_CAP
+        for w, i, j in zeros[:braiding.PLAN_CAP + 5]:
+            pattern = source != 0
+            pattern[(braiding._K1, braiding._L1)[w], i, j] = True
+            braiding._index_plan(mask, pattern, target != 0)
+        assert len(braiding._PLANS) == braiding.PLAN_CAP
+        for plan in braiding._PLANS.values():
+            for arr in plan:
+                assert isinstance(arr, np.ndarray) and arr.dtype.kind in "iub"
+
+    def test_other_zero_pattern_gets_its_own_plan(self, rng, rd3,
+                                                 monkeypatch):
+        # a source slot entry set to zero makes another pattern, which
+        # gets a plan of its own and leaves the first as it was
+        monkeypatch.setattr(braiding, "_PLANS", {})
+        mask, source, target = _plan_inputs(*random_block(rng, rd3)[:2])
+        first = braiding._index_plan(mask, source != 0, target != 0)
+        i, j = np.argwhere(source[braiding._K1] != 0)[-1]
+        changed = source.copy()
+        changed[braiding._K1, i, j] = 0
+        other = braiding._index_plan(mask, changed != 0, target != 0)
+        assert len(braiding._PLANS) == 2 and other is not first
+        built = braiding._build_plan(mask, changed != 0, target != 0)
+        assert all(np.array_equal(a, b) for a, b in zip(other, built))
+        assert braiding._index_plan(mask, source != 0, target != 0) is first
 
     def test_weight_rule(self, rng, rd3):
         rx, ry, _ = random_block(rng, rd3)
         slots = braiding._positive_slots(rx, ry)
 
         def targets_scaled(factor):
-            t = braiding._stack(braiding._pair_eval(*strand_outputs(rx, ry)))
+            t = braiding._pair_stack(*strand_outputs(rx, ry))
             t[braiding._K1] *= factor
             return t
 
@@ -309,3 +415,9 @@ class TestGradedSolve:
     def test_ell7_trefoil_presentations_agree(self):
         two, three = trefoil_magnitudes(RootData(7))
         assert two == pytest.approx(three, abs=1e-8)
+
+    def test_ell11_trefoil_is_ell_to_three_halves(self):
+        # the blocks have 121 x 121 entries and determinants below the
+        # smallest double; both presentations still give 11^(3/2)
+        for value in trefoil_magnitudes(RootData(11)):
+            assert value == pytest.approx(11 ** 1.5, abs=1e-8)

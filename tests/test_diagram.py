@@ -110,6 +110,15 @@ class TestMoves:
             diagram.apply_move(d, "R3", diagram.MoveSite(
                 "R3", "remove", "pos-121", 3, 0))
 
+    @pytest.mark.parametrize("level", [4, 9, -1])
+    def test_insert_outside_the_diagram_is_refused(self, level):
+        # levels run 0..len(d.slices); slicing would put the pair above
+        # the top slice or below the last one instead
+        d = diagram.braid_word([1, 2, 1], 3)
+        with pytest.raises(diagram.PatternNotFound):
+            diagram.apply_move(d, "R2", diagram.MoveSite(
+                "R2", "insert", "pos-neg", level, 0))
+
     def test_r2_remove_found_in_braid(self):
         d = diagram.braid_word([1, -1], 2)
         sites = [s for s in diagram.find_move_sites(d, "R2")

@@ -376,6 +376,17 @@ class TestTwistScale:
                                                loop.Kmat))
             assert theta_n == pytest.approx(theta_inv, rel=1e-10)
 
+    def test_non_finite_curl_scalars_are_refused(self, monkeypatch):
+        # a NaN curl product is refused as not finite, not reported as
+        # curl scalars that vanish
+        x1, _ = trefoil_boundary_2()
+        ctx = EvalContext(RootData(3))
+        loop = ctx.rep(group_to_char(x1), (0, 0))
+        monkeypatch.setattr(ctx, "_kink_scalar",
+                            lambda m, mu: complex("nan"))
+        with pytest.raises(evaluator.KinkObstruction, match="not finite"):
+            ctx.twist_scale(loop)
+
     def test_no_fallback_without_a_through_strand(self):
         # (1 + beta b)/a is the (1,1) entry of the loop colour, so b =
         # -1/beta leaves the kink without a through-strand colour

@@ -6,14 +6,14 @@ differences between two such files.
 Writes to OUT.json:
 
 - `knots`: the value of each `knot-cold` knot (`bench/workloads.py`),
-  evaluated from a fresh EvalContext at l = 3 and at l = 5;
+  evaluated from a fresh EvalContext at each l of KNOT_ELLS;
 - `moves`: the value of each `moves-warm` move site at l = 3, re-evaluated
   against the context its set-up filled (or the error that set-up met);
 - `sites`: for every site of every `moves-warm` move on each knot, its
   `MoveSite` fields, the moved diagram's `to_json()`, and "ok" if
   `evaluator._recolor` colours the moved diagram, or the error's type;
-- `sweep`: for l = 3 and 5 and each of SWEEP_PAIRS pairs (x, y) drawn by
-  `samplers.rational_mat(random.Random(5))`, each braid word of
+- `sweep`: for each l of SWEEP_ELLS and each of SWEEP_PAIRS pairs (x, y)
+  drawn by `samplers.rational_mat(random.Random(5))`, each braid word of
   SWEEP_WORDS on two strands coloured (x, y) at the bottom and contracted
   from a fresh context: "ok" with its block, or the error's type.
 
@@ -49,7 +49,8 @@ from tanglev.uqalgebra import RootData  # noqa: E402
 
 import workloads  # noqa: E402
 
-ELLS = (3, 5)
+KNOT_ELLS = (3, 5, 7)
+SWEEP_ELLS = (3, 5)
 SWEEP_PAIRS = 400
 SWEEP_WORDS = ([1], [-1], [1, -1], [-1, 1])
 
@@ -60,7 +61,7 @@ def _pair(z):
 
 def knot_values():
     out = {}
-    for ell in ELLS:
+    for ell in KNOT_ELLS:
         for name, d, bottom, seeds in workloads.knots():
             col = coloring.propagate(d, bottom,
                                      cup_seeds=dict(enumerate(seeds)))
@@ -106,7 +107,7 @@ def sweep_outcomes():
     pairs = [(samplers.rational_mat(rng), samplers.rational_mat(rng))
              for _ in range(SWEEP_PAIRS)]
     out = {}
-    for ell in ELLS:
+    for ell in SWEEP_ELLS:
         for k, (x, y) in enumerate(pairs):
             for word in SWEEP_WORDS:
                 d = diagram.braid_word(word, 2)
@@ -157,7 +158,7 @@ def compare(new, old):
           "differ on %d: %s" % (
               dict(Counter(r["outcome"] for r in sites.values())),
               len(moved), moved[:5], len(rewritten), rewritten[:5]))
-    for ell in ELLS:
+    for ell in SWEEP_ELLS:
         prefix = "%d/" % ell
         keys = [k for k in new["sweep"] if k.startswith(prefix)]
         counts = Counter("ok" if isinstance(new["sweep"][k], list)
