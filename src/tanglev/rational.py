@@ -2,96 +2,123 @@
 
 The group-level identities (factorization round trips, star-product axioms,
 the set-theoretic Yang-Baxter equation) are exact theorems, so the group
-layer supports an exact backend built on `fractions.Fraction`.  Everything
-representation-theoretic runs on ordinary `complex`.
+layer supports an exact backend: `QC`, a canonical triple of Python ints
+that each operation normalizes with one three-argument `math.gcd`.
+Everything representation-theoretic runs on ordinary `complex`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-_ZERO = Fraction(0)
+_new = object.__new__
+
+
+def _qc(a, b, d):
+    """The QC (a + b i)/d, d != 0, reduced to its canonical triple."""
+    g = gcd(a, b, d) if d > 0 else -gcd(a, b, d)
+    q = _new(QC)
+    q._a, q._b, q._d = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+    return q
 
 
 class QC:
-    """A complex number with exact rational real and imaginary parts.
+    """A complex number (a + b i)/d with exact rational parts.
 
-    Most scalars of the group layer are real, so the arithmetic skips the
-    Fraction operations on imaginary parts that are zero.
+    Stored as ints with d > 0 and gcd(a, b, d) = 1, so equal values have
+    equal triples; `re` and `im` read the parts as `Fraction`s.  Sums over
+    one denominator, and products and quotients by a real, skip cross terms.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=_ZERO, im=_ZERO):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+    def __init__(self, re=0, im=0):
+        # a real int or Fraction is canonical; read Fraction's slots directly
+        if type(re) is Fraction:
+            if type(im) is Fraction and not im._numerator or (
+                    type(im) is int and not im):
+                self._a, self._b, self._d = re._numerator, 0, re._denominator
+                return
+        elif type(re) is int and type(im) is int and not im:
+            self._a, self._b, self._d = re, 0, 1
+            return
+        re = re if type(re) is Fraction else Fraction(re)
+        im = im if type(im) is Fraction else Fraction(im)
+        p, q = re.denominator, im.denominator
+        a, b, d = re.numerator * q, im.numerator * p, p * q
+        g = gcd(a, b, d)
+        self._a, self._b, self._d = a // g, b // g, d // g
+
+    re = property(lambda self: Fraction(self._a, self._d))
+    im = property(lambda self: Fraction(self._b, self._d))
 
     def __add__(self, other):
-        other = _coerce(other)
-        if not other.im:
-            return QC(self.re + other.re, self.im)
-        if not self.im:
-            return QC(self.re + other.re, other.im)
-        return QC(self.re + other.re, self.im + other.im)
+        other = other if type(other) is QC else _coerce(other)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _qc(a + c, b + e, d)
+        return _qc(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if not other.im:
-            return QC(self.re - other.re, self.im)
-        return QC(self.re - other.re, self.im - other.im)
+        other = other if type(other) is QC else _coerce(other)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _qc(a - c, b - e, d)
+        return _qc(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if not other.im:
-            return QC(self.re * other.re, self.im * other.re if self.im
-                      else _ZERO)
-        if not self.im:
-            return QC(self.re * other.re, self.re * other.im)
-        return QC(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        other = other if type(other) is QC else _coerce(other)
+        c, e = other._a, other._b
+        if not e:
+            return _qc(self._a * c, self._b * c, self._d * other._d)
+        a, b = self._a, self._b
+        return _qc(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if not other.im:
-            if not other.re:
+        other = other if type(other) is QC else _coerce(other)
+        c, e, f = other._a, other._b, other._d
+        if not e:
+            if not c:
                 raise ZeroDivisionError(
                     "division by zero rational-complex scalar")
-            return QC(self.re / other.re, self.im / other.re if self.im
-                      else _ZERO)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero rational-complex scalar")
-        return QC((self.re * other.re + self.im * other.im) / d,
-                  (self.im * other.re - self.re * other.im) / d)
+            return _qc(self._a * f, self._b * f, self._d * c)
+        # multiply by the conjugate: c^2 + e^2 > 0 since e != 0
+        a, b = self._a, self._b
+        return _qc((a * c + b * e) * f, (b * c - a * e) * f,
+                   self._d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _qc(-self._a, -self._b, self._d)
 
     def __eq__(self, other):
         try:
             other = _coerce(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self._a, self._b, self._d) == (other._a, other._b, other._d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return "QC(%s, %s)" % (self.re, self.im)
@@ -139,7 +166,7 @@ def parse_scalar(text):
 def scalar_to_json(value):
     """QC -> "p/q+r/s i" string; float/complex -> [re, im] pair."""
     if isinstance(value, QC):
-        return str(QC(value.re, value.im)) if value.im else str(value.re)
+        return str(value)
     z = complex(value)
     return [z.real, z.imag]
 

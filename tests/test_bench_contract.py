@@ -1,10 +1,11 @@
 """The benchmark's workloads still run against the library.
 
-`bench/workloads.py` calls `coloring.propagate`, `evaluator._recolor` and
-`evaluator.invariant` directly; one round of each numeric workload, with
-every op's own check, catches a refactor that breaks that contract, and
-one traced `knot-cold` round checks what `bench/tracer.py` counts.  Nothing
-is timed and nothing is written.
+`bench/workloads.py` calls `coloring.propagate`, `evaluator._recolor`,
+`evaluator.invariant` and `factgroup` directly, and `bench/exact.py` reads
+`QC.re` and `QC.im`; one round of each numeric workload and the first
+GROUP_OPS ops of a `group-exact` round, each with its op's own check, catch
+a refactor that breaks that contract, and traced rounds check what
+`bench/tracer.py` counts.  Nothing is timed and nothing is written.
 """
 
 import pathlib
@@ -14,6 +15,9 @@ import sys
 import pytest
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+GROUP_OPS = 50
+# a whole group-exact round is its pool of 500 triples
+ROUND_SLICE = {"group-exact": GROUP_OPS}
 
 
 @pytest.fixture()
@@ -24,25 +28,23 @@ def workloads(monkeypatch):
     return workloads
 
 
-@pytest.mark.parametrize("name", ["knot-cold", "moves-warm"])
+@pytest.mark.parametrize("name", ["knot-cold", "moves-warm", "group-exact"])
 def test_one_round_checks_clean(workloads, name):
     wl = workloads.WORKLOADS[name]()
     wl.setup(1)
     assert wl.counters().get("setup_errors", {}) == {}
-    ops = wl.round(random.Random(1))
+    ops = wl.round(random.Random(1))[:ROUND_SLICE.get(name)]
     assert ops
     for op in ops:
         assert wl.check(op, wl.run(op)) is None, wl.label(op)
 
 
-def test_traced_knot_cold_solves_once_per_crossing(workloads):
-    # one solve and one SVD per crossing block, 2, 4 and 6 for the three
-    # knots: a negative crossing that went through the public positive
-    # solve would count twice
+def _traced(workloads, name, limit=None):
+    """The per-layer metrics of one traced round (its first `limit` ops)."""
     import tracer
-    wl = workloads.WORKLOADS["knot-cold"]()
+    wl = workloads.WORKLOADS[name]()
     wl.setup(1)
-    ops = wl.round(random.Random(1))
+    ops = wl.round(random.Random(1))[:limit]
     tr = tracer.Tracer()
     try:
         for op in ops:
@@ -54,6 +56,19 @@ def test_traced_knot_cold_solves_once_per_crossing(workloads):
             assert wl.check(op, out) is None, wl.label(op)
     finally:
         tr.uninstall()
-    metrics = tr.metrics(len(ops))
+    return tr.metrics(len(ops))
+
+
+def test_traced_knot_cold_solves_once_per_crossing(workloads):
+    # one solve and one SVD per crossing block, 2, 4 and 6 for the three
+    # knots: a negative crossing that went through the public positive
+    # solve would count twice
+    metrics = _traced(workloads, "knot-cold")
     assert metrics["braiding.solve_calls"]["value"] == 4.0
     assert metrics["braiding.nullspace_factorizations"]["value"] == 4.0
+
+
+def test_traced_group_exact_counts_qc_ops(workloads):
+    # the tracer counts the QC operations it patches on the class itself
+    metrics = _traced(workloads, "group-exact", GROUP_OPS)
+    assert metrics["rational.qc_ops"]["value"] > 0

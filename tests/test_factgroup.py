@@ -1,7 +1,9 @@
 """Unit tests for the factorization group layer (exact backend)."""
 
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,40 @@ def qc_strategy(span=6, maxden=3):
                      st.integers(-span, span),
                      st.integers(1, maxden))
     return st.builds(QC, frac, frac)
+
+
+@st.composite
+def scalars(draw, span=40, maxden=12):
+    """(QC, (re, im)): a real or complex rational and its parts as a pair of
+    Fractions, from denominators of either sign, built the ways callers
+    build scalars: from the parts, as a quotient by an int, or from one
+    real Fraction."""
+    num, den = st.integers(-span, span), st.integers(-maxden, maxden)
+    p, q = draw(num), draw(den.filter(bool))
+    r, s = draw(st.one_of(st.just((0, 1)), st.tuples(num, den.filter(bool))))
+    pair = (Fraction(p, q), Fraction(r, s))
+    how = draw(st.sampled_from(("parts", "quotient", "real")))
+    if how == "quotient":
+        return QC(p, Fraction(r * q, s)) / q, pair
+    if how == "real" and not r:
+        return QC(pair[0]), pair
+    return QC(*pair), pair
+
+
+def _canonical(x):
+    return x._d > 0 and gcd(x._a, x._b, x._d) == 1
+
+
+# the arithmetic of (re, im) pairs of Fractions, the reference for QC
+_PAIR_OPS = (
+    (operator.add, lambda p, q: (p[0] + q[0], p[1] + q[1])),
+    (operator.sub, lambda p, q: (p[0] - q[0], p[1] - q[1])),
+    (operator.mul, lambda p, q: (p[0] * q[0] - p[1] * q[1],
+                                 p[0] * q[1] + p[1] * q[0])),
+    (operator.truediv, lambda p, q: (
+        (p[0] * q[0] + p[1] * q[1]) / (q[0] * q[0] + q[1] * q[1]),
+        (p[1] * q[0] - p[0] * q[1]) / (q[0] * q[0] + q[1] * q[1]))),
+)
 
 
 def mat_strategy(span=6, maxden=3):
@@ -57,6 +93,59 @@ class TestScalars:
         assert u * v == v * u
         if v:
             assert (u / v) * v == u
+
+    @given(scalars(), scalars())
+    def test_ops_match_fraction_pairs(self, u, v):
+        (x, p), (y, q) = u, v
+        for op, ref in _PAIR_OPS:
+            if op is operator.truediv and not any(q):
+                continue
+            z = op(x, y)
+            assert _canonical(z)
+            assert (z.re, z.im) == ref(p, q)
+        assert _canonical(-x) and ((-x).re, (-x).im) == (-p[0], -p[1])
+
+    @given(scalars())
+    def test_parts_round_trip(self, u):
+        x, pair = u
+        assert _canonical(x)
+        assert type(x.re) is Fraction and type(x.im) is Fraction
+        assert (x.re, x.im) == pair
+        assert QC(x.re, x.im) == x and hash(QC(x.re, x.im)) == hash(x)
+        assert complex(x) == complex(float(pair[0]), float(pair[1]))
+
+    def test_equal_values_hash_equal(self):
+        half = (QC(Fraction(2, 4)), QC(1) / 2, QC(-1) / -2, QC(3) / QC(6),
+                QC(Fraction(1, 2), 0), QC(Fraction(-1, 2)) * -1,
+                parse_scalar("2/4"))
+        half_i = (QC(Fraction(1, 2), Fraction(1, 2)), QC(1, 1) / 2,
+                  (QC(1) + QC(0, 1)) / 2, QC(Fraction(1, 2)) + QC(0, 1) / 2,
+                  QC(2, 0) / QC(2, -2), parse_scalar("1/2+1/2 i"))
+        for same in (half, half_i):
+            assert len(set(same)) == 1
+            assert len({hash(x) for x in same}) == 1
+
+    @given(scalars(), st.integers(-5, 5))
+    def test_mixed_int_operands(self, u, n):
+        x, (re, im) = u
+        m = QC(n)
+        assert 1 - x == QC(1) - x
+        assert (n + x, x + n, n - x, x - n, n * x, x * n) == \
+            (m + x, x + m, m - x, x - m, m * x, x * m)
+        assert (x == 1) == (re == 1 and im == 0)
+        assert (x == n) == (re == n and im == 0)
+        if x:
+            assert 1 / x == QC(1) / x and n / x == m / x
+        if n:
+            assert x / n == x / m
+
+    def test_division_by_zero_raises(self):
+        for x in (QC(1), QC(Fraction(-1, 2), 3), QC(0)):
+            for zero in (QC(0), QC(0, 0), QC(Fraction(0), Fraction(0)), 0):
+                with pytest.raises(ZeroDivisionError):
+                    x / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / QC(0, 0)
 
 
 class TestFactorization:

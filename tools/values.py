@@ -15,7 +15,12 @@ Writes to OUT.json:
 - `sweep`: for each l of SWEEP_ELLS and each of SWEEP_PAIRS pairs (x, y)
   drawn by `samplers.rational_mat(random.Random(5))`, each braid word of
   SWEEP_WORDS on two strands coloured (x, y) at the bottom and contracted
-  from a fresh context: "ok" with its block, or the error's type.
+  from a fresh context: "ok" with its block, or the error's type;
+- `exact`: for each of EXACT_REAL triples drawn by `samplers.rational_mat`
+  and EXACT_COMPLEX triples with complex-rational entries, all from
+  `random.Random(EXACT_SEED)`, the exact scalars (as `scalar_to_json`
+  strings) of both sides of the YBE (`k/yb`) and of (ab)c, a(bc) and
+  a i(a) (`k/star`), or the `NotFactorizable` message.
 
 tanglev is imported from the `src/` next to this file, and the workloads
 from the `bench/` next to it, so a copy of this file in another checkout
@@ -23,7 +28,8 @@ writes that checkout's numbers.  With --against, the differences to
 OTHER.json are printed section by section: the largest |a - b| of the
 values, the outcomes that differ, and for blocks the largest |A - B|
 relative to the largest entry of B; for sites, also the keys whose site
-or moved diagram differ, so a changed enumeration or rewrite shows.
+or moved diagram differ, so a changed enumeration or rewrite shows; for
+`exact`, every key whose strings or message differ.
 """
 
 import argparse
@@ -44,7 +50,10 @@ sys.dont_write_bytecode = True
 
 import numpy as np  # noqa: E402
 
-from tanglev import coloring, diagram, evaluator, samplers  # noqa: E402
+from tanglev import (coloring, diagram, evaluator, factgroup,  # noqa: E402
+                     samplers)
+from tanglev.factgroup import Mat2  # noqa: E402
+from tanglev.rational import QC  # noqa: E402
 from tanglev.uqalgebra import RootData  # noqa: E402
 
 import workloads  # noqa: E402
@@ -53,6 +62,8 @@ KNOT_ELLS = (3, 5, 7)
 SWEEP_ELLS = (3, 5)
 SWEEP_PAIRS = 400
 SWEEP_WORDS = ([1], [-1], [1, -1], [-1, 1])
+EXACT_SEED = 19
+EXACT_REAL, EXACT_COMPLEX = 200, 100
 
 
 def _pair(z):
@@ -124,6 +135,40 @@ def sweep_outcomes():
     return out
 
 
+def _complex_rational_mat(rng):
+    """A factorizable matrix with entries p/q + r/s i drawn like
+    `samplers.rational_scalar`."""
+    i = QC(0, 1)
+    while True:
+        m = Mat2(*(samplers.rational_scalar(rng)
+                   + samplers.rational_scalar(rng) * i for _ in range(4)))
+        try:
+            factgroup.factorize(m)
+        except factgroup.NotFactorizable:
+            continue
+        return m
+
+
+def exact_outcomes():
+    rng = random.Random(EXACT_SEED)
+    triples = [tuple(samplers.rational_mat(rng) for _ in range(3))
+               for _ in range(EXACT_REAL)]
+    triples += [tuple(_complex_rational_mat(rng) for _ in range(3))
+                for _ in range(EXACT_COMPLEX)]
+    star = factgroup.star_mul
+    out = {}
+    for k, (a, b, c) in enumerate(triples):
+        parts = {"yb": lambda: sum(samplers.yb_sides((a, b, c)), ()),
+                 "star": lambda: (star(star(a, b), c), star(a, star(b, c)),
+                                  star(a, factgroup.star_inv(a)))}
+        for part, mats in parts.items():
+            try:
+                out["%d/%s" % (k, part)] = [m.to_json() for m in mats()]
+            except factgroup.NotFactorizable as exc:
+                out["%d/%s" % (k, part)] = "NotFactorizable: %s" % exc
+    return out
+
+
 def _complex(v):
     return np.array(v, dtype=float).view(complex).ravel()
 
@@ -175,6 +220,12 @@ def compare(new, old):
         print("sweep l = %d: %s; outcomes differ on %d: %s; largest "
               "|A - B| / max |B|: %s" % (ell, dict(counts), len(moved),
                                          moved[:5], _largest(rows)))
+    exact, before = new["exact"], old["exact"]
+    refused = sum(isinstance(v, str) for v in exact.values())
+    differ = sorted(k for k in set(exact) | set(before)
+                    if exact.get(k) != before.get(k))
+    print("exact: %d parts, %d NotFactorizable; strings or messages differ "
+          "on %d: %s" % (len(exact), refused, len(differ), differ))
 
 
 def main():
@@ -183,7 +234,8 @@ def main():
     ap.add_argument("--against", help="JSON file of another checkout")
     args = ap.parse_args()
     values = {"knots": knot_values(), "moves": move_values(),
-              "sites": site_outcomes(), "sweep": sweep_outcomes()}
+              "sites": site_outcomes(), "sweep": sweep_outcomes(),
+              "exact": exact_outcomes()}
     with open(args.out, "w") as fh:
         json.dump(values, fh)
     if args.against:
