@@ -3,7 +3,8 @@ test suite draw their random inputs here, so both check the same
 distributions.
 
 Rational entries are n/den with den in 1..MAXDEN and |n/den| <= SPAN;
-float entries have real and imaginary parts uniform in [-2, 2].
+complex-rational entries have real and imaginary parts n/den with
+|n| <= 9 and den in 1..4; float entries have real and imaginary parts uniform in [-2, 2].
 """
 
 from __future__ import annotations
@@ -28,6 +29,19 @@ def rational_mat(rng):
     """A random factorizable 2x2 matrix with bounded rational entries."""
     while True:
         m = Mat2(*(rational_scalar(rng) for _ in range(4)))
+        try:
+            factgroup.factorize(m)
+            return m
+        except factgroup.NotFactorizable:
+            continue
+
+
+def complex_rational_mat(rng):
+    """A random factorizable 2x2 matrix with complex-rational entries."""
+    while True:
+        m = Mat2(*(QC(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                   for _ in range(4)))
         try:
             factgroup.factorize(m)
             return m

@@ -13,6 +13,7 @@ from tanglev import coloring, factgroup
 from tanglev.diagram import Piece
 from tanglev.factgroup import Mat2
 from tanglev.rational import QC, parse_scalar, scalar_from_json, scalar_to_json
+from tanglev.samplers import complex_rational_mat
 
 from conftest import rational_mat
 
@@ -311,15 +312,6 @@ def outcome(fn, *args):
         return fn(*args)
     except factgroup.NotFactorizable as exc:
         return "NotFactorizable: %s" % exc
-
-
-def complex_rational_mat(rng):
-    while True:
-        m = Mat2(*(QC(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                      Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-                   for _ in range(4)))
-        if factorizable(m):
-            return m
 
 
 def assert_same_outcomes(x, y):

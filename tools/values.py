@@ -17,7 +17,7 @@ Writes to OUT.json:
   SWEEP_WORDS on two strands coloured (x, y) at the bottom and contracted
   from a fresh context: "ok" with its block, or the error's type;
 - `exact`: for each of EXACT_REAL triples drawn by `samplers.rational_mat`
-  and EXACT_COMPLEX triples with complex-rational entries, all from
+  and EXACT_COMPLEX by `samplers.complex_rational_mat`, all from
   `random.Random(EXACT_SEED)`, the exact scalars (as `scalar_to_json`
   strings) of both sides of the YBE (`k/yb`) and of (ab)c, a(bc) and
   a i(a) (`k/star`), or the `NotFactorizable` message.
@@ -52,8 +52,6 @@ import numpy as np  # noqa: E402
 
 from tanglev import (coloring, diagram, evaluator, factgroup,  # noqa: E402
                      samplers)
-from tanglev.factgroup import Mat2  # noqa: E402
-from tanglev.rational import QC  # noqa: E402
 from tanglev.uqalgebra import RootData  # noqa: E402
 
 import workloads  # noqa: E402
@@ -135,25 +133,11 @@ def sweep_outcomes():
     return out
 
 
-def _complex_rational_mat(rng):
-    """A factorizable matrix with entries p/q + r/s i drawn like
-    `samplers.rational_scalar`."""
-    i = QC(0, 1)
-    while True:
-        m = Mat2(*(samplers.rational_scalar(rng)
-                   + samplers.rational_scalar(rng) * i for _ in range(4)))
-        try:
-            factgroup.factorize(m)
-        except factgroup.NotFactorizable:
-            continue
-        return m
-
-
 def exact_outcomes():
     rng = random.Random(EXACT_SEED)
     triples = [tuple(samplers.rational_mat(rng) for _ in range(3))
                for _ in range(EXACT_REAL)]
-    triples += [tuple(_complex_rational_mat(rng) for _ in range(3))
+    triples += [tuple(samplers.complex_rational_mat(rng) for _ in range(3))
                 for _ in range(EXACT_COMPLEX)]
     star = factgroup.star_mul
     out = {}
