@@ -59,15 +59,26 @@ holds every intertwiner, and the system X_o S_w - T_w X_o is
 values interlace those on all ell^3 graded entries: the second smallest
 only grows and the largest only shrinks, so a block of nullity one stays
 one.  An S_E1 or S_F2 whose entry moduli spread beyond COND_LIMIT raises
-SingularM.
+SingularM.  M maps each weight class of ell source columns into the ell
+target rows of equal weight, so it is a direct sum of ell blocks of
+ell x ell, and its condition number is read from theirs.
 
-Which entries form the orbits, and which entries of the slots each row
-of the system meets, depends only on the weight mask and on the zero
-patterns of the two stacks, so `_index_plan` builds those index arrays
-once per pattern and memoizes them (at most PLAN_CAP).  The memo holds
-index arrays only, never a colour, character or block: a fresh
-EvalContext still solves every crossing, and each solve recomputes its
-transport coefficients, its system and its SVD.
+Which entries form the orbits and the weight classes, and which entries
+of the slots each row of the system meets, depends only on the weight
+mask and on the zero patterns of the two stacks, so `_index_plan` builds
+those index arrays once per pattern and memoizes them (at most
+PLAN_CAP).  The memo holds index arrays only, never a colour, character
+or block: a fresh EvalContext still solves every crossing, and each
+solve recomputes its transport coefficients, its system and its SVD.
+
+Crossings are solved in batches (`solve_crossings`; `solve_braiding` and
+`solve_braiding_inverse` are batches of one).  Each stage runs once on
+the stack of the crossings still alive: the R-images and cond(N), the
+weight rule, then per index plan the transport coefficients, the systems
+and one batched SVD, then the inverse of the negative crossings,
+`_normalize` and the residual.  Every check is made per crossing, in the
+order above, and a crossing that fails one leaves the stack with the
+error it raises when solved alone.
 """
 
 from __future__ import annotations
@@ -166,51 +177,107 @@ def _kron(a, b):
         *lead, m * p, n * q)
 
 
+def _mats(reps):
+    """The K, L, E and F matrices of each rep, stacked (n, 4, ell, ell)."""
+    return np.array([(rep.Kmat, rep.Lmat, rep.Emat, rep.Fmat)
+                     for rep in reps])
+
+
+def _pair_stacks(ma, mb):
+    """The eight generator slots evaluated in each pair V_a (x) V_b of the
+    stacks `ma` and `mb` (`_mats`), M (x) 1 for slot 1 and 1 (x) M for
+    slot 2: (n, 8, ell^2, ell^2) in RImages.SLOTS order."""
+    eye = np.broadcast_to(np.eye(ma.shape[-1], dtype=complex), ma.shape)
+    return _kron(np.concatenate((ma, eye), axis=1),
+                 np.concatenate((eye, mb), axis=1))
+
+
 def _pair_stack(ra: CyclicRep, rb: CyclicRep):
-    """The eight generator slots evaluated in V_a (x) V_b, M (x) 1 for
-    slot 1 and 1 (x) M for slot 2, stacked in RImages.SLOTS order."""
-    eye = np.eye(ra.dim, dtype=complex)
-    return _kron(np.array([ra.Kmat, ra.Lmat, ra.Emat, ra.Fmat] + [eye] * 4),
-                 np.array([eye] * 4 + [rb.Kmat, rb.Lmat, rb.Emat, rb.Fmat]))
+    """`_pair_stacks` of the one pair V_a (x) V_b."""
+    return _pair_stacks(_mats([ra]), _mats([rb]))[0]
 
 
-def r_images(rep_a: CyclicRep, rep_b: CyclicRep) -> RImages:
-    """Evaluate the braiding automorphism in the pair V_a (x) V_b.
+def _source_stacks(mx, my, rd):
+    """The source slots P R(w) P of the positive crossing out of each pair
+    V_x (x) V_y of the stacks `mx` and `my`, R evaluated in (rho_y, rho_x):
+    the stacks of the pairs whose N is invertible, (m, 8, ell^2, ell^2),
+    and the mask of those pairs.
 
-    N = 1 - A with A = eps (K^-1 E) (x) (F L) monomial, and A^ell is the
-    scalar sigma that the two characters fix, so N^-1 is
-    sum_{k < ell} A^k / (1 - sigma) in closed form."""
-    rd, ell = rep_a.rd, rep_a.rd.ell
-    slot = _pair_stack(rep_a, rep_b)
-    k1, l1, k2, l2 = (np.diagonal(slot[w]) for w in (_K1, _L1, _K2, _L2))
-    # A^1 .. A^ell, from the powers of both factors at once
-    kinv_a = 1 / np.diagonal(rep_a.Kmat)
-    factors = np.array([rd.eps * kinv_a[:, None] * rep_a.Emat,
-                        rep_b.Fmat @ rep_b.Lmat])
+    The automorphism is evaluated in the flipped basis, where the slot-1
+    generators of rho_y act as 1 (x) M_y and the slot-2 ones of rho_x as
+    M_x (x) 1; every step below is a product or a diagonal scaling, so
+    it commutes with the flip.  N = 1 - A with A = eps (K^-1 E) (x) (F L)
+    monomial, and A^ell is the scalar sigma that the two characters fix,
+    so N^-1 is sum_{k < ell} A^k / (1 - sigma) in closed form; it is formed
+    only for the pairs whose N passes the condition check."""
+    ell = rd.ell
+    # the powers 1 .. ell of both factors of A, flipped: F L of rho_x
+    # first, eps K^-1 E of rho_y second
+    kinv_y = 1 / np.diagonal(my[:, 0], axis1=1, axis2=2)
+    factors = np.stack((mx[:, 3] @ mx[:, 1],
+                        rd.eps * kinv_y[:, :, None] * my[:, 2]), axis=1)
     powers = [factors]
     for _ in range(ell - 1):
         powers.append(powers[-1] @ factors)
-    powers = np.array(powers)
-    a_pow = _kron(powers[:, 0], powers[:, 1])
+    powers = np.stack(powers, axis=1)
     eye = np.eye(ell * ell)
-    n_mat = eye - a_pow[0]
-    if np.linalg.cond(n_mat) > COND_LIMIT:
-        raise SingularN("series factor N numerically singular")
-    n_inv = (eye + a_pow[:-1].sum(axis=0)) / (1 - a_pow[-1, 0, 0])
+    n_mat = eye - _kron(powers[:, 0, 0], powers[:, 0, 1])
+    ok = ~(np.linalg.cond(n_mat) > COND_LIMIT)
+    mx, my, powers, n_mat = mx[ok], my[ok], powers[ok], n_mat[ok]
+    # A^k is the kron of the k-th factor powers: their sum over k < ell
+    # without forming each A^k, and sigma as the (0, 0) entry of A^ell
+    series = np.einsum("nkac,nkbd->nabcd", powers[:, :-1, 0],
+                       powers[:, :-1, 1]).reshape(n_mat.shape)
+    sigma = powers[:, -1, 0, 0, 0] * powers[:, -1, 1, 0, 0]
+    n_inv = (eye + series) / (1 - sigma)[:, None, None]
 
-    img = np.empty_like(slot)
-    img[_K2] = k2[:, None] * n_inv
-    img[_L2] = l2[:, None] * n_inv
-    img[_E1] = slot[_E1] * l2  # E (x) L
-    img[_F2] = slot[_F2] / k1[:, None]  # K^-1 (x) F
+    eye = np.broadcast_to(np.eye(ell, dtype=complex), mx.shape)
+    slot = _kron(np.concatenate((eye, mx), axis=1),
+                 np.concatenate((my, eye), axis=1))
+    # each diagonal as a column (row scaling) and as a row (column scaling)
+    k1, l1, k2, l2 = (np.diagonal(slot[:, w], axis1=1, axis2=2)[:, :, None]
+                      .copy() for w in (_K1, _L1, _K2, _L2))
+    k1r, l1r, k2r, l2r = (v.transpose(0, 2, 1) for v in (k1, l1, k2, l2))
+    # the images overwrite the slots, each slot after its last read
+    e1 = slot[:, _E1] * l2r  # E (x) L
+    f2 = slot[:, _F2] / k1  # K^-1 (x) F
+    k2n = k2 * n_inv
     # the rest from R(Delta(u)) = flip Delta(u); K and L are diagonal and
     # img K2^-1 = N K2^-1, likewise for L, so only N needs an inverse
-    img[_K1] = (k1 * k2)[:, None] * n_mat / k2
-    img[_L1] = (l1 * l2)[:, None] * n_mat / l2
-    img[_E2] = (k1[:, None] * slot[_E2] + slot[_E1]) - img[_E1] @ img[_K2]
-    img[_F1] = (slot[_F2] + slot[_F1] / l2) \
-        - (l2[:, None] * n_inv / (l1 * l2)) @ img[_F2]
-    return RImages((rep_a, rep_b), img)
+    slot[:, _E2] = (k1 * slot[:, _E2] + slot[:, _E1]) - e1 @ k2n
+    slot[:, _F1] = (slot[:, _F2] + slot[:, _F1] / l2r) \
+        - (l2 * n_inv / (l1r * l2r)) @ f2
+    slot[:, _E1], slot[:, _F2], slot[:, _K2] = e1, f2, k2n
+    slot[:, _L2] = l2 * n_inv
+    slot[:, _K1] = k1 * k2 * n_mat / k2r
+    slot[:, _L1] = l1 * l2 * n_mat / l2r
+    return slot, ok
+
+
+def _flip(stack):
+    """Conjugate each slot of a stack (n, 8, ell^2, ell^2) by the tensor
+    flip P."""
+    n, _, dim, _ = stack.shape
+    ell = math.isqrt(dim)
+    return (stack.reshape(n, 8, ell, ell, ell, ell)
+            .transpose(0, 1, 3, 2, 5, 4).reshape(n, 8, dim, dim))
+
+
+def _positive_slots(repx, repy):
+    """Source slots P R(w) P of the positive crossing, R in (rho_y, rho_x),
+    stacked (`_source_stacks`); a singular N raises SingularN."""
+    img, ok = _source_stacks(_mats([repx]), _mats([repy]), repx.rd)
+    if not ok[0]:
+        raise SingularN("series factor N numerically singular")
+    return img[0]
+
+
+def r_images(rep_a: CyclicRep, rep_b: CyclicRep) -> RImages:
+    """Evaluate the braiding automorphism in the pair V_a (x) V_b: the
+    flip of the source slots of the positive crossing out of
+    V_b (x) V_a."""
+    return RImages((rep_a, rep_b),
+                   _flip(_positive_slots(rep_b, rep_a)[None])[0])
 
 
 def _dev(m):
@@ -296,47 +363,90 @@ class BraidingBlock:
     branch_retry: bool
 
 
+class Crossing(NamedTuple):
+    """One crossing block to solve: the positive crossing out of `inputs`
+    into `outputs` (sign 1) or the negative one (sign -1).  Its positive
+    problem is the positive block out of `inputs` into `outputs`, or for a
+    negative crossing out of `outputs` into `inputs`."""
+
+    inputs: tuple  # (rep, rep)
+    outputs: tuple  # (rep, rep)
+    sign: int
+
+    def key(self):
+        """The (character, label) of the four irreps, and the sign: the
+        same key names the same block."""
+        (x, y), (a, b) = self.inputs, self.outputs
+        return ((x.char, x.branch), (y.char, y.branch),
+                (a.char, a.branch), (b.char, b.branch), self.sign)
+
+
+def _fail(errors, live, found):
+    """Record in `errors` the error found for each live request (None
+    where there is none), and return the live requests without one."""
+    for i, exc in zip(live, found):
+        if exc is not None:
+            errors[i] = exc
+    return live[[exc is None for exc in found]]
+
+
 def _normalize(m):
     """Determinant one, then the distinguished phase: among the det-1
     rescalings by roots of unity, make the first entry of maximal modulus
     have the lexicographically largest (re, im).  The determinant is
     taken as sign and log modulus: a unit-norm block of dimension ell^2
     has |det| near (1/ell)^(ell^2), below the smallest double from
-    ell = 11 on."""
-    if np.linalg.cond(m) > COND_LIMIT:
-        raise SingularM("intertwiner is singular")
-    dim = m.shape[0]
+    ell = 11 on.  `m` is one block or a stack of blocks."""
+    shape, dim = m.shape, m.shape[-1]
+    m = m.reshape(-1, dim, dim)
     sign, logdet = np.linalg.slogdet(m)
-    m = m / (sign ** (1.0 / dim) * np.exp(logdet / dim))
-    flat = np.abs(m).ravel()
-    pivot = m.ravel()[np.argmax(flat > flat.max() - 1e-9 * flat.max())]
+    m = m / (sign ** (1.0 / dim) * np.exp(logdet / dim))[:, None, None]
+    flat = m.reshape(len(m), -1)
+    size = np.abs(flat)
+    top = size.max(axis=1, keepdims=True)
+    pivot = flat[np.arange(len(m)), np.argmax(size > top - 1e-9 * top,
+                                              axis=1)]
     roots = np.exp(2j * np.pi * np.arange(dim) / dim)
-    keys = [(z.real, z.imag) for z in np.round(pivot * roots, 9).tolist()]
-    return m * roots[keys.index(max(keys))]
+    keys = np.round(pivot[:, None] * roots, 9)
+    best = np.lexsort((keys.imag, keys.real))[:, -1]
+    return (m * roots[best][:, None, None]).reshape(shape)
 
 
 def _total_weights(slots):
-    """The diagonal of total K = K1 K2, which must be diagonal."""
-    kk = slots[_K1] @ slots[_K2]
-    weights = np.diag(kk)
-    off = np.max(np.abs(kk - np.diag(weights)))
-    if off > WEIGHT_RTOL * np.max(np.abs(weights)):
-        raise WeightGrading("total K is not diagonal (off-diagonal %.1e)"
-                            % off)
-    return weights
+    """The diagonal of total K = K1 K2 on each stack of `slots`, which
+    must be diagonal, and the WeightGrading of each stack (or None)."""
+    kk = slots[:, _K1] @ slots[:, _K2]
+    weights = np.diagonal(kk, axis1=1, axis2=2)
+    off = np.max(np.abs(kk - weights[:, :, None] * np.eye(kk.shape[-1])),
+                 axis=(1, 2))
+    bad = off > WEIGHT_RTOL * np.max(np.abs(weights), axis=1)
+    return weights, [WeightGrading("total K is not diagonal (off-diagonal "
+                                   "%.1e)" % o) if b else None
+                     for o, b in zip(off, bad)]
 
 
-def _weight_mask(target_w, source_w):
-    """mask[i, j]: target weight i equals source weight j, under the
-    margin rule of the module docstring."""
-    ell = math.isqrt(len(source_w))
-    dist = np.abs(target_w[:, None] / source_w[None, :] - 1)
+def _weight_masks(target_w, source_w):
+    """mask[k, i, j]: target weight i of crossing k equals its source
+    weight j, under the margin rule of the module docstring; and the error
+    of each crossing (or None): WeightGrading for a pair of weights that is
+    neither equal nor separated, else NoIntertwiner if no weight
+    matches."""
+    ell = math.isqrt(source_w.shape[1])
+    dist = np.abs(target_w[:, :, None] / source_w[:, None, :] - 1)
     mask = dist < WEIGHT_RTOL
-    if np.any(~mask & (dist < math.sin(math.pi / ell))):
-        raise WeightGrading("weights neither equal nor separated "
-                            "(relative distance %.1e)"
-                            % np.min(dist[~mask]))
-    return mask
+    between = ~mask & (dist < math.sin(math.pi / ell))
+    found = []
+    for d, m, b in zip(dist, mask, between):
+        if b.any():
+            found.append(WeightGrading(
+                "weights neither equal nor separated (relative distance "
+                "%.1e)" % np.min(d[~m])))
+        elif not m.any():
+            found.append(NoIntertwiner("no target weight matches a source "
+                                       "weight"))
+        else:
+            found.append(None)
+    return mask, found
 
 
 class _Plan(NamedTuple):
@@ -351,6 +461,7 @@ class _Plan(NamedTuple):
     g1: np.ndarray  # (R, ell): flat, the S_w[j, q] it meets
     x2: np.ndarray  # (R, ell): into the coefficients, X_o[i, q] of row r
     g2: np.ndarray  # (R, ell): flat, the T_w[p, i] it meets
+    blocks: np.ndarray  # (ell, ell, ell): into raveled M, class c at (i, j)
 
 
 #: Plans by (ell^2, packed mask and zero patterns).  It holds index arrays
@@ -417,50 +528,97 @@ def _build_plan(mask, source_nz, target_nz):
     orbit = np.arange(ell) * dim
     x1, x2 = orbit + at_row[p], orbit + at_col[:, q[:, 0]].T
     j, i = src.reshape(-1)[x1], path.reshape(-1)[x2 % dim]
+    # the weight classes: target rows grouped by the first source column
+    # they match, and each class's columns; M restricted to a class is one
+    # ell x ell block, and M is the direct sum of its blocks
+    rows = np.argsort(np.argmax(mask, axis=1), kind="stable")
+    cols = np.nonzero(mask[rows[::ell]])[1]
     return _Plan(
         smoves, num, den, path * dim + src,
-        x1, (w * dim + j) * dim + q, x2, (w * dim + p) * dim + i)
+        x1, (w * dim + j) * dim + q, x2, (w * dim + p) * dim + i,
+        rows.reshape(ell, ell, 1) * dim + cols.reshape(ell, 1, ell))
 
 
-def _solve_intertwiner(source, target, rel_tol=1e-8):
-    """The nullspace of M S_w - T_w M over the stacked slots, on the
-    orthonormal orbit basis X_o of the module docstring: `_index_plan`
-    gives the indices, and this pass computes the transport coefficients,
-    the system of 8 ell^3 rows and ell columns, and its one SVD."""
-    mask = _weight_mask(_total_weights(target), _total_weights(source))
-    if not mask.any():
-        raise NoIntertwiner("no target weight matches a source weight")
-    plan = _index_plan(mask, source != 0, target != 0)
-    source, target = source.reshape(-1), target.reshape(-1)
-    spread = np.abs(source[plan.moves])
-    singular = spread.max(axis=1) > COND_LIMIT * spread.min(axis=1)
-    if singular.any():
-        raise SingularM("%s slot of the source is singular"
-                        % ("E1", "F2")[np.argmax(singular)])
-    x = target[plan.num] / source[plan.den]
-    x[:, 0, 0] = 1
-    x[:, 0] = np.cumprod(x[:, 0], axis=1)
-    x = np.cumprod(x, axis=1)
-    x /= np.linalg.norm(x, axis=(1, 2))[:, None, None]
-    coef = x.reshape(-1)
-    system = (coef[plan.x1] * source[plan.g1]
-              - coef[plan.x2] * target[plan.g2])
+def _solve_group(plan, source, target, rel_tol):
+    """The nullspaces of M S_w - T_w M over the stacked slots of crossings
+    that share `plan`, on the orthonormal orbit basis X_o of the module
+    docstring: `_index_plan` gives the indices, and this pass computes the
+    transport coefficients, the systems of 8 ell^3 rows and ell columns,
+    and one batched SVD of them.  Returns the error of each crossing (or
+    None), and the unit-norm blocks of those without one."""
+    source, target = source.reshape(len(source), -1), \
+        target.reshape(len(target), -1)
+    spread = np.abs(source[:, plan.moves])
+    singular = spread.max(axis=2) > COND_LIMIT * spread.min(axis=2)
+    found = [SingularM("%s slot of the source is singular"
+                       % ("E1", "F2")[np.argmax(s)]) if s.any() else None
+             for s in singular]
+    live = np.flatnonzero(~singular.any(axis=1))
+    if not live.size:
+        return found, None
+    source, target = _take(source, live), _take(target, live)
+    x = target[:, plan.num][:, None] / source[:, plan.den]
+    x[:, :, 0, 0] = 1
+    x[:, :, 0] = np.cumprod(x[:, :, 0], axis=2)
+    x = np.cumprod(x, axis=2)
+    x /= np.linalg.norm(x, axis=(2, 3))[:, :, None, None]
+    coef = x.reshape(len(x), -1)
+    # gathered along axis 1 and combined in place: the (n, 8 ell^3, ell)
+    # temporaries are the largest arrays of the solve
+    system = np.take(coef, plan.x1, axis=1)
+    system *= np.take(source, plan.g1, axis=1)
+    other = np.take(coef, plan.x2, axis=1)
+    other *= np.take(target, plan.g2, axis=1)
+    system -= other
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    nullity = int(np.sum(svals < rel_tol * svals[0]))
-    if nullity == 0:
-        raise NoIntertwiner("no intertwiner into these output irreps")
-    m = np.zeros(len(mask) ** 2, dtype=complex)
-    m[plan.entries] = vh[-1].conj()[:, None, None] * x
-    return m.reshape(mask.shape), nullity
+    nullity = np.sum(svals < rel_tol * svals[:, :1], axis=1)
+    for k, n in zip(live, nullity):
+        if n == 0:
+            found[k] = NoIntertwiner("no intertwiner into these output "
+                                     "irreps")
+        elif n > 1:
+            found[k] = AmbiguousIntertwiner("solution space has dimension "
+                                            "%d" % n)
+    live, x, vh = live[nullity == 1], x[nullity == 1], vh[nullity == 1]
+    dim = plan.moves.shape[1]
+    m = np.zeros((len(x), dim * dim), dtype=complex)
+    m[:, plan.entries] = vh[:, -1].conj()[:, :, None, None] * x
+    # the singular values of M are those of its weight-class blocks: its
+    # condition number is their largest over their smallest
+    blocks = m[:, plan.blocks]
+    singular = np.linalg.norm(blocks, 2, axis=(2, 3)).max(axis=1) \
+        > COND_LIMIT * np.linalg.norm(blocks, -2, axis=(2, 3)).min(axis=1)
+    for k in live[singular]:
+        found[k] = SingularM("intertwiner is singular")
+    return found, m[~singular].reshape(-1, dim, dim)
 
 
-def _positive_slots(repx, repy):
-    """Source slots P R(w) P of the positive crossing, R in (rho_y, rho_x),
-    stacked."""
-    ell = repx.rd.ell
-    return (r_images(repy, repx).stack
-            .reshape(8, ell, ell, ell, ell).transpose(0, 2, 1, 4, 3)
-            .reshape(8, ell * ell, ell * ell))
+def _solve_intertwiners(source, target, rel_tol=1e-8):
+    """The intertwiner of each crossing out of the source slot stacks into
+    the target ones, (n, 8, ell^2, ell^2) each: the weight rule on every
+    crossing, then one `_solve_group` pass for each index plan.  Returns
+    the error of each crossing (or None), and the unit-norm blocks of
+    those without one, in crossing order."""
+    errors = [None] * len(source)
+    target_w, found_t = _total_weights(target)
+    source_w, found_s = _total_weights(source)
+    live = _fail(errors, np.arange(len(source)),
+                 [t if t is not None else s for t, s in zip(found_t, found_s)])
+    masks, found = _weight_masks(target_w[live], source_w[live])
+    masks = dict(zip(live, masks))
+    live = _fail(errors, live, found)
+    groups = {}
+    for i in live:
+        plan = _index_plan(masks[i], source[i] != 0, target[i] != 0)
+        groups.setdefault(id(plan), (plan, []))[1].append(i)
+    blocks = {}
+    for plan, members in groups.values():
+        members = np.array(members)
+        found, m = _solve_group(plan, _take(source, members),
+                                _take(target, members), rel_tol)
+        blocks.update(zip(_fail(errors, members, found),
+                          () if m is None else m))
+    return errors, np.array([blocks[i] for i in sorted(blocks)])
 
 
 def branch_of(char, z, c, rd):
@@ -475,26 +633,90 @@ def branch_of(char, z, c, rd):
     return r, s
 
 
-def _solve_positive(repx, repy, outputs, rel_tol):
-    """The normalized positive crossing M out of V_x (x) V_y into the
-    irreps `outputs`, its nullity and the two sides (source, target) of
-    its equation."""
-    source, target = _positive_slots(repx, repy), _pair_stack(*outputs)
-    m, nullity = _solve_intertwiner(source, target, rel_tol)
-    if nullity > 1:
-        raise AmbiguousIntertwiner("solution space has dimension %d" % nullity)
-    return _normalize(m), nullity, source, target
+def _residuals(m, left, right):
+    """max_w |M L_w - R_w M| of each block M of the stack `m` over the
+    eight slots of its own stacks, with contiguous products: M L_w one
+    slot at a time, and the R_w M of all eight slots as one product with
+    their stack."""
+    k, slots, dim, _ = left.shape
+    diff = np.empty_like(left)
+    for w in range(slots):
+        np.matmul(m, left[:, w], out=diff[:, w])
+    diff -= (right.reshape(k, slots * dim, dim) @ m).reshape(left.shape)
+    return np.max(np.abs(diff), axis=(1, 2, 3))
 
 
-def _residual(m, source, target):
-    """max_w |M S_w - T_w M| over the eight stacked slots."""
-    return float(np.max(np.abs(m @ source - target @ m)))
+def _take(stack, idx):
+    """stack[idx] for an increasing index array `idx`, without a copy when
+    it takes every entry."""
+    return stack if len(idx) == len(stack) else stack[idx]
 
 
-def _block(m, outputs, nullity, residual):
-    labels = tuple(rep.branch for rep in outputs)
-    return BraidingBlock(m, labels, nullity, residual,
-                         labels != ((0, 0), (0, 0)))
+def _solve(requests, rel_tol):
+    """`solve_crossings` on requests with distinct keys."""
+    out = [None] * len(requests)
+    if not requests:
+        return out
+    # the positive problem of each request: out of (a, b) into (c, d)
+    ab = [r.inputs if r.sign > 0 else r.outputs for r in requests]
+    cd = [r.outputs if r.sign > 0 else r.inputs for r in requests]
+    source, ok = _source_stacks(_mats([a for a, _ in ab]),
+                                _mats([b for _, b in ab]), ab[0][0].rd)
+    live = _fail(out, np.arange(len(requests)), [
+        None if k else SingularN("series factor N numerically singular")
+        for k in ok])
+    if not live.size:
+        return out
+    target = _pair_stacks(_mats([cd[i][0] for i in live]),
+                          _mats([cd[i][1] for i in live]))
+    errors, m = _solve_intertwiners(source, target, rel_tol)
+    solved = np.flatnonzero([e is None for e in errors])
+    live = _fail(out, live, errors)
+    if not live.size:
+        return out
+    source, target = _take(source, solved), _take(target, solved)
+    # a negative crossing is the inverse of its positive block
+    neg = np.array([requests[i].sign < 0 for i in live])
+    if neg.any():
+        m[neg] = np.linalg.inv(m[neg])
+    m = _normalize(m)
+    # the residual of a positive block M is max_w |M S_w - T_w M|, that of
+    # a negative one N = M^-1 max_w |N T_w - S_w N| on M's own slots
+    residual = np.empty(len(m))
+    for sides, (left, right) in ((~neg, (source, target)),
+                                 (neg, (target, source))):
+        k = np.flatnonzero(sides)
+        if k.size:
+            residual[k] = _residuals(_take(m, k), _take(left, k),
+                                     _take(right, k))
+    for i, block, res in zip(live, m, residual):
+        labels = tuple(rep.branch for rep in requests[i].outputs)
+        out[i] = BraidingBlock(block, labels, 1, float(res),
+                               labels != ((0, 0), (0, 0)))
+    return out
+
+
+def solve_crossings(requests, rel_tol=1e-8):
+    """Solve a batch of crossing blocks (`Crossing`s, all at one root of
+    unity) in one pass: each stage runs once on the stack of the requests
+    still alive.  Returns, in request order, each request's BraidingBlock
+    or the error that it raises when solved alone, with that error's type
+    and message.
+
+    A request that fails a check leaves the stack before the next stage,
+    so it changes nothing in the others.  Requests with equal keys are
+    solved once and share their result."""
+    keys = [req.key() for req in requests]
+    unique = dict(zip(keys, requests))
+    solved = dict(zip(unique, _solve(list(unique.values()), rel_tol)))
+    return [solved[key] for key in keys]
+
+
+def _solve_one(request, rel_tol):
+    [out] = solve_crossings([request], rel_tol)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def solve_braiding(repx: CyclicRep, repy: CyclicRep, outputs,
@@ -503,11 +725,10 @@ def solve_braiding(repx: CyclicRep, repy: CyclicRep, outputs,
 
     The source side of the intertwiner equation is the flip-conjugated
     R-image evaluated in (rho_y, rho_x); the target side is the plain
-    pair evaluation in the output irreps.
+    pair evaluation in the output irreps.  The residual is
+    max_w |M S_w - T_w M|.
     """
-    m, nullity, source, target = _solve_positive(repx, repy, outputs,
-                                                 rel_tol)
-    return _block(m, outputs, nullity, _residual(m, source, target))
+    return _solve_one(Crossing((repx, repy), tuple(outputs), 1), rel_tol)
 
 
 def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep, outputs,
@@ -519,7 +740,4 @@ def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep, outputs,
     N = M^-1, normalized; nullity is M's and the residual is
     max_w |N T_w - S_w N| on M's own slots.
     """
-    m, nullity, source, target = _solve_positive(*outputs, (repc, repd),
-                                                 rel_tol)
-    n = _normalize(np.linalg.inv(m))
-    return _block(n, outputs, nullity, _residual(n, target, source))
+    return _solve_one(Crossing((repc, repd), tuple(outputs), -1), rel_tol)

@@ -15,6 +15,15 @@ labelling.  Contraction hands each piece the irreps of its arcs from the
 plan and looks none of them up again; a crossing is solved between the
 irreps of its bottom and its top arcs, so a plan off the strand rule
 leaves the solve without an intertwiner, and it raises NoIntertwiner.
+
+The blocks of one contraction are solved in one batch
+(`braiding.solve_crossings`).  Before its slice loop, contraction hands
+the context a lister of its pieces with their irreps (`EvalContext.ahead`);
+the loop's first memo miss lists them and solves every crossing and every
+right cup or cap curl that the memo lacks, once per key, and memoizes
+each block or failure.  A failure is raised only when the loop reaches
+its piece, so the first error is the one a piece-by-piece solve would
+raise, and a context that holds every block lists and solves nothing.
 """
 
 from __future__ import annotations
@@ -27,11 +36,8 @@ from . import braiding, coloring, factgroup
 from .braiding import CROSSING_ERRORS, group_to_char
 from .coloring import GColoring, Inconsistent
 from .diagram import ArityMismatch, Piece, TangleDiagram, slice_top
-from .uqalgebra import CentralCharacter, RootData, build_irrep
-
-
-class ObjectMismatch(ValueError):
-    """Composition refused: the boundary objects differ."""
+from .uqalgebra import (CentralCharacter, NonGenericCharacter, RootData,
+                        build_irrep)
 
 
 class BranchObstruction(ValueError):
@@ -67,22 +73,6 @@ class LinearBlock:
     phase_log: tuple = ()
 
 
-def compose_blocks(top: LinearBlock, bottom: LinearBlock) -> LinearBlock:
-    if not bottom.codomain.equal(top.domain):
-        raise ObjectMismatch("boundary objects do not match")
-    return LinearBlock(top.matrix @ bottom.matrix,
-                       bottom.domain, top.codomain,
-                       bottom.phase_log + top.phase_log)
-
-
-def tensor_blocks(left: LinearBlock, right: LinearBlock) -> LinearBlock:
-    return LinearBlock(
-        np.kron(left.matrix, right.matrix),
-        ColoredObject(left.domain.entries + right.domain.entries),
-        ColoredObject(left.codomain.entries + right.codomain.entries),
-        left.phase_log + right.phase_log)
-
-
 class EvalContext:
     """Shared representation store, crossing-block memo and conventions."""
 
@@ -94,7 +84,9 @@ class EvalContext:
         self._chars = {}
         self._arcs = {}
         self._twist = {}
+        self._curls = {}
         self._blocks = {}
+        self._pieces = None
 
     def rep(self, char: CentralCharacter, branch):
         key = (char.rounded(12), tuple(branch))
@@ -127,26 +119,39 @@ class EvalContext:
                 char, braiding.branch_of(char, z, c, self.rd))
         return rep
 
-    def _solve_memo(self, repx, repy, outputs, sign):
-        """The crossing block, solved once per (inputs, outputs, sign).
+    def _solve_misses(self, requests):
+        """Solve the requests (`braiding.Crossing`s) whose blocks the memo
+        lacks, once per key and in one batch, and memoize each block.
 
         Reps come from `rep`, one object per rounded character and label,
         so the (character, label) of all four irreps key the memo.  A
         failure is kept as its type and message, not as the exception,
         whose traceback would tie this context into a reference cycle.
         """
-        key = tuple((rep.char, rep.branch)
-                    for rep in (repx, repy, *outputs)) + (sign,)
+        misses = {}
+        for req in requests:
+            key = req.key()
+            if key not in self._blocks:
+                misses[key] = req
+        if misses:
+            solved = braiding.solve_crossings(list(misses.values()),
+                                              rel_tol=self.tol)
+            for key, out in zip(misses, solved):
+                self._blocks[key] = (type(out), str(out)) \
+                    if isinstance(out, Exception) else out
+
+    def _solve_memo(self, repx, repy, outputs, sign):
+        """The crossing block, solved once per (inputs, outputs, sign).  A
+        miss also solves, in the same batch, every block that the pieces
+        given to `ahead` will ask for and the memo lacks."""
+        request = braiding.Crossing((repx, repy), tuple(outputs), sign)
+        key = request.key()
         hit = self._blocks.get(key)
         if hit is None:
-            solve = braiding.solve_braiding if sign > 0 \
-                else braiding.solve_braiding_inverse
-            try:
-                hit = solve(repx, repy, outputs, rel_tol=self.tol)
-            except CROSSING_ERRORS as exc:
-                self._blocks[key] = (type(exc), str(exc))
-                raise
-            self._blocks[key] = hit
+            pieces, self._pieces = self._pieces, None
+            self._solve_misses([request]
+                               + self._requests(pieces() if pieces else ()))
+            hit = self._blocks[key]
         if isinstance(hit, tuple):
             raise hit[0](hit[1])
         return hit
@@ -156,6 +161,35 @@ class EvalContext:
 
     def solve_inverse(self, repc, repd, outputs):
         return self._solve_memo(repc, repd, outputs, -1)
+
+    def ahead(self, pieces):
+        """Until the next call, the first memo miss also solves, in the
+        same batch, every block that the (piece, bottom irreps, top irreps)
+        listed by `pieces()` will ask for; None lists nothing.  A context
+        that already holds every block never calls `pieces`."""
+        self._pieces = pieces
+
+    def _requests(self, pieces):
+        """The solves that `pieces` will ask for: each crossing, and under
+        balanced framing the positive curl of each right cup or cap whose
+        loop has no twist yet.  A curl whose through strand cannot be
+        formed is left out, for `twist_scale` to raise that error at its
+        piece."""
+        requests = []
+        for p, bottom, top in pieces:
+            if p in (Piece.X_POS, Piece.X_NEG):
+                requests.append(braiding.Crossing(
+                    tuple(bottom), tuple(top), 1 if p is Piece.X_POS else -1))
+            elif p in (Piece.CUP_R, Piece.CAP_R) \
+                    and self.framing == "balanced":
+                loop = top[0] if p is Piece.CUP_R else bottom[0]
+                if (loop.char, loop.branch) in self._twist:
+                    continue
+                try:
+                    requests.append(self._curl(loop))
+                except (factgroup.NotFactorizable, NonGenericCharacter):
+                    continue
+        return requests
 
     def mu(self, rep):
         """The framing twist on V: K, which conjugates every generator to
@@ -171,6 +205,22 @@ class EvalContext:
         m4 = m.reshape(ell, ell, ell, ell)
         t = np.einsum("abik,kb->ai", m4, mu)
         return complex(np.trace(t) / ell)
+
+    def _curl(self, loop):
+        """The positive curl that normalizes mu on `loop`: out of (through,
+        loop) into (through, loop), with the through strand of the kink's
+        colour on the label whose scalars are the loop's.  Memoized on the
+        loop's (character, label); a failing derivation stores nothing."""
+        key = (loop.char, loop.branch)
+        curl = self._curls.get(key)
+        if curl is None:
+            strand = group_to_char(factgroup.curl_unpartner(
+                braiding.char_to_group(loop.char)))
+            through = self.rep(strand, braiding.branch_of(
+                strand, loop.kappa / loop.lam, loop.cval, self.rd))
+            curl = self._curls[key] = braiding.Crossing(
+                (through, loop), (through, loop), 1)
+        return curl
 
     def twist_scale(self, loop):
         """Positive scalar normalizing mu so cancelling curl pairs drop out.
@@ -195,12 +245,9 @@ class EvalContext:
         key = (loop.char, loop.branch)
         val = self._twist.get(key)
         if val is None:
-            strand = group_to_char(factgroup.curl_unpartner(
-                braiding.char_to_group(loop.char)))
-            through = self.rep(strand, braiding.branch_of(
-                strand, loop.kappa / loop.lam, loop.cval, self.rd))
+            curl = self._curl(loop)
             try:
-                m = self.solve(through, loop, (through, loop)).matrix
+                m = self.solve(*curl.inputs, curl.outputs).matrix
             except braiding.NoIntertwiner as exc:
                 raise KinkObstruction(
                     "the curl does not return its through and loop "
@@ -328,34 +375,50 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     def arcs(level, start, n):
         return [arc_rep[col._roots[(level, start + j)]] for j in range(n)]
 
+    def every_piece():
+        # each piece with the irreps of its bottom and top arcs
+        for level, pieces in enumerate(d.slices):
+            bcol = tcol = 0
+            for p in pieces:
+                nb, nt = len(p.bottom), len(p.top)
+                yield p, arcs(level, bcol, nb), arcs(level + 1, tcol, nt)
+                bcol += nb
+                tcol += nt
+
     in_dim = ell ** d.bottom_arity
     state = np.eye(in_dim, dtype=complex)
     log = [("normalization", braiding.NORMALIZATION_VERSION),
            ("mu", "K"), ("framing", ctx.framing)]
-    for level, pieces in enumerate(d.slices):
-        done_dim = 1
-        rest = sum(len(p.bottom) for p in pieces)
-        bcol = tcol = 0
-        for p in pieces:
-            nb, nt = len(p.bottom), len(p.top)
-            if p in (Piece.ID_UP, Piece.ID_DOWN):
-                # an identity only relabels the state's axes
-                rest -= 1
-                done_dim *= ell
-                bcol += 1
-                tcol += 1
-                continue
-            m, blk = elementary_op(p, arcs(level, bcol, nb),
-                                   arcs(level + 1, tcol, nt), ctx)
-            if blk is not None and blk.branch_retry:
-                log.append(("branch-retry", p.value, blk.target_branches))
-            rest -= nb
-            cur = state.reshape(done_dim, ell ** nb, (ell ** rest) * in_dim)
-            state = m @ cur
-            done_dim *= ell ** nt
-            bcol += nb
-            tcol += nt
-        state = state.reshape(done_dim, in_dim)
+    ctx.ahead(every_piece)
+    try:
+        for level, pieces in enumerate(d.slices):
+            done_dim = 1
+            rest = sum(len(p.bottom) for p in pieces)
+            bcol = tcol = 0
+            for p in pieces:
+                nb, nt = len(p.bottom), len(p.top)
+                if p in (Piece.ID_UP, Piece.ID_DOWN):
+                    # an identity only relabels the state's axes
+                    rest -= 1
+                    done_dim *= ell
+                    bcol += 1
+                    tcol += 1
+                    continue
+                m, blk = elementary_op(p, arcs(level, bcol, nb),
+                                       arcs(level + 1, tcol, nt), ctx)
+                if blk is not None and blk.branch_retry:
+                    log.append(("branch-retry", p.value,
+                                blk.target_branches))
+                rest -= nb
+                cur = state.reshape(done_dim, ell ** nb,
+                                    (ell ** rest) * in_dim)
+                state = m @ cur
+                done_dim *= ell ** nt
+                bcol += nb
+                tcol += nt
+            state = state.reshape(done_dim, in_dim)
+    finally:
+        ctx.ahead(None)
     top = d.top_signs
     domain = _local_object(d.bottom_signs, arcs(0, 0, d.bottom_arity))
     codomain = _local_object(top, arcs(len(d.slices), 0, len(top)))

@@ -12,6 +12,7 @@ import pathlib
 import random
 import sys
 
+import numpy as np
 import pytest
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -59,13 +60,26 @@ def _traced(workloads, name, limit=None):
     return tr.metrics(len(ops))
 
 
-def test_traced_knot_cold_solves_once_per_crossing(workloads):
-    # one solve and one SVD per crossing block, 2, 4 and 6 for the three
-    # knots: a negative crossing that went through the public positive
-    # solve would count twice
+def test_traced_knot_cold_solves_once_per_crossing(workloads, monkeypatch):
+    # one factorized system per crossing block, 2, 4 and 6 for the three
+    # knots (4.0 per op), read from the leading dimension of the stacked
+    # SVD: a negative crossing that went through the public positive solve
+    # would count twice.  Each knot meets one index plan, so each
+    # contraction makes one SVD call.
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
     metrics = _traced(workloads, "knot-cold")
-    assert metrics["braiding.solve_calls"]["value"] == 4.0
-    assert metrics["braiding.nullspace_factorizations"]["value"] == 4.0
+    ops = len(workloads.knots())
+    assert [shape[0] for shape in shapes] == [2, 4, 6]
+    assert sum(shape[0] for shape in shapes) / ops == 4.0
+    assert metrics["braiding.nullspace_factorizations"]["value"] \
+        == len(shapes) / ops == 1.0
 
 
 def test_traced_group_exact_counts_qc_ops(workloads):

@@ -1,5 +1,6 @@
 """Unit tests for colored crossing operators and the central pull-back."""
 
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -11,7 +12,7 @@ from tanglev.braiding import (char_to_group, group_to_char, solve_braiding,
 from tanglev.uqalgebra import RootData, build_irrep
 
 from conftest import (generic_char, generic_group, strand_outputs,
-                      trefoil_magnitudes)
+                      trefoil_colourings, trefoil_magnitudes)
 
 
 def random_block(rng, rd):
@@ -261,9 +262,92 @@ def _plan_inputs(rx, ry):
     (rx, ry) into the strand rule's outputs."""
     source = braiding._positive_slots(rx, ry)
     target = braiding._pair_stack(*strand_outputs(rx, ry))
-    return (braiding._weight_mask(braiding._total_weights(target),
-                                  braiding._total_weights(source)),
-            source, target)
+    (target_w, _), (source_w, _) = (braiding._total_weights(slots[None])
+                                     for slots in (target, source))
+    masks, _ = braiding._weight_masks(target_w, source_w)
+    return masks[0], source, target
+
+
+def _intertwiner(source, target):
+    """The intertwiner pass on one crossing's slot stacks: its unit-norm
+    block, or its error raised."""
+    [error], m = braiding._solve_intertwiners(source[None], target[None])
+    if error is not None:
+        raise error
+    return m[0]
+
+
+def _mixed_batch(rng, rd):
+    """Crossing requests of every kind: a positive and a negative crossing,
+    a curl, an output label shifted off the strand rule (NoIntertwiner)
+    and a target weight scaled by 1 + 1e-5 (WeightGrading)."""
+    rx, ry, _ = random_block(rng, rd)
+    rc, rd_, _ = random_block(rng, rd)
+    ru, rv, _ = random_block(rng, rd)
+    ctx = evaluator.EvalContext(rd)
+    for d, col in trefoil_colourings():
+        evaluator.invariant(d, col, ctx)
+    curl = ctx._curl(ctx.rep(*next(iter(ctx._twist))))
+    shifted = list(strand_outputs(rx, ry))
+    r, s = shifted[0].branch
+    shifted[0] = build_irrep(shifted[0].char, (r + 1, s), rd)
+    grading = list(strand_outputs(ru, rv))
+    grading[0] = dataclasses.replace(grading[0],
+                                     Kmat=grading[0].Kmat * (1 + 1e-5))
+    return [braiding.Crossing((rx, ry), strand_outputs(rx, ry), 1),
+            braiding.Crossing((rc, rd_), strand_outputs(rc, rd_, -1), -1),
+            curl,
+            braiding.Crossing((rx, ry), tuple(shifted), 1),
+            braiding.Crossing((ru, rv), tuple(grading), 1)]
+
+
+class TestBatchedSolve:
+    def test_batch_matches_requests_solved_alone(self, rng, rd3):
+        batch = _mixed_batch(rng, rd3)
+        outs = braiding.solve_crossings(batch)
+        assert [type(out).__name__ for out in outs] == [
+            "BraidingBlock"] * 3 + ["NoIntertwiner", "WeightGrading"]
+        for req, out in zip(batch, outs):
+            [alone] = braiding.solve_crossings([req])
+            if isinstance(out, Exception):
+                assert type(alone) is type(out)
+                assert str(alone) == str(out)
+                continue
+            scale = np.max(np.abs(alone.matrix))
+            assert np.max(np.abs(out.matrix - alone.matrix)) < 1e-13 * scale
+            assert (out.target_branches, out.nullity) \
+                == (alone.target_branches, alone.nullity)
+            assert out.residual == pytest.approx(alone.residual, abs=1e-13)
+
+    def test_failures_change_no_bit_of_their_neighbours(self, rng, rd3):
+        batch = _mixed_batch(rng, rd3)
+        mixed = braiding.solve_crossings(batch)
+        clean = braiding.solve_crossings(batch[:3])
+        for out, ref in zip(mixed[:3], clean):
+            assert np.array_equal(out.matrix.view(np.uint64),
+                                  ref.matrix.view(np.uint64))
+            assert out.residual == ref.residual
+
+    def test_duplicate_keys_are_factorized_once(self, rng, rd3,
+                                                monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        batch = _mixed_batch(rng, rd3)[:3]
+        # the first request again, on irreps built anew
+        twin = braiding.Crossing(*(
+            tuple(build_irrep(rep.char, rep.branch, rd3) for rep in reps)
+            for reps in (batch[0].inputs, batch[0].outputs)), 1)
+        assert twin.key() == batch[0].key()
+        assert twin.inputs[0] is not batch[0].inputs[0]
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        outs = braiding.solve_crossings(batch + [twin, batch[1]])
+        assert sum(shape[0] for shape in shapes) == 3
+        assert outs[3] is outs[0] and outs[4] is outs[1]
 
 
 class TestGradedSolve:
@@ -296,8 +380,9 @@ class TestGradedSolve:
         monkeypatch.setattr(np.linalg, "svd", counted)
         rx, ry, _ = random_block(rng, rd3)
         solve_braiding_inverse(rx, ry, strand_outputs(rx, ry, sign=-1))
+        # one system per batched SVD, of the shape (8 ell^3, ell)
         ell = rd3.ell
-        assert shapes == [(8 * ell ** 3, ell)] * 2
+        assert shapes == [(1, 8 * ell ** 3, ell)] * 2
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_orbits_tile_the_weight_classes(self, rng, ell):
@@ -373,21 +458,21 @@ class TestGradedSolve:
 
         # every target weight far from every source weight: no entry
         with pytest.raises(braiding.NoIntertwiner):
-            braiding._solve_intertwiner(slots, targets_scaled(2.5))
+            _intertwiner(slots, targets_scaled(2.5))
         # neither equal nor separated: refused, not guessed
         with pytest.raises(braiding.WeightGrading):
-            braiding._solve_intertwiner(slots, targets_scaled(1 + 1e-5))
+            _intertwiner(slots, targets_scaled(1 + 1e-5))
         twisted = slots.copy()
         twisted[braiding._K1] += 1e-3 * slots[braiding._E1]
         with pytest.raises(braiding.WeightGrading):
-            braiding._solve_intertwiner(twisted, targets_scaled(1))
+            _intertwiner(twisted, targets_scaled(1))
         # an ill-conditioned E1 source slot would amplify rounding along
         # the transport: refused by its entry moduli
         skewed = slots.copy()
         skewed[braiding._E1][:, 0] *= 1e13
         with pytest.raises(braiding.SingularM):
-            braiding._solve_intertwiner(skewed, targets_scaled(1))
-        braiding._solve_intertwiner(slots, targets_scaled(1))
+            _intertwiner(skewed, targets_scaled(1))
+        _intertwiner(slots, targets_scaled(1))
 
     def test_ell5_shifted_outputs_are_refused(self, rng):
         # an output label shifted in r or in s names another module with

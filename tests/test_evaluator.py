@@ -12,6 +12,7 @@ from tanglev.coloring import ColoredBoundary
 from tanglev.evaluator import EvalContext
 from tanglev.uqalgebra import CentralCharacter, NonGenericCharacter, RootData
 
+import oracles
 from conftest import (mat2_of, strand_outputs, trefoil_boundary_2,
                       trefoil_boundary_3, trefoil_colourings,
                       trefoil_curve_meridians, trefoil_magnitudes)
@@ -33,14 +34,35 @@ def strand_with(move, ctx, variant=None):
 
 
 def counted_solves(monkeypatch):
-    """The argument tuples of every crossing solve made from now on."""
-    solves = []
-    for name in ("solve_braiding", "solve_braiding_inverse"):
-        def counted(*args, _solve=getattr(braiding, name), **kw):
-            solves.append(args)
-            return _solve(*args, **kw)
-        monkeypatch.setattr(braiding, name, counted)
-    return solves
+    """The requests of every call into the batch solve made from now on,
+    one list per call."""
+    batches = []
+
+    def counted(requests, *args, _solve=braiding.solve_crossings, **kw):
+        batches.append(list(requests))
+        return _solve(requests, *args, **kw)
+    monkeypatch.setattr(braiding, "solve_crossings", counted)
+    return batches
+
+
+def failing_negatives(monkeypatch, error):
+    """Make every negative crossing of a batch fail with `error`("probe");
+    the other requests are solved as before."""
+    def solve(requests, *args, _solve=braiding.solve_crossings, **kw):
+        return [error("probe") if req.sign < 0 else out
+                for req, out in zip(requests, _solve(requests, *args, **kw))]
+    monkeypatch.setattr(braiding, "solve_crossings", solve)
+
+
+def visited_pieces(monkeypatch):
+    """The piece of every elementary operator contraction asks for."""
+    pieces = []
+
+    def op(piece, *args, _op=evaluator.elementary_op):
+        pieces.append(piece)
+        return _op(piece, *args)
+    monkeypatch.setattr(evaluator, "elementary_op", op)
+    return pieces
 
 
 def cold_knots():
@@ -126,12 +148,12 @@ class TestContractOracle:
         blk = evaluator.contract(d, col, ctx)
         ident = evaluator.LinearBlock(
             np.eye(9), blk.domain, blk.domain, ())
-        comp = evaluator.compose_blocks(blk, ident)
+        comp = oracles.compose_blocks(blk, ident)
         assert np.array_equal(comp.matrix, blk.matrix)
-        tens = evaluator.tensor_blocks(blk, ident)
+        tens = oracles.tensor_blocks(blk, ident)
         assert tens.matrix.shape == (81, 81)
-        with pytest.raises(evaluator.ObjectMismatch):
-            evaluator.compose_blocks(ident, blk)
+        with pytest.raises(oracles.ObjectMismatch):
+            oracles.compose_blocks(ident, blk)
 
 
 class TestInvariant:
@@ -215,23 +237,39 @@ class TestPlanner:
             assign = evaluator._plan_branches(d, col, ctx, None)
         assert col._roots[(0, 0)] in assign
 
-        solves = counted_solves(monkeypatch)
+        batches = counted_solves(monkeypatch)
         ctx = EvalContext(RootData(3))
         evaluator.invariant(d, col, ctx)
         crossings = sum(p in (diagram.Piece.X_POS, diagram.Piece.X_NEG)
                         for pieces in d.slices for p in pieces)
-        # each diagram crossing once, and the positive curl of each twist
-        assert len(solves) == crossings + len(ctx._twist) == 6
+        # each diagram crossing once, and the positive curl of each twist,
+        # all in one batch
+        assert len(batches) == 1
+        assert len(batches[0]) == crossings + len(ctx._twist) == 6
 
     @pytest.mark.parametrize("knot, count", [(0, 2), (1, 4), (2, 6)],
                              ids=["unknot-curl", "trefoil-2", "trefoil-3"])
     def test_cold_solve_count(self, monkeypatch, knot, count):
         # a fresh context solves each crossing block once and one curl per
-        # twist; the curl pair of the unknot is its own kink
+        # twist, in one batch; the curl pair of the unknot is its own kink
         d, col = cold_knots()[knot]
-        solves = counted_solves(monkeypatch)
+        batches = counted_solves(monkeypatch)
         evaluator.invariant(d, col, EvalContext(RootData(3)))
-        assert len(solves) == count
+        assert [len(batch) for batch in batches] == [count]
+        assert len({req.key() for req in batches[0]}) == count
+
+    @pytest.mark.parametrize("knot", [0, 1, 2],
+                             ids=["unknot-curl", "trefoil-2", "trefoil-3"])
+    def test_warm_evaluation_solves_nothing(self, monkeypatch, knot):
+        # a second evaluation on the filled context finds every block and
+        # twist in its memos and calls no batch solve, with the same value
+        d, col = cold_knots()[knot]
+        ctx = EvalContext(RootData(3))
+        cold, _ = evaluator.invariant(d, col, ctx)
+        batches = counted_solves(monkeypatch)
+        warm, _ = evaluator.invariant(d, col, ctx)
+        assert batches == []
+        assert warm == cold
 
     def test_contract_reuses_the_colouring(self, monkeypatch, ctx):
         # the planner reads the arcs and crossings propagation recorded
@@ -401,11 +439,11 @@ class TestSolveMemo:
     def test_failure_is_cached_as_type_and_message(self, monkeypatch):
         calls = []
 
-        def failing(repx, repy, outputs, rel_tol):
+        def failing(requests, rel_tol):
             calls.append(rel_tol)
-            raise braiding.NoIntertwiner("probe")
+            return [braiding.NoIntertwiner("probe") for _ in requests]
 
-        monkeypatch.setattr(braiding, "solve_braiding", failing)
+        monkeypatch.setattr(braiding, "solve_crossings", failing)
         ctx = EvalContext(RootData(3))
         x1, _ = trefoil_boundary_2()
         rep = ctx.rep(group_to_char(x1), (0, 0))
@@ -423,16 +461,61 @@ class TestSolveMemo:
             gc.enable()
 
 
+class TestBatchedContraction:
+    def test_failure_raises_at_its_own_piece(self, monkeypatch):
+        # the unknot's negative crossing fails in the batch; the pieces
+        # below it, the positive crossing and its curl's twist among them,
+        # are contracted first, and the error is raised at that crossing
+        d, col = cold_knots()[0]
+        failing_negatives(monkeypatch, braiding.SingularM)
+        pieces = visited_pieces(monkeypatch)
+        ctx = EvalContext(RootData(3))
+        with pytest.raises(braiding.SingularM, match="probe"):
+            evaluator.contract(d, col, ctx)
+        Piece = diagram.Piece
+        assert pieces == [Piece.CUP_L, Piece.X_POS, Piece.CAP_R,
+                          Piece.CUP_L, Piece.X_NEG]
+        assert len(ctx._twist) == 1
+        assert sorted(key[-1] for key in ctx._blocks) == [-1, 1]
+
+    def test_earlier_kink_obstruction_wins(self, monkeypatch):
+        # the twist on the cap below the failing crossing raises first
+        d, col = cold_knots()[0]
+        failing_negatives(monkeypatch, braiding.SingularM)
+        ctx = EvalContext(RootData(3))
+        monkeypatch.setattr(ctx, "_kink_scalar",
+                            lambda m, mu: complex("nan"))
+        with pytest.raises(evaluator.KinkObstruction, match="not finite"):
+            evaluator.contract(d, col, ctx)
+
+    def test_curl_without_through_strand_is_left_to_twist_scale(
+            self, monkeypatch):
+        # the batch leaves out the curl whose through strand cannot be
+        # formed; twist_scale raises NotFactorizable at the cap, before
+        # the failing crossing above it
+        d, col = cold_knots()[0]
+        failing_negatives(monkeypatch, braiding.SingularM)
+        batches = counted_solves(monkeypatch)
+
+        def no_strand(_):
+            raise factgroup.NotFactorizable("probe strand")
+
+        monkeypatch.setattr(factgroup, "curl_unpartner", no_strand)
+        with pytest.raises(factgroup.NotFactorizable, match="probe strand"):
+            evaluator.contract(d, col, EvalContext(RootData(3)))
+        assert [sorted(req.sign for req in batch) for batch in batches] \
+            == [[-1, 1]]
+
+
 class TestReidemeisterReport:
     @pytest.mark.parametrize("error", [braiding.SingularN,
                                        braiding.WeightGrading])
     def test_report_skips_failing_crossing(self, monkeypatch, error):
         # the bare strand needs no solve; its curl sites all do
-        def failing(*_, **__):
-            raise error("probe")
+        def failing(requests, *_, **__):
+            return [error("probe") for _ in requests]
 
-        monkeypatch.setattr(braiding, "solve_braiding", failing)
-        monkeypatch.setattr(braiding, "solve_braiding_inverse", failing)
+        monkeypatch.setattr(braiding, "solve_crossings", failing)
         x1, _ = trefoil_boundary_2()
         report = evaluator.reidemeister_report(
             diagram.parse("id+"), ColoredBoundary(((1, x1),)), [],

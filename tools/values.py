@@ -56,7 +56,7 @@ from tanglev.uqalgebra import RootData  # noqa: E402
 
 import workloads  # noqa: E402
 
-KNOT_ELLS = (3, 5, 7)
+KNOT_ELLS = (3, 5, 7, 9)
 SWEEP_ELLS = (3, 5)
 SWEEP_PAIRS = 400
 SWEEP_WORDS = ([1], [-1], [1, -1], [-1, 1])
