@@ -5,14 +5,17 @@ two outgoing colors are (x_left, x_right) of the incoming pair; at a negative
 crossing the incoming pair is (x_left, x_right) of the outgoing one.  The two
 legs of a cup or cap belong to one arc and carry equal colors.
 
-Colors are found by a constraint fixpoint: edge endpoints are merged with a
-union-find (identities, cup legs, cap legs) and crossing relations are
-applied in every solvable direction until nothing changes.  One scan of
-the diagram maps every endpoint to its arc root and records each crossing
-and cup on arc roots, so the fixpoint reads colors by root.  Kinks need
-one non-forward rule: when a crossing's d and b legs are the same arc and
-only c is known, the unique consistent loop color is d = c_-^-1 c c_-
-with a = c.
+Colors are found by a constraint fixpoint over arcs.  One bottom-to-top
+pass (`_scan`) labels every edge endpoint with its arc root, in evaluation
+order: identities carry an arc up, cups and crossings start arcs, and caps
+join two.  It records each crossing and cup on arc roots, so the fixpoint
+reads colors by root.  Each pass applies every pending crossing's
+relations in whichever direction is solvable.  A crossing whose inputs are
+known runs its forward rule, which sets or checks both outputs, and leaves
+the pending list; the backward rules leave it pending, so the forward rule
+still checks the legs they derived.  Kinks need one more rule: when a
+crossing's d and b legs are the same arc and only c is known, the unique
+consistent loop color is d = c_-^-1 c c_- with a = c.
 
 A move changes a diagram only inside its window, so `recolor` searches
 for nothing: at each stall of the fixpoint the first uncolored cup takes
@@ -22,6 +25,7 @@ the next seed, and a failure raises Inconsistent led by its cause's name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import factgroup
 from .diagram import ArityMismatch, Piece, TangleDiagram
@@ -60,27 +64,7 @@ class ColoredBoundary:
                    for x, y in zip(self.colors(), other.colors()))
 
 
-class _UnionFind:
-    def __init__(self, keys=()):
-        self.parent = {key: key for key in keys}
-
-    def find(self, key):
-        parent = self.parent
-        root = key
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[key] != root:
-            parent[key], key = root, parent[key]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-@dataclass(frozen=True)
-class _Crossing:
+class _Crossing(NamedTuple):
     kind: Piece
     c: tuple
     d: tuple
@@ -88,33 +72,65 @@ class _Crossing:
     b: tuple
 
 
+def _classes(pairs):
+    """The join map of the classes that `pairs` join: each key leads
+    straight to its class's root, and a key it lacks is its own root."""
+    join = {}
+    for a, b in pairs:
+        while a in join:
+            a = join[a]
+        while b in join:
+            b = join[b]
+        if a != b:
+            join[a] = b
+    for key, root in join.items():
+        while root in join:
+            root = join[root]
+        join[key] = root
+    return join
+
+
 def _scan(d: TangleDiagram):
-    """Each edge endpoint's arc root; crossings and cups on roots."""
-    # bottom points first: a diagram may have no slices
-    uf = _UnionFind((0, i) for i in range(d.bottom_arity))
+    """Each edge endpoint's arc root; crossings and cups on roots.
+
+    One bottom-to-top pass labels the points of each level.  An identity
+    carries its arc up; a bottom point, a cup and a crossing's top leg
+    start a new arc, rooted at its own (left) endpoint; only a cap joins
+    two arcs, and the caps' joins are resolved once the pass is done.  The
+    root map lists every endpoint in evaluation order, level by level and
+    left to right.
+    """
+    below = [(0, i) for i in range(d.bottom_arity)]
+    roots = dict(zip(below, below))
+    caps = []
     crossings = []
     cups = []
-    for k, pieces in enumerate(d.slices):
-        bcol = tcol = 0
+    for k, pieces in enumerate(d.slices, 1):
+        above = []
+        legs = iter(below)
         for p in pieces:
-            bot = [(k, bcol + j) for j in range(len(p.bottom))]
-            top = [(k + 1, tcol + j) for j in range(len(p.top))]
-            if p in (Piece.ID_UP, Piece.ID_DOWN):
-                uf.union(bot[0], top[0])
-            elif p in (Piece.CUP_L, Piece.CUP_R):
-                uf.union(top[0], top[1])
-                cups.append(top[0])
-            elif p in (Piece.CAP_L, Piece.CAP_R):
-                uf.union(bot[0], bot[1])
-            else:
-                crossings.append((p, bot[0], bot[1], top[0], top[1]))
-            bcol += len(p.bottom)
-            tcol += len(p.top)
-    for key in list(uf.parent):
-        uf.find(key)
-    find = uf.find  # adds crossing legs on no identity as their own roots
-    crossings = [_Crossing(p, *map(find, pts)) for p, *pts in crossings]
-    return uf.parent, crossings, [find(pt) for pt in cups]
+            if len(p.top) == 1:  # an identity
+                above.append(next(legs))
+            elif not p.bottom:  # a cup
+                root = (k, len(above))
+                above += (root, root)
+                cups.append(root)
+            elif not p.top:  # a cap
+                caps.append((next(legs), next(legs)))
+            else:  # a crossing
+                a, b = (k, len(above)), (k, len(above) + 1)
+                crossings.append((p, next(legs), next(legs), a, b))
+                above += (a, b)
+        roots.update(zip([(k, i) for i in range(len(above))], above))
+        below = above
+    if caps:
+        join = _classes(caps)
+        for pt, root in roots.items():
+            roots[pt] = join.get(root, root)
+    # every label is an endpoint, so the map resolves it to its root
+    crossings = [_Crossing(p, *[roots[pt] for pt in pts])
+                 for p, *pts in crossings]
+    return roots, crossings, [roots[pt] for pt in cups]
 
 
 class GColoring:
@@ -123,7 +139,7 @@ class GColoring:
 
     def __init__(self, diagram, roots, crossings, colors):
         self.diagram = diagram
-        self._roots = roots  # flat: every endpoint to its arc root
+        self._roots = roots  # each endpoint's arc root, in evaluation order
         self._crossings = crossings
         self._colors = colors
 
@@ -146,43 +162,43 @@ def _set_color(colors, root, value, tol):
     old = colors.get(root)
     if old is None:
         colors[root] = value
-        return True
-    if not mats_equal(old, value, tol):
+    elif not mats_equal(old, value, tol):
         raise CapMismatch(
             "conflicting colors on arc through %s" % (root,))
-    return False
 
 
 def _apply_crossing(cr: _Crossing, colors, tol):
     """Apply one crossing's relations in whichever direction is solvable.
 
-    A negative crossing is a positive one read with its pairs (c, d) and
-    (a, b) swapped, so both run the rules below on (inputs, outputs).
+    Returns whether the crossing stays pending.  Once the forward rule has
+    run, its outputs are set or checked and the crossing has nothing left
+    to give.  The other rules leave it pending, so a later pass checks xlr
+    of its inputs against the legs they derived.  A negative crossing is a
+    positive one read with its pairs (c, d) and (a, b) swapped, so both run
+    the rules below on (inputs, outputs).
     """
     def put(points, values):
-        progress = False
         for pt, value in zip(points, values):
-            progress |= _set_color(colors, pt, value, tol)
-        return progress
+            _set_color(colors, pt, value, tol)
 
     ins, outs = (cr.c, cr.d), (cr.a, cr.b)
     if cr.kind is not Piece.X_POS:
         ins, outs = outs, ins
     x, y = map(colors.get, ins)
-    u, v = map(colors.get, outs)
     if x is not None and y is not None:
-        return put(outs, factgroup.xlr(x, y))
+        put(outs, factgroup.xlr(x, y))
+        return False
+    u, v = map(colors.get, outs)
     if u is not None and v is not None:
-        return put(ins, factgroup.xlr_inverse(u, v))
-    if x is not None and u is not None:  # y = x-^-1 u x-, v = u+^-1 x u+
+        put(ins, factgroup.xlr_inverse(u, v))
+    elif x is not None and u is not None:  # y = x-^-1 u x-, v = u+^-1 x u+
         fx, fu = factorize(x), factorize(u)
-        return put((ins[1], outs[1]), (
-            factgroup._lower_conj(u, fx.a, fx.b),
-            factgroup._upper_conj(x, fu.beta, fu.alpha)))
-    c = colors.get(cr.c)
-    if c is not None and cr.b == cr.d:
-        return put((cr.d, cr.a), (factgroup.curl_partner(c), c))
-    return False
+        put((ins[1], outs[1]), (factgroup._lower_conj(u, fx.a, fx.b),
+                                factgroup._upper_conj(x, fu.beta, fu.alpha)))
+    elif cr.b == cr.d and cr.c in colors:
+        c = colors[cr.c]
+        put((cr.d, cr.a), (factgroup.curl_partner(c), c))
+    return True
 
 
 def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
@@ -207,12 +223,13 @@ def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
                     "cup index %d out of range (%d cups)" % (idx, len(cups)))
             _set_color(colors, cups[idx], x, tol)
     seeds = iter(seeds)
+    pending = crossings
     while True:
-        progress = True
-        while progress:
-            progress = False
-            for cr in crossings:
-                progress |= _apply_crossing(cr, colors, tol)
+        size = None
+        while size != len(colors):  # until a pass colours nothing new
+            size = len(colors)
+            pending = [cr for cr in pending
+                       if _apply_crossing(cr, colors, tol)]
         missing = [i for i, root in enumerate(cups) if root not in colors]
         if not missing:
             return GColoring(d, roots, crossings, colors)

@@ -102,13 +102,11 @@ class TangleDiagram:
             signs = slice_top(pieces)
         object.__setattr__(self, "slices", tuple(map(tuple, self.slices)))
         object.__setattr__(self, "bottom_signs", tuple(self.bottom_signs))
+        object.__setattr__(self, "_top_signs", tuple(signs))
 
     @property
     def top_signs(self):
-        signs = self.bottom_signs
-        for pieces in self.slices:
-            signs = slice_top(pieces)
-        return signs
+        return self._top_signs
 
     @property
     def bottom_arity(self):
@@ -122,9 +120,6 @@ class TangleDiagram:
         pos = sum(p is Piece.X_POS for s in self.slices for p in s)
         neg = sum(p is Piece.X_NEG for s in self.slices for p in s)
         return pos - neg
-
-    def pretty(self):
-        return " ; ".join(" ".join(p.value for p in s) for s in self.slices)
 
     def to_json(self):
         return {"slices": [[p.value for p in s] for s in self.slices],

@@ -35,7 +35,7 @@ import numpy as np
 from . import braiding, coloring, factgroup
 from .braiding import CROSSING_ERRORS, group_to_char
 from .coloring import GColoring, Inconsistent
-from .diagram import ArityMismatch, Piece, TangleDiagram, slice_top
+from .diagram import ArityMismatch, Piece, TangleDiagram
 from .uqalgebra import (CentralCharacter, NonGenericCharacter, RootData,
                         build_irrep)
 
@@ -316,38 +316,36 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     """Assign an irrep to every arc, derived from its strand.
 
     A crossing carries the central scalars of K L^-1 and c from each input
-    slot to the opposite output slot, so they are constant along a strand.
-    A strand takes them from the module on its first bottom boundary arc;
-    a closed strand starts on label (0, 0) at its first arc in evaluation
-    order (level by level, left to right).  Each arc then gets the irrep
-    of its colour with those scalars (`EvalContext.arc_rep`, memoized on
-    the exact colour and scalars), and no crossing is solved.  A warm
-    context derives a label only for a colour and scalars it has not met.
-    Arcs and crossings are the colouring's own.
+    slot to the opposite output slot, so they are constant along a strand;
+    strands are the colouring's arcs joined through its crossings.  One
+    walk over the colouring's root map, which lists the endpoints in
+    evaluation order (level by level, left to right), meets each arc at its
+    first endpoint.  A strand takes its scalars from the module on its
+    first arc: the given branch on a bottom boundary point, and label
+    (0, 0) for a closed strand.  Each arc then gets the irrep of its colour
+    with those scalars (`EvalContext.arc_rep`, memoized on the exact colour
+    and scalars), and no crossing is solved.  A warm context derives a
+    label only for a colour and scalars it has not met.
     """
-    roots = col._roots
-    strands = coloring._UnionFind()
-    for cr in col._crossings:  # recorded on arc roots
-        strands.union(cr.c, cr.b)
-        strands.union(cr.d, cr.a)
+    strands = coloring._classes(  # crossings are recorded on arc roots
+        pair for cr in col._crossings
+        for pair in ((cr.c, cr.b), (cr.d, cr.a)))
     given = bottom_branches or [(0, 0)] * d.bottom_arity
-    widths = [d.bottom_arity] + [len(slice_top(s)) for s in d.slices]
+    colors = col._colors
     scalars = {}
     assign = {}
-    for level, width in enumerate(widths):
-        for pos in range(width):
-            root = roots[(level, pos)]
-            if root in assign:
-                continue
-            color = col.color(level, pos)
-            strand = strands.find(root)
-            if strand not in scalars:
-                start = ctx.rep(ctx.char_of(color),
-                                given[pos] if level == 0 else (0, 0))
-                scalars[strand] = start.kappa / start.lam, start.cval
-            assign[root] = ctx.arc_rep(color, *scalars[strand])
+    for (level, pos), root in col._roots.items():
+        if root in assign:
+            continue
+        color = colors[root]
+        strand = strands.get(root, root)
+        if strand not in scalars:
+            start = ctx.rep(ctx.char_of(color),
+                            given[pos] if level == 0 else (0, 0))
+            scalars[strand] = start.kappa / start.lam, start.cval
+        assign[root] = ctx.arc_rep(color, *scalars[strand])
     for i, branch in enumerate(given):
-        rep = assign[roots[(0, i)]]
+        rep = assign[col._roots[(0, i)]]
         if ctx.rep(rep.char, branch).branch != rep.branch:
             raise BranchObstruction(
                 "bottom branch %r at boundary point %d is not the module "

@@ -216,6 +216,3 @@ def mats_equal(g: Mat2, h: Mat2, tol=1e-10):
                 return False
     return True
 
-
-def to_float(g: Mat2) -> Mat2:
-    return Mat2(*(complex(v) for v in g.entries()))

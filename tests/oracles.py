@@ -1,8 +1,19 @@
-"""Test-side oracles: block algebra that only the tests use."""
+"""Test-side oracles: helpers that only the tests use."""
 
 import numpy as np
 
 from tanglev.evaluator import ColoredObject, LinearBlock
+from tanglev.factgroup import Mat2
+
+
+def to_float(g: Mat2) -> Mat2:
+    """g with every entry cast to complex: the float backend."""
+    return Mat2(*(complex(v) for v in g.entries()))
+
+
+def pretty(d) -> str:
+    """A diagram in the slice DSL that `diagram.parse` reads."""
+    return " ; ".join(" ".join(p.value for p in s) for s in d.slices)
 
 
 class ObjectMismatch(ValueError):

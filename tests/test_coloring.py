@@ -5,7 +5,9 @@ import pytest
 
 from tanglev import coloring, diagram, evaluator, factgroup
 from tanglev.coloring import ColoredBoundary
+from tanglev.factgroup import Mat2
 
+import oracles
 from conftest import (mat2_of, rational_mat, trefoil_boundary_2,
                       trefoil_boundary_3, trefoil_meridians)
 
@@ -18,6 +20,21 @@ def two_colors(rng):
             return x, y
         except factgroup.NotFactorizable:
             continue
+
+
+def benchmark_knots():
+    """[(name, diagram, bottom colour, cup seeds)] of the three knots of
+    the `knot-cold` benchmark."""
+    x1, x2 = trefoil_boundary_2()
+    y1, y2, y3 = trefoil_boundary_3()
+    strand = diagram.parse("id+")
+    return [
+        ("unknot-curl", diagram.apply_move(strand, "FramedR1", next(
+            diagram.find_move_sites(strand, "FramedR1"))), x1, []),
+        ("trefoil-2", diagram.close_braid_partial(
+            diagram.braid_word([1, 1, 1], 2)), x1, [x2]),
+        ("trefoil-3", diagram.close_braid_partial(
+            diagram.braid_word([1, 2, 1, 2], 3)), y1, [y2, y3])]
 
 
 class TestPropagation:
@@ -106,6 +123,42 @@ class TestPropagation:
         with pytest.raises(coloring.ArityMismatch):
             coloring.propagate(d, ColoredBoundary(((1, x),)), cup_seeds={})
 
+    def test_forward_rule_runs_once_per_crossing(self, monkeypatch):
+        # a crossing leaves the fixpoint once xlr has set or checked its
+        # outputs, so no later pass recomputes it
+        calls = []
+
+        def counted(x, y, _xlr=factgroup.xlr):
+            calls.append((x, y))
+            return _xlr(x, y)
+
+        monkeypatch.setattr(factgroup, "xlr", counted)
+        counts = {}
+        for name, d, y, seeds in benchmark_knots():
+            calls.clear()
+            coloring.propagate(d, ColoredBoundary(((1, y),)),
+                               cup_seeds=dict(enumerate(seeds)))
+            counts[name] = len(calls)
+            assert len(calls) == sum(p in (diagram.Piece.X_POS,
+                                           diagram.Piece.X_NEG)
+                                     for s in d.slices for p in s)
+        assert counts == {"unknot-curl": 2, "trefoil-2": 3, "trefoil-3": 4}
+
+    def test_derived_legs_are_checked_forward(self, monkeypatch, rng):
+        # the inverse rule leaves its crossing pending, so the next pass
+        # checks xlr of the derived inputs against the known outputs
+        def skewed(u, v, _inverse=factgroup.xlr_inverse):
+            a, b = _inverse(u, v)
+            return Mat2(a.m11 + 1e-6, a.m12, a.m21, a.m22), b
+
+        x, y = map(oracles.to_float, two_colors(rng))
+        bottom = ColoredBoundary(((1, x), (1, y)))
+        d = diagram.parse("x-")
+        coloring.propagate(d, bottom)
+        monkeypatch.setattr(factgroup, "xlr_inverse", skewed)
+        with pytest.raises(coloring.CapMismatch):
+            coloring.propagate(d, bottom)
+
 
 class TestRecolor:
     @pytest.mark.parametrize("site, cups", [(0, (2, 3)), (2, (0, 3))],
@@ -150,18 +203,8 @@ class TestRecolor:
         # every site of every move on the three benchmark knots: the
         # trefoils' and most of the unknot's colour; the rest stall with
         # no seed left and say so, naming no parameter recolor lacks
-        x1, x2 = trefoil_boundary_2()
-        y1, y2, y3 = trefoil_boundary_3()
-        strand = diagram.parse("id+")
-        knots = [
-            ("unknot-curl", diagram.apply_move(strand, "FramedR1", next(
-                diagram.find_move_sites(strand, "FramedR1"))), x1, []),
-            ("trefoil-2", diagram.close_braid_partial(
-                diagram.braid_word([1, 1, 1], 2)), x1, [x2]),
-            ("trefoil-3", diagram.close_braid_partial(
-                diagram.braid_word([1, 2, 1, 2], 3)), y1, [y2, y3])]
         coloured, failed = 0, []
-        for name, d, y, seeds in knots:
+        for name, d, y, seeds in benchmark_knots():
             for move in ("R2", "R3", "FramedR1", "SlideCupCap"):
                 for site in diagram.find_move_sites(d, move):
                     try:
@@ -214,6 +257,9 @@ class TestRecolor:
                     bcol += len(p.bottom)
                     tcol += len(p.top)
             assert points <= roots.keys()
+            # in evaluation order, level by level and left to right: the
+            # planner starts each closed strand at its first arc in it
+            assert list(roots) == sorted(points)
             assert all(roots[roots[pt]] == roots[pt] for pt in points)
             assert col.color(0, 0) == bottom.entries[0][1]
 
