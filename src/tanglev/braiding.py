@@ -69,16 +69,18 @@ mask and on the zero patterns of the two stacks, so `_index_plan` builds
 those index arrays once per pattern and memoizes them (at most
 PLAN_CAP).  The memo holds index arrays only, never a colour, character
 or block: a fresh EvalContext still solves every crossing, and each
-solve recomputes its transport coefficients, its system and its SVD.
+solve recomputes its transport coefficients, its system, its QR and its
+SVD.
 
 Crossings are solved in batches (`solve_crossings`; `solve_braiding` and
 `solve_braiding_inverse` are batches of one).  Each stage runs once on
 the stack of the crossings still alive: the R-images and cond(N), the
-weight rule, then per index plan the transport coefficients, the systems
-and one batched SVD, then the inverse of the negative crossings,
-`_normalize` and the residual.  Every check is made per crossing, in the
-order above, and a crossing that fails one leaves the stack with the
-error it raises when solved alone.
+weight rule, then per index plan the transport coefficients, the systems,
+one batched QR of them and one batched SVD of the ell x ell R factors,
+then the inverse of the negative crossings, `_normalize` and the
+residual.  Every check is made per crossing, in the order above, and a
+crossing that fails one leaves the stack with the error it raises when
+solved alone.
 """
 
 from __future__ import annotations
@@ -544,8 +546,9 @@ def _solve_group(plan, source, target, rel_tol):
     that share `plan`, on the orthonormal orbit basis X_o of the module
     docstring: `_index_plan` gives the indices, and this pass computes the
     transport coefficients, the systems of 8 ell^3 rows and ell columns,
-    and one batched SVD of them.  Returns the error of each crossing (or
-    None), and the unit-norm blocks of those without one."""
+    one batched QR of them and one batched SVD of the ell x ell R factors.
+    Returns the error of each crossing (or None), and the unit-norm blocks
+    of those without one."""
     source, target = source.reshape(len(source), -1), \
         target.reshape(len(target), -1)
     spread = np.abs(source[:, plan.moves])
@@ -570,7 +573,9 @@ def _solve_group(plan, source, target, rel_tol):
     other = np.take(coef, plan.x2, axis=1)
     other *= np.take(target, plan.g2, axis=1)
     system -= other
-    _, svals, vh = np.linalg.svd(system, full_matrices=False)
+    # the R factor has the system's singular values and right singular
+    # vectors, without the unused (8 ell^3 x ell) U factor
+    _, svals, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
     nullity = np.sum(svals < rel_tol * svals[:, :1], axis=1)
     for k, n in zip(live, nullity):
         if n == 0:
@@ -585,9 +590,9 @@ def _solve_group(plan, source, target, rel_tol):
     m[:, plan.entries] = vh[:, -1].conj()[:, :, None, None] * x
     # the singular values of M are those of its weight-class blocks: its
     # condition number is their largest over their smallest
-    blocks = m[:, plan.blocks]
-    singular = np.linalg.norm(blocks, 2, axis=(2, 3)).max(axis=1) \
-        > COND_LIMIT * np.linalg.norm(blocks, -2, axis=(2, 3)).min(axis=1)
+    svals = np.linalg.svdvals(m[:, plan.blocks])
+    singular = svals[:, :, 0].max(axis=1) \
+        > COND_LIMIT * svals[:, :, -1].min(axis=1)
     for k in live[singular]:
         found[k] = SingularM("intertwiner is singular")
     return found, m[~singular].reshape(-1, dim, dim)

@@ -24,6 +24,11 @@ right cup or cap curl that the memo lacks, once per key, and memoizes
 each block or failure.  A failure is raised only when the loop reaches
 its piece, so the first error is the one a piece-by-piece solve would
 raise, and a context that holds every block lists and solves nothing.
+
+Everything an evaluation derives is memoized on the `EvalContext` that
+owns it (see its docstring), or on the character it depends on alone
+(`CentralCharacter`), never in a module.  A fresh context shares nothing
+with another, so it derives and solves everything again.
 """
 
 from __future__ import annotations
@@ -74,7 +79,20 @@ class LinearBlock:
 
 
 class EvalContext:
-    """Shared representation store, crossing-block memo and conventions."""
+    """Shared representation store, crossing-block memo and conventions.
+
+    A context memoizes, each entry derived once and never replaced:
+    - each character by its exact colour (`char_of`);
+    - each irrep by its rounded character and label (`rep`), and each
+      arc's irrep by its exact colour and central scalars (`arc_rep`);
+    - each crossing block, or its failure as type and message, by the
+      (character, label) of its four irreps and its sign;
+    - each curl request and twist scale by its loop's (character, label);
+    - each cup and cap operator (`cup_cap`), read-only: CUP_L and CAP_L
+      once, CUP_R and CAP_R per (piece, character, label).
+    Apart from a failed block, a failing derivation stores nothing and
+    raises the same error when asked again.
+    """
 
     def __init__(self, rd: RootData, framing="balanced", tol=1e-8):
         self.rd = rd
@@ -86,6 +104,7 @@ class EvalContext:
         self._twist = {}
         self._curls = {}
         self._blocks = {}
+        self._ops = {}
         self._pieces = None
 
     def rep(self, char: CentralCharacter, branch):
@@ -199,6 +218,31 @@ class EvalContext:
             m = self.twist_scale(rep) * m
         return m
 
+    def cup_cap(self, piece, bottom, top):
+        """The matrix of a cup or cap piece between the irreps `bottom` and
+        `top`, derived once and stored read-only: CUP_L and CAP_L once per
+        context, CUP_R and CAP_R per (piece, character, label) of their
+        loop, whose `mu` they pair with.  A failing `mu` stores nothing."""
+        if piece is Piece.CUP_R or piece is Piece.CAP_R:
+            loop = top[0] if piece is Piece.CUP_R else bottom[0]
+            key = (piece, loop.char, loop.branch)
+        else:
+            key = piece
+        op = self._ops.get(key)
+        if op is None:
+            ell = self.rd.ell
+            if piece is Piece.CUP_L:
+                op = np.eye(ell).reshape(ell * ell, 1)
+            elif piece is Piece.CAP_L:
+                op = np.eye(ell).reshape(1, ell * ell)
+            elif piece is Piece.CUP_R:
+                op = np.linalg.inv(self.mu(loop)).T.reshape(-1, 1)
+            else:
+                op = self.mu(loop).T.reshape(1, -1)
+            op.flags.writeable = False
+            self._ops[key] = op
+        return op
+
     def _kink_scalar(self, m, mu):
         """Schur scalar of the partial right trace Tr_2(m (1 x mu))."""
         ell = self.rd.ell
@@ -269,22 +313,6 @@ class EvalContext:
 # Elementary operators
 
 
-def _cup_l(ell):
-    return np.eye(ell).reshape(ell * ell, 1).copy()
-
-
-def _cap_l(ell):
-    return np.eye(ell).reshape(1, ell * ell).copy()
-
-
-def _cup_r(mu):
-    return np.linalg.inv(mu).T.reshape(-1, 1).copy()
-
-
-def _cap_r(mu):
-    return mu.T.reshape(1, -1).copy()
-
-
 def elementary_op(piece: Piece, bottom, top, ctx: EvalContext):
     """The matrix of one elementary piece, and a crossing's BraidingBlock.
 
@@ -293,18 +321,11 @@ def elementary_op(piece: Piece, bottom, top, ctx: EvalContext):
     piece but a crossing.  Identity pieces have no operator: contraction
     steps over them.
     """
-    ell = ctx.rd.ell
-    if piece is Piece.CUP_L:
-        return _cup_l(ell), None
-    if piece is Piece.CUP_R:
-        return _cup_r(ctx.mu(top[0])), None
-    if piece is Piece.CAP_L:
-        return _cap_l(ell), None
-    if piece is Piece.CAP_R:
-        return _cap_r(ctx.mu(bottom[0])), None
-    solve = ctx.solve if piece is Piece.X_POS else ctx.solve_inverse
-    blk = solve(*bottom, top)
-    return blk.matrix, blk
+    if piece is Piece.X_POS or piece is Piece.X_NEG:
+        solve = ctx.solve if piece is Piece.X_POS else ctx.solve_inverse
+        blk = solve(*bottom, top)
+        return blk.matrix, blk
+    return ctx.cup_cap(piece, bottom, top), None
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,26 @@ class CentralCharacter:
     Borel coordinate, so F^ell = b/a.  The quadruple is exactly a Borel
     coordinate chart on the factorizable group, which is how characters
     are produced from diagram colors.
+
+    Each character derives what depends on it alone once, in a memo that
+    is not a field (so ==, repr and coords() ignore it): its hash, equal
+    to hash(coords()), each `rounded(digits)` tuple, and `central_values`
+    per (ell, r).
     """
 
     alpha: complex
     beta: complex
     a: complex
     b: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
+
+    def __hash__(self):
+        h = self._memo.get("hash")
+        if h is None:
+            h = self._memo["hash"] = hash(self.coords())
+        return h
 
     def f_ell(self):
         return self.b / self.a
@@ -80,10 +94,13 @@ class CentralCharacter:
         return (self.alpha, self.beta, self.a, self.b)
 
     def rounded(self, digits=12):
-        def r(z):
-            z = complex(z)
-            return (round(z.real, digits), round(z.imag, digits))
-        return tuple(r(v) for v in self.coords())
+        key = ("rounded", digits)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = tuple(
+                (round(z.real, digits), round(z.imag, digits))
+                for z in map(complex, self.coords()))
+        return out
 
 
 def principal_root(z, ell):
@@ -132,6 +149,19 @@ def central_values(char: CentralCharacter, rd: RootData, r: int):
     that a conjugate pair, whose real parts tie up to rounding, keeps its
     order across two roundings of one character.
 
+    Computed once per (ell, r) in the character's memo; `values` is a
+    tuple, shared by every caller.
+    """
+    key = ("central", rd.ell, r)
+    out = char._memo.get(key)
+    if out is None:
+        out = char._memo[key] = _central_values(char, rd, r)
+    return out
+
+
+def _central_values(char: CentralCharacter, rd: RootData, r: int):
+    """`central_values`, computed.
+
     Closed form c_k = y_k + q/y_k, q = kappa/lam, with y_k the ell-th roots
     of a root Y of Y^2 - T Y + alpha/a (both roots give the same set).  At
     a branch-degenerate character Y is snapped to T/2, y_k = y* eps^{2k}
@@ -157,8 +187,8 @@ def central_values(char: CentralCharacter, rd: RootData, r: int):
         y0 = principal_root(big / 2, ell)
         ys = [y0 * rd.eps_pow(2 * k) for k in range(ell)]
         values = [y + q / y for y in ys]
-    return kappa, lam, sorted(values, key=lambda z: (round(z.real, 9),
-                                                     round(z.imag, 9)))
+    return kappa, lam, tuple(sorted(
+        values, key=lambda z: (round(z.real, 9), round(z.imag, 9))))
 
 
 def is_generic(char: CentralCharacter, rd: RootData, tol=1e-8) -> bool:

@@ -370,19 +370,21 @@ class TestGradedSolve:
                                      - blk.matrix)) < 1e-12
 
     def test_one_small_svd_per_solve(self, rng, rd3, monkeypatch):
-        shapes = []
-        svd = np.linalg.svd
+        shapes = {"qr": [], "svd": []}
+        for name, seen in shapes.items():
+            def counted(a, *args, _fn=getattr(np.linalg, name), _seen=seen,
+                        **kwargs):
+                _seen.append(a.shape)
+                return _fn(a, *args, **kwargs)
 
-        def counted(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         rx, ry, _ = random_block(rng, rd3)
         solve_braiding_inverse(rx, ry, strand_outputs(rx, ry, sign=-1))
-        # one system per batched SVD, of the shape (8 ell^3, ell)
+        # one factorization per system: the QR of the (8 ell^3, ell)
+        # system, then the SVD of its (ell, ell) R factor
         ell = rd3.ell
-        assert shapes == [(1, 8 * ell ** 3, ell)] * 2
+        assert shapes["qr"] == [(1, 8 * ell ** 3, ell)] * 2
+        assert shapes["svd"] == [(1, ell, ell)] * 2
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_orbits_tile_the_weight_classes(self, rng, ell):

@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from tanglev import braiding, coloring, diagram, evaluator, factgroup
+from tanglev import (braiding, coloring, diagram, evaluator, factgroup,
+                     uqalgebra)
 from tanglev.braiding import group_to_char
 from tanglev.coloring import ColoredBoundary
 from tanglev.evaluator import EvalContext
@@ -267,9 +268,33 @@ class TestPlanner:
         ctx = EvalContext(RootData(3))
         cold, _ = evaluator.invariant(d, col, ctx)
         batches = counted_solves(monkeypatch)
+        # nor does it derive a cup or cap operator or a central value again
+        derived = []
+        for owner, name in ((EvalContext, "mu"),
+                            (uqalgebra, "_central_values")):
+            def counted(*args, _fn=getattr(owner, name), _name=name):
+                derived.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(owner, name, counted)
         warm, _ = evaluator.invariant(d, col, ctx)
-        assert batches == []
+        assert batches == [] and derived == []
         assert warm == cold
+
+    def test_cold_trefoil_derives_central_values_once(self, monkeypatch):
+        # branch_of and build_irrep read the central values of one
+        # character at one r from its memo: no pair is computed twice
+        d, col = trefoil_colourings()[0]
+        computed = []
+
+        def counted(char, rd, r, _fn=uqalgebra._central_values):
+            computed.append((char, r))
+            return _fn(char, rd, r)
+
+        monkeypatch.setattr(uqalgebra, "_central_values", counted)
+        evaluator.invariant(d, col, EvalContext(RootData(3)))
+        assert computed
+        assert len({(char.coords(), r) for char, r in computed}) \
+            == len(computed)
 
     def test_contract_reuses_the_colouring(self, monkeypatch, ctx):
         # the planner reads the arcs and crossings propagation recorded
@@ -433,6 +458,36 @@ class TestTwistScale:
         loop = ctx.rep(char, (0, 0))
         with pytest.raises(factgroup.NotFactorizable):
             ctx.twist_scale(loop)
+
+
+class TestOperatorMemo:
+    def test_cup_cap_operators_are_read_only(self):
+        # each cup and cap operator is derived once and shared, so writing
+        # to it would change every later contraction
+        x1, _ = trefoil_boundary_2()
+        ctx = EvalContext(RootData(3))
+        rep = ctx.rep(group_to_char(x1), (0, 0))
+        Piece = diagram.Piece
+        for piece, bottom, top in ((Piece.CUP_L, [], [rep, rep]),
+                                   (Piece.CAP_L, [rep, rep], []),
+                                   (Piece.CUP_R, [], [rep, rep]),
+                                   (Piece.CAP_R, [rep, rep], [])):
+            op = ctx.cup_cap(piece, bottom, top)
+            assert ctx.cup_cap(piece, bottom, top) is op
+            with pytest.raises(ValueError):
+                op[0, 0] = 1
+        assert len(ctx._ops) == 4
+
+    def test_failing_mu_stores_nothing(self):
+        # the loop colour of this character has no through-strand, so its
+        # twist fails, and fails again, with no operator stored
+        char = CentralCharacter(1.3 + 0.2j, 2.0, 0.7 - 0.1j, -0.5)
+        ctx = EvalContext(RootData(3))
+        loop = ctx.rep(char, (0, 0))
+        for _ in range(2):
+            with pytest.raises(factgroup.NotFactorizable):
+                ctx.cup_cap(diagram.Piece.CUP_R, [], [loop, loop])
+        assert ctx._ops == {}
 
 
 class TestSolveMemo:

@@ -57,6 +57,25 @@ class TestCentralCharacter:
                 assert np.allclose(central_values(again, rd, r)[2], values,
                                    rtol=0, atol=1e-6)
 
+    def test_memo_is_not_part_of_the_value(self):
+        # a character rebuilt from equal coordinates, with an empty memo,
+        # equals one whose memo is filled, in hash, == and roundings, and
+        # the memo does not show in repr
+        ch = CentralCharacter(1.5 - 0.25j, 2 + 1j, 0.5j, -3 + 0.125j)
+        filled = (hash(ch), ch.rounded(9), ch.rounded(12),
+                  central_values(ch, RootData(3), 1))
+        # what the memo holds is shared, not derived again
+        assert ch.rounded(12) is filled[2]
+        assert central_values(ch, RootData(3), 1) is filled[3]
+        again = CentralCharacter(*ch.coords())
+        assert again == ch and again.coords() == ch.coords()
+        assert hash(again) == hash(ch) == hash(ch.coords()) == filled[0]
+        assert again.rounded(9) == ch.rounded(9) == filled[1]
+        assert again.rounded(12) == ch.rounded(12) == filled[2]
+        assert repr(again) == repr(ch) == (
+            "CentralCharacter(alpha=(1.5-0.25j), beta=(2+1j), a=0.5j, "
+            "b=(-3+0.125j))")
+
 
 class TestIrreps:
     def test_relations_at_random_branches(self, rng, rd3):
