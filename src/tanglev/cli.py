@@ -387,8 +387,10 @@ def run(args):
         raise ConfigError("ell must be odd")
     if args.ell < 3:
         raise ConfigError("ell must be at least 3")
-    if args.tolerance <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not 0 < args.tolerance < np.inf:  # refuses nan too
+        raise ConfigError("tolerance must be positive and finite")
+    if args.samples < 1:
+        raise ConfigError("samples must be at least 1")
     if args.mode in ("invariant", "color-check") and not args.input:
         raise ConfigError("mode %s needs an input file" % args.mode)
     if args.mode == "invariant":

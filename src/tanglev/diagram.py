@@ -82,31 +82,42 @@ def _id_for_sign(sign):
     return Piece.ID_UP if sign > 0 else Piece.ID_DOWN
 
 
+def _row_top(k, pieces, signs):
+    """The top signs of slice `k`, whose bottom signs must be `signs`."""
+    want = slice_bottom(pieces)
+    if len(want) != len(signs):
+        raise ArityMismatch("slice %d expects %d strands, got %d"
+                            % (k, len(want), len(signs)))
+    if want != tuple(signs):
+        raise OrientationMismatch(
+            "slice %d orientation signature %s does not match %s"
+            % (k, want, tuple(signs)))
+    return slice_top(pieces)
+
+
 @dataclass(frozen=True)
 class TangleDiagram:
+    """Slices bottom to top, each checked against the signs below it.
+
+    The signs of every level (`_levels`: the bottom signs, then the top
+    signs of each slice) are kept as an attribute that is not a field, so
+    ==, hash and repr ignore it.
+    """
+
     slices: tuple
     bottom_signs: tuple
 
     def __post_init__(self):
-        signs = self.bottom_signs
+        levels = [tuple(self.bottom_signs)]
         for k, pieces in enumerate(self.slices):
-            want = slice_bottom(pieces)
-            if len(want) != len(signs):
-                raise ArityMismatch(
-                    "slice %d expects %d strands, got %d"
-                    % (k, len(want), len(signs)))
-            if want != tuple(signs):
-                raise OrientationMismatch(
-                    "slice %d orientation signature %s does not match %s"
-                    % (k, want, tuple(signs)))
-            signs = slice_top(pieces)
+            levels.append(_row_top(k, pieces, levels[-1]))
         object.__setattr__(self, "slices", tuple(map(tuple, self.slices)))
-        object.__setattr__(self, "bottom_signs", tuple(self.bottom_signs))
-        object.__setattr__(self, "_top_signs", tuple(signs))
+        object.__setattr__(self, "bottom_signs", levels[0])
+        object.__setattr__(self, "_levels", tuple(levels))
 
     @property
     def top_signs(self):
-        return self._top_signs
+        return self._levels[-1]
 
     @property
     def bottom_arity(self):
@@ -259,13 +270,6 @@ class MoveSite:
     position: int         # leftmost strand column involved
 
 
-def _level_signs(d: TangleDiagram, level: int):
-    signs = d.bottom_signs
-    for pieces in d.slices[:level]:
-        signs = slice_top(pieces)
-    return signs
-
-
 def _pad_row(signs, position, window):
     """One new slice: identities matching `signs` outside the window."""
     width = len(slice_bottom(window))
@@ -320,7 +324,7 @@ def find_move_sites(d: TangleDiagram, move: str) -> Iterator[MoveSite]:
     if move not in _SWAPS:
         bottoms = [(var, slice_bottom(ws[0])) for var, ws in stacks.items()]
         for level in range(len(d.slices) + 1):
-            signs = _level_signs(d, level)
+            signs = d._levels[level]
             for pos in range(len(signs)):
                 for var, bottom in bottoms:
                     if signs[pos:pos + len(bottom)] == bottom:
@@ -369,6 +373,11 @@ def apply_move(d: TangleDiagram, move: str, site: MoveSite) -> TangleDiagram:
     An insert puts the variant's stack in, a remove takes it out, and R3
     swaps it for its partner's.  A site that does not fit, or whose level
     lies outside 0..len(d.slices), raises PatternNotFound.
+
+    Only the window is checked again: the new rows against the signs
+    below them, and the top of the last against the bottom of the slice
+    above, by the rule of `TangleDiagram`; the other slices and their
+    level signs are taken over from `d`.
     """
     if site.move != move:
         raise PatternNotFound("site belongs to move %s" % site.move)
@@ -378,7 +387,7 @@ def apply_move(d: TangleDiagram, move: str, site: MoveSite) -> TangleDiagram:
     k, pos = site.level, site.position
     if not 0 <= k <= len(d.slices):
         raise PatternNotFound("level %d outside 0..%d" % (k, len(d.slices)))
-    signs = _level_signs(d, k)
+    signs = d._levels[k]
     if site.direction != "insert":
         old = stack
         new = _WINDOWS[move][_SWAPS[move][site.variant]] \
@@ -391,9 +400,16 @@ def apply_move(d: TangleDiagram, move: str, site: MoveSite) -> TangleDiagram:
     if not fits:
         raise PatternNotFound("%s %s %s does not fit at level %d column %d"
                               % (move, site.direction, site.variant, k, pos))
-    rows = []
+    rows, levels = [], [signs]
     for window in new:
-        rows.append(_pad_row(signs, pos, window))
-        signs = slice_top(rows[-1])
-    slices = d.slices[:k] + tuple(rows) + d.slices[k + len(old):]
-    return TangleDiagram(slices, d.bottom_signs)
+        rows.append(_pad_row(levels[-1], pos, window))
+        levels.append(_row_top(k + len(rows) - 1, rows[-1], levels[-1]))
+    above = k + len(old)
+    if above < len(d.slices):
+        _row_top(k + len(rows), d.slices[above], levels[-1])
+    moved = object.__new__(TangleDiagram)  # checked: skip __post_init__
+    vars(moved).update(slices=d.slices[:k] + tuple(rows) + d.slices[above:],
+                       bottom_signs=d.bottom_signs,
+                       _levels=d._levels[:k] + tuple(levels)
+                       + d._levels[above + 1:])
+    return moved

@@ -16,14 +16,15 @@ plan and looks none of them up again; a crossing is solved between the
 irreps of its bottom and its top arcs, so a plan off the strand rule
 leaves the solve without an intertwiner, and it raises NoIntertwiner.
 
-The blocks of one contraction are solved in one batch
-(`braiding.solve_crossings`).  Before its slice loop, contraction hands
-the context a lister of its pieces with their irreps (`EvalContext.ahead`);
-the loop's first memo miss lists them and solves every crossing and every
-right cup or cap curl that the memo lacks, once per key, and memoizes
-each block or failure.  A failure is raised only when the loop reaches
-its piece, so the first error is the one a piece-by-piece solve would
-raise, and a context that holds every block lists and solves nothing.
+Contraction walks the diagram once and lists the pieces that are not
+identities, each with its top column, its bottom arity and the plan's
+irreps of its arcs.  One call (`EvalContext.operators`) makes the list's
+operators: it looks up every crossing and every right cup or cap curl,
+solves every miss, once per key, in one batch (`braiding.solve_crossings`),
+and memoizes each block or failure.  It then makes the operators in order
+and raises a failure at its own piece, so the first error is the one a
+piece-by-piece solve would raise, and a context that holds every block
+solves nothing.  The state is then multiplied down the list.
 
 Everything an evaluation derives is memoized on the `EvalContext` that
 owns it (see its docstring), or on the character it depends on alone
@@ -78,6 +79,16 @@ class LinearBlock:
     phase_log: tuple = ()
 
 
+_CROSSINGS = (Piece.X_POS, Piece.X_NEG)
+
+
+def _block(hit):
+    """The block of a crossing memo entry, or its failure raised."""
+    if isinstance(hit, tuple):
+        raise hit[0](hit[1])
+    return hit
+
+
 class EvalContext:
     """Shared representation store, crossing-block memo and conventions.
 
@@ -86,7 +97,9 @@ class EvalContext:
     - each irrep by its rounded character and label (`rep`), and each
       arc's irrep by its exact colour and central scalars (`arc_rep`);
     - each crossing block, or its failure as type and message, by the
-      (character, label) of its four irreps and its sign;
+      (character, label) of its four irreps and its sign, and again by
+      the four irrep objects and the sign, which is how a warm lookup
+      finds it without building a key (`_lookup`);
     - each curl request and twist scale by its loop's (character, label);
     - each cup and cap operator (`cup_cap`), read-only: CUP_L and CAP_L
       once, CUP_R and CAP_R per (piece, character, label).
@@ -104,8 +117,8 @@ class EvalContext:
         self._twist = {}
         self._curls = {}
         self._blocks = {}
+        self._hits = {}
         self._ops = {}
-        self._pieces = None
 
     def rep(self, char: CentralCharacter, branch):
         key = (char.rounded(12), tuple(branch))
@@ -138,77 +151,73 @@ class EvalContext:
                 char, braiding.branch_of(char, z, c, self.rd))
         return rep
 
-    def _solve_misses(self, requests):
-        """Solve the requests (`braiding.Crossing`s) whose blocks the memo
-        lacks, once per key and in one batch, and memoize each block.
+    def _lookup(self, requests):
+        """The memo entry of each crossing request (x, y, a, b, sign): its
+        block, or its failure as type and message.
 
-        Reps come from `rep`, one object per rounded character and label,
-        so the (character, label) of all four irreps key the memo.  A
-        failure is kept as its type and message, not as the exception,
-        whose traceback would tie this context into a reference cycle.
+        A request is found by its four irrep objects and its sign, and
+        only when that misses by the (character, label) of the four and
+        the sign (`braiding.Crossing.key`); reps come from `rep`, one
+        object per rounded character and label, so a warm lookup builds
+        no key.  Requests found by neither are solved once per key, in one
+        batch (`braiding.solve_crossings`).  A failure is kept as its type
+        and message, not as the exception, whose traceback would tie this
+        context into a reference cycle.
         """
-        misses = {}
+        hits, keys, misses = self._hits, {}, {}
         for req in requests:
-            key = req.key()
-            if key not in self._blocks:
-                misses[key] = req
+            if req not in hits and req not in keys:
+                crossing = braiding.Crossing(req[:2], req[2:4], req[4])
+                key = keys[req] = crossing.key()
+                if key not in self._blocks:
+                    misses.setdefault(key, crossing)
         if misses:
             solved = braiding.solve_crossings(list(misses.values()),
                                               rel_tol=self.tol)
             for key, out in zip(misses, solved):
                 self._blocks[key] = (type(out), str(out)) \
                     if isinstance(out, Exception) else out
-
-    def _solve_memo(self, repx, repy, outputs, sign):
-        """The crossing block, solved once per (inputs, outputs, sign).  A
-        miss also solves, in the same batch, every block that the pieces
-        given to `ahead` will ask for and the memo lacks."""
-        request = braiding.Crossing((repx, repy), tuple(outputs), sign)
-        key = request.key()
-        hit = self._blocks.get(key)
-        if hit is None:
-            pieces, self._pieces = self._pieces, None
-            self._solve_misses([request]
-                               + self._requests(pieces() if pieces else ()))
-            hit = self._blocks[key]
-        if isinstance(hit, tuple):
-            raise hit[0](hit[1])
-        return hit
+        for req, key in keys.items():
+            hits[req] = self._blocks[key]
+        return [hits[req] for req in requests]
 
     def solve(self, repx, repy, outputs):
-        return self._solve_memo(repx, repy, outputs, 1)
+        return _block(self._lookup([(repx, repy, *outputs, 1)])[0])
 
     def solve_inverse(self, repc, repd, outputs):
-        return self._solve_memo(repc, repd, outputs, -1)
+        return _block(self._lookup([(repc, repd, *outputs, -1)])[0])
 
-    def ahead(self, pieces):
-        """Until the next call, the first memo miss also solves, in the
-        same batch, every block that the (piece, bottom irreps, top irreps)
-        listed by `pieces()` will ask for; None lists nothing.  A context
-        that already holds every block never calls `pieces`."""
-        self._pieces = pieces
+    def operators(self, entries):
+        """The matrix and block of each piece list entry (piece, top
+        column, bottom arity, bottom irreps, top irreps), in order.
 
-    def _requests(self, pieces):
-        """The solves that `pieces` will ask for: each crossing, and under
-        balanced framing the positive curl of each right cup or cap whose
-        loop has no twist yet.  A curl whose through strand cannot be
-        formed is left out, for `twist_scale` to raise that error at its
-        piece."""
-        requests = []
-        for p, bottom, top in pieces:
-            if p in (Piece.X_POS, Piece.X_NEG):
-                requests.append(braiding.Crossing(
-                    tuple(bottom), tuple(top), 1 if p is Piece.X_POS else -1))
-            elif p in (Piece.CUP_R, Piece.CAP_R) \
+        Each crossing, and under balanced framing the positive curl of
+        each right cup or cap whose loop has no twist yet, is looked up
+        first, every miss in one batch (`_lookup`); a curl whose through
+        strand cannot be formed is left out, for `twist_scale` to raise
+        that error at its piece.  The operators are then made in order
+        (`elementary_op`), so the error raised is the first one a
+        piece-by-piece contraction would meet.
+        """
+        crossings, curls = [], []
+        for p, _, _, bottom, top in entries:
+            if p in _CROSSINGS:
+                crossings.append(
+                    (*bottom, *top, 1 if p is Piece.X_POS else -1))
+            elif (p is Piece.CUP_R or p is Piece.CAP_R) \
                     and self.framing == "balanced":
                 loop = top[0] if p is Piece.CUP_R else bottom[0]
                 if (loop.char, loop.branch) in self._twist:
                     continue
                 try:
-                    requests.append(self._curl(loop))
+                    curl = self._curl(loop)
                 except (factgroup.NotFactorizable, NonGenericCharacter):
                     continue
-        return requests
+                curls.append((*curl.inputs, *curl.outputs, 1))
+        hits = iter(self._lookup(crossings + curls))
+        return [elementary_op(p, bottom, top, self,
+                              next(hits) if p in _CROSSINGS else None)
+                for p, _, _, bottom, top in entries]
 
     def mu(self, rep):
         """The framing twist on V: K, which conjugates every generator to
@@ -313,19 +322,19 @@ class EvalContext:
 # Elementary operators
 
 
-def elementary_op(piece: Piece, bottom, top, ctx: EvalContext):
+def elementary_op(piece: Piece, bottom, top, ctx: EvalContext, hit):
     """The matrix of one elementary piece, and a crossing's BraidingBlock.
 
-    `bottom` and `top` are the irreps on the piece's bottom and top arcs;
-    a crossing is solved between the two.  The block is None for every
-    piece but a crossing.  Identity pieces have no operator: contraction
-    steps over them.
+    `bottom` and `top` are the irreps on the piece's bottom and top arcs,
+    and a crossing's `hit` is its memo entry (`EvalContext._lookup`), whose
+    failure is raised here; other pieces get None.  The block is None for
+    every piece but a crossing.  Identity pieces have no operator:
+    contraction does not list them.
     """
-    if piece is Piece.X_POS or piece is Piece.X_NEG:
-        solve = ctx.solve if piece is Piece.X_POS else ctx.solve_inverse
-        blk = solve(*bottom, top)
-        return blk.matrix, blk
-    return ctx.cup_cap(piece, bottom, top), None
+    if piece not in _CROSSINGS:
+        return ctx.cup_cap(piece, bottom, top), None
+    blk = _block(hit)
+    return blk.matrix, blk
 
 
 # ---------------------------------------------------------------------------
@@ -385,62 +394,45 @@ def _local_object(signs, reps):
 
 def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
              bottom_branches=None) -> LinearBlock:
-    """Contract a colored diagram into its linear block."""
+    """Contract a colored diagram into its linear block.
+
+    One walk lists the pieces that are not identities, each with its top
+    column, its bottom arity and the plan's irreps of its arcs; the context
+    makes their operators in one call (`EvalContext.operators`), and the
+    state is multiplied down the list.  An identity only relabels the
+    state's axes, so it is not listed.
+    """
     if col.diagram is not d and col.diagram.to_json() != d.to_json():
         raise ArityMismatch("coloring belongs to a different diagram")
     ell = ctx.rd.ell
     arc_rep = _plan_branches(d, col, ctx, bottom_branches)
-
-    def arcs(level, start, n):
-        return [arc_rep[col._roots[(level, start + j)]] for j in range(n)]
-
-    def every_piece():
-        # each piece with the irreps of its bottom and top arcs
-        for level, pieces in enumerate(d.slices):
-            bcol = tcol = 0
-            for p in pieces:
-                nb, nt = len(p.bottom), len(p.top)
-                yield p, arcs(level, bcol, nb), arcs(level + 1, tcol, nt)
-                bcol += nb
-                tcol += nt
-
+    roots = col._roots
+    # the plan's irrep at each column of each level
+    arcs = [[arc_rep[roots[level, j]] for j in range(len(signs))]
+            for level, signs in enumerate(d._levels)]
+    pieces = []  # (piece, top column, bottom arity, bottom and top irreps)
+    for level, row in enumerate(d.slices):
+        bcol = tcol = 0
+        for p in row:
+            nb, nt = len(p.bottom), len(p.top)
+            if p is not Piece.ID_UP and p is not Piece.ID_DOWN:
+                pieces.append((p, tcol, nb, arcs[level][bcol:bcol + nb],
+                               arcs[level + 1][tcol:tcol + nt]))
+            bcol += nb
+            tcol += nt
     in_dim = ell ** d.bottom_arity
     state = np.eye(in_dim, dtype=complex)
     log = [("normalization", braiding.NORMALIZATION_VERSION),
            ("mu", "K"), ("framing", ctx.framing)]
-    ctx.ahead(every_piece)
-    try:
-        for level, pieces in enumerate(d.slices):
-            done_dim = 1
-            rest = sum(len(p.bottom) for p in pieces)
-            bcol = tcol = 0
-            for p in pieces:
-                nb, nt = len(p.bottom), len(p.top)
-                if p in (Piece.ID_UP, Piece.ID_DOWN):
-                    # an identity only relabels the state's axes
-                    rest -= 1
-                    done_dim *= ell
-                    bcol += 1
-                    tcol += 1
-                    continue
-                m, blk = elementary_op(p, arcs(level, bcol, nb),
-                                       arcs(level + 1, tcol, nt), ctx)
-                if blk is not None and blk.branch_retry:
-                    log.append(("branch-retry", p.value,
-                                blk.target_branches))
-                rest -= nb
-                cur = state.reshape(done_dim, ell ** nb,
-                                    (ell ** rest) * in_dim)
-                state = m @ cur
-                done_dim *= ell ** nt
-                bcol += nb
-                tcol += nt
-            state = state.reshape(done_dim, in_dim)
-    finally:
-        ctx.ahead(None)
-    top = d.top_signs
-    domain = _local_object(d.bottom_signs, arcs(0, 0, d.bottom_arity))
-    codomain = _local_object(top, arcs(len(d.slices), 0, len(top)))
+    for (p, tcol, nb, _, _), (m, blk) in zip(pieces, ctx.operators(pieces)):
+        if blk is not None and blk.branch_retry:
+            log.append(("branch-retry", p.value, blk.target_branches))
+        # the state's axes: the top columns made so far, then the bottom
+        # columns still to come and the domain
+        state = m @ state.reshape(ell ** tcol, ell ** nb, -1)
+    state = state.reshape(-1, in_dim)
+    domain = _local_object(d.bottom_signs, arcs[0])
+    codomain = _local_object(d.top_signs, arcs[-1])
     return LinearBlock(state, domain, codomain, tuple(log))
 
 

@@ -200,9 +200,13 @@ def is_generic(char: CentralCharacter, rd: RootData, tol=1e-8) -> bool:
     return abs(char.b) >= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclicRep:
-    """An ell-dimensional cyclic irreducible representation."""
+    """An ell-dimensional cyclic irreducible representation.
+
+    Equality and hash are by identity (the matrix fields have no usable
+    ==), so a rep can key a memo as the object it is.
+    """
 
     rd: RootData
     char: CentralCharacter

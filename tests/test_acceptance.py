@@ -23,6 +23,7 @@ from tanglev.uqalgebra import (CentralCharacter, RootData, all_irreps,
                                is_generic, pbw_multiply, relation_residuals,
                                trace_form, unit)
 
+import oracles
 from conftest import (generic_char, generic_group, mat2_of, rational_mat,
                       strand_outputs, trefoil_boundary_2, trefoil_boundary_3,
                       trefoil_meridians)
@@ -178,8 +179,8 @@ def test_criterion_05_braiding_automorphism():
         rb = build_irrep(generic_char(rng, rd), (0, 0), rd)
         ri = braiding.r_images(ra, rb)
         worst = max(worst,
-                    max(braiding.automorphism_residuals(ri).values()),
-                    max(braiding.sigma_delta_residuals(ri).values()))
+                    max(oracles.automorphism_residuals(ri).values()),
+                    max(oracles.sigma_delta_residuals(ri).values()))
     _verdict(5, "R-automorphism relations + sigma-Delta", worst < 1e-9,
              "50 pairs, max residual %.1e" % worst,
              time.monotonic() - t0, 60)

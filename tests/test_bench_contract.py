@@ -82,6 +82,14 @@ def test_traced_knot_cold_solves_once_per_crossing(workloads, monkeypatch):
         == len(shapes) / ops == 1.0
 
 
+def test_traced_moves_warm_derives_nothing(workloads):
+    # every move op re-evaluates against the context set-up filled: a warm
+    # lookup that missed would build an irrep or factorize a system again
+    metrics = _traced(workloads, "moves-warm")
+    assert metrics["uqalgebra.build_irrep_calls"]["value"] == 0
+    assert metrics["braiding.nullspace_factorizations"]["value"] == 0
+
+
 def test_traced_group_exact_counts_qc_ops(workloads):
     # the tracer counts the QC operations it patches on the class itself
     metrics = _traced(workloads, "group-exact", GROUP_OPS)

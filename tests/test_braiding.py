@@ -11,6 +11,7 @@ from tanglev.braiding import (char_to_group, group_to_char, solve_braiding,
                               solve_braiding_inverse)
 from tanglev.uqalgebra import RootData, build_irrep
 
+import oracles
 from conftest import (generic_char, generic_group, strand_outputs,
                       trefoil_colourings, trefoil_magnitudes)
 
@@ -119,8 +120,8 @@ class TestAutomorphism:
         ra = build_irrep(generic_char(rng, rd3), (0, 0), rd3)
         rb = build_irrep(generic_char(rng, rd3), (0, 0), rd3)
         ri = braiding.r_images(ra, rb)
-        assert max(braiding.automorphism_residuals(ri).values()) < 1e-9
-        assert max(braiding.sigma_delta_residuals(ri).values()) < 1e-9
+        assert max(oracles.automorphism_residuals(ri).values()) < 1e-9
+        assert max(oracles.sigma_delta_residuals(ri).values()) < 1e-9
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_series_inverse_matches_dense_inverse(self, rng, ell):

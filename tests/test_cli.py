@@ -65,6 +65,24 @@ class TestInvariantMode:
         assert code == 1
         assert "input" in rep["error"]
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, capsys, trefoil_file,
+                                           tolerance):
+        # nan passes a `<= 0` check and inf accepts any nullspace; both
+        # are refused before any solve
+        code, rep = run_cli(capsys, "invariant", trefoil_file,
+                            "--tolerance", tolerance)
+        assert code == 1
+        assert rep["type"] == "ConfigError" and "finite" in rep["error"]
+
+    @pytest.mark.parametrize("mode, samples", [("yb-fuzz", "-3"),
+                                               ("verify", "0")])
+    def test_samples_below_one_rejected(self, capsys, mode, samples):
+        # a run that checks nothing must not report itself clean
+        code, rep = run_cli(capsys, mode, "--samples", samples)
+        assert code == 1
+        assert rep["type"] == "ConfigError" and "samples" in rep["error"]
+
     def test_even_ell_rejected(self, capsys, unknot_file):
         code, rep = run_cli(capsys, "invariant", unknot_file, "--ell", "4")
         assert code == 1

@@ -106,6 +106,28 @@ class TestMoves:
             d3 = diagram.apply_move(d2, move, back)
             assert d3.to_json() == d.to_json()
 
+    def test_moved_diagram_equals_a_checked_one(self):
+        # apply_move checks only its window and takes the other level signs
+        # over; at every site of every move on the benchmark's three knots
+        # the result is the diagram that the full check builds
+        strand = diagram.parse("id+")
+        knots = [diagram.apply_move(strand, "FramedR1", next(
+                     diagram.find_move_sites(strand, "FramedR1"))),
+                 diagram.close_braid_partial(diagram.braid_word([1, 1, 1], 2)),
+                 diagram.close_braid_partial(
+                     diagram.braid_word([1, 2, 1, 2], 3))]
+        count = 0
+        for d in knots:
+            for move in diagram._WINDOWS:
+                for site in diagram.find_move_sites(d, move):
+                    moved = diagram.apply_move(d, move, site)
+                    checked = TangleDiagram(moved.slices, moved.bottom_signs)
+                    assert moved == checked
+                    assert moved.top_signs == checked.top_signs
+                    assert moved._levels == checked._levels
+                    count += 1
+        assert count == 255
+
     def test_stale_r3_site_is_refused(self):
         d = diagram.braid_word([1, 2, 1], 3)
         with pytest.raises(diagram.PatternNotFound):

@@ -516,6 +516,27 @@ class TestSolveMemo:
             gc.enable()
 
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_hit_by_key_with_other_rep_objects(self, monkeypatch, sign):
+        # irreps built outside the context are other objects with the same
+        # (character, label): the lookup by object misses, the one by key
+        # finds the block, and nothing is solved again
+        x1, x2 = trefoil_boundary_2()
+        rd = RootData(3)
+        ctx = EvalContext(rd)
+        inputs = [ctx.rep(group_to_char(g), (0, 0)) for g in (x1, x2)]
+        outputs = [ctx.rep(rep.char, rep.branch)
+                   for rep in strand_outputs(*inputs, sign=sign)]
+        solve = ctx.solve if sign > 0 else ctx.solve_inverse
+        blk = solve(*inputs, outputs)
+        batches = counted_solves(monkeypatch)
+        others = [uqalgebra.build_irrep(rep.char, rep.branch, rd)
+                  for rep in inputs + outputs]
+        assert all(o is not r for o, r in zip(others, inputs + outputs))
+        assert solve(*others[:2], others[2:]) is blk
+        assert batches == []
+
+
 class TestBatchedContraction:
     def test_failure_raises_at_its_own_piece(self, monkeypatch):
         # the unknot's negative crossing fails in the batch; the pieces
