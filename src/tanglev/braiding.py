@@ -194,11 +194,6 @@ def _pair_stacks(ma, mb):
                  np.concatenate((eye, mb), axis=1))
 
 
-def _pair_stack(ra: CyclicRep, rb: CyclicRep):
-    """`_pair_stacks` of the one pair V_a (x) V_b."""
-    return _pair_stacks(_mats([ra]), _mats([rb]))[0]
-
-
 def _source_stacks(mx, my, rd):
     """The source slots P R(w) P of the positive crossing out of each pair
     V_x (x) V_y of the stacks `mx` and `my`, R evaluated in (rho_y, rho_x):

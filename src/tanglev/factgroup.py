@@ -15,15 +15,28 @@ exact over QC and agree up to rounding over floats:
     x_R  = [[x11 - u, l12 (x11 - u - x22) + x12 l22], [t, u + x22]],
            t = x21/l22, u = l12 t, with l = x_L.
 
+Each Mat2 carries its determinant.  `det()` forms m11 m22 - m12 m21 once
+per input matrix; every matrix made here is handed its det through a group
+identity instead, exact over QC:
+
+    det(g*h) = det g det h,   det i(g) = 1/det g,
+    det x_L = det y,          det x_R = det x,
+
+since x_L and x_R (and the results of xlr_inverse and curl_partner) are
+conjugates by a Borel factor; likewise det(gh) = det g det h, det g^-1 =
+1/det g, det g_plus = alpha, det g_minus = a and det assemble() = alpha/a.
+
 `NotFactorizable` ("matrix is singular", then "lower-right entry vanishes";
 `_nonzero` decides on both backends) is raised where det or the (2,2)
 entry vanishes, of: g in factorize, star_inv, curl_partner; g, h in
-star_mul; x, x_L in xlr; c, a in xlr_inverse.
+star_mul; x, x_L in xlr; c, a in xlr_inverse.  A carried det equals the
+re-formed one exactly over QC, so each verdict and message is the same as
+when every det was formed from the entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .rational import QC, scalar_from_json, scalar_to_json
 
@@ -32,31 +45,63 @@ class NotFactorizable(ValueError):
     """The element lies outside the Zariski-open factorization domain."""
 
 
-@dataclass(frozen=True)
 class Mat2:
-    """An invertible 2x2 matrix over the active scalar backend."""
+    """An invertible 2x2 matrix over the active scalar backend.
 
-    m11: object
-    m12: object
-    m21: object
-    m22: object
+    Immutable, and equal, hashed and printed by its four entries only; the
+    determinant it carries (`_det`, None until known) is not part of its
+    value.  `det()` forms it from the entries once; the producers of this
+    module hand it on through `_mat` instead.
+    """
+
+    __slots__ = ("m11", "m12", "m21", "m22", "_det")
+
+    def __new__(cls, m11, m12, m21, m22):
+        return _mat(m11, m12, m21, m22, None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries() == other.entries()
+
+    def __hash__(self):
+        return hash(self.entries())
+
+    def __repr__(self):
+        return "Mat2(m11=%r, m12=%r, m21=%r, m22=%r)" % self.entries()
+
+    def __reduce__(self):
+        return Mat2, self.entries()
 
     def det(self):
-        return self.m11 * self.m22 - self.m12 * self.m21
+        d = self._det
+        if d is None:
+            d = self.m11 * self.m22 - self.m12 * self.m21
+            _set_det(self, d)
+        return d
 
     def __mul__(self, other):
-        return Mat2(
+        d, e = self._det, other._det
+        return _mat(
             self.m11 * other.m11 + self.m12 * other.m21,
             self.m11 * other.m12 + self.m12 * other.m22,
             self.m21 * other.m11 + self.m22 * other.m21,
             self.m21 * other.m12 + self.m22 * other.m22,
+            None if d is None or e is None else d * e,
         )
 
     def inv(self):
         d = self.det()
         if not _nonzero(d):
             raise ZeroDivisionError("singular 2x2 matrix")
-        return Mat2(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
+        return _mat(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d,
+                    1 / d)
 
     def entries(self):
         return (self.m11, self.m12, self.m21, self.m22)
@@ -71,8 +116,26 @@ class Mat2:
         return Mat2(*(scalar_from_json(v) for v in (a, b, c, d)))
 
 
+# Mat2.__setattr__ refuses assignment, so entries go in through the slots
+_set_m11, _set_m12, _set_m21, _set_m22, _set_det = (
+    getattr(Mat2, name).__set__ for name in Mat2.__slots__)
+_new = object.__new__
+
+
+def _mat(m11, m12, m21, m22, det):
+    """Mat2(m11, m12, m21, m22) carrying det, which the caller derived from
+    a group identity (or None where it is not known)."""
+    g = _new(Mat2)
+    _set_m11(g, m11)
+    _set_m12(g, m12)
+    _set_m21(g, m21)
+    _set_m22(g, m22)
+    _set_det(g, det)
+    return g
+
+
 def identity():
-    return Mat2(QC(1), QC(0), QC(0), QC(1))
+    return _mat(QC(1), QC(0), QC(0), QC(1), QC(1))
 
 
 def _nonzero(value, tol=1e-10):
@@ -92,25 +155,26 @@ class Factorization:
 
     def plus(self):
         one = self.alpha / self.alpha
-        return Mat2(one, self.beta, one - one, self.alpha)
+        return _mat(one, self.beta, one - one, self.alpha, self.alpha)
 
     def minus(self):
         one = self.a / self.a
-        return Mat2(self.a, one - one, self.b, one)
+        return _mat(self.a, one - one, self.b, one, self.a)
 
     def assemble(self):
         # [[1, beta], [0, alpha]] [[a, 0], [b, 1]]^-1 in closed form
         ainv = self.alpha / (self.alpha * self.a)
         ba = self.b * ainv
-        return Mat2(ainv - self.beta * ba, self.beta,
-                    -self.alpha * ba, self.alpha)
+        return _mat(ainv - self.beta * ba, self.beta,
+                    -self.alpha * ba, self.alpha, self.alpha / self.a)
 
     def coords(self):
         return (self.alpha, self.beta, self.a, self.b)
 
 
 def _domain_det(g: Mat2):
-    """det g, once g is checked to lie in the factorization domain."""
+    """det g (carried, or formed once), once g is checked to lie in the
+    factorization domain."""
     d = g.det()
     if not _nonzero(d):
         raise NotFactorizable("matrix is singular")
@@ -130,7 +194,7 @@ def _lower_conj(m: Mat2, a, b) -> Mat2:
     s = m.m12 / a
     bs = b * s
     n22 = m.m22 - bs
-    return Mat2(m.m11 + bs, s, a * m.m21 + b * (n22 - m.m11), n22)
+    return _mat(m.m11 + bs, s, a * m.m21 + b * (n22 - m.m11), n22, m.det())
 
 
 def _upper_conj(m: Mat2, beta, alpha) -> Mat2:
@@ -138,7 +202,8 @@ def _upper_conj(m: Mat2, beta, alpha) -> Mat2:
     t = m.m21 / alpha
     u = beta * t
     n11 = m.m11 - u
-    return Mat2(n11, beta * (n11 - m.m22) + m.m12 * alpha, t, u + m.m22)
+    return _mat(n11, beta * (n11 - m.m22) + m.m12 * alpha, t, u + m.m22,
+                m.det())
 
 
 def star_mul(g: Mat2, h: Mat2) -> Mat2:
@@ -147,15 +212,17 @@ def star_mul(g: Mat2, h: Mat2) -> Mat2:
     aa = g.m22 * h.m22
     bb = h.m12 + g.m12 * h.m22
     cc = g.m21 * h.m22 + h.m21 * dg
-    return Mat2((dg * dh + bb * cc) / aa, bb, cc, aa)
+    d = dg * dh
+    return _mat((d + bb * cc) / aa, bb, cc, aa, d)
 
 
 def star_inv(g: Mat2) -> Mat2:
     """Inverse in GL2*: i(g) = g+^-1 g-."""
     d = _domain_det(g)
     e = 1 / (g.m22 * d)
-    return Mat2((g.m22 * g.m22 + g.m12 * g.m21) * e, -g.m12 * d * e,
-                -g.m21 * e, d * e)
+    # det i(g) = 1/det g = g22 e
+    return _mat((g.m22 * g.m22 + g.m12 * g.m21) * e, -g.m12 * d * e,
+                -g.m21 * e, d * e, g.m22 * e)
 
 
 def xlr(x: Mat2, y: Mat2):

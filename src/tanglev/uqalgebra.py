@@ -26,18 +26,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 
 class NonGenericCharacter(ValueError):
     """The character lies outside the cyclic-representation locus."""
-
-
-class BranchDegenerate(ValueError):
-    """Repeated roots of the central-element polynomial: fewer than ell^2
-    distinct irreps."""
 
 
 @dataclass(frozen=True)
@@ -292,306 +286,3 @@ def relation_residuals(rep: CyclicRep):
         "c": dev(E @ F + K / eps + eps * Linv - rep.cval * eye),
     }
     return out
-
-
-def _require_semisimple(char: CentralCharacter, rd: RootData):
-    """Refuse characters where the ell^2 branch labels are not ell^2
-    distinct irreps, so that sums over labels would count one twice."""
-    if not is_generic(char, rd):
-        raise NonGenericCharacter("character fails the genericity test")
-    if is_branch_degenerate(char):
-        raise BranchDegenerate(
-            "branch discriminant %.1e below %.0e"
-            % (branch_discriminant(char), DEGENERACY_RTOL))
-
-
-def all_irreps(char: CentralCharacter, rd: RootData):
-    """The full list of ell^2 branch irreps of A_x."""
-    _require_semisimple(char, rd)
-    return [build_irrep(char, (r, s), rd)
-            for r in range(rd.ell) for s in range(rd.ell)]
-
-
-# ---------------------------------------------------------------------------
-# PBW algebra
-
-_GENS = ("E", "F", "K", "L")
-
-
-@dataclass
-class AlgebraElement:
-    """An element of A_x in the PBW basis E^i F^j K^m L^n."""
-
-    rd: RootData
-    char: CentralCharacter
-    coeffs: dict  # (i, j, m, n) -> complex
-
-    def copy(self):
-        return AlgebraElement(self.rd, self.char, dict(self.coeffs))
-
-    def trim(self, tol=1e-14):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if abs(v) > tol}
-        return self
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0j) + v
-        return AlgebraElement(self.rd, self.char, out).trim()
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, z):
-        return AlgebraElement(
-            self.rd, self.char, {k: z * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        return pbw_multiply(self, other)
-
-
-def unit(rd, char):
-    return AlgebraElement(rd, char, {(0, 0, 0, 0): 1.0 + 0j})
-
-
-def generator(name, rd, char):
-    i = _GENS.index(name)
-    key = tuple(1 if k == i else 0 for k in range(4))
-    return AlgebraElement(rd, char, {key: 1.0 + 0j})
-
-
-def _zero(rd, char):
-    return AlgebraElement(rd, char, {})
-
-
-def _lmul_E(elem):
-    rd, char = elem.rd, elem.char
-    ell = rd.ell
-    out = {}
-    for (i, j, m, n), v in elem.coeffs.items():
-        if i + 1 < ell:
-            key, coef = (i + 1, j, m, n), v
-        else:
-            key, coef = (0, j, m, n), v * char.beta
-        out[key] = out.get(key, 0j) + coef
-    return AlgebraElement(rd, char, out)
-
-
-def _lmul_KL(elem, gen, power):
-    """Left product by K^power or L^power (gen "K" or "L"), power >= -1."""
-    rd, char = elem.rd, elem.char
-    ell = rd.ell
-    slot = _GENS.index(gen)
-    wrap = char.alpha if gen == "K" else char.a
-    out = {}
-    for key, v in elem.coeffs.items():
-        coef = v * rd.eps_pow(2 * power * (key[0] - key[1]))
-        e = key[slot] + power
-        if e >= ell:
-            e -= ell
-            coef *= wrap
-        elif e < 0:
-            e += ell
-            coef /= wrap
-        key = key[:slot] + (e,) + key[slot + 1:]
-        out[key] = out.get(key, 0j) + coef
-    return AlgebraElement(rd, char, out)
-
-
-def _lmul_F(elem):
-    # F E = E F - (eps - eps^-1)(K - L^-1); recurse on the E-degree.
-    rd, char = elem.rd, elem.char
-    ell = rd.ell
-    eps = rd.eps
-    out = _zero(rd, char)
-    plain = {}
-    for key, v in elem.coeffs.items():
-        i, j, m, n = key
-        if i == 0:
-            if j + 1 < ell:
-                k2, coef = (0, j + 1, m, n), v
-            else:
-                k2, coef = (0, 0, m, n), v * char.f_ell()
-            plain[k2] = plain.get(k2, 0j) + coef
-        else:
-            mono = AlgebraElement(rd, char, {(i - 1, j, m, n): v})
-            out = out + _lmul_E(_lmul_F(mono))
-            corr = _lmul_KL(mono, "K", 1) - _lmul_KL(mono, "L", -1)
-            out = out + corr.scale(-(eps - 1 / eps))
-    return out + AlgebraElement(rd, char, plain)
-
-
-def pbw_multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    """Normal-ordered product in A_x."""
-    if u.rd.ell != v.rd.ell:
-        raise ValueError("mixed root data")
-    rd, char = u.rd, u.char
-    total = _zero(rd, char)
-    for (i, j, m, n), cu in u.coeffs.items():
-        term = _lmul_KL(v, "L", n) if n else v
-        if m:
-            term = _lmul_KL(term, "K", m)
-        for _ in range(j):
-            term = _lmul_F(term)
-        for _ in range(i):
-            term = _lmul_E(term)
-        total = total + term.scale(cu)
-    return total.trim()
-
-
-def rep_matrix(rep: CyclicRep, elem: AlgebraElement) -> np.ndarray:
-    """Evaluate an algebra element in an irrep (the PBW oracle)."""
-    ell = rep.rd.ell
-    pows = {}
-    for name, m in rep.matrices().items():
-        acc = [np.eye(ell, dtype=complex)]
-        for _ in range(ell - 1):
-            acc.append(acc[-1] @ m)
-        pows[name] = acc
-    out = np.zeros((ell, ell), dtype=complex)
-    for (i, j, m, n), v in elem.coeffs.items():
-        out += v * (pows["E"][i] @ pows["F"][j] @ pows["K"][m] @ pows["L"][n])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Hopf structure
-
-def coproduct_matrix(ra: CyclicRep, rb: CyclicRep, gen: str) -> np.ndarray:
-    """Delta(gen) evaluated in the tensor product of two irreps."""
-    eye_a = np.eye(ra.dim, dtype=complex)
-    eye_b = np.eye(rb.dim, dtype=complex)
-    if gen == "K":
-        return np.kron(ra.Kmat, rb.Kmat)
-    if gen == "L":
-        return np.kron(ra.Lmat, rb.Lmat)
-    if gen == "E":
-        return np.kron(ra.Emat, rb.Kmat) + np.kron(eye_a, rb.Emat)
-    if gen == "F":
-        return np.kron(ra.Fmat, eye_b) + np.kron(
-            np.linalg.inv(ra.Lmat), rb.Fmat)
-    raise ValueError("unknown generator %r" % gen)
-
-
-def antipode(gen: str, rd: RootData, char: CentralCharacter) -> AlgebraElement:
-    """S(K) = K^-1, S(L) = L^-1, S(E) = -E K^-1, S(F) = -L F."""
-    one = unit(rd, char)
-    if gen == "K":
-        return AlgebraElement(
-            rd, char, {(0, 0, rd.ell - 1, 0): 1.0 / char.alpha})
-    if gen == "L":
-        return _lmul_KL(one, "L", -1)
-    if gen == "E":
-        E = generator("E", rd, char)
-        Kinv = AlgebraElement(
-            rd, char, {(0, 0, rd.ell - 1, 0): 1.0 / char.alpha})
-        return pbw_multiply(E, Kinv).scale(-1)
-    if gen == "F":
-        L = generator("L", rd, char)
-        F = generator("F", rd, char)
-        return pbw_multiply(L, F).scale(-1)
-    raise ValueError("unknown generator %r" % gen)
-
-
-def counit(gen: str) -> complex:
-    return 1.0 + 0j if gen in ("K", "L") else 0j
-
-
-def antipode_applied_coproduct(gen: str, rd: RootData,
-                               char: CentralCharacter):
-    """The pairs (S(c1), c2) for Delta(gen) = sum c1 (x) c2.
-
-    Computed symbolically before reduction into A_x: the antipode inverts
-    the central character (S(L^ell) = a^-1 and so on), so S must act on
-    the tensor-factor symbols, in particular S(L^-1) = L, not on their
-    PBW reductions.
-    """
-    one = unit(rd, char)
-    K = generator("K", rd, char)
-    L = generator("L", rd, char)
-    E = generator("E", rd, char)
-    F = generator("F", rd, char)
-    Kinv = AlgebraElement(rd, char, {(0, 0, rd.ell - 1, 0): 1.0 / char.alpha})
-    Linv = _lmul_KL(one, "L", -1)
-    if gen == "K":
-        return [(Kinv, K)]
-    if gen == "L":
-        return [(Linv, L)]
-    if gen == "E":
-        return [(pbw_multiply(E, Kinv).scale(-1), K), (one, E)]
-    if gen == "F":
-        return [(pbw_multiply(L, F).scale(-1), one), (L, F)]
-    raise ValueError("unknown generator %r" % gen)
-
-
-# ---------------------------------------------------------------------------
-# Trace form and pairing
-
-class _TraceTable:
-    """Traces of PBW monomials summed over all ell^2 branch irreps."""
-
-    def __init__(self, char: CentralCharacter, rd: RootData):
-        self.rd = rd
-        self.char = char
-        reps = all_irreps(char, rd)
-        ell = rd.ell
-        self.table = {}
-        pow_cache = []
-        for rep in reps:
-            pows = {}
-            for name, m in rep.matrices().items():
-                acc = [np.eye(ell, dtype=complex)]
-                for _ in range(ell - 1):
-                    acc.append(acc[-1] @ m)
-                pows[name] = acc
-            pow_cache.append(pows)
-        for i in range(ell):
-            for j in range(ell):
-                for m in range(ell):
-                    for n in range(ell):
-                        tot = 0j
-                        for pows in pow_cache:
-                            tot += np.trace(pows["E"][i] @ pows["F"][j]
-                                            @ pows["K"][m] @ pows["L"][n])
-                        self.table[(i, j, m, n)] = tot
-
-    def trace(self, elem: AlgebraElement) -> complex:
-        return sum(v * self.table[k] for k, v in elem.coeffs.items())
-
-
-@lru_cache(maxsize=32)
-def _trace_table(char_key, ell):
-    char = CentralCharacter(*(complex(re, im) for re, im in char_key))
-    return _TraceTable(char, RootData(ell))
-
-
-def _table_for(char: CentralCharacter, rd: RootData) -> _TraceTable:
-    key = tuple((complex(v).real, complex(v).imag) for v in char.coords())
-    return _trace_table(key, rd.ell)
-
-
-def trace_form(u: AlgebraElement) -> complex:
-    """t(u) = sum of matrix traces of u over all ell^2 branch irreps."""
-    _require_semisimple(u.char, u.rd)
-    return _table_for(u.char, u.rd).trace(u)
-
-
-def pairing_e(u: AlgebraElement, v: AlgebraElement) -> complex:
-    return trace_form(pbw_multiply(u, v))
-
-
-def basis_elements(rd: RootData, char: CentralCharacter):
-    ell = rd.ell
-    keys = [(i, j, m, n) for i in range(ell) for j in range(ell)
-            for m in range(ell) for n in range(ell)]
-    return [AlgebraElement(rd, char, {k: 1.0 + 0j}) for k in keys]
-
-
-def gram_matrix(rd: RootData, char: CentralCharacter) -> np.ndarray:
-    basis = basis_elements(rd, char)
-    dim = len(basis)
-    g = np.zeros((dim, dim), dtype=complex)
-    for p, u in enumerate(basis):
-        for q, v in enumerate(basis):
-            g[p, q] = pairing_e(u, v)
-    return g

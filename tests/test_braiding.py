@@ -55,7 +55,7 @@ def _negative_slots(repc, repd):
     negative block N solves N S_w = (rho_a (x) rho_b)(w) N on these slots.
     """
     slot = dict(zip(braiding.RImages.SLOTS,
-                    braiding._pair_stack(repc, repd)))
+                    oracles.pair_stack(repc, repd)))
     k1, k2, l1, l2 = (np.diagonal(slot[g]) for g in ("K1", "K2", "L1", "L2"))
     n_mat = np.eye(len(k1)) - repc.rd.eps * slot["E1"] @ slot["F2"]
     n_inv = np.linalg.inv(n_mat)
@@ -262,7 +262,7 @@ def _plan_inputs(rx, ry):
     """The weight mask and the two stacks of the positive crossing out of
     (rx, ry) into the strand rule's outputs."""
     source = braiding._positive_slots(rx, ry)
-    target = braiding._pair_stack(*strand_outputs(rx, ry))
+    target = oracles.pair_stack(*strand_outputs(rx, ry))
     (target_w, _), (source_w, _) = (braiding._total_weights(slots[None])
                                      for slots in (target, source))
     masks, _ = braiding._weight_masks(target_w, source_w)
@@ -365,7 +365,7 @@ class TestGradedSolve:
                 outputs = strand_outputs(rx, ry, sign)
                 blk = solve(rx, ry, outputs)
                 m, nullity = _dense_intertwiner(
-                    slots, braiding._pair_stack(*outputs))
+                    slots, oracles.pair_stack(*outputs))
                 assert nullity == blk.nullity == 1
                 assert np.max(np.abs(braiding._normalize(m)
                                      - blk.matrix)) < 1e-12
@@ -455,7 +455,7 @@ class TestGradedSolve:
         slots = braiding._positive_slots(rx, ry)
 
         def targets_scaled(factor):
-            t = braiding._pair_stack(*strand_outputs(rx, ry))
+            t = oracles.pair_stack(*strand_outputs(rx, ry))
             t[braiding._K1] *= factor
             return t
 

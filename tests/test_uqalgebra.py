@@ -7,18 +7,16 @@ import pytest
 
 from tanglev.factgroup import Mat2
 from tanglev.braiding import char_to_group, group_to_char
-from tanglev.uqalgebra import (AlgebraElement, BranchDegenerate,
-                               CentralCharacter, NonGenericCharacter,
-                               RootData, all_irreps, antipode,
-                               antipode_applied_coproduct, basis_elements,
-                               build_irrep, central_values,
-                               coproduct_matrix, counit,
-                               generator, gram_matrix, is_branch_degenerate,
-                               is_generic, pairing_e, pbw_multiply,
-                               relation_residuals, rep_matrix, trace_form,
-                               unit)
+from tanglev.uqalgebra import (CentralCharacter, NonGenericCharacter,
+                               RootData, build_irrep, central_values,
+                               is_branch_degenerate, is_generic,
+                               relation_residuals)
 
 from conftest import generic_char, rational_mat, trefoil_boundary_2
+from oracles import (BranchDegenerate, all_irreps, antipode,
+                     antipode_applied_coproduct, basis_elements,
+                     coproduct_matrix, counit, generator, gram_matrix,
+                     pairing_e, pbw_multiply, rep_matrix, trace_form, unit)
 
 
 class TestRootData:

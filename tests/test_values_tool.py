@@ -1,0 +1,85 @@
+"""`tools/values.py --against` fails on a changed outcome, not on float
+drift: `against` is the command's exit status, checked here on two small
+hand-written value files instead of the full computation."""
+
+import importlib.util
+import json
+import pathlib
+import sys
+
+import pytest
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "values.py"
+
+
+@pytest.fixture()
+def values(monkeypatch):
+    # the tool prepends src/ and bench/ to sys.path and sets the BLAS
+    # thread variables; monkeypatch puts all of it back afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("values_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sample():
+    return {
+        "knots": {"trefoil-2@3": [5.196, 0.0]},
+        "moves": {"trefoil-2/R2/0": [5.196, 0.0],
+                  "unknot/R2/0": "Inconsistent"},
+        "sites": {"unknot/R2/0": {"site": [0, 1, 2],
+                                  "moved": {"slices": [["X+"]]},
+                                  "outcome": "Inconsistent"}},
+        "sweep": {"3/0/1": [[1.0, 0.0], [0.5, -0.5]],
+                  "5/0/1": "NonGenericCharacter"},
+        "exact": {"0/yb": [[["1/2", "0"], ["1", "3 i"]]],
+                  "0/star": "NotFactorizable: matrix is singular"},
+    }
+
+
+def status(values, tmp_path, new, old):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    return values.against(new, path)
+
+
+def test_identical_files_exit_0(values, tmp_path, capsys):
+    assert status(values, tmp_path, sample(), sample()) == 0
+    assert "strings or messages differ on 0" in capsys.readouterr().out
+
+
+def test_float_drift_alone_exits_0(values, tmp_path):
+    new = sample()
+    new["knots"]["trefoil-2@3"][0] += 1e-13
+    new["sweep"]["3/0/1"][1][1] += 1e-14
+    assert status(values, tmp_path, new, sample()) == 0
+
+
+def test_changed_exact_string_exits_1(values, tmp_path, capsys):
+    new = sample()
+    new["exact"]["0/yb"][0][0][0] = "1/3"
+    assert status(values, tmp_path, new, sample()) == 1
+    assert "differ on 1: ['0/yb']" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("knots", "trefoil-2@3", "NonGenericCharacter"),
+    ("moves", "unknot/R2/0", [1.0, 0.0]),
+    ("sweep", "5/0/1", "NotFactorizable"),
+    ("exact", "0/star", "NotFactorizable: lower-right entry vanishes"),
+])
+def test_changed_outcome_exits_1(values, tmp_path, section, key, value):
+    new = sample()
+    new[section][key] = value
+    assert status(values, tmp_path, new, sample()) == 1
+
+
+@pytest.mark.parametrize("field", ["site", "moved", "outcome"])
+def test_changed_site_exits_1(values, tmp_path, field):
+    new = sample()
+    new["sites"]["unknot/R2/0"][field] = "changed"
+    assert status(values, tmp_path, new, sample()) == 1

@@ -29,7 +29,9 @@ OTHER.json are printed section by section: the largest |a - b| of the
 values, the outcomes that differ, and for blocks the largest |A - B|
 relative to the largest entry of B; for sites, also the keys whose site
 or moved diagram differ, so a changed enumeration or rewrite shows; for
-`exact`, every key whose strings or message differ.
+`exact`, every key whose strings or message differ.  The command then
+exits 1 if any knot, move or sweep outcome, any site or moved diagram, or
+any exact string or message differs; float differences alone exit 0.
 """
 
 import argparse
@@ -163,6 +165,9 @@ def _largest(rows, n=3):
 
 
 def compare(new, old):
+    """Print the differences of `new` to `old`; True if an outcome, a site,
+    a moved diagram or an exact string differs."""
+    changed = False
     for section in ("knots", "moves"):
         rows, moved = [], []
         for key, a in new[section].items():
@@ -174,6 +179,7 @@ def compare(new, old):
             rows.append((key, abs(_complex(a) - _complex(b))[0]))
         print("%s: %d compared, outcomes differ on %s; largest |a - b|: %s"
               % (section, len(rows), moved or "none", _largest(rows)))
+        changed |= bool(moved)
     sites, before = new["sites"], old["sites"]
     keys = sorted(set(sites) | set(before))
 
@@ -187,6 +193,7 @@ def compare(new, old):
           "differ on %d: %s" % (
               dict(Counter(r["outcome"] for r in sites.values())),
               len(moved), moved[:5], len(rewritten), rewritten[:5]))
+    changed |= bool(moved or rewritten)
     for ell in SWEEP_ELLS:
         prefix = "%d/" % ell
         keys = [k for k in new["sweep"] if k.startswith(prefix)]
@@ -204,12 +211,20 @@ def compare(new, old):
         print("sweep l = %d: %s; outcomes differ on %d: %s; largest "
               "|A - B| / max |B|: %s" % (ell, dict(counts), len(moved),
                                          moved[:5], _largest(rows)))
+        changed |= bool(moved)
     exact, before = new["exact"], old["exact"]
     refused = sum(isinstance(v, str) for v in exact.values())
     differ = sorted(k for k in set(exact) | set(before)
                     if exact.get(k) != before.get(k))
     print("exact: %d parts, %d NotFactorizable; strings or messages differ "
           "on %d: %s" % (len(exact), refused, len(differ), differ))
+    return changed or bool(differ)
+
+
+def against(values, path):
+    """The exit status of comparing `values` with the JSON file at path."""
+    with open(path) as fh:
+        return 1 if compare(values, json.load(fh)) else 0
 
 
 def main():
@@ -222,10 +237,8 @@ def main():
               "exact": exact_outcomes()}
     with open(args.out, "w") as fh:
         json.dump(values, fh)
-    if args.against:
-        with open(args.against) as fh:
-            compare(values, json.load(fh))
+    return against(values, args.against) if args.against else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
