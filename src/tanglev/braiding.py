@@ -206,7 +206,8 @@ def _source_stacks(mx, my, rd):
     it commutes with the flip.  N = 1 - A with A = eps (K^-1 E) (x) (F L)
     monomial, and A^ell is the scalar sigma that the two characters fix,
     so N^-1 is sum_{k < ell} A^k / (1 - sigma) in closed form; it is formed
-    only for the pairs whose N passes the condition check."""
+    only for the pairs whose N passes the condition check, which reads
+    cond(N) from N's ell blocks of ell x ell."""
     ell = rd.ell
     # the powers 1 .. ell of both factors of A, flipped: F L of rho_x
     # first, eps K^-1 E of rho_y second
@@ -219,7 +220,14 @@ def _source_stacks(mx, my, rd):
     powers = np.stack(powers, axis=1)
     eye = np.eye(ell * ell)
     n_mat = eye - _kron(powers[:, 0, 0], powers[:, 0, 1])
-    ok = ~(np.linalg.cond(n_mat) > COND_LIMIT)
+    # A moves point (i1, i2) to (i1 - 1, i2 + 1), so N is the direct sum of
+    # its ell blocks on the classes i1 + i2 = c mod ell, and its condition
+    # number is their largest singular value over their smallest
+    i1 = np.arange(ell)
+    cls = i1 * ell + (np.arange(ell)[:, None] - i1) % ell  # class c, row i1
+    svals = np.linalg.svdvals(n_mat[:, cls[:, :, None], cls[:, None, :]])
+    ok = ~(svals[:, :, 0].max(axis=1)
+           > COND_LIMIT * svals[:, :, -1].min(axis=1))
     mx, my, powers, n_mat = mx[ok], my[ok], powers[ok], n_mat[ok]
     # A^k is the kron of the k-th factor powers: their sum over k < ell
     # without forming each A^k, and sigma as the (0, 0) entry of A^ell

@@ -5,15 +5,19 @@ two outgoing colors are (x_left, x_right) of the incoming pair; at a negative
 crossing the incoming pair is (x_left, x_right) of the outgoing one.  The two
 legs of a cup or cap belong to one arc and carry equal colors.
 
-Colors are found by a constraint fixpoint over arcs.  One bottom-to-top
-pass (`_scan`) labels every edge endpoint with its arc root, in evaluation
-order: identities carry an arc up, cups and crossings start arcs, and caps
-join two.  It records each crossing and cup on arc roots, so the fixpoint
-reads colors by root.  Each pass applies every pending crossing's
-relations in whichever direction is solvable.  A crossing whose inputs are
-known runs its forward rule, which sets or checks both outputs, and leaves
-the pending list; the backward rules leave it pending, so the forward rule
-still checks the legs they derived.  Kinks need one more rule: when a
+Colors are found by a constraint fixpoint over arcs.  Edge endpoints are
+numbered flat, in evaluation order: point i of level k is endpoint
+base[k] + i, where base[0] = 0 and base[k + 1] = base[k] + the width of
+level k.  One bottom-to-top pass (`_scan`) maps every endpoint id to its
+arc root, an id at which the arc or a piece that a cap joined into it
+starts: identities carry an arc up, cups and crossings start arcs, and
+caps join two.  It records each
+crossing and cup on arc roots, so the fixpoint reads colors by root.
+Each pass applies every pending crossing's relations in whichever
+direction is solvable.  A crossing whose inputs are known runs its
+forward rule, which sets or checks both outputs, and leaves the pending
+list; the backward rules leave it pending, so the forward rule still
+checks the legs they derived.  Kinks need one more rule: when a
 crossing's d and b legs are the same arc and only c is known, the unique
 consistent loop color is d = c_-^-1 c c_- with a = c.
 
@@ -24,6 +28,7 @@ the next seed, and a failure raises Inconsistent led by its cause's name.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,60 +96,76 @@ def _classes(pairs):
 
 
 def _scan(d: TangleDiagram):
-    """Each edge endpoint's arc root; crossings and cups on roots.
+    """Each edge endpoint's arc root, the level bases, and crossings and
+    cups on roots.
 
-    One bottom-to-top pass labels the points of each level.  An identity
-    carries its arc up; a bottom point, a cup and a crossing's top leg
-    start a new arc, rooted at its own (left) endpoint; only a cap joins
-    two arcs, and the caps' joins are resolved once the pass is done.  The
-    root map lists every endpoint in evaluation order, level by level and
-    left to right.
+    Endpoints are ids in evaluation order, level by level and left to
+    right: point i of level k is base[k] + i, and base[-1] is the number
+    of endpoints.  One bottom-to-top pass labels the points of each level.
+    An identity carries its arc up; a bottom point, a cup and a crossing's
+    top leg start a new arc, rooted at its own (left) endpoint; only a cap
+    joins two arcs, and the caps' joins are resolved once the pass is
+    done.  The root list maps each endpoint id to its arc's root id.
     """
-    below = [(0, i) for i in range(d.bottom_arity)]
-    roots = dict(zip(below, below))
+    below = range(d.bottom_arity)
+    roots = list(below)
+    base = [0]
     caps = []
     crossings = []
     cups = []
-    for k, pieces in enumerate(d.slices, 1):
+    for pieces in d.slices:
+        start = len(roots)  # the id of this level's first point
+        base.append(start)
         above = []
         legs = iter(below)
         for p in pieces:
             if len(p.top) == 1:  # an identity
                 above.append(next(legs))
             elif not p.bottom:  # a cup
-                root = (k, len(above))
+                root = start + len(above)
                 above += (root, root)
                 cups.append(root)
             elif not p.top:  # a cap
                 caps.append((next(legs), next(legs)))
             else:  # a crossing
-                a, b = (k, len(above)), (k, len(above) + 1)
-                crossings.append((p, next(legs), next(legs), a, b))
-                above += (a, b)
-        roots.update(zip([(k, i) for i in range(len(above))], above))
+                a = start + len(above)
+                crossings.append((p, next(legs), next(legs), a, a + 1))
+                above += (a, a + 1)
+        roots += above
         below = above
+    base.append(len(roots))
     if caps:
         join = _classes(caps)
-        for pt, root in roots.items():
-            roots[pt] = join.get(root, root)
-    # every label is an endpoint, so the map resolves it to its root
-    crossings = [_Crossing(p, *[roots[pt] for pt in pts])
-                 for p, *pts in crossings]
-    return roots, crossings, [roots[pt] for pt in cups]
+        roots = [join.get(root, root) for root in roots]
+    # every label is an endpoint, so the list resolves it to its root
+    crossings = [_Crossing(p, roots[i], roots[j], roots[a], roots[b])
+                 for p, i, j, a, b in crossings]
+    return roots, base, crossings, [roots[pt] for pt in cups]
+
+
+def _point(base, pt):
+    """The (level, pos) of endpoint id `pt`."""
+    level = bisect.bisect_right(base, pt) - 1
+    return level, pt - base[level]
 
 
 class GColoring:
-    """A total coloring of a diagram's edges, with the arc root map and
-    crossing records it was propagated over."""
+    """A total coloring of a diagram's edges, with the arc root list, the
+    level bases and the crossing records it was propagated over."""
 
-    def __init__(self, diagram, roots, crossings, colors):
+    def __init__(self, diagram, roots, base, crossings, colors):
         self.diagram = diagram
-        self._roots = roots  # each endpoint's arc root, in evaluation order
+        self._roots = roots  # each endpoint id's arc root
+        self._base = base  # each level's first id, then the number of ids
         self._crossings = crossings
         self._colors = colors
 
     def color(self, level, pos) -> Mat2:
-        return self._colors[self._roots[(level, pos)]]
+        base = self._base
+        if not (0 <= level < len(base) - 1
+                and 0 <= pos < base[level + 1] - base[level]):
+            raise KeyError((level, pos))
+        return self._colors[self._roots[base[level] + pos]]
 
     def boundary(self, side) -> ColoredBoundary:
         if side == "bottom":
@@ -158,13 +179,22 @@ class GColoring:
         return ColoredBoundary(entries)
 
 
+class _Conflict(Exception):
+    """Two colors met on the arc of root id args[0]; `_fill` raises it as
+    CapMismatch, naming the root as (level, pos)."""
+
+
 def _set_color(colors, root, value, tol):
     old = colors.get(root)
     if old is None:
         colors[root] = value
     elif not mats_equal(old, value, tol):
-        raise CapMismatch(
-            "conflicting colors on arc through %s" % (root,))
+        raise _Conflict(root)
+
+
+def _put(colors, points, values, tol):
+    for pt, value in zip(points, values):
+        _set_color(colors, pt, value, tol)
 
 
 def _apply_crossing(cr: _Crossing, colors, tol):
@@ -177,27 +207,24 @@ def _apply_crossing(cr: _Crossing, colors, tol):
     positive one read with its pairs (c, d) and (a, b) swapped, so both run
     the rules below on (inputs, outputs).
     """
-    def put(points, values):
-        for pt, value in zip(points, values):
-            _set_color(colors, pt, value, tol)
-
     ins, outs = (cr.c, cr.d), (cr.a, cr.b)
     if cr.kind is not Piece.X_POS:
         ins, outs = outs, ins
     x, y = map(colors.get, ins)
     if x is not None and y is not None:
-        put(outs, factgroup.xlr(x, y))
+        _put(colors, outs, factgroup.xlr(x, y), tol)
         return False
     u, v = map(colors.get, outs)
     if u is not None and v is not None:
-        put(ins, factgroup.xlr_inverse(u, v))
+        _put(colors, ins, factgroup.xlr_inverse(u, v), tol)
     elif x is not None and u is not None:  # y = x-^-1 u x-, v = u+^-1 x u+
         fx, fu = factorize(x), factorize(u)
-        put((ins[1], outs[1]), (factgroup._lower_conj(u, fx.a, fx.b),
-                                factgroup._upper_conj(x, fu.beta, fu.alpha)))
+        _put(colors, (ins[1], outs[1]),
+             (factgroup._lower_conj(u, fx.a, fx.b),
+              factgroup._upper_conj(x, fu.beta, fu.alpha)), tol)
     elif cr.b == cr.d and cr.c in colors:
         c = colors[cr.c]
-        put((cr.d, cr.a), (factgroup.curl_partner(c), c))
+        _put(colors, (cr.d, cr.a), (factgroup.curl_partner(c), c), tol)
     return True
 
 
@@ -212,32 +239,39 @@ def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
         raise ArityMismatch(
             "boundary signs %s do not match diagram %s"
             % (bottom.signs(), d.bottom_signs))
-    roots, crossings, cups = scan
+    roots, base, crossings, cups = scan
     colors = {}
-    for i, (sign, x) in enumerate(bottom.entries):
-        _set_color(colors, roots[(0, i)], x, tol)
-    if cup_seeds:
-        for idx, x in dict(cup_seeds).items():
-            if not 0 <= idx < len(cups):
+    try:
+        for i, (sign, x) in enumerate(bottom.entries):  # bottom point i: id i
+            _set_color(colors, roots[i], x, tol)
+        if cup_seeds:
+            for idx, x in dict(cup_seeds).items():
+                if not 0 <= idx < len(cups):
+                    raise UnderdeterminedColoring(
+                        "cup index %d out of range (%d cups)"
+                        % (idx, len(cups)))
+                _set_color(colors, cups[idx], x, tol)
+        seeds = iter(seeds)
+        pending = crossings
+        while True:
+            size = None
+            while size != len(colors):  # until a pass colours nothing new
+                size = len(colors)
+                pending = [cr for cr in pending
+                           if _apply_crossing(cr, colors, tol)]
+            missing = [i for i, root in enumerate(cups)
+                       if root not in colors]
+            if not missing:
+                return GColoring(d, roots, base, crossings, colors)
+            seed = next(seeds, None)
+            if seed is None:
                 raise UnderdeterminedColoring(
-                    "cup index %d out of range (%d cups)" % (idx, len(cups)))
-            _set_color(colors, cups[idx], x, tol)
-    seeds = iter(seeds)
-    pending = crossings
-    while True:
-        size = None
-        while size != len(colors):  # until a pass colours nothing new
-            size = len(colors)
-            pending = [cr for cr in pending
-                       if _apply_crossing(cr, colors, tol)]
-        missing = [i for i, root in enumerate(cups) if root not in colors]
-        if not missing:
-            return GColoring(d, roots, crossings, colors)
-        seed = next(seeds, None)
-        if seed is None:
-            raise UnderdeterminedColoring(
-                "no color for cups %s; each needs a seed color" % missing)
-        colors[cups[missing[0]]] = seed
+                    "no color for cups %s; each needs a seed color"
+                    % missing)
+            colors[cups[missing[0]]] = seed
+    except _Conflict as exc:
+        raise CapMismatch("conflicting colors on arc through %s"
+                          % (_point(base, exc.args[0]),)) from None
 
 
 def propagate(d: TangleDiagram, bottom: ColoredBoundary,

@@ -348,34 +348,36 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     A crossing carries the central scalars of K L^-1 and c from each input
     slot to the opposite output slot, so they are constant along a strand;
     strands are the colouring's arcs joined through its crossings.  One
-    walk over the colouring's root map, which lists the endpoints in
-    evaluation order (level by level, left to right), meets each arc at its
-    first endpoint.  A strand takes its scalars from the module on its
-    first arc: the given branch on a bottom boundary point, and label
-    (0, 0) for a closed strand.  Each arc then gets the irrep of its colour
-    with those scalars (`EvalContext.arc_rep`, memoized on the exact colour
-    and scalars), and no crossing is solved.  A warm context derives a
-    label only for a colour and scalars it has not met.
+    walk over the colouring's root list, whose endpoint ids run in
+    evaluation order (level by level, left to right, the bottom points
+    first), meets each arc at its first endpoint.  A strand takes its
+    scalars from the module on its first arc: the given branch on a bottom
+    boundary point, and label (0, 0) for a closed strand.  Each arc then
+    gets the irrep of its colour with those scalars (`EvalContext.arc_rep`,
+    memoized on the exact colour and scalars), and no crossing is solved.
+    A warm context derives a label only for a colour and scalars it has
+    not met.
     """
     strands = coloring._classes(  # crossings are recorded on arc roots
         pair for cr in col._crossings
         for pair in ((cr.c, cr.b), (cr.d, cr.a)))
-    given = bottom_branches or [(0, 0)] * d.bottom_arity
+    n = d.bottom_arity
+    given = bottom_branches or [(0, 0)] * n
     colors = col._colors
     scalars = {}
     assign = {}
-    for (level, pos), root in col._roots.items():
+    for pt, root in enumerate(col._roots):
         if root in assign:
             continue
         color = colors[root]
         strand = strands.get(root, root)
-        if strand not in scalars:
+        if strand not in scalars:  # an id below n is that bottom point
             start = ctx.rep(ctx.char_of(color),
-                            given[pos] if level == 0 else (0, 0))
+                            given[pt] if pt < n else (0, 0))
             scalars[strand] = start.kappa / start.lam, start.cval
         assign[root] = ctx.arc_rep(color, *scalars[strand])
     for i, branch in enumerate(given):
-        rep = assign[col._roots[(0, i)]]
+        rep = assign[col._roots[i]]
         if ctx.rep(rep.char, branch).branch != rep.branch:
             raise BranchObstruction(
                 "bottom branch %r at boundary point %d is not the module "
@@ -406,10 +408,11 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
         raise ArityMismatch("coloring belongs to a different diagram")
     ell = ctx.rd.ell
     arc_rep = _plan_branches(d, col, ctx, bottom_branches)
-    roots = col._roots
-    # the plan's irrep at each column of each level
-    arcs = [[arc_rep[roots[level, j]] for j in range(len(signs))]
-            for level, signs in enumerate(d._levels)]
+    # the plan's irrep at each endpoint id, then at each column of each
+    # level: level k holds the ids base[k] to base[k + 1]
+    reps = [arc_rep[root] for root in col._roots]
+    base = col._base
+    arcs = [reps[base[k]:base[k + 1]] for k in range(len(base) - 1)]
     pieces = []  # (piece, top column, bottom arity, bottom and top irreps)
     for level, row in enumerate(d.slices):
         bcol = tcol = 0
@@ -452,8 +455,11 @@ def invariant(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     if blk.domain.key() == blk.codomain.key() and len(blk.domain) == 1 \
             and blk.domain.entries[0][0] == 1:
         ell = ctx.rd.ell
-        scalar = complex(np.trace(blk.matrix) / ell)
-        off = float(np.max(np.abs(blk.matrix - scalar * np.eye(ell))))
+        m = blk.matrix
+        scalar = complex(m.trace() / ell)
+        diff = m.copy()
+        diff.flat[::ell + 1] -= scalar
+        off = float(abs(diff).max())
         log = blk.phase_log + (("schur_off_scalar", off),)
         return scalar, log
     return blk, blk.phase_log

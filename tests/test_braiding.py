@@ -107,7 +107,7 @@ class TestCharGroupDictionary:
             col = coloring.propagate(d, coloring.ColoredBoundary(
                 ((1, x), (1, y))))
             plan = evaluator._plan_branches(d, col, ctx, None)
-            top = [plan[col._roots[(1, i)]] for i in range(2)]
+            top = [plan[col._roots[col._base[1] + i]] for i in range(2)]
             for rep, g in zip(top, crossing(x, y)):
                 assert factgroup.mats_equal(char_to_group(rep.char), g,
                                             tol=1e-9)
@@ -136,6 +136,37 @@ class TestAutomorphism:
         dense = np.linalg.inv(np.eye(ell * ell) - rd.eps * np.kron(
             kinv_e, rb.Fmat @ rb.Lmat))
         assert np.max(np.abs(closed - dense)) < 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_cond_n_from_class_blocks(self, monkeypatch, rng, ell):
+        # N = 1 - A is zero off its ell blocks on the classes
+        # i1 + i2 = c mod ell, their cond matches the dense cond, and the
+        # mask of `_source_stacks` is the dense check at any limit
+        rd = RootData(ell)
+        reps = [build_irrep(generic_char(rng, rd), (0, 0), rd)
+                for _ in range(24)]
+        mx, my = braiding._mats(reps[:12]), braiding._mats(reps[12:])
+        i1 = np.arange(ell)
+        cls = i1 * ell + (np.arange(ell)[:, None] - i1) % ell
+        outside = np.ones((ell * ell, ell * ell), dtype=bool)
+        for c in cls:
+            outside[np.ix_(c, c)] = False
+        conds = []
+        for rx, ry in zip(reps[:12], reps[12:]):
+            kinv_e = np.diag(1 / np.diagonal(ry.Kmat)) @ ry.Emat
+            n_mat = np.eye(ell * ell) - np.kron(rx.Fmat @ rx.Lmat,
+                                                rd.eps * kinv_e)
+            assert np.all(n_mat[outside] == 0)
+            svals = np.linalg.svd(n_mat[cls[:, :, None], cls[:, None, :]],
+                                  compute_uv=False)
+            block = svals[:, 0].max() / svals[:, -1].min()
+            conds.append(np.linalg.cond(n_mat))
+            assert block == pytest.approx(conds[-1], rel=1e-12)
+        limit = float(np.median(conds))
+        monkeypatch.setattr(braiding, "COND_LIMIT", limit)
+        _, ok = braiding._source_stacks(mx, my, rd)
+        assert list(ok) == [not c > limit for c in conds]
+        assert 0 < ok.sum() < len(ok)
 
     def test_pullback_matches_group_map(self, rng, rd3):
         x, y = generic_group(rng, rd3), generic_group(rng, rd3)

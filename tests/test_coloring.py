@@ -232,8 +232,8 @@ class TestRecolor:
         assert all(col._roots[pt] == pt for pt in points)
 
     def test_root_map_holds_every_endpoint(self, rng):
-        # colours, the planner and contraction index the flat parent map
-        # directly, with no find
+        # colours, the planner and contraction index the flat root list
+        # directly, with no find: point i of level k is id base[k] + i
         y1, y2, y3 = trefoil_boundary_3()
         d3 = diagram.close_braid_partial(diagram.braid_word([1, 2, 1, 2], 3))
         moved = diagram.apply_move(
@@ -247,21 +247,64 @@ class TestRecolor:
                   ColoredBoundary(((1, x),)), {})]
         for d, bottom, seeds in cases:
             col = coloring.propagate(d, bottom, cup_seeds=seeds)
-            roots = col._roots
-            points = {(0, i) for i in range(d.bottom_arity)}
-            for k, pieces in enumerate(d.slices):
-                bcol = tcol = 0
-                for p in pieces:
-                    points.update((k, bcol + j) for j in range(len(p.bottom)))
-                    points.update((k + 1, tcol + j) for j in range(len(p.top)))
-                    bcol += len(p.bottom)
-                    tcol += len(p.top)
-            assert points <= roots.keys()
-            # in evaluation order, level by level and left to right: the
-            # planner starts each closed strand at its first arc in it
-            assert list(roots) == sorted(points)
-            assert all(roots[roots[pt]] == roots[pt] for pt in points)
+            self.check_root_map(d, col._roots, col._base)
             assert col.color(0, 0) == bottom.entries[0][1]
+        # and on every moved diagram of the `moves-warm` benchmark, whether
+        # or not it colours
+        sites = 0
+        for _, d, y, seeds in benchmark_knots():
+            for move in ("R2", "R3", "FramedR1", "SlideCupCap"):
+                for site in diagram.find_move_sites(d, move):
+                    d2 = diagram.apply_move(d, move, site)
+                    roots, base, _, _ = coloring._scan(d2)
+                    self.check_root_map(d2, roots, base)
+                    try:
+                        col = coloring.recolor(
+                            d2, ColoredBoundary(((1, y),)), seeds)
+                    except coloring.Inconsistent:
+                        continue
+                    assert col._roots == roots and col._base == base
+                    assert col.color(0, 0) == y
+                    sites += 1
+        assert sites == 239
+
+    @staticmethod
+    def check_root_map(d, roots, base):
+        # one id per endpoint: the bases are the running sums of the level
+        # widths, and the last one counts the endpoints
+        widths = [len(signs) for signs in d._levels]
+        assert base == [sum(widths[:k]) for k in range(len(widths) + 1)]
+        assert len(roots) == base[-1]
+        # in evaluation order, level by level and left to right: the
+        # planner starts each closed strand at its first arc in it
+        points = {(0, i) for i in range(d.bottom_arity)}
+        for k, pieces in enumerate(d.slices):
+            bcol = tcol = 0
+            for p in pieces:
+                points.update((k, bcol + j) for j in range(len(p.bottom)))
+                points.update((k + 1, tcol + j) for j in range(len(p.top)))
+                bcol += len(p.bottom)
+                tcol += len(p.top)
+        assert [base[k] + i for k, i in sorted(points)] \
+            == list(range(len(roots)))
+        assert all(roots[root] == root for root in roots)
+
+    def test_cap_mismatch_names_the_point(self, monkeypatch, rng):
+        # a conflict names its arc's root as (level, pos): here the
+        # negative crossing's derived legs contradict the positive
+        # crossing's outputs at point 1 of level 1
+        def skewed(u, v, _inverse=factgroup.xlr_inverse):
+            a, b = _inverse(u, v)
+            return Mat2(a.m11 + 1e-6, a.m12, a.m21, a.m22), b
+
+        x, y = map(oracles.to_float, two_colors(rng))
+        bottom = ColoredBoundary(((1, x), (1, x), (1, y)))
+        d = diagram.parse("id+ x+ ; id+ x-")
+        coloring.propagate(d, bottom)
+        monkeypatch.setattr(factgroup, "xlr_inverse", skewed)
+        with pytest.raises(coloring.CapMismatch) as exc:
+            coloring.propagate(d, bottom)
+        assert str(exc.value) == "conflicting colors on arc through (1, 1)"
 
 
 class TestClosedDiagrams:

@@ -236,7 +236,7 @@ class TestPlanner:
             patch.setattr(ctx, "solve", no_solve)
             patch.setattr(ctx, "solve_inverse", no_solve)
             assign = evaluator._plan_branches(d, col, ctx, None)
-        assert col._roots[(0, 0)] in assign
+        assert col._roots[col._base[0] + 0] in assign
 
         batches = counted_solves(monkeypatch)
         ctx = EvalContext(RootData(3))
