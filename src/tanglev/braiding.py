@@ -85,6 +85,7 @@ solved alone.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -594,9 +595,12 @@ def branch_of(char, z, c, rd):
     """The label (r, s) of the irrep of `char` on which the central
     elements K L^-1 and c = E F + K eps^-1 + eps L^-1 act by the scalars
     z and c: r from z = kappa/lam, with kappa = alpha^(1/ell) eps^(2r) as
-    in `central_values`, and s from c against the values at that r."""
+    in `central_values`, and s from c against the values at that r.  The
+    candidate eps^(2r) = eps^k nearest z/z0 has k = round(ell arg(z/z0)/2
+    pi), so r = k (ell + 1)/2 mod ell; no candidate is searched."""
     z0 = principal_root(char.alpha, rd.ell) / principal_root(char.a, rd.ell)
-    r = min(range(rd.ell), key=lambda r: abs(z0 * rd.eps_pow(2 * r) - z))
+    k = round(rd.ell * (cmath.phase(z) - cmath.phase(z0)) / (2 * cmath.pi))
+    r = k * (rd.ell + 1) // 2 % rd.ell
     values = central_values(char, rd, r)[2]
     s = min(range(rd.ell), key=lambda s: abs(values[s] - c))
     return r, s

@@ -8,11 +8,12 @@ legs of a cup or cap belong to one arc and carry equal colors.
 Colors are found by a constraint fixpoint over arcs.  Edge endpoints are
 numbered flat, in evaluation order: point i of level k is endpoint
 base[k] + i, where base[0] = 0 and base[k + 1] = base[k] + the width of
-level k.  One bottom-to-top pass (`_scan`) maps every endpoint id to its
-arc root, an id at which the arc or a piece that a cap joined into it
-starts: identities carry an arc up, cups and crossings start arcs, and
-caps join two.  It records each
-crossing and cup on arc roots, so the fixpoint reads colors by root.
+level k.  One bottom-to-top pass (`_scan`), the only walk of a diagram,
+lists every piece that is not an identity with its endpoint ids, and maps
+every endpoint id to its arc root, an id at which the arc or a piece that
+a cap joined into it starts: identities carry an arc up, cups and
+crossings start arcs, and caps join two.  It records each crossing and
+cup on arc roots, so the fixpoint reads colors by root.
 Each pass applies every pending crossing's relations in whichever
 direction is solvable.  A crossing whose inputs are known runs its
 forward rule, which sets or checks both outputs, and leaves the pending
@@ -96,51 +97,46 @@ def _classes(pairs):
 
 
 def _scan(d: TangleDiagram):
-    """Each edge endpoint's arc root, the level bases, and crossings and
-    cups on roots.
+    """Each edge endpoint's arc root, the level bases, crossings and cups
+    on roots, the piece list and the arc starts.
 
     Endpoints are ids in evaluation order, level by level and left to
     right: point i of level k is base[k] + i, and base[-1] is the number
-    of endpoints.  One bottom-to-top pass labels the points of each level.
-    An identity carries its arc up; a bottom point, a cup and a crossing's
-    top leg start a new arc, rooted at its own (left) endpoint; only a cap
-    joins two arcs, and the caps' joins are resolved once the pass is
-    done.  The root list maps each endpoint id to its arc's root id.
+    of endpoints.  This one bottom-to-top pass is the only walk of a
+    diagram: it lists each piece that is not an identity as (piece, top
+    column, bottom arity, id of its first bottom and of its first top
+    endpoint).  An identity carries its arc up; a bottom point, a cup and
+    a crossing's top leg start an arc, rooted at its own (left) endpoint;
+    only a cap joins two arcs.  So every arc starts at a bottom point or
+    a listed piece's top leg; the ids of these (the starts) are listed in
+    id order.  Cap joins, crossings and cups are read off the piece list.
     """
-    below = range(d.bottom_arity)
-    roots = list(below)
+    roots = list(range(d.bottom_arity))
+    starts = list(roots)
     base = [0]
-    caps = []
-    crossings = []
-    cups = []
-    for pieces in d.slices:
-        start = len(roots)  # the id of this level's first point
-        base.append(start)
-        above = []
-        legs = iter(below)
-        for p in pieces:
+    pieces = []
+    for row in d.slices:
+        pt = base[-1]  # the id of the next bottom endpoint
+        base.append(len(roots))
+        for p in row:
             if len(p.top) == 1:  # an identity
-                above.append(next(legs))
-            elif not p.bottom:  # a cup
-                root = start + len(above)
-                above += (root, root)
-                cups.append(root)
-            elif not p.top:  # a cap
-                caps.append((next(legs), next(legs)))
-            else:  # a crossing
-                a = start + len(above)
-                crossings.append((p, next(legs), next(legs), a, a + 1))
-                above += (a, a + 1)
-        roots += above
-        below = above
+                roots.append(roots[pt])
+            else:
+                top = len(roots)
+                pieces.append((p, top - base[-1], len(p.bottom), pt, top))
+                legs = range(top, top + len(p.top))
+                starts += legs
+                roots += legs if p.bottom else (top, top)  # a cup: one arc
+            pt += len(p.bottom)
     base.append(len(roots))
+    caps = [(roots[b], roots[b + 1]) for p, _, _, b, _ in pieces if not p.top]
     if caps:
         join = _classes(caps)
         roots = [join.get(root, root) for root in roots]
-    # every label is an endpoint, so the list resolves it to its root
-    crossings = [_Crossing(p, roots[i], roots[j], roots[a], roots[b])
-                 for p, i, j, a, b in crossings]
-    return roots, base, crossings, [roots[pt] for pt in cups]
+    crossings = [_Crossing(p, roots[b], roots[b + 1], roots[t], roots[t + 1])
+                 for p, _, _, b, t in pieces if p.bottom and p.top]
+    cups = [roots[t] for p, _, _, _, t in pieces if not p.bottom]
+    return roots, base, crossings, cups, pieces, starts
 
 
 def _point(base, pt):
@@ -150,14 +146,17 @@ def _point(base, pt):
 
 
 class GColoring:
-    """A total coloring of a diagram's edges, with the arc root list, the
-    level bases and the crossing records it was propagated over."""
+    """A total coloring of a diagram's edges, with what the one walk of
+    its slices (`_scan`) recorded: the arc root list, the level bases, the
+    crossing records it was propagated over, the piece list and the arc
+    starts.  The planner and contraction read these and walk nothing."""
 
-    def __init__(self, diagram, roots, base, crossings, colors):
+    def __init__(self, diagram, scan, colors):
         self.diagram = diagram
-        self._roots = roots  # each endpoint id's arc root
-        self._base = base  # each level's first id, then the number of ids
-        self._crossings = crossings
+        # the root of each endpoint id, each level's first id and then the
+        # number of ids, the crossings, the piece list and the arc starts
+        (self._roots, self._base, self._crossings, _, self._pieces,
+         self._starts) = scan
         self._colors = colors
 
     def color(self, level, pos) -> Mat2:
@@ -239,7 +238,7 @@ def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
         raise ArityMismatch(
             "boundary signs %s do not match diagram %s"
             % (bottom.signs(), d.bottom_signs))
-    roots, base, crossings, cups = scan
+    roots, base, crossings, cups, _, _ = scan
     colors = {}
     try:
         for i, (sign, x) in enumerate(bottom.entries):  # bottom point i: id i
@@ -262,7 +261,7 @@ def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
             missing = [i for i, root in enumerate(cups)
                        if root not in colors]
             if not missing:
-                return GColoring(d, roots, base, crossings, colors)
+                return GColoring(d, scan, colors)
             seed = next(seeds, None)
             if seed is None:
                 raise UnderdeterminedColoring(

@@ -16,9 +16,11 @@ plan and looks none of them up again; a crossing is solved between the
 irreps of its bottom and its top arcs, so a plan off the strand rule
 leaves the solve without an intertwiner, and it raises NoIntertwiner.
 
-Contraction walks the diagram once and lists the pieces that are not
-identities, each with its top column, its bottom arity and the plan's
-irreps of its arcs.  One call (`EvalContext.operators`) makes the list's
+Nothing here walks a diagram: the colouring's scan (`coloring._scan`)
+is the only walk, and the planner and contraction read the arc starts
+and the piece list it made.  Contraction gives each listed piece the
+plan's irreps of its arcs, sliced from the irrep at each endpoint.  One
+call (`EvalContext.operators`) makes the list's
 operators: it looks up every crossing and every right cup or cap curl,
 solves every miss, once per key, in one batch (`braiding.solve_crossings`),
 and memoizes each block or failure.  It then makes the operators in order
@@ -129,21 +131,22 @@ class EvalContext:
         return rep
 
     def char_of(self, color):
-        """`group_to_char`, memoized on the exact colour."""
-        char = self._chars.get(color)
+        """`group_to_char`, memoized on the exact colour's four entries."""
+        key = (color.m11, color.m12, color.m21, color.m22)
+        char = self._chars.get(key)
         if char is None:
-            char = self._chars[color] = group_to_char(color)
+            char = self._chars[key] = group_to_char(color)
         return char
 
     def arc_rep(self, color, z, c):
         """The irrep of a colour on which K L^-1 and c act by z and c.
 
-        Memoized on the exact colour and scalars.  A miss derives the rep
-        from its key through `char_of` and `rep`, whose entries are set once
-        and never replaced, so a hit returns the very object a miss would
-        derive; a failing derivation stores nothing.
+        Memoized on the exact colour's four entries and the scalars.  A
+        miss derives the rep from its key through `char_of` and `rep`, whose
+        entries are set once and never replaced, so a hit returns the very
+        object a miss would derive; a failing derivation stores nothing.
         """
-        key = (color, z, c)
+        key = (color.m11, color.m12, color.m21, color.m22, z, c)
         rep = self._arcs.get(key)
         if rep is None:
             char = self.char_of(color)
@@ -347,14 +350,15 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
 
     A crossing carries the central scalars of K L^-1 and c from each input
     slot to the opposite output slot, so they are constant along a strand;
-    strands are the colouring's arcs joined through its crossings.  One
-    walk over the colouring's root list, whose endpoint ids run in
-    evaluation order (level by level, left to right, the bottom points
-    first), meets each arc at its first endpoint.  A strand takes its
-    scalars from the module on its first arc: the given branch on a bottom
-    boundary point, and label (0, 0) for a closed strand.  Each arc then
-    gets the irrep of its colour with those scalars (`EvalContext.arc_rep`,
-    memoized on the exact colour and scalars), and no crossing is solved.
+    strands are the colouring's arcs joined through its crossings.  The
+    planner walks no diagram: the colouring's one scan listed the arc
+    starts in id order (the bottom points, then the pieces' top legs), and
+    an arc's smallest id is always a start, so one pass over them meets
+    each arc at its first endpoint.  A strand takes its scalars from the
+    module on its first arc: the given branch on a bottom boundary point,
+    and label (0, 0) for a closed strand.  Each arc then gets the irrep of
+    its colour with those scalars (`EvalContext.arc_rep`, memoized on the
+    exact colour and scalars), and no crossing is solved.
     A warm context derives a label only for a colour and scalars it has
     not met.
     """
@@ -366,7 +370,9 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     colors = col._colors
     scalars = {}
     assign = {}
-    for pt, root in enumerate(col._roots):
+    roots = col._roots
+    for pt in col._starts:
+        root = roots[pt]
         if root in assign:
             continue
         color = colors[root]
@@ -377,7 +383,7 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
             scalars[strand] = start.kappa / start.lam, start.cval
         assign[root] = ctx.arc_rep(color, *scalars[strand])
     for i, branch in enumerate(given):
-        rep = assign[col._roots[i]]
+        rep = assign[roots[i]]
         if ctx.rep(rep.char, branch).branch != rep.branch:
             raise BranchObstruction(
                 "bottom branch %r at boundary point %d is not the module "
@@ -398,31 +404,21 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
              bottom_branches=None) -> LinearBlock:
     """Contract a colored diagram into its linear block.
 
-    One walk lists the pieces that are not identities, each with its top
-    column, its bottom arity and the plan's irreps of its arcs; the context
-    makes their operators in one call (`EvalContext.operators`), and the
-    state is multiplied down the list.  An identity only relabels the
-    state's axes, so it is not listed.
+    Nothing walks the diagram again: the colouring's piece list (`_scan`)
+    holds every piece that is not an identity, with its top column, its
+    bottom arity and the ids of its first bottom and top endpoints, and
+    each entry takes the plan's irreps of its arcs by slicing the irrep
+    at each endpoint id.  The context makes their operators in one call
+    (`EvalContext.operators`), and the state is multiplied down the list.
+    An identity only relabels the state's axes, so it is not listed.
     """
-    if col.diagram is not d and col.diagram.to_json() != d.to_json():
+    if col.diagram is not d and col.diagram != d:
         raise ArityMismatch("coloring belongs to a different diagram")
     ell = ctx.rd.ell
     arc_rep = _plan_branches(d, col, ctx, bottom_branches)
-    # the plan's irrep at each endpoint id, then at each column of each
-    # level: level k holds the ids base[k] to base[k + 1]
-    reps = [arc_rep[root] for root in col._roots]
-    base = col._base
-    arcs = [reps[base[k]:base[k + 1]] for k in range(len(base) - 1)]
-    pieces = []  # (piece, top column, bottom arity, bottom and top irreps)
-    for level, row in enumerate(d.slices):
-        bcol = tcol = 0
-        for p in row:
-            nb, nt = len(p.bottom), len(p.top)
-            if p is not Piece.ID_UP and p is not Piece.ID_DOWN:
-                pieces.append((p, tcol, nb, arcs[level][bcol:bcol + nb],
-                               arcs[level + 1][tcol:tcol + nt]))
-            bcol += nb
-            tcol += nt
+    reps = [arc_rep[root] for root in col._roots]  # at each endpoint id
+    pieces = [(p, tcol, nb, reps[b:b + nb], reps[t:t + len(p.top)])
+              for p, tcol, nb, b, t in col._pieces]
     in_dim = ell ** d.bottom_arity
     state = np.eye(in_dim, dtype=complex)
     log = [("normalization", braiding.NORMALIZATION_VERSION),
@@ -434,8 +430,8 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
         # columns still to come and the domain
         state = m @ state.reshape(ell ** tcol, ell ** nb, -1)
     state = state.reshape(-1, in_dim)
-    domain = _local_object(d.bottom_signs, arcs[0])
-    codomain = _local_object(d.top_signs, arcs[-1])
+    domain = _local_object(d.bottom_signs, reps[:col._base[1]])
+    codomain = _local_object(d.top_signs, reps[col._base[-2]:])
     return LinearBlock(state, domain, codomain, tuple(log))
 
 
@@ -511,7 +507,7 @@ def reidemeister_report(d: TangleDiagram, bottom, seeds, moves,
                 "direction": site.direction,
                 "value": val,
                 "magnitude_defect": abs(abs(val) - abs(base)),
-                "phase_drift": float(np.angle(val) - np.angle(base))
+                "phase_drift": float(np.angle(val / base))
                 if abs(base) > tol else 0.0,
                 "pass": abs(abs(val) - abs(base)) < tol,
             })

@@ -7,12 +7,14 @@ import numpy as np
 
 from tanglev import braiding
 from tanglev.braiding import RImages
+from tanglev.diagram import Piece
 from tanglev.evaluator import ColoredObject, LinearBlock
 from tanglev.factgroup import Mat2
 from tanglev.uqalgebra import (DEGENERACY_RTOL, CentralCharacter, CyclicRep,
                                NonGenericCharacter, RootData,
                                branch_discriminant, build_irrep,
-                               is_branch_degenerate, is_generic)
+                               central_values, is_branch_degenerate,
+                               is_generic, principal_root)
 
 
 def to_float(g: Mat2) -> Mat2:
@@ -23,6 +25,39 @@ def to_float(g: Mat2) -> Mat2:
 def pretty(d) -> str:
     """A diagram in the slice DSL that `diagram.parse` reads."""
     return " ; ".join(" ".join(p.value for p in s) for s in d.slices)
+
+
+def slice_walk(d):
+    """Reference for the piece list and arc starts of `coloring._scan`,
+    from a walk of `d.slices` with a bottom and a top column counter per
+    level: every piece that is not an identity as (piece, top column,
+    bottom arity, id of its first bottom endpoint, id of its first top
+    endpoint), and the ids at which an arc may start, in id order: the
+    bottom points and the top legs of every piece listed."""
+    widths = [len(signs) for signs in d._levels]
+    base = [sum(widths[:k]) for k in range(len(widths))]
+    pieces, starts = [], list(range(d.bottom_arity))
+    for k, row in enumerate(d.slices):
+        bcol = tcol = 0
+        for p in row:
+            if p not in (Piece.ID_UP, Piece.ID_DOWN):
+                top = base[k + 1] + tcol
+                pieces.append((p, tcol, len(p.bottom), base[k] + bcol, top))
+                starts += range(top, top + len(p.top))
+            bcol += len(p.bottom)
+            tcol += len(p.top)
+    return pieces, starts
+
+
+def branch_search(char, z, c, rd):
+    """`braiding.branch_of` by search: the r in range(ell) whose kappa/lam
+    = z0 eps^(2r) lies nearest z, then the s whose central value at that
+    r lies nearest c."""
+    z0 = principal_root(char.alpha, rd.ell) / principal_root(char.a, rd.ell)
+    r = min(range(rd.ell), key=lambda r: abs(z0 * rd.eps_pow(2 * r) - z))
+    values = central_values(char, rd, r)[2]
+    s = min(range(rd.ell), key=lambda s: abs(values[s] - c))
+    return r, s
 
 
 class ObjectMismatch(ValueError):

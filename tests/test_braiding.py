@@ -6,7 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tanglev import braiding, coloring, diagram, evaluator, factgroup
+from tanglev import (braiding, coloring, diagram, evaluator, factgroup,
+                     uqalgebra)
 from tanglev.braiding import (char_to_group, group_to_char, solve_braiding,
                               solve_braiding_inverse)
 from tanglev.uqalgebra import RootData, build_irrep
@@ -113,6 +114,26 @@ class TestCharGroupDictionary:
                                             tol=1e-9)
             assert [rep.branch for rep in top] == [
                 rep.branch for rep in strand_outputs(*bottom, sign=sign)]
+
+
+class TestBranchOf:
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9, 11])
+    def test_direct_label_is_the_searched_one(self, rng, ell):
+        # the scalars of every label of seeded generic characters, exact
+        # and moved off by up to 0.45 of the angle between two candidates
+        rd = RootData(ell)
+        for _ in range(3):
+            char = generic_char(rng, rd)
+            for r in range(ell):
+                kappa, lam, values = uqalgebra.central_values(char, rd, r)
+                for s, c in enumerate(values):
+                    turn = np.exp(2j * np.pi * rng.uniform(-0.45, 0.45)
+                                  / ell) * rng.uniform(0.5, 2)
+                    for z in (kappa / lam, kappa / lam * turn):
+                        assert braiding.branch_of(char, z, c, rd) \
+                            == oracles.branch_search(char, z, c, rd)
+                    assert braiding.branch_of(char, kappa / lam, c, rd) \
+                        == (r, s)
 
 
 class TestAutomorphism:

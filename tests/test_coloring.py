@@ -256,7 +256,7 @@ class TestRecolor:
             for move in ("R2", "R3", "FramedR1", "SlideCupCap"):
                 for site in diagram.find_move_sites(d, move):
                     d2 = diagram.apply_move(d, move, site)
-                    roots, base, _, _ = coloring._scan(d2)
+                    roots, base, _, _, _, _ = coloring._scan(d2)
                     self.check_root_map(d2, roots, base)
                     try:
                         col = coloring.recolor(
@@ -288,6 +288,26 @@ class TestRecolor:
         assert [base[k] + i for k, i in sorted(points)] \
             == list(range(len(roots)))
         assert all(roots[root] == root for root in roots)
+
+    def test_piece_list_matches_a_walk_of_the_slices(self):
+        # the scan's piece list and arc starts, which contraction and the
+        # planner read in place of the slices, against a walk of the
+        # slices with a column counter per level
+        cases = [diagram.parse("x+ ; x-"), diagram.TangleDiagram((), (1,))]
+        for _, d, _, _ in benchmark_knots():
+            cases.append(d)
+            for move in ("R2", "R3", "FramedR1", "SlideCupCap"):
+                cases += [diagram.apply_move(d, move, site)
+                          for site in diagram.find_move_sites(d, move)]
+        assert len(cases) == 2 + 3 + 255
+        for d in cases:
+            roots, _, _, _, pieces, starts = coloring._scan(d)
+            assert (pieces, starts) == oracles.slice_walk(d)
+            # each arc, joined or not, is first met at a start
+            first = {}
+            for pt, root in enumerate(roots):
+                first.setdefault(root, pt)
+            assert set(first.values()) <= set(starts)
 
     def test_cap_mismatch_names_the_point(self, monkeypatch, rng):
         # a conflict names its arc's root as (level, pos): here the

@@ -391,6 +391,32 @@ class TestPlanner:
                                bottom_branches=[(0, 0), (0, 0), (1, 0)])
 
 
+class TestOwnership:
+    @staticmethod
+    def trefoil(word):
+        y1, y2, y3 = trefoil_boundary_3()
+        d = diagram.close_braid_partial(diagram.braid_word(word, 3))
+        col = coloring.propagate(d, ColoredBoundary(((1, y1),)),
+                                 cup_seeds={0: y2, 1: y3})
+        return d, col
+
+    def test_colouring_of_an_equal_diagram_evaluates(self, ctx):
+        d, col = self.trefoil([1, 2, 1, 2])
+        twin = diagram.close_braid_partial(diagram.braid_word([1, 2, 1, 2],
+                                                              3))
+        assert twin is not d and twin == d
+        assert evaluator.invariant(twin, col, ctx)[0] \
+            == evaluator.invariant(d, col, ctx)[0]
+
+    def test_colouring_of_another_diagram_is_refused(self, ctx):
+        _, col = self.trefoil([1, 2, 1, 2])
+        other = diagram.close_braid_partial(diagram.braid_word([2, 1, 2, 1],
+                                                               3))
+        with pytest.raises(diagram.ArityMismatch) as exc:
+            evaluator.contract(other, col, ctx)
+        assert str(exc.value) == "coloring belongs to a different diagram"
+
+
 class TestTwistScale:
     def test_curl_closes_off_the_principal_branch(self, monkeypatch):
         # at m = 2+i the curl of x2's loop on (0,0) needs a through-strand
@@ -638,3 +664,18 @@ class TestReidemeisterReport:
         assert all(m["pass"] is None
                    and m["skipped"].startswith("Inconsistent")
                    for m in report["moves"])
+
+    def test_phase_drift_wraps_across_pi(self, monkeypatch, ctx):
+        # e^{3.1i} against e^{-3.1i}: the drift is 2 pi - 6.2, not -6.2
+        d = diagram.parse("id+")
+
+        def invariant(d2, col, ctx):
+            return np.exp(3.1j if d2 is d else -3.1j), ()
+
+        monkeypatch.setattr(evaluator, "invariant", invariant)
+        x1, _ = trefoil_boundary_2()
+        report = evaluator.reidemeister_report(
+            d, ColoredBoundary(((1, x1),)), [], ["FramedR1"], ctx)
+        assert len(report["moves"]) == 2
+        for m in report["moves"]:
+            assert m["phase_drift"] == pytest.approx(2 * np.pi - 6.2)
