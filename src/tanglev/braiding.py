@@ -327,7 +327,6 @@ class BraidingBlock:
     target_branches: tuple  # the labels (r, s) of the two output irreps
     nullity: int
     residual: float
-    branch_retry: bool
 
 
 class Crossing(NamedTuple):
@@ -664,8 +663,7 @@ def _solve(requests, rel_tol):
                                      _take(right, k))
     for i, block, res in zip(live, m, residual):
         labels = tuple(rep.branch for rep in requests[i].outputs)
-        out[i] = BraidingBlock(block, labels, 1, float(res),
-                               labels != ((0, 0), (0, 0)))
+        out[i] = BraidingBlock(block, labels, 1, float(res))
     return out
 
 

@@ -50,6 +50,10 @@ class UnderdeterminedColoring(ValueError):
     """Propagation needs seed colors for cups it cannot resolve."""
 
 
+#: Absolute bound on the entry differences of equal boundary colours.
+BOUNDARY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ColoredBoundary:
     entries: tuple  # of (sign, Mat2)
@@ -63,10 +67,10 @@ class ColoredBoundary:
     def colors(self):
         return tuple(x for _, x in self.entries)
 
-    def equal(self, other, tol=1e-9):
+    def equal(self, other):
         if self.signs() != other.signs():
             return False
-        return all(mats_equal(x, y, tol)
+        return all(mats_equal(x, y, BOUNDARY_TOL)
                    for x, y in zip(self.colors(), other.colors()))
 
 

@@ -98,10 +98,8 @@ class EvalContext:
     - each character by its exact colour (`char_of`);
     - each irrep by its rounded character and label (`rep`), and each
       arc's irrep by its exact colour and central scalars (`arc_rep`);
-    - each crossing block, or its failure as type and message, by the
-      (character, label) of its four irreps and its sign, and again by
-      the four irrep objects and the sign, which is how a warm lookup
-      finds it without building a key (`_lookup`);
+    - each crossing block, or its failure as type and message, by its
+      request: the four irrep objects and the sign (`_lookup`);
     - each curl request and twist scale by its loop's (character, label);
     - each cup and cap operator (`cup_cap`), read-only: CUP_L and CAP_L
       once, CUP_R and CAP_R per (piece, character, label).
@@ -119,7 +117,6 @@ class EvalContext:
         self._twist = {}
         self._curls = {}
         self._blocks = {}
-        self._hits = {}
         self._ops = {}
 
     def rep(self, char: CentralCharacter, branch):
@@ -158,41 +155,40 @@ class EvalContext:
         """The memo entry of each crossing request (x, y, a, b, sign): its
         block, or its failure as type and message.
 
-        A request is found by its four irrep objects and its sign, and
-        only when that misses by the (character, label) of the four and
-        the sign (`braiding.Crossing.key`); reps come from `rep`, one
-        object per rounded character and label, so a warm lookup builds
-        no key.  Requests found by neither are solved once per key, in one
+        A request is found by its four irrep objects and its sign; the
+        context's irreps come from `rep`, one object per rounded character
+        and label.  Requests the memo lacks are solved once each, in one
         batch (`braiding.solve_crossings`).  A failure is kept as its type
         and message, not as the exception, whose traceback would tie this
         context into a reference cycle.
         """
-        hits, keys, misses = self._hits, {}, {}
-        for req in requests:
-            if req not in hits and req not in keys:
-                crossing = braiding.Crossing(req[:2], req[2:4], req[4])
-                key = keys[req] = crossing.key()
-                if key not in self._blocks:
-                    misses.setdefault(key, crossing)
+        blocks = self._blocks
+        misses = list(dict.fromkeys(
+            req for req in requests if req not in blocks))
         if misses:
-            solved = braiding.solve_crossings(list(misses.values()),
-                                              rel_tol=self.tol)
-            for key, out in zip(misses, solved):
-                self._blocks[key] = (type(out), str(out)) \
+            solved = braiding.solve_crossings(
+                [braiding.Crossing(req[:2], req[2:4], req[4])
+                 for req in misses], rel_tol=self.tol)
+            for req, out in zip(misses, solved):
+                blocks[req] = (type(out), str(out)) \
                     if isinstance(out, Exception) else out
-        for req, key in keys.items():
-            hits[req] = self._blocks[key]
-        return [hits[req] for req in requests]
+        return [blocks[req] for req in requests]
+
+    def _solve(self, reps, sign):
+        """One crossing's block, or its failure raised; an irrep built
+        elsewhere is looked up as the context's own (`rep`)."""
+        req = tuple(self.rep(r.char, r.branch) for r in reps)
+        return _block(self._lookup([req + (sign,)])[0])
 
     def solve(self, repx, repy, outputs):
-        return _block(self._lookup([(repx, repy, *outputs, 1)])[0])
+        return self._solve((repx, repy, *outputs), 1)
 
     def solve_inverse(self, repc, repd, outputs):
-        return _block(self._lookup([(repc, repd, *outputs, -1)])[0])
+        return self._solve((repc, repd, *outputs), -1)
 
     def operators(self, entries):
-        """The matrix and block of each piece list entry (piece, top
-        column, bottom arity, bottom irreps, top irreps), in order.
+        """The matrix of each piece list entry (piece, top column,
+        bottom arity, bottom irreps, top irreps), in order.
 
         Each crossing, and under balanced framing the positive curl of
         each right cup or cap whose loop has no twist yet, is looked up
@@ -326,18 +322,16 @@ class EvalContext:
 
 
 def elementary_op(piece: Piece, bottom, top, ctx: EvalContext, hit):
-    """The matrix of one elementary piece, and a crossing's BraidingBlock.
+    """The matrix of one elementary piece.
 
     `bottom` and `top` are the irreps on the piece's bottom and top arcs,
     and a crossing's `hit` is its memo entry (`EvalContext._lookup`), whose
-    failure is raised here; other pieces get None.  The block is None for
-    every piece but a crossing.  Identity pieces have no operator:
-    contraction does not list them.
+    failure is raised here; other pieces get None.  Identity pieces have
+    no operator: contraction does not list them.
     """
     if piece not in _CROSSINGS:
-        return ctx.cup_cap(piece, bottom, top), None
-    blk = _block(hit)
-    return blk.matrix, blk
+        return ctx.cup_cap(piece, bottom, top)
+    return _block(hit).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +415,16 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
               for p, tcol, nb, b, t in col._pieces]
     in_dim = ell ** d.bottom_arity
     state = np.eye(in_dim, dtype=complex)
-    log = [("normalization", braiding.NORMALIZATION_VERSION),
-           ("mu", "K"), ("framing", ctx.framing)]
-    for (p, tcol, nb, _, _), (m, blk) in zip(pieces, ctx.operators(pieces)):
-        if blk is not None and blk.branch_retry:
-            log.append(("branch-retry", p.value, blk.target_branches))
+    for (_, tcol, nb, _, _), m in zip(pieces, ctx.operators(pieces)):
         # the state's axes: the top columns made so far, then the bottom
         # columns still to come and the domain
         state = m @ state.reshape(ell ** tcol, ell ** nb, -1)
     state = state.reshape(-1, in_dim)
     domain = _local_object(d.bottom_signs, reps[:col._base[1]])
     codomain = _local_object(d.top_signs, reps[col._base[-2]:])
-    return LinearBlock(state, domain, codomain, tuple(log))
+    log = (("normalization", braiding.NORMALIZATION_VERSION),
+           ("mu", "K"), ("framing", ctx.framing))
+    return LinearBlock(state, domain, codomain, log)
 
 
 def invariant(d: TangleDiagram, col: GColoring, ctx: EvalContext,

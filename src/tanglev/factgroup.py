@@ -138,10 +138,14 @@ def identity():
     return _mat(QC(1), QC(0), QC(0), QC(1), QC(1))
 
 
-def _nonzero(value, tol=1e-10):
+#: Absolute bound at or below which a float det or entry vanishes.
+NONZERO_TOL = 1e-10
+
+
+def _nonzero(value):
     if isinstance(value, QC):
         return bool(value)
-    return abs(value) > tol
+    return abs(value) > NONZERO_TOL
 
 
 @dataclass(frozen=True)

@@ -25,28 +25,27 @@ def rational_scalar(rng):
     return QC(Fraction(rng.randint(-SPAN * den, SPAN * den), den))
 
 
-def rational_mat(rng):
-    """A random factorizable 2x2 matrix with bounded rational entries."""
+def _factorizable_mat(rng, scalar):
+    """The first 2x2 matrix of `scalar(rng)` entries that factorizes."""
     while True:
-        m = Mat2(*(rational_scalar(rng) for _ in range(4)))
+        m = Mat2(*(scalar(rng) for _ in range(4)))
         try:
             factgroup.factorize(m)
             return m
         except factgroup.NotFactorizable:
             continue
+
+
+def rational_mat(rng):
+    """A random factorizable 2x2 matrix with bounded rational entries."""
+    return _factorizable_mat(rng, rational_scalar)
 
 
 def complex_rational_mat(rng):
     """A random factorizable 2x2 matrix with complex-rational entries."""
-    while True:
-        m = Mat2(*(QC(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                      Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-                   for _ in range(4)))
-        try:
-            factgroup.factorize(m)
-            return m
-        except factgroup.NotFactorizable:
-            continue
+    return _factorizable_mat(rng, lambda rng: QC(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
 
 
 def _uniform_complex(rng):

@@ -110,6 +110,8 @@ def principal_root(z, ell):
 #: bound are branch-degenerate.  Exactly parabolic characters land at the
 #: rounding level (about 1e-16), random generic ones at 1e-2 and above.
 DEGENERACY_RTOL = 1e-10
+#: A character with |alpha a|, |beta| or |b| below this is not generic.
+GENERIC_TOL = 1e-8
 
 
 def _branch_trace(char: CentralCharacter):
@@ -185,13 +187,13 @@ def _central_values(char: CentralCharacter, rd: RootData, r: int):
         values, key=lambda z: (round(z.real, 9), round(z.imag, 9))))
 
 
-def is_generic(char: CentralCharacter, rd: RootData, tol=1e-8) -> bool:
+def is_generic(char: CentralCharacter, rd: RootData) -> bool:
     """Whether cyclic irreps exist: K and L invertible and the E^ell, F^ell
     values nonzero.  Whether branch labels coincide is a separate question,
     see is_branch_degenerate."""
-    if abs(char.alpha * char.a) < tol or abs(char.beta) < tol:
+    if abs(char.alpha * char.a) < GENERIC_TOL or abs(char.beta) < GENERIC_TOL:
         return False
-    return abs(char.b) >= tol
+    return abs(char.b) >= GENERIC_TOL
 
 
 @dataclass(frozen=True, eq=False)

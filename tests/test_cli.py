@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from tanglev import cli, factgroup
+from tanglev import cli, coloring, factgroup
 
-from conftest import trefoil_boundary_2
+from conftest import mat2_of, trefoil_boundary_2, trefoil_meridians
 
 
 def mat_json(m):
@@ -132,6 +132,62 @@ class TestColorCheckMode:
         code, rep = run_cli(capsys, "color-check", str(p))
         assert code == 2
         assert rep["consistent"] is False
+
+
+    def test_rational_char_gives_exact_colours(self, capsys, unknot_file):
+        # the --char colour is assembled from the exact scalars, not from
+        # their complex casts
+        code, rep = run_cli(capsys, "color-check", unknot_file,
+                            "--backend", "rational", "--char", "2,1,3,5")
+        assert code == 0
+        assert rep["backend"] == "rational"
+        assert rep["bottom"]["colors"] == [[["2", "1"], ["10/3", "2"]]]
+        assert rep["top"]["colors"] == rep["bottom"]["colors"]
+
+    def test_rational_entries_as_pairs_and_numbers(self, capsys, tmp_path):
+        # a .coloring entry may be a string, an [re, im] pair or a number
+        p = tmp_path / "strand.coloring"
+        p.write_text(json.dumps({"tgl": "id+", "bottom": [
+            [1, [[[2, 0], 1], ["10/3", [0.5, -1]]]]]}))
+        code, rep = run_cli(capsys, "color-check", str(p),
+                            "--backend", "rational")
+        assert code == 0
+        assert rep["bottom"]["colors"] == [[["2", "1"], ["10/3", "1/2-1 i"]]]
+
+    def test_tgl_input(self, capsys, tmp_path):
+        # a .tgl file carries no colours: --char colours its bottom
+        p = tmp_path / "strand.tgl"
+        p.write_text("id+ ; id+")
+        code, rep = run_cli(capsys, "color-check", str(p),
+                            "--backend", "rational", "--char", "2,1,3,5")
+        assert code == 0
+        assert rep["top"]["colors"] == [[["2", "1"], ["10/3", "2"]]]
+
+    def test_trace_closure_is_checked_from_its_cups(self, capsys, tmp_path):
+        # the trace closure of s1^2 is closed: its cup seeds are colour-
+        # checked by propagation, and it has no boundary to report
+        a, _ = trefoil_meridians()
+        x1, x2 = coloring.functor_f_object(
+            [(1, mat2_of(a)), (1, mat2_of(a @ a))]).colors()
+        p = tmp_path / "closed.braid"
+        p.write_text(json.dumps({
+            "word": [1, 1], "strands": 2, "closure": "trace",
+            "coloring": {"cups": {"0": mat_json(x1), "1": mat_json(x2)}}}))
+        code, rep = run_cli(capsys, "color-check", str(p))
+        assert code == 0
+        assert rep["consistent"] is True
+        assert rep["bottom"]["colors"] == rep["top"]["colors"] == []
+
+    def test_bottom_colours_on_a_closed_diagram_rejected(self, capsys,
+                                                         tmp_path):
+        # a closed diagram has no bottom point to take a colour
+        x1, _ = trefoil_boundary_2()
+        p = tmp_path / "loop.coloring"
+        p.write_text(json.dumps({"tgl": "cupL ; capR",
+                                 "bottom": [[1, mat_json(x1)]]}))
+        code, rep = run_cli(capsys, "color-check", str(p))
+        assert code == 1
+        assert rep["type"] == "ArityMismatch"
 
 
 class TestVerifyMode:

@@ -455,7 +455,7 @@ class TestTwistScale:
             loop = fresh.rep(char, branch)
             fresh.twist_scale(loop)
             [(key, blk)] = fresh._blocks.items()
-            through = fresh.rep(*key[0])
+            through = key[0]
             n = fresh.solve_inverse(through, loop, (through, loop)).matrix
             prod = n @ blk.matrix
             scalar = np.trace(prod) / len(prod)
