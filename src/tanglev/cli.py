@@ -46,10 +46,16 @@ def _parse_scalar(text, backend):
 
 
 def parse_char(text, backend="float"):
+    """The Borel coordinates (alpha, beta, a, b) of a --char colour; alpha
+    and a must be nonzero, since its assembly divides by alpha * a."""
     parts = text.split(",")
     if len(parts) != 4:
         raise ConfigError("char needs four comma-separated values")
-    return tuple(_parse_scalar(p, backend) for p in parts)
+    char = tuple(_parse_scalar(p, backend) for p in parts)
+    for name, value in (("alpha", char[0]), ("a", char[2])):
+        if not value:
+            raise ConfigError("char coordinate %s must be nonzero" % name)
+    return char
 
 
 def parse_branch(text):
@@ -356,7 +362,8 @@ def build_parser():
     p.add_argument("input", nargs="?",
                    help=".tgl, .braid or .coloring file")
     p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--char", help="a,b,c,d character quadruple")
+    p.add_argument("--char", help="alpha,beta,a,b: Borel coordinates of "
+                   "the bottom colour")
     p.add_argument("--branch", default="0,0")
     p.add_argument("--backend", choices=["rational", "float"],
                    default="float")

@@ -143,8 +143,9 @@ NONZERO_TOL = 1e-10
 
 
 def _nonzero(value):
-    if isinstance(value, QC):
-        return bool(value)
+    if type(value) is QC:
+        # a QC is zero exactly when its canonical triple is (0, 0, 1)
+        return value._a != 0 or value._b != 0
     return abs(value) > NONZERO_TOL
 
 
@@ -179,7 +180,9 @@ class Factorization:
 def _domain_det(g: Mat2):
     """det g (carried, or formed once), once g is checked to lie in the
     factorization domain."""
-    d = g.det()
+    d = g._det
+    if d is None:
+        d = g.det()
     if not _nonzero(d):
         raise NotFactorizable("matrix is singular")
     if not _nonzero(g.m22):

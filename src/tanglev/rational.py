@@ -3,7 +3,11 @@
 The group-level identities (factorization round trips, star-product axioms,
 the set-theoretic Yang-Baxter equation) are exact theorems, so the group
 layer supports an exact backend: `QC`, a canonical triple of Python ints
-that each operation normalizes with one three-argument `math.gcd`.
+that each operation normalizes with one `math.gcd` (`_qc`): of (a, b, d),
+or of (a, d) for a real result.  Exact inputs are mostly real (the
+paper's parabolic meridians, `samplers.rational_mat`), so an operation on
+two real operands forms only the real numerator; gcd(a, 0, d) = gcd(a, d)
+makes its triple the one the complex path would give.
 Everything representation-theoretic runs on ordinary `complex`.
 """
 
@@ -16,10 +20,17 @@ _new = object.__new__
 
 
 def _qc(a, b, d):
-    """The QC (a + b i)/d, d != 0, reduced to its canonical triple."""
-    g = gcd(a, b, d) if d > 0 else -gcd(a, b, d)
+    """The QC (a + b i)/d, d != 0, reduced to its canonical triple; a real
+    one is reduced by gcd(a, d), which equals gcd(a, 0, d)."""
+    g = gcd(a, b, d) if b else gcd(a, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
     q = _new(QC)
-    q._a, q._b, q._d = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+    q._a = a
+    q._b = b
+    q._d = d
     return q
 
 
@@ -28,7 +39,8 @@ class QC:
 
     Stored as ints with d > 0 and gcd(a, b, d) = 1, so equal values have
     equal triples; `re` and `im` read the parts as `Fraction`s.  Sums over
-    one denominator, and products and quotients by a real, skip cross terms.
+    one denominator, and products and quotients by a real, skip cross terms;
+    two real operands skip the imaginary numerator as well.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -59,7 +71,9 @@ class QC:
         c, e, f = other._a, other._b, other._d
         if d == f:
             return _qc(a + c, b + e, d)
-        return _qc(a * f + c * d, b * f + e * d, d * f)
+        if b or e:
+            return _qc(a * f + c * d, b * f + e * d, d * f)
+        return _qc(a * f + c * d, 0, d * f)
 
     __radd__ = __add__
 
@@ -69,7 +83,9 @@ class QC:
         c, e, f = other._a, other._b, other._d
         if d == f:
             return _qc(a - c, b - e, d)
-        return _qc(a * f - c * d, b * f - e * d, d * f)
+        if b or e:
+            return _qc(a * f - c * d, b * f - e * d, d * f)
+        return _qc(a * f - c * d, 0, d * f)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -78,7 +94,10 @@ class QC:
         other = other if type(other) is QC else _coerce(other)
         c, e = other._a, other._b
         if not e:
-            return _qc(self._a * c, self._b * c, self._d * other._d)
+            b = self._b
+            if not b:
+                return _qc(self._a * c, 0, self._d * other._d)
+            return _qc(self._a * c, b * c, self._d * other._d)
         a, b = self._a, self._b
         return _qc(a * c - b * e, a * e + b * c, self._d * other._d)
 
@@ -86,14 +105,16 @@ class QC:
 
     def __truediv__(self, other):
         other = other if type(other) is QC else _coerce(other)
+        a, b = self._a, self._b
         c, e, f = other._a, other._b, other._d
         if not e:
             if not c:
                 raise ZeroDivisionError(
                     "division by zero rational-complex scalar")
-            return _qc(self._a * f, self._b * f, self._d * c)
+            if not b:
+                return _qc(a * f, 0, self._d * c)
+            return _qc(a * f, b * f, self._d * c)
         # multiply by the conjugate: c^2 + e^2 > 0 since e != 0
-        a, b = self._a, self._b
         return _qc((a * c + b * e) * f, (b * c - a * e) * f,
                    self._d * (c * c + e * e))
 

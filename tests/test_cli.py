@@ -190,6 +190,21 @@ class TestColorCheckMode:
         assert rep["type"] == "ArityMismatch"
 
 
+@pytest.mark.parametrize("mode", ["invariant", "color-check"])
+@pytest.mark.parametrize("backend", ["float", "rational"])
+@pytest.mark.parametrize("char, coordinate", [("0,1,3,5", "alpha"),
+                                              ("2,1,0,5", "a")])
+def test_char_off_the_domain_rejected(capsys, unknot_file, mode, backend,
+                                      char, coordinate):
+    # the colour of --char alpha,beta,a,b is assembled by dividing by
+    # alpha * a, so a zero alpha or a is refused before that
+    code, rep = run_cli(capsys, mode, unknot_file, "--char", char,
+                        "--backend", backend)
+    assert code == 1
+    assert rep["type"] == "ConfigError"
+    assert rep["error"] == "char coordinate %s must be nonzero" % coordinate
+
+
 class TestVerifyMode:
     def test_small_verify_run(self, capsys):
         code, rep = run_cli(capsys, "verify", "--samples", "10",

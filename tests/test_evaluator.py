@@ -11,6 +11,8 @@ from tanglev import (braiding, coloring, diagram, evaluator, factgroup,
 from tanglev.braiding import group_to_char
 from tanglev.coloring import ColoredBoundary
 from tanglev.evaluator import EvalContext
+from tanglev.factgroup import Mat2
+from tanglev.rational import QC
 from tanglev.uqalgebra import CentralCharacter, NonGenericCharacter, RootData
 
 import oracles
@@ -210,6 +212,24 @@ class TestInvariant:
                                  cup_seeds={0: x2})
         with pytest.raises(NonGenericCharacter):
             evaluator.invariant(d, col, ctx)
+
+    def test_exact_parabolic_colours_are_real_and_non_generic(self):
+        # the paper's parabolic meridians, exactly: every arc colour of the
+        # 2-strand trefoil stays real, the bottom colour has Borel b = 0,
+        # and that exact zero puts its character off the generic locus
+        a = Mat2(QC(1), QC(1), QC(0), QC(1))
+        b = Mat2(QC(1), QC(0), QC(-1), QC(1))
+        x1, x2 = coloring.functor_f_object([(1, a), (1, a * b)]).colors()
+        d = diagram.close_braid_partial(diagram.braid_word([1, 1, 1], 2))
+        col = coloring.propagate(d, ColoredBoundary(((1, x1),)),
+                                 cup_seeds={0: x2})
+        colours = list(col._colors.values())
+        assert len(colours) == 7
+        assert all(type(v) is QC and v.im == 0
+                   for x in colours for v in x.entries())
+        assert factgroup.factorize(col.color(0, 0)).b == QC(0)
+        with pytest.raises(NonGenericCharacter):
+            evaluator.invariant(d, col, EvalContext(RootData(3)))
 
     def test_full_closure_vanishes(self, ctx):
         d = diagram.close_braid(diagram.braid_word([1, 1, 1], 2))

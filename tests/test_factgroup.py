@@ -27,14 +27,19 @@ def qc_strategy(span=6, maxden=3):
 
 
 @st.composite
-def scalars(draw, span=40, maxden=12):
+def scalars(draw, span=40, maxden=12, real=None):
     """(QC, (re, im)): a real or complex rational and its parts as a pair of
     Fractions, from denominators of either sign, built the ways callers
     build scalars: from the parts, as a quotient by an int, or from one
-    real Fraction."""
+    real Fraction.  real=True draws a zero imaginary part, real=False a
+    nonzero one, and None leaves it to the draw."""
     num, den = st.integers(-span, span), st.integers(-maxden, maxden)
     p, q = draw(num), draw(den.filter(bool))
-    r, s = draw(st.one_of(st.just((0, 1)), st.tuples(num, den.filter(bool))))
+    imag = st.tuples(num.filter(bool) if real is False else num,
+                     den.filter(bool))
+    if real is None:
+        imag = st.one_of(st.just((0, 1)), imag)
+    r, s = (0, 1) if real else draw(imag)
     pair = (Fraction(p, q), Fraction(r, s))
     how = draw(st.sampled_from(("parts", "quotient", "real")))
     if how == "quotient":
@@ -96,16 +101,26 @@ class TestScalars:
         if v:
             assert (u / v) * v == u
 
-    @given(scalars(), scalars())
-    def test_ops_match_fraction_pairs(self, u, v):
-        (x, p), (y, q) = u, v
-        for op, ref in _PAIR_OPS:
-            if op is operator.truediv and not any(q):
-                continue
-            z = op(x, y)
-            assert _canonical(z)
-            assert (z.re, z.im) == ref(p, q)
-        assert _canonical(-x) and ((-x).re, (-x).im) == (-p[0], -p[1])
+    @given(scalars(real=True), scalars(real=False), scalars(real=True),
+           scalars(real=False))
+    def test_ops_match_fraction_pairs(self, u, w, v, t):
+        # each operand kind on purpose: real.real, real.complex,
+        # complex.real and complex.complex
+        zero = QC(0)
+        for (x, p), (y, q) in ((u, v), (u, t), (w, v), (w, t)):
+            for op, ref in _PAIR_OPS:
+                if op is operator.truediv and not any(q):
+                    continue
+                z = op(x, y)
+                assert _canonical(z)
+                assert (z.re, z.im) == ref(p, q)
+            assert _canonical(-x) and ((-x).re, (-x).im) == (-p[0], -p[1])
+            # zero results, of either kind, come out as (0, 0, 1)
+            zeros = [x - x, x + -x, zero * y, y * zero, x * 0]
+            if any(q):
+                zeros.append(zero / y)
+            for z in zeros:
+                assert (z._a, z._b, z._d) == (0, 0, 1)
 
     @given(scalars())
     def test_parts_round_trip(self, u):
