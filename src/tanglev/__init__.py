@@ -11,8 +11,7 @@ from .factgroup import Mat2, factorize, star_mul, star_inv, xlr, \
 from .uqalgebra import RootData, CentralCharacter, build_irrep
 from .diagram import TangleDiagram, Piece, parse, braid_word, close_braid, \
     close_braid_partial, apply_move, find_move_sites
-from .coloring import ColoredBoundary, GColoring, propagate, solve_closed, \
-    functor_f_object
+from .coloring import ColoredBoundary, GColoring, propagate, functor_f_object
 from .braiding import solve_braiding, solve_braiding_inverse, \
     group_to_char, char_to_group
 from .evaluator import EvalContext, ColoredObject, LinearBlock, contract, \
@@ -25,8 +24,8 @@ __all__ = [
     "yb_map", "yb_unmap", "NotFactorizable", "RootData", "CentralCharacter",
     "build_irrep", "TangleDiagram", "Piece", "parse", "braid_word",
     "close_braid", "close_braid_partial", "apply_move", "find_move_sites",
-    "ColoredBoundary", "GColoring", "propagate", "solve_closed",
-    "functor_f_object", "solve_braiding", "solve_braiding_inverse",
+    "ColoredBoundary", "GColoring", "propagate", "functor_f_object",
+    "solve_braiding", "solve_braiding_inverse",
     "group_to_char", "char_to_group", "EvalContext",
     "ColoredObject", "LinearBlock", "contract", "invariant",
     "reidemeister_report",

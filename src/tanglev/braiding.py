@@ -105,6 +105,10 @@ NORMALIZATION_VERSION = "det1-phase-1"
 #: nothing by itself.
 COND_LIMIT = 1e12
 
+#: Relative cutoff of the nullspace: a singular value of a crossing's
+#: system below NULLITY_RTOL times its largest counts toward the nullity.
+NULLITY_RTOL = 1e-8
+
 #: Relative distance below which two weights of total K count as equal.
 #: Distinct weights sit at least 2 sin(pi/ell) apart; rounding puts equal
 #: ones about 1e-15 apart.
@@ -195,6 +199,16 @@ def _pair_stacks(ma, mb):
                  np.concatenate((eye, mb), axis=1))
 
 
+def _singular_blocks(blocks):
+    """Whether each matrix whose ell x ell direct-sum blocks are stacked
+    in `blocks`, (n, ell, ell, ell), has a condition number above
+    COND_LIMIT: its largest singular value over its smallest, each read
+    over all of its blocks."""
+    svals = np.linalg.svdvals(blocks)
+    return (svals[:, :, 0].max(axis=1)
+            > COND_LIMIT * svals[:, :, -1].min(axis=1))
+
+
 def _source_stacks(mx, my, rd):
     """The source slots P R(w) P of the positive crossing out of each pair
     V_x (x) V_y of the stacks `mx` and `my`, R evaluated in (rho_y, rho_x):
@@ -222,13 +236,10 @@ def _source_stacks(mx, my, rd):
     eye = np.eye(ell * ell)
     n_mat = eye - _kron(powers[:, 0, 0], powers[:, 0, 1])
     # A moves point (i1, i2) to (i1 - 1, i2 + 1), so N is the direct sum of
-    # its ell blocks on the classes i1 + i2 = c mod ell, and its condition
-    # number is their largest singular value over their smallest
+    # its ell blocks on the classes i1 + i2 = c mod ell
     i1 = np.arange(ell)
     cls = i1 * ell + (np.arange(ell)[:, None] - i1) % ell  # class c, row i1
-    svals = np.linalg.svdvals(n_mat[:, cls[:, :, None], cls[:, None, :]])
-    ok = ~(svals[:, :, 0].max(axis=1)
-           > COND_LIMIT * svals[:, :, -1].min(axis=1))
+    ok = ~_singular_blocks(n_mat[:, cls[:, :, None], cls[:, None, :]])
     mx, my, powers, n_mat = mx[ok], my[ok], powers[ok], n_mat[ok]
     # A^k is the kron of the k-th factor powers: their sum over k < ell
     # without forming each A^k, and sigma as the (0, 0) entry of A^ell
@@ -505,7 +516,7 @@ def _build_plan(mask, source_nz, target_nz):
         rows.reshape(ell, ell, 1) * dim + cols.reshape(ell, 1, ell))
 
 
-def _solve_group(plan, source, target, rel_tol):
+def _solve_group(plan, source, target):
     """The nullspaces of M S_w - T_w M over the stacked slots of crossings
     that share `plan`, on the orthonormal orbit basis X_o of the module
     docstring: `_index_plan` gives the indices, and this pass computes the
@@ -540,7 +551,7 @@ def _solve_group(plan, source, target, rel_tol):
     # the R factor has the system's singular values and right singular
     # vectors, without the unused (8 ell^3 x ell) U factor
     _, svals, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
-    nullity = np.sum(svals < rel_tol * svals[:, :1], axis=1)
+    nullity = np.sum(svals < NULLITY_RTOL * svals[:, :1], axis=1)
     for k, n in zip(live, nullity):
         if n == 0:
             found[k] = NoIntertwiner("no intertwiner into these output "
@@ -552,17 +563,14 @@ def _solve_group(plan, source, target, rel_tol):
     dim = plan.moves.shape[1]
     m = np.zeros((len(x), dim * dim), dtype=complex)
     m[:, plan.entries] = vh[:, -1].conj()[:, :, None, None] * x
-    # the singular values of M are those of its weight-class blocks: its
-    # condition number is their largest over their smallest
-    svals = np.linalg.svdvals(m[:, plan.blocks])
-    singular = svals[:, :, 0].max(axis=1) \
-        > COND_LIMIT * svals[:, :, -1].min(axis=1)
+    # M is the direct sum of its weight-class blocks
+    singular = _singular_blocks(m[:, plan.blocks])
     for k in live[singular]:
         found[k] = SingularM("intertwiner is singular")
     return found, m[~singular].reshape(-1, dim, dim)
 
 
-def _solve_intertwiners(source, target, rel_tol=1e-8):
+def _solve_intertwiners(source, target):
     """The intertwiner of each crossing out of the source slot stacks into
     the target ones, (n, 8, ell^2, ell^2) each: the weight rule on every
     crossing, then one `_solve_group` pass for each index plan.  Returns
@@ -584,7 +592,7 @@ def _solve_intertwiners(source, target, rel_tol=1e-8):
     for plan, members in groups.values():
         members = np.array(members)
         found, m = _solve_group(plan, _take(source, members),
-                                _take(target, members), rel_tol)
+                                _take(target, members))
         blocks.update(zip(_fail(errors, members, found),
                           () if m is None else m))
     return errors, np.array([blocks[i] for i in sorted(blocks)])
@@ -624,7 +632,7 @@ def _take(stack, idx):
     return stack if len(idx) == len(stack) else stack[idx]
 
 
-def _solve(requests, rel_tol):
+def _solve(requests):
     """`solve_crossings` on requests with distinct keys."""
     out = [None] * len(requests)
     if not requests:
@@ -641,7 +649,7 @@ def _solve(requests, rel_tol):
         return out
     target = _pair_stacks(_mats([cd[i][0] for i in live]),
                           _mats([cd[i][1] for i in live]))
-    errors, m = _solve_intertwiners(source, target, rel_tol)
+    errors, m = _solve_intertwiners(source, target)
     solved = np.flatnonzero([e is None for e in errors])
     live = _fail(out, live, errors)
     if not live.size:
@@ -667,7 +675,7 @@ def _solve(requests, rel_tol):
     return out
 
 
-def solve_crossings(requests, rel_tol=1e-8):
+def solve_crossings(requests):
     """Solve a batch of crossing blocks (`Crossing`s, all at one root of
     unity) in one pass: each stage runs once on the stack of the requests
     still alive.  Returns, in request order, each request's BraidingBlock
@@ -679,19 +687,19 @@ def solve_crossings(requests, rel_tol=1e-8):
     solved once and share their result."""
     keys = [req.key() for req in requests]
     unique = dict(zip(keys, requests))
-    solved = dict(zip(unique, _solve(list(unique.values()), rel_tol)))
+    solved = dict(zip(unique, _solve(list(unique.values()))))
     return [solved[key] for key in keys]
 
 
-def _solve_one(request, rel_tol):
-    [out] = solve_crossings([request], rel_tol)
+def _solve_one(request):
+    [out] = solve_crossings([request])
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def solve_braiding(repx: CyclicRep, repy: CyclicRep, outputs,
-                   rel_tol=1e-8) -> BraidingBlock:
+def solve_braiding(repx: CyclicRep, repy: CyclicRep,
+                   outputs) -> BraidingBlock:
     """Solve for the colored positive crossing V_x (x) V_y -> `outputs`.
 
     The source side of the intertwiner equation is the flip-conjugated
@@ -699,11 +707,11 @@ def solve_braiding(repx: CyclicRep, repy: CyclicRep, outputs,
     pair evaluation in the output irreps.  The residual is
     max_w |M S_w - T_w M|.
     """
-    return _solve_one(Crossing((repx, repy), tuple(outputs), 1), rel_tol)
+    return _solve_one(Crossing((repx, repy), tuple(outputs), 1))
 
 
-def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep, outputs,
-                           rel_tol=1e-8) -> BraidingBlock:
+def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
+                           outputs) -> BraidingBlock:
     """Solve for the colored negative crossing V_c (x) V_d -> `outputs`.
 
     With `outputs` = (V_a, V_b), the positive block M out of V_a (x) V_b
@@ -711,4 +719,4 @@ def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep, outputs,
     N = M^-1, normalized; nullity is M's and the residual is
     max_w |N T_w - S_w N| on M's own slots.
     """
-    return _solve_one(Crossing((repc, repd), tuple(outputs), -1), rel_tol)
+    return _solve_one(Crossing((repc, repd), tuple(outputs), -1))

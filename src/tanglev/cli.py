@@ -5,6 +5,10 @@ Four modes: `invariant` evaluates a colored diagram to a scalar,
 `verify` runs the property suite with pass/fail counts, and `yb-fuzz`
 fuzzes the set-theoretic Yang-Baxter equation in exact arithmetic.
 
+The CLI sets no threshold of its own: colours, nullspaces and framing
+follow the library's module constants, so a verdict here is the
+library's verdict.
+
 Reports are JSON on stdout, deterministic for a fixed (config, seed);
 diagnostics go to stderr.  Exit codes: 0 ok, 1 hard error (with an
 error JSON), 2 verification failure.
@@ -18,8 +22,6 @@ import json
 import random
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import braiding, coloring, diagram, evaluator, factgroup, uqalgebra
 from .factgroup import Mat2
@@ -167,9 +169,8 @@ def run_invariant(args):
     char = parse_char(args.char, "float") if args.char else None
     bnd, seeds = build_boundary(d, cdata, char, "float")
     rd = uqalgebra.RootData(args.ell)
-    ctx = evaluator.EvalContext(rd, framing=args.framing, tol=args.tolerance)
-    col = coloring.propagate(d, bnd, cup_seeds=seeds or None,
-                             tol=args.tolerance)
+    ctx = evaluator.EvalContext(rd)
+    col = coloring.propagate(d, bnd, cup_seeds=seeds or None)
     branches = [parse_branch(args.branch)] * d.bottom_arity
     value, log = evaluator.invariant(d, col, ctx, bottom_branches=branches)
     if isinstance(value, evaluator.LinearBlock):
@@ -183,7 +184,7 @@ def run_invariant(args):
         "branch_policy": list(parse_branch(args.branch)),
         "normalization": braiding.NORMALIZATION_VERSION,
         "mu": "K",
-        "framing": args.framing,
+        "framing": "balanced",
         "writhe": d.writhe(),
         "invariant": _cnum(value),
         "magnitude": abs(value),
@@ -200,10 +201,8 @@ def run_color_check(args):
     report = {"mode": "color-check", "backend": backend,
               "normalization": braiding.NORMALIZATION_VERSION}
     try:
-        col = coloring.propagate(d, bnd, cup_seeds=seeds or None,
-                                 tol=args.tolerance)
-    except (coloring.Inconsistent, coloring.CapMismatch,
-            factgroup.NotFactorizable) as exc:
+        col = coloring.propagate(d, bnd, cup_seeds=seeds or None)
+    except (coloring.CapMismatch, factgroup.NotFactorizable) as exc:
         report["consistent"] = False
         report["error"] = str(exc)
         return 2, report
@@ -367,11 +366,8 @@ def build_parser():
     p.add_argument("--branch", default="0,0")
     p.add_argument("--backend", choices=["rational", "float"],
                    default="float")
-    p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--framing", choices=["balanced", "raw"],
-                   default="balanced")
     return p
 
 
@@ -380,8 +376,6 @@ def run(args):
         raise ConfigError("ell must be odd")
     if args.ell < 3:
         raise ConfigError("ell must be at least 3")
-    if not 0 < args.tolerance < np.inf:  # refuses nan too
-        raise ConfigError("tolerance must be positive and finite")
     if args.samples < 1:
         raise ConfigError("samples must be at least 1")
     if args.mode in ("invariant", "color-check") and not args.input:

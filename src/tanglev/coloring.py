@@ -43,14 +43,15 @@ class CapMismatch(ValueError):
 
 
 class Inconsistent(ValueError):
-    """A closed-diagram seed does not extend to a flat coloring."""
+    """Seeds do not extend to a flat coloring of a moved diagram."""
 
 
 class UnderdeterminedColoring(ValueError):
     """Propagation needs seed colors for cups it cannot resolve."""
 
 
-#: Absolute bound on the entry differences of equal boundary colours.
+#: Absolute bound on the entry differences of equal colours: two colours
+#: met on one arc, and two boundary colours (`ColoredBoundary.equal`).
 BOUNDARY_TOL = 1e-9
 
 
@@ -187,20 +188,20 @@ class _Conflict(Exception):
     CapMismatch, naming the root as (level, pos)."""
 
 
-def _set_color(colors, root, value, tol):
+def _set_color(colors, root, value):
     old = colors.get(root)
     if old is None:
         colors[root] = value
-    elif not mats_equal(old, value, tol):
+    elif not mats_equal(old, value, BOUNDARY_TOL):
         raise _Conflict(root)
 
 
-def _put(colors, points, values, tol):
+def _put(colors, points, values):
     for pt, value in zip(points, values):
-        _set_color(colors, pt, value, tol)
+        _set_color(colors, pt, value)
 
 
-def _apply_crossing(cr: _Crossing, colors, tol):
+def _apply_crossing(cr: _Crossing, colors):
     """Apply one crossing's relations in whichever direction is solvable.
 
     Returns whether the crossing stays pending.  Once the forward rule has
@@ -215,23 +216,23 @@ def _apply_crossing(cr: _Crossing, colors, tol):
         ins, outs = outs, ins
     x, y = map(colors.get, ins)
     if x is not None and y is not None:
-        _put(colors, outs, factgroup.xlr(x, y), tol)
+        _put(colors, outs, factgroup.xlr(x, y))
         return False
     u, v = map(colors.get, outs)
     if u is not None and v is not None:
-        _put(colors, ins, factgroup.xlr_inverse(u, v), tol)
+        _put(colors, ins, factgroup.xlr_inverse(u, v))
     elif x is not None and u is not None:  # y = x-^-1 u x-, v = u+^-1 x u+
         fx, fu = factorize(x), factorize(u)
         _put(colors, (ins[1], outs[1]),
              (factgroup._lower_conj(u, fx.a, fx.b),
-              factgroup._upper_conj(x, fu.beta, fu.alpha)), tol)
+              factgroup._upper_conj(x, fu.beta, fu.alpha)))
     elif cr.b == cr.d and cr.c in colors:
         c = colors[cr.c]
-        _put(colors, (cr.d, cr.a), (factgroup.curl_partner(c), c), tol)
+        _put(colors, (cr.d, cr.a), (factgroup.curl_partner(c), c))
     return True
 
 
-def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
+def _fill(d, scan, bottom, cup_seeds=None, seeds=()):
     """Seed bottom and cups, then run the crossing fixpoint over a scan;
     at each stall the first uncolored cup takes the next of `seeds`."""
     if len(bottom) != d.bottom_arity:
@@ -246,14 +247,14 @@ def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
     colors = {}
     try:
         for i, (sign, x) in enumerate(bottom.entries):  # bottom point i: id i
-            _set_color(colors, roots[i], x, tol)
+            _set_color(colors, roots[i], x)
         if cup_seeds:
             for idx, x in dict(cup_seeds).items():
                 if not 0 <= idx < len(cups):
                     raise UnderdeterminedColoring(
                         "cup index %d out of range (%d cups)"
                         % (idx, len(cups)))
-                _set_color(colors, cups[idx], x, tol)
+                _set_color(colors, cups[idx], x)
         seeds = iter(seeds)
         pending = crossings
         while True:
@@ -261,7 +262,7 @@ def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
             while size != len(colors):  # until a pass colours nothing new
                 size = len(colors)
                 pending = [cr for cr in pending
-                           if _apply_crossing(cr, colors, tol)]
+                           if _apply_crossing(cr, colors)]
             missing = [i for i, root in enumerate(cups)
                        if root not in colors]
             if not missing:
@@ -278,14 +279,16 @@ def _fill(d, scan, bottom, cup_seeds=None, seeds=(), tol=1e-9):
 
 
 def propagate(d: TangleDiagram, bottom: ColoredBoundary,
-              cup_seeds=None, tol=1e-9) -> GColoring:
+              cup_seeds=None) -> GColoring:
     """Extend a bottom-boundary coloring over the whole diagram.
 
     cup_seeds optionally maps cup index (bottom-to-top, left-to-right order)
     to the arc color of that cup; cups that close onto known arcs or sit in
-    kink patterns are resolved without seeds.
+    kink patterns are resolved without seeds.  A closed diagram takes an
+    empty bottom and is coloured from its cup seeds alone.  Two colours met
+    on one arc must agree within BOUNDARY_TOL, or CapMismatch is raised.
     """
-    return _fill(d, _scan(d), bottom, cup_seeds, tol=tol)
+    return _fill(d, _scan(d), bottom, cup_seeds)
 
 
 def recolor(d: TangleDiagram, bottom, seeds) -> GColoring:
@@ -299,23 +302,6 @@ def recolor(d: TangleDiagram, bottom, seeds) -> GColoring:
         return _fill(d, _scan(d), bottom, seeds=seeds)
     except (UnderdeterminedColoring, CapMismatch, NotFactorizable) as exc:
         raise Inconsistent("%s: %s" % (type(exc).__name__, exc)) from exc
-
-
-def solve_closed(d: TangleDiagram, seeds, tol=1e-9) -> GColoring:
-    """Verify that cup seed colors extend to a coloring of a closed diagram.
-
-    seeds is a sequence (or index map) of colors for the diagram's cups.
-    Raises Inconsistent when the seeds do not extend; not every seed is the
-    meridian data of a flat connection.
-    """
-    if d.bottom_arity != 0 or d.top_arity != 0:
-        raise ArityMismatch("diagram has boundary; use propagate")
-    if not isinstance(seeds, dict):
-        seeds = dict(enumerate(seeds))
-    try:
-        return propagate(d, ColoredBoundary(()), cup_seeds=seeds, tol=tol)
-    except (CapMismatch, NotFactorizable) as exc:
-        raise Inconsistent(str(exc)) from exc
 
 
 def _accumulate(acc, sign, x):

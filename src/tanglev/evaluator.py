@@ -92,7 +92,11 @@ def _block(hit):
 
 
 class EvalContext:
-    """Shared representation store, crossing-block memo and conventions.
+    """Shared representation store and crossing-block memo at one root of
+    unity.  It has one convention: the balanced framing, in which `mu` is
+    K scaled by `twist_scale`, and one nullspace cutoff and colour bound,
+    the module constants `braiding.NULLITY_RTOL` and
+    `coloring.BOUNDARY_TOL`.
 
     A context memoizes, each entry derived once and never replaced:
     - each character by its exact colour (`char_of`);
@@ -107,10 +111,8 @@ class EvalContext:
     raises the same error when asked again.
     """
 
-    def __init__(self, rd: RootData, framing="balanced", tol=1e-8):
+    def __init__(self, rd: RootData):
         self.rd = rd
-        self.framing = framing
-        self.tol = tol
         self._reps = {}
         self._chars = {}
         self._arcs = {}
@@ -168,7 +170,7 @@ class EvalContext:
         if misses:
             solved = braiding.solve_crossings(
                 [braiding.Crossing(req[:2], req[2:4], req[4])
-                 for req in misses], rel_tol=self.tol)
+                 for req in misses])
             for req, out in zip(misses, solved):
                 blocks[req] = (type(out), str(out)) \
                     if isinstance(out, Exception) else out
@@ -190,8 +192,8 @@ class EvalContext:
         """The matrix of each piece list entry (piece, top column,
         bottom arity, bottom irreps, top irreps), in order.
 
-        Each crossing, and under balanced framing the positive curl of
-        each right cup or cap whose loop has no twist yet, is looked up
+        Each crossing, and the positive curl of each right cup or cap
+        whose loop has no twist yet (`mu` reads its scale), is looked up
         first, every miss in one batch (`_lookup`); a curl whose through
         strand cannot be formed is left out, for `twist_scale` to raise
         that error at its piece.  The operators are then made in order
@@ -203,8 +205,7 @@ class EvalContext:
             if p in _CROSSINGS:
                 crossings.append(
                     (*bottom, *top, 1 if p is Piece.X_POS else -1))
-            elif (p is Piece.CUP_R or p is Piece.CAP_R) \
-                    and self.framing == "balanced":
+            elif p is Piece.CUP_R or p is Piece.CAP_R:
                 loop = top[0] if p is Piece.CUP_R else bottom[0]
                 if (loop.char, loop.branch) in self._twist:
                     continue
@@ -219,12 +220,10 @@ class EvalContext:
                 for p, _, _, bottom, top in entries]
 
     def mu(self, rep):
-        """The framing twist on V: K, which conjugates every generator to
-        its antipode-squared image."""
-        m = rep.Kmat.copy()
-        if self.framing == "balanced":
-            m = self.twist_scale(rep) * m
-        return m
+        """The pivotal element on V: K, which conjugates every generator to
+        its antipode-squared image, scaled by `twist_scale` so that
+        cancelling curl pairs drop out (balanced framing, the only one)."""
+        return self.twist_scale(rep) * rep.Kmat
 
     def cup_cap(self, piece, bottom, top):
         """The matrix of a cup or cap piece between the irreps `bottom` and
@@ -423,7 +422,7 @@ def contract(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     domain = _local_object(d.bottom_signs, reps[:col._base[1]])
     codomain = _local_object(d.top_signs, reps[col._base[-2]:])
     log = (("normalization", braiding.NORMALIZATION_VERSION),
-           ("mu", "K"), ("framing", ctx.framing))
+           ("mu", "K"), ("framing", "balanced"))
     return LinearBlock(state, domain, codomain, log)
 
 

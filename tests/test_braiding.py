@@ -75,9 +75,10 @@ def _negative_slots(repc, repd):
     return np.stack([img[flip_w] for flip_w in slots[4:] + slots[:4]])
 
 
-def _dense_intertwiner(source_slots, target_slots, rel_tol=1e-8):
+def _dense_intertwiner(source_slots, target_slots):
     """Reference solve: the nullspace of M S_w = T_w M over all ell^4
-    entries of M, ignoring the weight grading and the E1 transport."""
+    entries of M, ignoring the weight grading and the E1 transport, with
+    the library's cutoff."""
     dim = source_slots.shape[1]
     eye = np.eye(dim)
     system = np.vstack([np.kron(eye, s.T) - np.kron(t, eye)
@@ -85,7 +86,7 @@ def _dense_intertwiner(source_slots, target_slots, rel_tol=1e-8):
     # the R of a QR has the tall system's singular values and right
     # singular vectors, for about half the cost of its SVD at ell = 5
     _, svals, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
-    nullity = int(np.sum(svals < rel_tol * svals[0]))
+    nullity = int(np.sum(svals < braiding.NULLITY_RTOL * svals[0]))
     return vh[-1].conj().reshape(dim, dim), nullity
 
 

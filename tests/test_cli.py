@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tanglev import cli, coloring, factgroup
+from tanglev import cli, coloring, diagram, factgroup
 
 from conftest import mat2_of, trefoil_boundary_2, trefoil_meridians
 
@@ -30,6 +30,22 @@ def trefoil_file(tmp_path):
 def unknot_file(tmp_path):
     p = tmp_path / "unknot.braid"
     p.write_text(json.dumps({"word": [], "strands": 1}))
+    return str(p)
+
+
+def closure_seeds():
+    """The two cup seeds of a flat colouring of the trace closure of s1^2:
+    equal meridians are fixed by the crossing action."""
+    a, _ = trefoil_meridians()
+    return coloring.functor_f_object(
+        [(1, mat2_of(a)), (1, mat2_of(a @ a))]).colors()
+
+
+def closure_file(tmp_path, x1, x2):
+    p = tmp_path / "closed.braid"
+    p.write_text(json.dumps({
+        "word": [1, 1], "strands": 2, "closure": "trace",
+        "coloring": {"cups": {"0": mat_json(x1), "1": mat_json(x2)}}}))
     return str(p)
 
 
@@ -64,16 +80,6 @@ class TestInvariantMode:
         code, rep = run_cli(capsys, "invariant")
         assert code == 1
         assert "input" in rep["error"]
-
-    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
-    def test_non_finite_tolerance_rejected(self, capsys, trefoil_file,
-                                           tolerance):
-        # nan passes a `<= 0` check and inf accepts any nullspace; both
-        # are refused before any solve
-        code, rep = run_cli(capsys, "invariant", trefoil_file,
-                            "--tolerance", tolerance)
-        assert code == 1
-        assert rep["type"] == "ConfigError" and "finite" in rep["error"]
 
     @pytest.mark.parametrize("mode, samples", [("yb-fuzz", "-3"),
                                                ("verify", "0")])
@@ -166,17 +172,31 @@ class TestColorCheckMode:
     def test_trace_closure_is_checked_from_its_cups(self, capsys, tmp_path):
         # the trace closure of s1^2 is closed: its cup seeds are colour-
         # checked by propagation, and it has no boundary to report
-        a, _ = trefoil_meridians()
-        x1, x2 = coloring.functor_f_object(
-            [(1, mat2_of(a)), (1, mat2_of(a @ a))]).colors()
-        p = tmp_path / "closed.braid"
-        p.write_text(json.dumps({
-            "word": [1, 1], "strands": 2, "closure": "trace",
-            "coloring": {"cups": {"0": mat_json(x1), "1": mat_json(x2)}}}))
-        code, rep = run_cli(capsys, "color-check", str(p))
+        code, rep = run_cli(capsys, "color-check",
+                            closure_file(tmp_path, *closure_seeds()))
         assert code == 0
         assert rep["consistent"] is True
         assert rep["bottom"]["colors"] == rep["top"]["colors"] == []
+
+    @pytest.mark.parametrize("shift", [1e-12, 2e-9, 5e-9, 3e-8])
+    def test_colour_verdict_is_the_librarys(self, capsys, tmp_path, shift):
+        # with the second seed moved off the flat colouring, color-check
+        # reports a consistent colouring exactly when propagate succeeds:
+        # both bound colour differences by coloring.BOUNDARY_TOL
+        x1, x2 = closure_seeds()
+        x2 = factgroup.Mat2(x2.m11 + shift, x2.m12, x2.m21, x2.m22)
+        d = diagram.close_braid(diagram.braid_word([1, 1], 2))
+        try:
+            coloring.propagate(d, coloring.ColoredBoundary(()),
+                               cup_seeds={0: x1, 1: x2})
+            consistent = True
+        except coloring.CapMismatch:
+            consistent = False
+        assert consistent is (shift < coloring.BOUNDARY_TOL)
+        code, rep = run_cli(capsys, "color-check",
+                            closure_file(tmp_path, x1, x2))
+        assert rep["consistent"] is consistent
+        assert code == (0 if consistent else 2)
 
     def test_bottom_colours_on_a_closed_diagram_rejected(self, capsys,
                                                          tmp_path):

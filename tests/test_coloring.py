@@ -336,16 +336,18 @@ class TestClosedDiagrams:
             [(1, mat2_of(a)), (1, mat2_of(a @ a))])
         x1, x2 = bnd.colors()
         d = diagram.close_braid(diagram.braid_word([1, 1], 2))
-        col = coloring.solve_closed(d, seeds=[x1, x2])
+        col = coloring.propagate(d, ColoredBoundary(()),
+                                 cup_seeds={0: x1, 1: x2})
         assert col.boundary("top").signs() == ()
 
     def test_solve_closed_rejects_inconsistent_seeds(self, rng):
         d = diagram.close_braid(diagram.braid_word([1, 1], 2))
         x, y = two_colors(rng)
-        with pytest.raises((coloring.Inconsistent,
+        with pytest.raises((coloring.CapMismatch,
                             coloring.UnderdeterminedColoring,
                             factgroup.NotFactorizable)):
-            coloring.solve_closed(d, seeds=[x, y])
+            coloring.propagate(d, ColoredBoundary(()),
+                               cup_seeds={0: x, 1: y})
 
     def test_functor_object_holonomy_round_trip(self, rng):
         x, y = two_colors(rng)

@@ -111,13 +111,26 @@ class TestElementaryIdentities:
         assert abs(abs(scalar) - 1.0) < 1e-9
         assert np.max(np.abs(blk.matrix - scalar * np.eye(3))) < 1e-9
 
-    def test_raw_framing_keeps_curl_anomaly(self):
-        # the unnormalized pivot is documented to scale curls by a
-        # non-unimodular factor; "balanced" exists to cancel it
-        raw = EvalContext(RootData(3), framing="raw")
-        blk = strand_with("FramedR1", raw)
-        scalar = np.trace(blk.matrix) / 3
-        assert abs(abs(scalar) - 1.0) > 1e-2
+    def test_twist_is_load_bearing(self, monkeypatch):
+        # the curl pair's two right caps close on one loop module, whose
+        # twist scale s is far from 1: mu = K alone would scale the pair
+        # by s^-2 (1.793 here), and the balanced mu = s K cancels it
+        d = diagram.parse("id+")
+        d2 = diagram.apply_move(
+            d, "FramedR1", next(iter(diagram.find_move_sites(d, "FramedR1"))))
+        x1, _ = trefoil_boundary_2()
+        col = evaluator._recolor(d2, ColoredBoundary(((1, x1),)), [])
+        ctx = EvalContext(RootData(3))
+        plan = evaluator._plan_branches(d2, col, ctx, None)
+        [loop] = {plan[col._roots[b]] for p, _, _, b, _ in col._pieces
+                  if p is diagram.Piece.CAP_R}
+        s = ctx.twist_scale(loop)
+        assert abs(s - 1) > 1e-2
+        balanced = np.trace(evaluator.contract(d2, col, ctx).matrix) / 3
+        assert abs(abs(balanced) - 1) < 1e-9
+        monkeypatch.setattr(EvalContext, "twist_scale", lambda self, rep: 1.0)
+        raw = evaluator.contract(d2, col, EvalContext(RootData(3))).matrix
+        assert abs(abs(np.trace(raw) / 3) - s ** -2) < 1e-9
 
     def test_r2_pair_is_phase(self, ctx):
         d = diagram.braid_word([1, -1], 2)
@@ -540,8 +553,8 @@ class TestSolveMemo:
     def test_failure_is_cached_as_type_and_message(self, monkeypatch):
         calls = []
 
-        def failing(requests, rel_tol):
-            calls.append(rel_tol)
+        def failing(requests):
+            calls.append(requests)
             return [braiding.NoIntertwiner("probe") for _ in requests]
 
         monkeypatch.setattr(braiding, "solve_crossings", failing)

@@ -383,7 +383,7 @@ class TestClosedForms:
             else:
                 x_pt, u_pt, y_pt, v_pt = "a", "c", "b", "d"
             colors = {x_pt: x, u_pt: u}
-            assert coloring._apply_crossing(cr, colors, tol=1e-9)
+            assert coloring._apply_crossing(cr, colors)
             assert factgroup.mats_equal(colors[y_pt], y_ref, tol=1e-12)
             assert factgroup.mats_equal(colors[v_pt], v_ref, tol=1e-12)
 
