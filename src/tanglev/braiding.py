@@ -74,13 +74,24 @@ SVD.
 
 Crossings are solved in batches (`solve_crossings`; `solve_braiding` and
 `solve_braiding_inverse` are batches of one).  Each stage runs once on
-the stack of the crossings still alive: the R-images and cond(N), the
-weight rule, then per index plan the transport coefficients, the systems,
-one batched QR of them and one batched SVD of the ell x ell R factors,
-then the inverse of the negative crossings, `_normalize` and the
-residual.  Every check is made per crossing, in the order above, and a
-crossing that fails one leaves the stack with the error it raises when
-solved alone.
+the stack of the crossings still alive:
+- the R-images and cond(N) (`_source_stacks`), and the target slots;
+- the weight rule: the source's total K, which must be diagonal, and the
+  target's, read off the diagonals of its K1 and K2 slots, which are
+  diagonal by construction;
+- the index plans, their memo keys packed in one call, and per plan the
+  transport coefficients, the systems, one batched QR of them, one
+  batched SVD of the ell x ell R factors and each positive block's
+  residual, read off its system (`_solve_group`);
+- the inverse of the negative crossings and `_normalize`, which scales
+  each positive residual as it scales the block; a negative block
+  N = M^-1 takes its residual from dense products (`_residuals`).
+Every check is made per crossing, in the order above, and a crossing
+that fails one leaves the stack with the error it raises when solved
+alone; the verdicts of a stage are read off reductions over the stack,
+and an error object is built only for a crossing that fails.  What
+depends on ell alone, the identities, N's class indices and the ell^2-th
+roots of `_normalize`, is formed once per ell (`_constants`).
 """
 
 from __future__ import annotations
@@ -194,7 +205,7 @@ def _pair_stacks(ma, mb):
     """The eight generator slots evaluated in each pair V_a (x) V_b of the
     stacks `ma` and `mb` (`_mats`), M (x) 1 for slot 1 and 1 (x) M for
     slot 2: (n, 8, ell^2, ell^2) in RImages.SLOTS order."""
-    eye = np.broadcast_to(np.eye(ma.shape[-1], dtype=complex), ma.shape)
+    eye = np.broadcast_to(_constants(ma.shape[-1]).eye_c, ma.shape)
     return _kron(np.concatenate((ma, eye), axis=1),
                  np.concatenate((eye, mb), axis=1))
 
@@ -224,6 +235,7 @@ def _source_stacks(mx, my, rd):
     only for the pairs whose N passes the condition check, which reads
     cond(N) from N's ell blocks of ell x ell."""
     ell = rd.ell
+    const = _constants(ell)
     # the powers 1 .. ell of both factors of A, flipped: F L of rho_x
     # first, eps K^-1 E of rho_y second
     kinv_y = 1 / np.diagonal(my[:, 0], axis1=1, axis2=2)
@@ -233,27 +245,26 @@ def _source_stacks(mx, my, rd):
     for _ in range(ell - 1):
         powers.append(powers[-1] @ factors)
     powers = np.stack(powers, axis=1)
-    eye = np.eye(ell * ell)
-    n_mat = eye - _kron(powers[:, 0, 0], powers[:, 0, 1])
+    n_mat = const.eye - _kron(powers[:, 0, 0], powers[:, 0, 1])
     # A moves point (i1, i2) to (i1 - 1, i2 + 1), so N is the direct sum of
     # its ell blocks on the classes i1 + i2 = c mod ell
-    i1 = np.arange(ell)
-    cls = i1 * ell + (np.arange(ell)[:, None] - i1) % ell  # class c, row i1
+    cls = const.classes
     ok = ~_singular_blocks(n_mat[:, cls[:, :, None], cls[:, None, :]])
-    mx, my, powers, n_mat = mx[ok], my[ok], powers[ok], n_mat[ok]
+    keep = np.flatnonzero(ok)
+    mx, my, powers, n_mat = (_take(v, keep) for v in (mx, my, powers, n_mat))
     # A^k is the kron of the k-th factor powers: their sum over k < ell
     # without forming each A^k, and sigma as the (0, 0) entry of A^ell
     series = np.einsum("nkac,nkbd->nabcd", powers[:, :-1, 0],
                        powers[:, :-1, 1]).reshape(n_mat.shape)
     sigma = powers[:, -1, 0, 0, 0] * powers[:, -1, 1, 0, 0]
-    n_inv = (eye + series) / (1 - sigma)[:, None, None]
+    n_inv = (const.eye + series) / (1 - sigma)[:, None, None]
 
-    eye = np.broadcast_to(np.eye(ell, dtype=complex), mx.shape)
+    eye = np.broadcast_to(const.eye_c, mx.shape)
     slot = _kron(np.concatenate((eye, mx), axis=1),
                  np.concatenate((my, eye), axis=1))
     # each diagonal as a column (row scaling) and as a row (column scaling)
-    k1, l1, k2, l2 = (np.diagonal(slot[:, w], axis1=1, axis2=2)[:, :, None]
-                      .copy() for w in (_K1, _L1, _K2, _L2))
+    k1, l1, k2, l2 = np.diagonal(slot[:, [_K1, _L1, _K2, _L2]], axis1=2,
+                                 axis2=3)[..., None].transpose(1, 0, 2, 3)
     k1r, l1r, k2r, l2r = (v.transpose(0, 2, 1) for v in (k1, l1, k2, l2))
     # the images overwrite the slots, each slot after its last read
     e1 = slot[:, _E1] * l2r  # E (x) L
@@ -359,12 +370,14 @@ class Crossing(NamedTuple):
 
 
 def _fail(errors, live, found):
-    """Record in `errors` the error found for each live request (None
-    where there is none), and return the live requests without one."""
-    for i, exc in zip(live, found):
-        if exc is not None:
-            errors[i] = exc
-    return live[[exc is None for exc in found]]
+    """Record in `errors`, under its request, each error `found` (keyed by
+    a position in `live`), and return the mask of the live positions
+    without one."""
+    keep = np.ones(len(live), dtype=bool)
+    for k, exc in found.items():
+        errors[live[k]] = exc
+        keep[k] = False
+    return keep
 
 
 def _normalize(m):
@@ -373,56 +386,58 @@ def _normalize(m):
     have the lexicographically largest (re, im).  The determinant is
     taken as sign and log modulus: a unit-norm block of dimension ell^2
     has |det| near (1/ell)^(ell^2), below the smallest double from
-    ell = 11 on.  `m` is one block or a stack of blocks."""
-    shape, dim = m.shape, m.shape[-1]
-    m = m.reshape(-1, dim, dim)
+    ell = 11 on.  `m` is one block or a stack of blocks of dimension
+    ell^2."""
+    return _normalized(m.reshape(-1, *m.shape[-2:]))[0].reshape(m.shape)
+
+
+def _normalized(m):
+    """`_normalize` on a stack of blocks, and the modulus exp(logdet/dim)
+    that it divided each block by."""
+    dim = m.shape[-1]
     sign, logdet = np.linalg.slogdet(m)
-    m = m / (sign ** (1.0 / dim) * np.exp(logdet / dim))[:, None, None]
+    modulus = np.exp(logdet / dim)
+    m = m / (sign ** (1.0 / dim) * modulus)[:, None, None]
     flat = m.reshape(len(m), -1)
     size = np.abs(flat)
     top = size.max(axis=1, keepdims=True)
     pivot = flat[np.arange(len(m)), np.argmax(size > top - 1e-9 * top,
                                               axis=1)]
-    roots = np.exp(2j * np.pi * np.arange(dim) / dim)
+    roots = _constants(math.isqrt(dim)).roots
     keys = np.round(pivot[:, None] * roots, 9)
     best = np.lexsort((keys.imag, keys.real))[:, -1]
-    return (m * roots[best][:, None, None]).reshape(shape)
+    return m * roots[best][:, None, None], modulus
 
 
 def _total_weights(slots):
     """The diagonal of total K = K1 K2 on each stack of `slots`, which
-    must be diagonal, and the WeightGrading of each stack (or None)."""
+    must be diagonal, and the WeightGrading of each stack where it is not,
+    by position."""
     kk = slots[:, _K1] @ slots[:, _K2]
     weights = np.diagonal(kk, axis1=1, axis2=2)
-    off = np.max(np.abs(kk - weights[:, :, None] * np.eye(kk.shape[-1])),
-                 axis=(1, 2))
+    eye = _constants(math.isqrt(kk.shape[-1])).eye
+    off = np.max(np.abs(kk - weights[:, :, None] * eye), axis=(1, 2))
     bad = off > WEIGHT_RTOL * np.max(np.abs(weights), axis=1)
-    return weights, [WeightGrading("total K is not diagonal (off-diagonal "
-                                   "%.1e)" % o) if b else None
-                     for o, b in zip(off, bad)]
+    return weights, {k: WeightGrading("total K is not diagonal (off-diagonal "
+                                      "%.1e)" % off[k])
+                     for k in np.flatnonzero(bad)}
 
 
 def _weight_masks(target_w, source_w):
     """mask[k, i, j]: target weight i of crossing k equals its source
     weight j, under the margin rule of the module docstring; and the error
-    of each crossing (or None): WeightGrading for a pair of weights that is
-    neither equal nor separated, else NoIntertwiner if no weight
-    matches."""
+    of each crossing that has one, by position: WeightGrading for a pair of
+    weights that is neither equal nor separated, else NoIntertwiner if no
+    weight matches."""
     ell = math.isqrt(source_w.shape[1])
     dist = np.abs(target_w[:, :, None] / source_w[:, None, :] - 1)
     mask = dist < WEIGHT_RTOL
-    between = ~mask & (dist < math.sin(math.pi / ell))
-    found = []
-    for d, m, b in zip(dist, mask, between):
-        if b.any():
-            found.append(WeightGrading(
-                "weights neither equal nor separated (relative distance "
-                "%.1e)" % np.min(d[~m])))
-        elif not m.any():
-            found.append(NoIntertwiner("no target weight matches a source "
-                                       "weight"))
-        else:
-            found.append(None)
+    between = (~mask & (dist < math.sin(math.pi / ell))).any(axis=(1, 2))
+    found = {k: NoIntertwiner("no target weight matches a source weight")
+             for k in np.flatnonzero(~mask.any(axis=(1, 2)) & ~between)}
+    found.update({k: WeightGrading(
+        "weights neither equal nor separated (relative distance %.1e)"
+        % np.min(dist[k][~mask[k]])) for k in np.flatnonzero(between)})
     return mask, found
 
 
@@ -448,16 +463,58 @@ _PLANS = {}
 PLAN_CAP = 16
 
 
+class _Constants(NamedTuple):
+    """The arrays of a solve that depend on ell alone (`_constants`)."""
+
+    eye: np.ndarray  # (ell^2, ell^2), real: the identity of a pair
+    eye_c: np.ndarray  # (ell, ell), complex: the identity of an irrep
+    classes: np.ndarray  # (ell, ell): class i1 + i2 = c of N, row i1
+    roots: np.ndarray  # (ell^2,): the ell^2-th roots of unity
+
+
+#: `_Constants` by ell: roots of unity and index arrays only, never a
+#: colour, character or block, each formed once and read-only.
+_CONSTANTS = {}
+
+
+def _constants(ell):
+    """The `_Constants` of ell, formed once."""
+    const = _CONSTANTS.get(ell)
+    if const is None:
+        dim, i1 = ell * ell, np.arange(ell)
+        const = _CONSTANTS[ell] = _Constants(
+            np.eye(dim), np.eye(ell, dtype=complex),
+            i1 * ell + (np.arange(ell)[:, None] - i1) % ell,
+            np.exp(2j * np.pi * np.arange(dim) / dim))
+        for arr in const:
+            arr.flags.writeable = False
+    return const
+
+
 def _index_plan(mask, source_nz, target_nz):
     """The plan of a solve on these patterns, built once per pattern."""
-    key = (len(mask), np.packbits(np.concatenate(
-        (mask, source_nz, target_nz), axis=None)).tobytes())
-    plan = _PLANS.get(key)
-    if plan is None:
-        if len(_PLANS) >= PLAN_CAP:
-            del _PLANS[next(iter(_PLANS))]
-        plan = _PLANS[key] = _build_plan(mask, source_nz, target_nz)
-    return plan
+    return _index_plans(mask[None], source_nz[None], target_nz[None])[0]
+
+
+def _index_plans(masks, source_nz, target_nz):
+    """`_index_plan` of each crossing of the stacked patterns, with the
+    memo keys of all of them packed in one call."""
+    n, dim = masks.shape[:2]
+    if not n:
+        return []
+    keys = np.packbits(np.concatenate(
+        [nz.reshape(n, -1) for nz in (masks, source_nz, target_nz)],
+        axis=1), axis=1)
+    plans = []
+    for key, mask, snz, tnz in zip(keys, masks, source_nz, target_nz):
+        key = (dim, key.tobytes())
+        plan = _PLANS.get(key)
+        if plan is None:
+            if len(_PLANS) >= PLAN_CAP:
+                del _PLANS[next(iter(_PLANS))]
+            plan = _PLANS[key] = _build_plan(mask, snz, tnz)
+        plans.append(plan)
+    return plans
 
 
 def _build_plan(mask, source_nz, target_nz):
@@ -522,18 +579,27 @@ def _solve_group(plan, source, target):
     docstring: `_index_plan` gives the indices, and this pass computes the
     transport coefficients, the systems of 8 ell^3 rows and ell columns,
     one batched QR of them and one batched SVD of the ell x ell R factors.
-    Returns the error of each crossing (or None), and the unit-norm blocks
-    of those without one."""
+    Returns the error of each crossing that has one, by position, and the
+    unit-norm blocks M of the others with their residuals
+    max_w |M S_w - T_w M|.
+
+    The residual is read off the system.  Row r = (w, p, q) of column o
+    is entry (p, q) of X_o S_w - T_w X_o, whole, as X_o is monomial; so
+    with M = sum_o v_o X_o, entry (p, q) of M S_w - T_w M is
+    (system v)_r.  Every entry of M S_w - T_w M that can be nonzero is a
+    row of the system, since the rows are all those that weight-matched
+    entries reach, and the others are exact zeros."""
     source, target = source.reshape(len(source), -1), \
         target.reshape(len(target), -1)
     spread = np.abs(source[:, plan.moves])
     singular = spread.max(axis=2) > COND_LIMIT * spread.min(axis=2)
-    found = [SingularM("%s slot of the source is singular"
-                       % ("E1", "F2")[np.argmax(s)]) if s.any() else None
-             for s in singular]
-    live = np.flatnonzero(~singular.any(axis=1))
+    bad = singular.any(axis=1)
+    found = {k: SingularM("%s slot of the source is singular"
+                          % ("E1", "F2")[np.argmax(singular[k])])
+             for k in np.flatnonzero(bad)}
+    live = np.flatnonzero(~bad)
     if not live.size:
-        return found, None
+        return found, (), ()
     source, target = _take(source, live), _take(target, live)
     x = target[:, plan.num][:, None] / source[:, plan.den]
     x[:, :, 0, 0] = 1
@@ -552,50 +618,60 @@ def _solve_group(plan, source, target):
     # vectors, without the unused (8 ell^3 x ell) U factor
     _, svals, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
     nullity = np.sum(svals < NULLITY_RTOL * svals[:, :1], axis=1)
-    for k, n in zip(live, nullity):
-        if n == 0:
-            found[k] = NoIntertwiner("no intertwiner into these output "
-                                     "irreps")
-        elif n > 1:
-            found[k] = AmbiguousIntertwiner("solution space has dimension "
-                                            "%d" % n)
-    live, x, vh = live[nullity == 1], x[nullity == 1], vh[nullity == 1]
+    for k in np.flatnonzero(nullity != 1):
+        found[live[k]] = (
+            NoIntertwiner("no intertwiner into these output irreps")
+            if nullity[k] == 0 else
+            AmbiguousIntertwiner("solution space has dimension %d"
+                                 % nullity[k]))
+    one = np.flatnonzero(nullity == 1)
+    live, x, v = live[one], _take(x, one), _take(vh, one)[:, -1].conj()
+    residual = np.max(np.abs(_take(system, one) @ v[:, :, None]),
+                      axis=(1, 2))
     dim = plan.moves.shape[1]
     m = np.zeros((len(x), dim * dim), dtype=complex)
-    m[:, plan.entries] = vh[:, -1].conj()[:, :, None, None] * x
+    m[:, plan.entries] = v[:, :, None, None] * x
     # M is the direct sum of its weight-class blocks
     singular = _singular_blocks(m[:, plan.blocks])
     for k in live[singular]:
         found[k] = SingularM("intertwiner is singular")
-    return found, m[~singular].reshape(-1, dim, dim)
+    regular = np.flatnonzero(~singular)
+    return (found, _take(m, regular).reshape(-1, dim, dim),
+            _take(residual, regular))
 
 
 def _solve_intertwiners(source, target):
     """The intertwiner of each crossing out of the source slot stacks into
     the target ones, (n, 8, ell^2, ell^2) each: the weight rule on every
     crossing, then one `_solve_group` pass for each index plan.  Returns
-    the error of each crossing (or None), and the unit-norm blocks of
-    those without one, in crossing order."""
-    errors = [None] * len(source)
-    target_w, found_t = _total_weights(target)
-    source_w, found_s = _total_weights(source)
-    live = _fail(errors, np.arange(len(source)),
-                 [t if t is not None else s for t, s in zip(found_t, found_s)])
-    masks, found = _weight_masks(target_w[live], source_w[live])
-    masks = dict(zip(live, masks))
-    live = _fail(errors, live, found)
+    the error of each crossing that has one, by index, and the unit-norm
+    blocks of the others with their residuals (`_solve_group`), in
+    crossing order."""
+    errors = {}
+    live = np.arange(len(source))
+    source_w, found = _total_weights(source)
+    live = live[_fail(errors, live, found)]
+    # a target pair's total K is K_a (x) K_b, diagonal by construction
+    diag = np.diagonal(_take(target, live)[:, [_K1, _K2]], axis1=2, axis2=3)
+    target_w = diag[:, 0] * diag[:, 1]
+    masks, found = _weight_masks(target_w, _take(source_w, live))
+    keep = _fail(errors, live, found)
+    live = live[keep]
     groups = {}
-    for i in live:
-        plan = _index_plan(masks[i], source[i] != 0, target[i] != 0)
+    for i, plan in zip(live, _index_plans(
+            _take(masks, np.flatnonzero(keep)), _take(source, live) != 0,
+            _take(target, live) != 0)):
         groups.setdefault(id(plan), (plan, []))[1].append(i)
-    blocks = {}
+    solved = {}
     for plan, members in groups.values():
         members = np.array(members)
-        found, m = _solve_group(plan, _take(source, members),
-                                _take(target, members))
-        blocks.update(zip(_fail(errors, members, found),
-                          () if m is None else m))
-    return errors, np.array([blocks[i] for i in sorted(blocks)])
+        found, m, residual = _solve_group(plan, _take(source, members),
+                                          _take(target, members))
+        solved.update(zip(members[_fail(errors, members, found)],
+                          zip(m, residual)))
+    order = sorted(solved)
+    return (errors, np.array([solved[i][0] for i in order]),
+            np.array([solved[i][1] for i in order]))
 
 
 def branch_of(char, z, c, rd):
@@ -617,7 +693,8 @@ def _residuals(m, left, right):
     """max_w |M L_w - R_w M| of each block M of the stack `m` over the
     eight slots of its own stacks, with contiguous products: M L_w one
     slot at a time, and the R_w M of all eight slots as one product with
-    their stack."""
+    their stack.  Only negative blocks need it: a positive block's
+    residual is read off its system (`_solve_group`)."""
     k, slots, dim, _ = left.shape
     diff = np.empty_like(left)
     for w in range(slots):
@@ -642,33 +719,31 @@ def _solve(requests):
     cd = [r.outputs if r.sign > 0 else r.inputs for r in requests]
     source, ok = _source_stacks(_mats([a for a, _ in ab]),
                                 _mats([b for _, b in ab]), ab[0][0].rd)
-    live = _fail(out, np.arange(len(requests)), [
-        None if k else SingularN("series factor N numerically singular")
-        for k in ok])
+    live = np.arange(len(requests))
+    live = live[_fail(out, live, {
+        k: SingularN("series factor N numerically singular")
+        for k in np.flatnonzero(~ok)})]
     if not live.size:
         return out
     target = _pair_stacks(_mats([cd[i][0] for i in live]),
                           _mats([cd[i][1] for i in live]))
-    errors, m = _solve_intertwiners(source, target)
-    solved = np.flatnonzero([e is None for e in errors])
-    live = _fail(out, live, errors)
+    errors, m, residual = _solve_intertwiners(source, target)
+    solved = np.flatnonzero(_fail(out, live, errors))
+    live = live[solved]
     if not live.size:
         return out
-    source, target = _take(source, solved), _take(target, solved)
     # a negative crossing is the inverse of its positive block
-    neg = np.array([requests[i].sign < 0 for i in live])
-    if neg.any():
+    neg = np.flatnonzero([requests[i].sign < 0 for i in live])
+    if neg.size:
         m[neg] = np.linalg.inv(m[neg])
-    m = _normalize(m)
-    # the residual of a positive block M is max_w |M S_w - T_w M|, that of
-    # a negative one N = M^-1 max_w |N T_w - S_w N| on M's own slots
-    residual = np.empty(len(m))
-    for sides, (left, right) in ((~neg, (source, target)),
-                                 (neg, (target, source))):
-        k = np.flatnonzero(sides)
-        if k.size:
-            residual[k] = _residuals(_take(m, k), _take(left, k),
-                                     _take(right, k))
+    m, modulus = _normalized(m)
+    # the residual of a positive block M is max_w |M S_w - T_w M|, read off
+    # its system and scaled as M was; that of a negative one N = M^-1 is
+    # max_w |N T_w - S_w N| on M's own slots
+    residual /= modulus
+    if neg.size:
+        residual[neg] = _residuals(m[neg], target[solved[neg]],
+                                   source[solved[neg]])
     for i, block, res in zip(live, m, residual):
         labels = tuple(rep.branch for rep in requests[i].outputs)
         out[i] = BraidingBlock(block, labels, 1, float(res))
@@ -705,7 +780,9 @@ def solve_braiding(repx: CyclicRep, repy: CyclicRep,
     The source side of the intertwiner equation is the flip-conjugated
     R-image evaluated in (rho_y, rho_x); the target side is the plain
     pair evaluation in the output irreps.  The residual is
-    max_w |M S_w - T_w M|.
+    max_w |M S_w - T_w M|, read off the orbit system of the solve (every
+    entry that can be nonzero is one of its rows) and scaled as
+    `_normalize` scales M.
     """
     return _solve_one(Crossing((repx, repy), tuple(outputs), 1))
 
@@ -717,6 +794,7 @@ def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
     With `outputs` = (V_a, V_b), the positive block M out of V_a (x) V_b
     into V_c (x) V_d is solved, and the negative crossing is its inverse
     N = M^-1, normalized; nullity is M's and the residual is
-    max_w |N T_w - S_w N| on M's own slots.
+    max_w |N T_w - S_w N| on M's own slots, from dense products: N is
+    no combination of M's orbit basis, so M's system does not give it.
     """
     return _solve_one(Crossing((repc, repd), tuple(outputs), -1))

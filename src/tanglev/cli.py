@@ -194,7 +194,7 @@ def run_invariant(args):
 
 
 def run_color_check(args):
-    backend = args.backend
+    backend = args.backend or "float"
     d, cdata = load_diagram(args.input)
     char = parse_char(args.char, backend) if args.char else None
     bnd, seeds = build_boundary(d, cdata, char, backend)
@@ -365,7 +365,7 @@ def build_parser():
                    "the bottom colour")
     p.add_argument("--branch", default="0,0")
     p.add_argument("--backend", choices=["rational", "float"],
-                   default="float")
+                   help="color-check only; default float")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
     return p
@@ -380,6 +380,8 @@ def run(args):
         raise ConfigError("samples must be at least 1")
     if args.mode in ("invariant", "color-check") and not args.input:
         raise ConfigError("mode %s needs an input file" % args.mode)
+    if args.backend is not None and args.mode != "color-check":
+        raise ConfigError("--backend applies to color-check only")
     if args.mode == "invariant":
         return run_invariant(args)
     if args.mode == "color-check":

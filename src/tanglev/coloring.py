@@ -114,12 +114,14 @@ def _scan(d: TangleDiagram):
     a crossing's top leg start an arc, rooted at its own (left) endpoint;
     only a cap joins two arcs.  So every arc starts at a bottom point or
     a listed piece's top leg; the ids of these (the starts) are listed in
-    id order.  Cap joins, crossings and cups are read off the piece list.
+    id order.  The same pass lists the cap joins, and the endpoint ids of
+    each crossing and cup, which take their arc roots once the caps have
+    joined the arcs.
     """
     roots = list(range(d.bottom_arity))
     starts = list(roots)
     base = [0]
-    pieces = []
+    pieces, caps, crossings, cups = [], [], [], []
     for row in d.slices:
         pt = base[-1]  # the id of the next bottom endpoint
         base.append(len(roots))
@@ -129,18 +131,24 @@ def _scan(d: TangleDiagram):
             else:
                 top = len(roots)
                 pieces.append((p, top - base[-1], len(p.bottom), pt, top))
-                legs = range(top, top + len(p.top))
-                starts += legs
-                roots += legs if p.bottom else (top, top)  # a cup: one arc
+                if not p.top:  # a cap
+                    caps.append((roots[pt], roots[pt + 1]))
+                elif p.bottom:  # a crossing
+                    crossings.append((p, pt, top))
+                    roots += (top, top + 1)
+                    starts += (top, top + 1)
+                else:  # a cup: one arc
+                    cups.append(top)
+                    roots += (top, top)
+                    starts += (top, top + 1)
             pt += len(p.bottom)
     base.append(len(roots))
-    caps = [(roots[b], roots[b + 1]) for p, _, _, b, _ in pieces if not p.top]
     if caps:
         join = _classes(caps)
         roots = [join.get(root, root) for root in roots]
     crossings = [_Crossing(p, roots[b], roots[b + 1], roots[t], roots[t + 1])
-                 for p, _, _, b, t in pieces if p.bottom and p.top]
-    cups = [roots[t] for p, _, _, _, t in pieces if not p.bottom]
+                 for p, b, t in crossings]
+    cups = [roots[t] for t in cups]
     return roots, base, crossings, cups, pieces, starts
 
 

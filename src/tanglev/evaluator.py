@@ -290,8 +290,9 @@ class EvalContext:
         Only the positive curl is solved.  It returns both of its input
         modules, so the negative curl, the inverse crossing on the same
         pair, is M^-1 up to the root of unity that normalization picks, and
-        theta_- is read from M^-1 (`_normalize` has refused any M with
-        condition number above COND_LIMIT).
+        theta_- is read from M^-1 (the solve has refused any M with
+        condition number above COND_LIMIT: `braiding._solve_group`'s
+        class-block test raises SingularM).
         """
         key = (loop.char, loop.branch)
         val = self._twist.get(key)

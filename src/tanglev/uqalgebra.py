@@ -43,13 +43,18 @@ class RootData:
     def __post_init__(self):
         if self.ell < 3 or self.ell % 2 == 0:
             raise ValueError("ell must be an odd integer >= 3")
+        # eps^k for k = 0 .. ell - 1, formed once; not a field, so ==,
+        # hash and repr read ell alone
+        object.__setattr__(self, "_powers", tuple(
+            cmath.exp(2j * cmath.pi * k / self.ell) for k in range(self.ell)))
 
     @property
     def eps(self):
         return cmath.exp(2j * cmath.pi / self.ell)
 
     def eps_pow(self, k):
-        return cmath.exp(2j * cmath.pi * (k % self.ell) / self.ell)
+        """eps^k = exp(2 pi i (k mod ell) / ell)."""
+        return self._powers[k % self.ell]
 
 
 @dataclass(frozen=True)

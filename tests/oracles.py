@@ -90,6 +90,13 @@ def _dev(m):
     return float(np.max(np.abs(m)))
 
 
+def dense_residual(m, left, right):
+    """The residual of a crossing block M by its definition: the largest
+    |M L_w - R_w M| over the eight slots of the stacks `left` and `right`,
+    (8, ell^2, ell^2) each, one dense product per slot and side."""
+    return max(_dev(m @ lw - rw @ m) for lw, rw in zip(left, right))
+
+
 def automorphism_residuals(ri: RImages):
     """Residuals of the defining algebra relations among the image matrices."""
     rd = ri.pair[0].rd

@@ -216,6 +216,27 @@ class TestSolver:
         assert blk.residual < 1e-8
         assert abs(abs(np.linalg.det(blk.matrix)) - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9])
+    def test_residual_is_the_dense_one(self, rng, ell):
+        # a positive block's residual, read off its orbit system, is the
+        # dense max_w |M S_w - T_w M| up to rounding; a negative block's is
+        # still the dense max_w |N T_w - S_w N| on M's slots, bit for bit
+        rd = RootData(ell)
+        for _ in range(3):
+            rx, ry = (build_irrep(generic_char(rng, rd),
+                                  (rng.randrange(ell), rng.randrange(ell)),
+                                  rd)
+                      for _ in range(2))
+            outputs = strand_outputs(rx, ry)
+            source = braiding._positive_slots(rx, ry)
+            target = oracles.pair_stack(*outputs)
+            pos = solve_braiding(rx, ry, outputs)
+            assert pos.residual == pytest.approx(
+                oracles.dense_residual(pos.matrix, source, target), abs=1e-13)
+            neg = solve_braiding_inverse(*outputs, (rx, ry))
+            assert neg.residual == oracles.dense_residual(neg.matrix, target,
+                                                          source)
+
     def test_normalize_survives_determinant_underflow(self):
         # a unit-norm 121 x 121 block (ell = 11) of condition number 1e5:
         # its determinant, about 1e-348, underflows to 0, yet the block
@@ -325,9 +346,9 @@ def _plan_inputs(rx, ry):
 def _intertwiner(source, target):
     """The intertwiner pass on one crossing's slot stacks: its unit-norm
     block, or its error raised."""
-    [error], m = braiding._solve_intertwiners(source[None], target[None])
-    if error is not None:
-        raise error
+    errors, m, _ = braiding._solve_intertwiners(source[None], target[None])
+    if errors:
+        raise errors[0]
     return m[0]
 
 
@@ -381,6 +402,25 @@ class TestBatchedSolve:
             assert np.array_equal(out.matrix.view(np.uint64),
                                   ref.matrix.view(np.uint64))
             assert out.residual == ref.residual
+
+    def test_positive_residuals_take_no_dense_product(self, rng, rd3,
+                                                      monkeypatch):
+        # only a negative crossing's residual multiplies dense blocks; a
+        # positive one is read off the system its solve already built
+        stacks = []
+        dense = braiding._residuals
+
+        def counted(m, left, right):
+            stacks.append(len(m))
+            return dense(m, left, right)
+
+        monkeypatch.setattr(braiding, "_residuals", counted)
+        batch = _mixed_batch(rng, rd3)
+        assert [req.sign for req in batch] == [1, -1, 1, 1, 1]
+        braiding.solve_crossings([batch[0], batch[2]])
+        assert stacks == []
+        braiding.solve_crossings(batch)
+        assert stacks == [1]
 
     def test_duplicate_keys_are_factorized_once(self, rng, rd3,
                                                 monkeypatch):

@@ -89,6 +89,18 @@ class TestInvariantMode:
         assert code == 1
         assert rep["type"] == "ConfigError" and "samples" in rep["error"]
 
+    @pytest.mark.parametrize("mode", ["invariant", "verify", "yb-fuzz"])
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_backend_outside_color_check_rejected(self, capsys, unknot_file,
+                                                  mode, backend):
+        # only color-check reads --backend: elsewhere it would be ignored
+        # and the report would not say so
+        code, rep = run_cli(capsys, mode, unknot_file, "--backend", backend,
+                            "--samples", "1")
+        assert code == 1
+        assert rep["type"] == "ConfigError"
+        assert rep["error"] == "--backend applies to color-check only"
+
     def test_even_ell_rejected(self, capsys, unknot_file):
         code, rep = run_cli(capsys, "invariant", unknot_file, "--ell", "4")
         assert code == 1
@@ -217,9 +229,10 @@ class TestColorCheckMode:
 def test_char_off_the_domain_rejected(capsys, unknot_file, mode, backend,
                                       char, coordinate):
     # the colour of --char alpha,beta,a,b is assembled by dividing by
-    # alpha * a, so a zero alpha or a is refused before that
-    code, rep = run_cli(capsys, mode, unknot_file, "--char", char,
-                        "--backend", backend)
+    # alpha * a, so a zero alpha or a is refused before that; `invariant`
+    # colours in floats and takes no --backend, so it runs without one
+    flags = ("--backend", backend) if mode == "color-check" else ()
+    code, rep = run_cli(capsys, mode, unknot_file, "--char", char, *flags)
     assert code == 1
     assert rep["type"] == "ConfigError"
     assert rep["error"] == "char coordinate %s must be nonzero" % coordinate
