@@ -12,8 +12,7 @@ from .uqalgebra import RootData, CentralCharacter, build_irrep
 from .diagram import TangleDiagram, Piece, parse, braid_word, close_braid, \
     close_braid_partial, apply_move, find_move_sites
 from .coloring import ColoredBoundary, GColoring, propagate, functor_f_object
-from .braiding import solve_braiding, solve_braiding_inverse, \
-    group_to_char, char_to_group
+from .braiding import group_to_char, char_to_group
 from .evaluator import EvalContext, ColoredObject, LinearBlock, contract, \
     invariant, reidemeister_report
 
@@ -25,7 +24,6 @@ __all__ = [
     "build_irrep", "TangleDiagram", "Piece", "parse", "braid_word",
     "close_braid", "close_braid_partial", "apply_move", "find_move_sites",
     "ColoredBoundary", "GColoring", "propagate", "functor_f_object",
-    "solve_braiding", "solve_braiding_inverse",
     "group_to_char", "char_to_group", "EvalContext",
     "ColoredObject", "LinearBlock", "contract", "invariant",
     "reidemeister_report",

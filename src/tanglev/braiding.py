@@ -65,15 +65,14 @@ ell x ell, and its condition number is read from theirs.
 
 Which entries form the orbits and the weight classes, and which entries
 of the slots each row of the system meets, depends only on the weight
-mask and on the zero patterns of the two stacks, so `_index_plan` builds
+mask and on the zero patterns of the two stacks, so `_index_plans` builds
 those index arrays once per pattern and memoizes them (at most
 PLAN_CAP).  The memo holds index arrays only, never a colour, character
 or block: a fresh EvalContext still solves every crossing, and each
 solve recomputes its transport coefficients, its system, its QR and its
 SVD.
 
-Crossings are solved in batches (`solve_crossings`; `solve_braiding` and
-`solve_braiding_inverse` are batches of one).  Each stage runs once on
+Crossings are solved in batches (`solve_crossings`), each stage once on
 the stack of the crossings still alive:
 - the R-images and cond(N) (`_source_stacks`), and the target slots;
 - the weight rule: the source's total K, which must be diagonal, and the
@@ -83,7 +82,7 @@ the stack of the crossings still alive:
   transport coefficients, the systems, one batched QR of them, one
   batched SVD of the ell x ell R factors and each positive block's
   residual, read off its system (`_solve_group`);
-- the inverse of the negative crossings and `_normalize`, which scales
+- the inverse of the negative crossings and `_normalized`, which scales
   each positive residual as it scales the block; a negative block
   N = M^-1 takes its residual from dense products (`_residuals`).
 Every check is made per crossing, in the order above, and a crossing
@@ -91,7 +90,7 @@ that fails one leaves the stack with the error it raises when solved
 alone; the verdicts of a stage are read off reductions over the stack,
 and an error object is built only for a crossing that fails.  What
 depends on ell alone, the identities, N's class indices and the ell^2-th
-roots of `_normalize`, is formed once per ell (`_constants`).
+roots of `_normalized`, is formed once per ell (`_constants`).
 """
 
 from __future__ import annotations
@@ -259,9 +258,9 @@ def _source_stacks(mx, my, rd):
     sigma = powers[:, -1, 0, 0, 0] * powers[:, -1, 1, 0, 0]
     n_inv = (const.eye + series) / (1 - sigma)[:, None, None]
 
-    eye = np.broadcast_to(const.eye_c, mx.shape)
-    slot = _kron(np.concatenate((eye, mx), axis=1),
-                 np.concatenate((my, eye), axis=1))
+    # the pair slots of V_x (x) V_y with slots 1 and 2 swapped: 1 (x) M_y
+    # first, M_x (x) 1 second
+    slot = np.roll(_pair_stacks(mx, my), 4, axis=1)
     # each diagonal as a column (row scaling) and as a row (column scaling)
     k1, l1, k2, l2 = np.diagonal(slot[:, [_K1, _L1, _K2, _L2]], axis1=2,
                                  axis2=3)[..., None].transpose(1, 0, 2, 3)
@@ -355,18 +354,13 @@ class Crossing(NamedTuple):
     """One crossing block to solve: the positive crossing out of `inputs`
     into `outputs` (sign 1) or the negative one (sign -1).  Its positive
     problem is the positive block out of `inputs` into `outputs`, or for a
-    negative crossing out of `outputs` into `inputs`."""
+    negative crossing out of `outputs` into `inputs`.  Irreps hash by
+    identity, so a request keys the context's block memo by its four irrep
+    objects and its sign."""
 
     inputs: tuple  # (rep, rep)
     outputs: tuple  # (rep, rep)
     sign: int
-
-    def key(self):
-        """The (character, label) of the four irreps, and the sign: the
-        same key names the same block."""
-        (x, y), (a, b) = self.inputs, self.outputs
-        return ((x.char, x.branch), (y.char, y.branch),
-                (a.char, a.branch), (b.char, b.branch), self.sign)
 
 
 def _fail(errors, live, found):
@@ -380,20 +374,14 @@ def _fail(errors, live, found):
     return keep
 
 
-def _normalize(m):
-    """Determinant one, then the distinguished phase: among the det-1
-    rescalings by roots of unity, make the first entry of maximal modulus
-    have the lexicographically largest (re, im).  The determinant is
-    taken as sign and log modulus: a unit-norm block of dimension ell^2
-    has |det| near (1/ell)^(ell^2), below the smallest double from
-    ell = 11 on.  `m` is one block or a stack of blocks of dimension
-    ell^2."""
-    return _normalized(m.reshape(-1, *m.shape[-2:]))[0].reshape(m.shape)
-
-
 def _normalized(m):
-    """`_normalize` on a stack of blocks, and the modulus exp(logdet/dim)
-    that it divided each block by."""
+    """Each block of the stack `m` at determinant one, then at the
+    distinguished phase: among the det-1 rescalings by roots of unity, the
+    one whose first entry of maximal modulus has the lexicographically
+    largest (re, im); and the modulus exp(logdet/dim) that it divided each
+    block by.  The determinant is taken as sign and log modulus: a
+    unit-norm block of dimension ell^2 has |det| near (1/ell)^(ell^2),
+    below the smallest double from ell = 11 on."""
     dim = m.shape[-1]
     sign, logdet = np.linalg.slogdet(m)
     modulus = np.exp(logdet / dim)
@@ -491,14 +479,10 @@ def _constants(ell):
     return const
 
 
-def _index_plan(mask, source_nz, target_nz):
-    """The plan of a solve on these patterns, built once per pattern."""
-    return _index_plans(mask[None], source_nz[None], target_nz[None])[0]
-
-
 def _index_plans(masks, source_nz, target_nz):
-    """`_index_plan` of each crossing of the stacked patterns, with the
-    memo keys of all of them packed in one call."""
+    """The plan of the solve of each crossing of the stacked patterns,
+    built once per pattern, with the memo keys of all of them packed in
+    one call."""
     n, dim = masks.shape[:2]
     if not n:
         return []
@@ -576,7 +560,7 @@ def _build_plan(mask, source_nz, target_nz):
 def _solve_group(plan, source, target):
     """The nullspaces of M S_w - T_w M over the stacked slots of crossings
     that share `plan`, on the orthonormal orbit basis X_o of the module
-    docstring: `_index_plan` gives the indices, and this pass computes the
+    docstring: `_index_plans` gives the indices, and this pass computes the
     transport coefficients, the systems of 8 ell^3 rows and ell columns,
     one batched QR of them and one batched SVD of the ell x ell R factors.
     Returns the error of each crossing that has one, by position, and the
@@ -709,8 +693,16 @@ def _take(stack, idx):
     return stack if len(idx) == len(stack) else stack[idx]
 
 
-def _solve(requests):
-    """`solve_crossings` on requests with distinct keys."""
+def solve_crossings(requests):
+    """Solve a batch of distinct crossing blocks (`Crossing`s, all at one
+    root of unity) in one pass: each stage runs once on the stack of the
+    requests still alive.  Returns, in request order, each request's
+    BraidingBlock or the error that it raises when solved alone, with that
+    error's type and message.
+
+    A request that fails a check leaves the stack before the next stage,
+    so it changes nothing in the others.  Equal requests are each solved:
+    the one caller, `EvalContext._lookup`, passes distinct ones."""
     out = [None] * len(requests)
     if not requests:
         return out
@@ -749,52 +741,3 @@ def _solve(requests):
         out[i] = BraidingBlock(block, labels, 1, float(res))
     return out
 
-
-def solve_crossings(requests):
-    """Solve a batch of crossing blocks (`Crossing`s, all at one root of
-    unity) in one pass: each stage runs once on the stack of the requests
-    still alive.  Returns, in request order, each request's BraidingBlock
-    or the error that it raises when solved alone, with that error's type
-    and message.
-
-    A request that fails a check leaves the stack before the next stage,
-    so it changes nothing in the others.  Requests with equal keys are
-    solved once and share their result."""
-    keys = [req.key() for req in requests]
-    unique = dict(zip(keys, requests))
-    solved = dict(zip(unique, _solve(list(unique.values()))))
-    return [solved[key] for key in keys]
-
-
-def _solve_one(request):
-    [out] = solve_crossings([request])
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
-def solve_braiding(repx: CyclicRep, repy: CyclicRep,
-                   outputs) -> BraidingBlock:
-    """Solve for the colored positive crossing V_x (x) V_y -> `outputs`.
-
-    The source side of the intertwiner equation is the flip-conjugated
-    R-image evaluated in (rho_y, rho_x); the target side is the plain
-    pair evaluation in the output irreps.  The residual is
-    max_w |M S_w - T_w M|, read off the orbit system of the solve (every
-    entry that can be nonzero is one of its rows) and scaled as
-    `_normalize` scales M.
-    """
-    return _solve_one(Crossing((repx, repy), tuple(outputs), 1))
-
-
-def solve_braiding_inverse(repc: CyclicRep, repd: CyclicRep,
-                           outputs) -> BraidingBlock:
-    """Solve for the colored negative crossing V_c (x) V_d -> `outputs`.
-
-    With `outputs` = (V_a, V_b), the positive block M out of V_a (x) V_b
-    into V_c (x) V_d is solved, and the negative crossing is its inverse
-    N = M^-1, normalized; nullity is M's and the residual is
-    max_w |N T_w - S_w N| on M's own slots, from dense products: N is
-    no combination of M's orbit basis, so M's system does not give it.
-    """
-    return _solve_one(Crossing((repc, repd), tuple(outputs), -1))

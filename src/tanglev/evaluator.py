@@ -21,9 +21,10 @@ is the only walk, and the planner and contraction read the arc starts
 and the piece list it made.  Contraction gives each listed piece the
 plan's irreps of its arcs, sliced from the irrep at each endpoint.  One
 call (`EvalContext.operators`) makes the list's
-operators: it looks up every crossing and every right cup or cap curl,
-solves every miss, once per key, in one batch (`braiding.solve_crossings`),
-and memoizes each block or failure.  It then makes the operators in order
+operators: it looks up every crossing and every right cup or cap curl
+(`braiding.Crossing`, the one form of a crossing request), solves each
+distinct miss in one batch (`braiding.solve_crossings`), and memoizes each
+block or failure.  It then makes the operators in order
 and raises a failure at its own piece, so the first error is the one a
 piece-by-piece solve would raise, and a context that holds every block
 solves nothing.  The state is then multiplied down the list.
@@ -100,10 +101,11 @@ class EvalContext:
 
     A context memoizes, each entry derived once and never replaced:
     - each character by its exact colour (`char_of`);
-    - each irrep by its rounded character and label (`rep`), and each
-      arc's irrep by its exact colour and central scalars (`arc_rep`);
+    - each irrep by its rounded character and label, given and collapsed
+      (`rep`), and each arc's irrep by its exact colour and central
+      scalars (`arc_rep`);
     - each crossing block, or its failure as type and message, by its
-      request: the four irrep objects and the sign (`_lookup`);
+      `braiding.Crossing` request (`_lookup`);
     - each curl request and twist scale by its loop's (character, label);
     - each cup and cap operator (`cup_cap`), read-only: CUP_L and CAP_L
       once, CUP_R and CAP_R per (piece, character, label).
@@ -122,11 +124,15 @@ class EvalContext:
         self._ops = {}
 
     def rep(self, char: CentralCharacter, branch):
+        """The irrep of `char` on label `branch`: one object per module, as
+        labels that name one module (`build_irrep`) share the one stored
+        under the label the module carries."""
         key = (char.rounded(12), tuple(branch))
         rep = self._reps.get(key)
         if rep is None:
             rep = build_irrep(char, tuple(branch), self.rd)
-            self._reps[key] = rep
+            rep = self._reps[key] = self._reps.setdefault(
+                (key[0], rep.branch), rep)
         return rep
 
     def char_of(self, color):
@@ -154,39 +160,37 @@ class EvalContext:
         return rep
 
     def _lookup(self, requests):
-        """The memo entry of each crossing request (x, y, a, b, sign): its
-        block, or its failure as type and message.
+        """The memo entry of each `braiding.Crossing` request: its block,
+        or its failure as type and message.
 
         A request is found by its four irrep objects and its sign; the
-        context's irreps come from `rep`, one object per rounded character
-        and label.  Requests the memo lacks are solved once each, in one
-        batch (`braiding.solve_crossings`).  A failure is kept as its type
-        and message, not as the exception, whose traceback would tie this
+        context's irreps come from `rep`, one object per module.  The
+        distinct requests the memo lacks are solved in one batch
+        (`braiding.solve_crossings`).  A failure is kept as its type and
+        message, not as the exception, whose traceback would tie this
         context into a reference cycle.
         """
         blocks = self._blocks
         misses = list(dict.fromkeys(
             req for req in requests if req not in blocks))
         if misses:
-            solved = braiding.solve_crossings(
-                [braiding.Crossing(req[:2], req[2:4], req[4])
-                 for req in misses])
-            for req, out in zip(misses, solved):
+            for req, out in zip(misses, braiding.solve_crossings(misses)):
                 blocks[req] = (type(out), str(out)) \
                     if isinstance(out, Exception) else out
         return [blocks[req] for req in requests]
 
-    def _solve(self, reps, sign):
+    def _solve(self, inputs, outputs, sign):
         """One crossing's block, or its failure raised; an irrep built
         elsewhere is looked up as the context's own (`rep`)."""
-        req = tuple(self.rep(r.char, r.branch) for r in reps)
-        return _block(self._lookup([req + (sign,)])[0])
+        x, y, a, b = (self.rep(r.char, r.branch) for r in (*inputs, *outputs))
+        return _block(self._lookup([braiding.Crossing((x, y), (a, b),
+                                                      sign)])[0])
 
     def solve(self, repx, repy, outputs):
-        return self._solve((repx, repy, *outputs), 1)
+        return self._solve((repx, repy), outputs, 1)
 
     def solve_inverse(self, repc, repd, outputs):
-        return self._solve((repc, repd, *outputs), -1)
+        return self._solve((repc, repd), outputs, -1)
 
     def operators(self, entries):
         """The matrix of each piece list entry (piece, top column,
@@ -203,8 +207,8 @@ class EvalContext:
         crossings, curls = [], []
         for p, _, _, bottom, top in entries:
             if p in _CROSSINGS:
-                crossings.append(
-                    (*bottom, *top, 1 if p is Piece.X_POS else -1))
+                crossings.append(braiding.Crossing(
+                    tuple(bottom), tuple(top), 1 if p is Piece.X_POS else -1))
             elif p is Piece.CUP_R or p is Piece.CAP_R:
                 loop = top[0] if p is Piece.CUP_R else bottom[0]
                 if (loop.char, loop.branch) in self._twist:
@@ -213,7 +217,7 @@ class EvalContext:
                     curl = self._curl(loop)
                 except (factgroup.NotFactorizable, NonGenericCharacter):
                     continue
-                curls.append((*curl.inputs, *curl.outputs, 1))
+                curls.append(curl)
         hits = iter(self._lookup(crossings + curls))
         return [elementary_op(p, bottom, top, self,
                               next(hits) if p in _CROSSINGS else None)
@@ -299,7 +303,7 @@ class EvalContext:
         if val is None:
             curl = self._curl(loop)
             try:
-                m = self.solve(*curl.inputs, curl.outputs).matrix
+                m = _block(self._lookup([curl])[0]).matrix
             except braiding.NoIntertwiner as exc:
                 raise KinkObstruction(
                     "the curl does not return its through and loop "
@@ -352,7 +356,8 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     module on its first arc: the given branch on a bottom boundary point,
     and label (0, 0) for a closed strand.  Each arc then gets the irrep of
     its colour with those scalars (`EvalContext.arc_rep`, memoized on the
-    exact colour and scalars), and no crossing is solved.
+    exact colour and scalars), and no crossing is solved.  Branches given
+    for other than the bottom arity raise ArityMismatch.
     A warm context derives a label only for a colour and scalars it has
     not met.
     """
@@ -360,7 +365,10 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
         pair for cr in col._crossings
         for pair in ((cr.c, cr.b), (cr.d, cr.a)))
     n = d.bottom_arity
-    given = bottom_branches or [(0, 0)] * n
+    given = [(0, 0)] * n if bottom_branches is None else bottom_branches
+    if len(given) != n:
+        raise ArityMismatch("%d bottom branches for %d bottom points"
+                            % (len(given), n))
     colors = col._colors
     scalars = {}
     assign = {}

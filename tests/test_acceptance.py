@@ -226,7 +226,7 @@ def _braid_state(word, groups, rd):
         rx = build_irrep(chars[i - 1], branches[i - 1], rd)
         ry = build_irrep(chars[i], branches[i], rd)
         outputs = strand_outputs(rx, ry)
-        blk = braiding.solve_braiding(rx, ry, outputs)
+        blk = EvalContext(rd).solve(rx, ry, outputs)
         op = np.kron(np.kron(np.eye(ell ** (i - 1)), blk.matrix),
                      np.eye(ell ** (n - i - 1)))
         chars[i - 1], chars[i] = (rep.char for rep in outputs)
@@ -245,8 +245,8 @@ def test_criterion_07_colored_braiding():
         rx = build_irrep(generic_char(rng, rd), (0, 0), rd)
         ry = build_irrep(generic_char(rng, rd), (0, 0), rd)
         try:
-            blocks.append(braiding.solve_braiding(rx, ry,
-                                                  strand_outputs(rx, ry)))
+            blocks.append(EvalContext(rd).solve(rx, ry,
+                                                strand_outputs(rx, ry)))
         except braiding.NonGenericCharacter:
             continue
         n += 1

@@ -4,8 +4,8 @@
 `evaluator.invariant` and `factgroup` directly, and `bench/exact.py` reads
 `QC.re` and `QC.im`; one round of each numeric workload and the first
 GROUP_OPS ops of a `group-exact` round, each with its op's own check, catch
-a refactor that breaks that contract, and traced rounds check what
-`bench/tracer.py` counts.  Nothing is timed and nothing is written.
+a refactor that breaks that contract, and traced rounds and solves check
+what `bench/tracer.py` counts.  Nothing is timed and nothing is written.
 """
 
 import pathlib
@@ -88,6 +88,30 @@ def test_traced_moves_warm_derives_nothing(workloads):
     metrics = _traced(workloads, "moves-warm")
     assert metrics["uqalgebra.build_irrep_calls"]["value"] == 0
     assert metrics["braiding.nullspace_factorizations"]["value"] == 0
+
+
+def test_traced_context_solves(workloads):
+    # the tracer wraps EvalContext.solve and solve_inverse by name; traced,
+    # each returns its block on the trefoil fixture colours and records
+    # its span with no error
+    import tracer
+    from conftest import strand_outputs, trefoil_boundary_2
+    from tanglev.evaluator import EvalContext
+    from tanglev.uqalgebra import RootData
+
+    ctx = EvalContext(RootData(3))
+    x1, x2 = (ctx.rep(ctx.char_of(g), (0, 0)) for g in trefoil_boundary_2())
+    tr = tracer.Tracer()
+    tr.begin_op("solves")
+    try:
+        blocks = [ctx.solve(x1, x2, strand_outputs(x1, x2)),
+                  ctx.solve_inverse(x1, x2, strand_outputs(x1, x2, -1))]
+    finally:
+        tr.end_op()
+    assert [blk.nullity for blk in blocks] == [1, 1]
+    spans = [rec for rec in tr.spans if tr.names[rec[0]] in tracer.CTX_SOLVES]
+    assert [tr.names[rec[0]] for rec in spans] == list(tracer.CTX_SOLVES)
+    assert all(rec[4] is None for rec in tr.spans)
 
 
 def test_traced_group_exact_counts_qc_ops(workloads):

@@ -8,8 +8,8 @@ import pytest
 
 from tanglev import (braiding, coloring, diagram, evaluator, factgroup,
                      uqalgebra)
-from tanglev.braiding import (char_to_group, group_to_char, solve_braiding,
-                              solve_braiding_inverse)
+from tanglev.braiding import char_to_group, group_to_char
+from tanglev.evaluator import EvalContext
 from tanglev.uqalgebra import RootData, build_irrep
 
 import oracles
@@ -25,7 +25,8 @@ def random_block(rng, rd):
         rx = build_irrep(generic_char(rng, rd), (0, 0), rd)
         ry = build_irrep(generic_char(rng, rd), (0, 0), rd)
         try:
-            return rx, ry, solve_braiding(rx, ry, strand_outputs(rx, ry))
+            return rx, ry, EvalContext(rd).solve(rx, ry,
+                                                 strand_outputs(rx, ry))
         except (braiding.NoIntertwiner, braiding.NonGenericCharacter) as exc:
             last = exc
     raise last
@@ -34,10 +35,11 @@ def random_block(rng, rd):
 def _assert_inverse_inverts(rx, ry):
     """The negative crossing out of the positive crossing's outputs lands
     on its sources and composes with it to a unimodular scalar."""
+    ctx = EvalContext(rx.rd)
     outputs = strand_outputs(rx, ry)
-    blk = solve_braiding(rx, ry, outputs)
+    blk = ctx.solve(rx, ry, outputs)
     back = strand_outputs(*outputs, sign=-1)
-    neg = solve_braiding_inverse(*outputs, back)
+    neg = ctx.solve_inverse(*outputs, back)
     assert blk.nullity == neg.nullity == 1
     assert neg.target_branches == (rx.branch, ry.branch)
     prod = neg.matrix @ blk.matrix
@@ -222,6 +224,7 @@ class TestSolver:
         # dense max_w |M S_w - T_w M| up to rounding; a negative block's is
         # still the dense max_w |N T_w - S_w N| on M's slots, bit for bit
         rd = RootData(ell)
+        ctx = EvalContext(rd)
         for _ in range(3):
             rx, ry = (build_irrep(generic_char(rng, rd),
                                   (rng.randrange(ell), rng.randrange(ell)),
@@ -230,10 +233,10 @@ class TestSolver:
             outputs = strand_outputs(rx, ry)
             source = braiding._positive_slots(rx, ry)
             target = oracles.pair_stack(*outputs)
-            pos = solve_braiding(rx, ry, outputs)
+            pos = ctx.solve(rx, ry, outputs)
             assert pos.residual == pytest.approx(
                 oracles.dense_residual(pos.matrix, source, target), abs=1e-13)
-            neg = solve_braiding_inverse(*outputs, (rx, ry))
+            neg = ctx.solve_inverse(*outputs, (rx, ry))
             assert neg.residual == oracles.dense_residual(neg.matrix, target,
                                                           source)
 
@@ -247,7 +250,7 @@ class TestSolver:
         m = q * np.logspace(0, -5, 121)
         m /= np.linalg.norm(m)
         assert np.linalg.det(m) == 0
-        out = braiding._normalize(m)
+        [out], _ = braiding._normalized(m[None])
         assert np.all(np.isfinite(out))
         sign, logdet = np.linalg.slogdet(out)
         assert abs(sign - 1) < 1e-9 and abs(logdet) < 1e-9
@@ -259,7 +262,7 @@ class TestSolver:
         assert blk.target_branches == tuple(rep.branch for rep in outputs)
         for off in (outputs[::-1], (rx, ry), (ry, rx)):
             with pytest.raises(braiding.NoIntertwiner):
-                solve_braiding(rx, ry, off)
+                EvalContext(rd3).solve(rx, ry, off)
 
     def test_inverse_block_inverts(self, rng, rd3):
         rx, ry, _ = random_block(rng, rd3)
@@ -277,8 +280,9 @@ class TestSolver:
         rc, rd_ = (build_irrep(generic_char(rng, rd),
                                (rng.randrange(ell), rng.randrange(ell)), rd)
                    for _ in range(2))
+        ctx = EvalContext(rd)
         outputs = strand_outputs(rc, rd_, sign=-1)
-        neg = solve_braiding_inverse(rc, rd_, outputs)
+        neg = ctx.solve_inverse(rc, rd_, outputs)
         ga, gb = factgroup.xlr_inverse(char_to_group(rc.char),
                                        char_to_group(rd_.char))
         assert factgroup.mats_equal(
@@ -287,10 +291,10 @@ class TestSolver:
             char_to_group(outputs[1].char), gb, tol=1e-9)
         assert neg.target_branches == tuple(rep.branch for rep in outputs)
         landed = strand_outputs(*outputs)
-        pos = solve_braiding(*outputs, landed)
+        pos = ctx.solve(*outputs, landed)
         assert pos.target_branches == (rc.branch, rd_.branch)
         assert pos.nullity == neg.nullity == 1
-        inv = braiding._normalize(np.linalg.inv(pos.matrix))
+        [inv], _ = braiding._normalized(np.linalg.inv(pos.matrix)[None])
         assert np.max(np.abs(inv - neg.matrix)) < 1e-12
 
     def test_negative_off_its_labels_raises(self, rng, rd3):
@@ -306,7 +310,7 @@ class TestSolver:
                 break
         origin = tuple(build_irrep(rep.char, (0, 0), rd3) for rep in outputs)
         with pytest.raises(braiding.NoIntertwiner):
-            solve_braiding_inverse(rc, rd_, origin)
+            EvalContext(rd3).solve_inverse(rc, rd_, origin)
 
     def test_derived_branches_are_the_only_ones(self, rng, rd3):
         # of all ell^4 output label pairs, exactly the strand rule's admits
@@ -317,8 +321,8 @@ class TestSolver:
             rx, ry = (build_irrep(generic_char(rng, rd3),
                                   (rng.randrange(3), rng.randrange(3)), rd3)
                       for _ in range(2))
-            for sign, solve in ((1, solve_braiding),
-                                (-1, solve_braiding_inverse)):
+            ctx = EvalContext(rd3)
+            for sign, solve in ((1, ctx.solve), (-1, ctx.solve_inverse)):
                 rule = strand_outputs(rx, ry, sign)
                 admitted = []
                 for bl, br in product(labels, repeat=2):
@@ -341,6 +345,12 @@ def _plan_inputs(rx, ry):
                                      for slots in (target, source))
     masks, _ = braiding._weight_masks(target_w, source_w)
     return masks[0], source, target
+
+
+def _plan_of(mask, source_nz, target_nz):
+    """The index plan of one crossing's patterns (`_index_plans`)."""
+    return braiding._index_plans(mask[None], source_nz[None],
+                                 target_nz[None])[0]
 
 
 def _intertwiner(source, target):
@@ -424,6 +434,9 @@ class TestBatchedSolve:
 
     def test_duplicate_keys_are_factorized_once(self, rng, rd3,
                                                 monkeypatch):
+        # one request twice in one context lookup is factorized once and
+        # shares its memo entry; a request on irreps built anew finds it
+        # through `EvalContext.rep` (test_evaluator's TestSolveMemo)
         shapes = []
         svd = np.linalg.svd
 
@@ -432,14 +445,8 @@ class TestBatchedSolve:
             return svd(a, *args, **kwargs)
 
         batch = _mixed_batch(rng, rd3)[:3]
-        # the first request again, on irreps built anew
-        twin = braiding.Crossing(*(
-            tuple(build_irrep(rep.char, rep.branch, rd3) for rep in reps)
-            for reps in (batch[0].inputs, batch[0].outputs)), 1)
-        assert twin.key() == batch[0].key()
-        assert twin.inputs[0] is not batch[0].inputs[0]
         monkeypatch.setattr(np.linalg, "svd", counted)
-        outs = braiding.solve_crossings(batch + [twin, batch[1]])
+        outs = EvalContext(rd3)._lookup(batch + [batch[0], batch[1]])
         assert sum(shape[0] for shape in shapes) == 3
         assert outs[3] is outs[0] and outs[4] is outs[1]
 
@@ -452,16 +459,17 @@ class TestGradedSolve:
                                   (rng.randrange(ell), rng.randrange(ell)),
                                   rd)
                       for _ in range(2))
+            ctx = EvalContext(rd)
             for sign, solve, slots in (
-                    (1, solve_braiding, braiding._positive_slots(rx, ry)),
-                    (-1, solve_braiding_inverse, _negative_slots(rx, ry))):
+                    (1, ctx.solve, braiding._positive_slots(rx, ry)),
+                    (-1, ctx.solve_inverse, _negative_slots(rx, ry))):
                 outputs = strand_outputs(rx, ry, sign)
                 blk = solve(rx, ry, outputs)
                 m, nullity = _dense_intertwiner(
                     slots, oracles.pair_stack(*outputs))
                 assert nullity == blk.nullity == 1
-                assert np.max(np.abs(braiding._normalize(m)
-                                     - blk.matrix)) < 1e-12
+                [m], _ = braiding._normalized(m[None])
+                assert np.max(np.abs(m - blk.matrix)) < 1e-12
 
     def test_one_small_svd_per_solve(self, rng, rd3, monkeypatch):
         shapes = {"qr": [], "svd": []}
@@ -473,7 +481,8 @@ class TestGradedSolve:
 
             monkeypatch.setattr(np.linalg, name, counted)
         rx, ry, _ = random_block(rng, rd3)
-        solve_braiding_inverse(rx, ry, strand_outputs(rx, ry, sign=-1))
+        EvalContext(rd3).solve_inverse(rx, ry,
+                                       strand_outputs(rx, ry, sign=-1))
         # one factorization per system: the QR of the (8 ell^3, ell)
         # system, then the SVD of its (ell, ell) R factor
         ell = rd3.ell
@@ -490,7 +499,7 @@ class TestGradedSolve:
                               (rng.randrange(ell), rng.randrange(ell)), rd)
                   for _ in range(2))
         mask, source, target = _plan_inputs(rx, ry)
-        plan = braiding._index_plan(mask, source != 0, target != 0)
+        plan = _plan_of(mask, source != 0, target != 0)
         dim = ell * ell
         orbits = plan.entries.reshape(ell, dim)
         for orbit in orbits:
@@ -504,7 +513,7 @@ class TestGradedSolve:
         monkeypatch.setattr(braiding, "_PLANS", {})
         rx, ry, cold = random_block(rng, rd3)
         assert len(braiding._PLANS) == 1
-        warm = solve_braiding(rx, ry, strand_outputs(rx, ry))
+        warm = EvalContext(rd3).solve(rx, ry, strand_outputs(rx, ry))
         assert len(braiding._PLANS) == 1
         assert np.array_equal(cold.matrix.view(np.uint64),
                               warm.matrix.view(np.uint64))
@@ -521,7 +530,7 @@ class TestGradedSolve:
         for w, i, j in zeros[:braiding.PLAN_CAP + 5]:
             pattern = source != 0
             pattern[(braiding._K1, braiding._L1)[w], i, j] = True
-            braiding._index_plan(mask, pattern, target != 0)
+            _plan_of(mask, pattern, target != 0)
         assert len(braiding._PLANS) == braiding.PLAN_CAP
         for plan in braiding._PLANS.values():
             for arr in plan:
@@ -533,15 +542,15 @@ class TestGradedSolve:
         # gets a plan of its own and leaves the first as it was
         monkeypatch.setattr(braiding, "_PLANS", {})
         mask, source, target = _plan_inputs(*random_block(rng, rd3)[:2])
-        first = braiding._index_plan(mask, source != 0, target != 0)
+        first = _plan_of(mask, source != 0, target != 0)
         i, j = np.argwhere(source[braiding._K1] != 0)[-1]
         changed = source.copy()
         changed[braiding._K1, i, j] = 0
-        other = braiding._index_plan(mask, changed != 0, target != 0)
+        other = _plan_of(mask, changed != 0, target != 0)
         assert len(braiding._PLANS) == 2 and other is not first
         built = braiding._build_plan(mask, changed != 0, target != 0)
         assert all(np.array_equal(a, b) for a, b in zip(other, built))
-        assert braiding._index_plan(mask, source != 0, target != 0) is first
+        assert _plan_of(mask, source != 0, target != 0) is first
 
     def test_weight_rule(self, rng, rd3):
         rx, ry, _ = random_block(rng, rd3)
@@ -578,7 +587,8 @@ class TestGradedSolve:
         rx, ry = (build_irrep(generic_char(rng, rd),
                               (rng.randrange(5), rng.randrange(5)), rd)
                   for _ in range(2))
-        for sign, solve in ((1, solve_braiding), (-1, solve_braiding_inverse)):
+        ctx = EvalContext(rd)
+        for sign, solve in ((1, ctx.solve), (-1, ctx.solve_inverse)):
             rule = strand_outputs(rx, ry, sign)
             solve(rx, ry, rule)
             for side, (dr, ds) in product((0, 1), ((1, 0), (0, 1), (2, 3))):

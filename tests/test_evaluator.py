@@ -290,7 +290,7 @@ class TestPlanner:
         batches = counted_solves(monkeypatch)
         evaluator.invariant(d, col, EvalContext(RootData(3)))
         assert [len(batch) for batch in batches] == [count]
-        assert len({req.key() for req in batches[0]}) == count
+        assert len(set(batches[0])) == count
 
     @pytest.mark.parametrize("knot", [0, 1, 2],
                              ids=["unknot-curl", "trefoil-2", "trefoil-3"])
@@ -424,6 +424,20 @@ class TestPlanner:
                                bottom_branches=[(0, 0), (0, 0), (1, 0)])
 
 
+    @pytest.mark.parametrize("branches", [[(0, 0)],
+                                          [(0, 0), (1, 0), (2, 2)]],
+                             ids=["short", "long"])
+    def test_bottom_branches_of_another_arity_are_refused(self, ctx,
+                                                          branches):
+        # one label per bottom point of the 2-point braid s1^3, or none
+        d = diagram.braid_word([1, 1, 1], 2)
+        col = coloring.propagate(d, ColoredBoundary(
+            tuple((1, x) for x in trefoil_boundary_2())))
+        evaluator.invariant(d, col, ctx, bottom_branches=[(0, 0)] * 2)
+        with pytest.raises(diagram.ArityMismatch, match="bottom branches"):
+            evaluator.invariant(d, col, ctx, bottom_branches=branches)
+
+
 class TestOwnership:
     @staticmethod
     def trefoil(word):
@@ -488,7 +502,7 @@ class TestTwistScale:
             loop = fresh.rep(char, branch)
             fresh.twist_scale(loop)
             [(key, blk)] = fresh._blocks.items()
-            through = key[0]
+            through = key.inputs[0]
             n = fresh.solve_inverse(through, loop, (through, loop)).matrix
             prod = n @ blk.matrix
             scalar = np.trace(prod) / len(prod)
@@ -575,6 +589,16 @@ class TestSolveMemo:
             gc.enable()
 
 
+    @pytest.mark.parametrize("order", [[(0, 1), (0, 2)], [(0, 2), (0, 1)]])
+    def test_labels_of_one_module_share_one_rep(self, order):
+        # at the branch-degenerate parabolic colour, labels (0, 1) and
+        # (0, 2) name one module: the context hands out one object for it,
+        # so the block memo, keyed by irrep objects, holds one entry
+        ch = group_to_char(trefoil_boundary_2()[0])
+        ctx = EvalContext(RootData(3))
+        first, second = (ctx.rep(ch, branch) for branch in order)
+        assert second is first and first.branch == (0, 1)
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_hit_by_key_with_other_rep_objects(self, monkeypatch, sign):
         # irreps built outside the context are other objects with the same
@@ -611,7 +635,7 @@ class TestBatchedContraction:
         assert pieces == [Piece.CUP_L, Piece.X_POS, Piece.CAP_R,
                           Piece.CUP_L, Piece.X_NEG]
         assert len(ctx._twist) == 1
-        assert sorted(key[-1] for key in ctx._blocks) == [-1, 1]
+        assert sorted(key.sign for key in ctx._blocks) == [-1, 1]
 
     def test_earlier_kink_obstruction_wins(self, monkeypatch):
         # the twist on the cap below the failing crossing raises first
