@@ -34,10 +34,11 @@ and P the tensor flip.  The colouring fixes both sides of a crossing, so
 the caller hands the solve its output irreps as well as its inputs, and
 the solve labels nothing: an output pair off the strand rule (each
 output carries the central scalars of the opposite input) admits no
-intertwiner, and the one nullspace solve raises NoIntertwiner.  The
-negative crossing V_c (x) V_d -> V_a (x) V_b is the normalized inverse of
-the positive block out of (a, b) into (c, d): there is one solve path,
-for the positive sign.
+intertwiner, and the one nullspace solve raises NoIntertwiner.  Only
+positive blocks are solved: the negative crossing V_c (x) V_d ->
+V_a (x) V_b is the inverse of the normalized positive block out of
+(a, b) into (c, d), which its caller forms (`EvalContext`), so a
+crossing and its inverse compose to the identity.
 
 The solve is graded by weight and transported along E1 and F2.  K is
 diagonal in every cyclic irrep and R(Delta K) = flip Delta K, so total
@@ -80,11 +81,9 @@ the stack of the crossings still alive:
   diagonal by construction;
 - the index plans, their memo keys packed in one call, and per plan the
   transport coefficients, the systems, one batched QR of them, one
-  batched SVD of the ell x ell R factors and each positive block's
-  residual, read off its system (`_solve_group`);
-- the inverse of the negative crossings and `_normalized`, which scales
-  each positive residual as it scales the block; a negative block
-  N = M^-1 takes its residual from dense products (`_residuals`).
+  batched SVD of the ell x ell R factors and each block's residual, read
+  off its system (`_solve_group`);
+- `_normalized`, which scales each residual as it scales the block.
 Every check is made per crossing, in the order above, and a crossing
 that fails one leaves the stack with the error it raises when solved
 alone; the verdicts of a stage are read off reductions over the stack,
@@ -107,7 +106,7 @@ from .factgroup import Factorization, Mat2
 from .uqalgebra import (CentralCharacter, CyclicRep, NonGenericCharacter,
                         RootData, build_irrep, central_values, principal_root)
 
-NORMALIZATION_VERSION = "det1-phase-1"
+NORMALIZATION_VERSION = "det1-phase-2"
 
 #: Condition number above which a series factor N, an intertwiner M or an
 #: E1 source slot counts as singular.  Scale-free: M has unit norm when
@@ -341,8 +340,10 @@ def z0_pullback_check(x: Mat2, y: Mat2, rd: RootData):
 
 @dataclass(frozen=True)
 class BraidingBlock:
-    """A colored crossing: the positive V_x (x) V_y -> V_{x_L} (x) V_{x_R}
-    or the negative V_c (x) V_d -> V_a (x) V_b."""
+    """A colored crossing: the positive V_x (x) V_y -> V_{x_L} (x) V_{x_R},
+    or the negative V_c (x) V_d -> V_a (x) V_b as the inverse of the
+    positive block out of (a, b), with that block's residual
+    (`EvalContext.solve_inverse`)."""
 
     matrix: np.ndarray = field(repr=False)
     target_branches: tuple  # the labels (r, s) of the two output irreps
@@ -352,15 +353,13 @@ class BraidingBlock:
 
 class Crossing(NamedTuple):
     """One crossing block to solve: the positive crossing out of `inputs`
-    into `outputs` (sign 1) or the negative one (sign -1).  Its positive
-    problem is the positive block out of `inputs` into `outputs`, or for a
-    negative crossing out of `outputs` into `inputs`.  Irreps hash by
+    into `outputs`.  A negative crossing out of (c, d) into (a, b) asks
+    for Crossing((a, b), (c, d)) and inverts its block.  Irreps hash by
     identity, so a request keys the context's block memo by its four irrep
-    objects and its sign."""
+    objects."""
 
     inputs: tuple  # (rep, rep)
     outputs: tuple  # (rep, rep)
-    sign: int
 
 
 def _fail(errors, live, found):
@@ -673,20 +672,6 @@ def branch_of(char, z, c, rd):
     return r, s
 
 
-def _residuals(m, left, right):
-    """max_w |M L_w - R_w M| of each block M of the stack `m` over the
-    eight slots of its own stacks, with contiguous products: M L_w one
-    slot at a time, and the R_w M of all eight slots as one product with
-    their stack.  Only negative blocks need it: a positive block's
-    residual is read off its system (`_solve_group`)."""
-    k, slots, dim, _ = left.shape
-    diff = np.empty_like(left)
-    for w in range(slots):
-        np.matmul(m, left[:, w], out=diff[:, w])
-    diff -= (right.reshape(k, slots * dim, dim) @ m).reshape(left.shape)
-    return np.max(np.abs(diff), axis=(1, 2, 3))
-
-
 def _take(stack, idx):
     """stack[idx] for an increasing index array `idx`, without a copy when
     it takes every entry."""
@@ -694,11 +679,11 @@ def _take(stack, idx):
 
 
 def solve_crossings(requests):
-    """Solve a batch of distinct crossing blocks (`Crossing`s, all at one
-    root of unity) in one pass: each stage runs once on the stack of the
-    requests still alive.  Returns, in request order, each request's
-    BraidingBlock or the error that it raises when solved alone, with that
-    error's type and message.
+    """Solve a batch of distinct positive crossing blocks (`Crossing`s,
+    all at one root of unity) in one pass: each stage runs once on the
+    stack of the requests still alive.  Returns, in request order, each
+    request's BraidingBlock or the error that it raises when solved alone,
+    with that error's type and message.
 
     A request that fails a check leaves the stack before the next stage,
     so it changes nothing in the others.  Equal requests are each solved:
@@ -706,38 +691,22 @@ def solve_crossings(requests):
     out = [None] * len(requests)
     if not requests:
         return out
-    # the positive problem of each request: out of (a, b) into (c, d)
-    ab = [r.inputs if r.sign > 0 else r.outputs for r in requests]
-    cd = [r.outputs if r.sign > 0 else r.inputs for r in requests]
-    source, ok = _source_stacks(_mats([a for a, _ in ab]),
-                                _mats([b for _, b in ab]), ab[0][0].rd)
+    xs, ys = zip(*(r.inputs for r in requests))
+    source, ok = _source_stacks(_mats(xs), _mats(ys), xs[0].rd)
     live = np.arange(len(requests))
     live = live[_fail(out, live, {
         k: SingularN("series factor N numerically singular")
         for k in np.flatnonzero(~ok)})]
     if not live.size:
         return out
-    target = _pair_stacks(_mats([cd[i][0] for i in live]),
-                          _mats([cd[i][1] for i in live]))
+    cs, ds = zip(*(requests[i].outputs for i in live))
+    target = _pair_stacks(_mats(cs), _mats(ds))
     errors, m, residual = _solve_intertwiners(source, target)
-    solved = np.flatnonzero(_fail(out, live, errors))
-    live = live[solved]
+    live = live[_fail(out, live, errors)]
     if not live.size:
         return out
-    # a negative crossing is the inverse of its positive block
-    neg = np.flatnonzero([requests[i].sign < 0 for i in live])
-    if neg.size:
-        m[neg] = np.linalg.inv(m[neg])
     m, modulus = _normalized(m)
-    # the residual of a positive block M is max_w |M S_w - T_w M|, read off
-    # its system and scaled as M was; that of a negative one N = M^-1 is
-    # max_w |N T_w - S_w N| on M's own slots
-    residual /= modulus
-    if neg.size:
-        residual[neg] = _residuals(m[neg], target[solved[neg]],
-                                   source[solved[neg]])
-    for i, block, res in zip(live, m, residual):
+    for i, block, res in zip(live, m, residual / modulus):
         labels = tuple(rep.branch for rep in requests[i].outputs)
         out[i] = BraidingBlock(block, labels, 1, float(res))
     return out
-

@@ -22,12 +22,13 @@ and the piece list it made.  Contraction gives each listed piece the
 plan's irreps of its arcs, sliced from the irrep at each endpoint.  One
 call (`EvalContext.operators`) makes the list's
 operators: it looks up every crossing and every right cup or cap curl
-(`braiding.Crossing`, the one form of a crossing request), solves each
-distinct miss in one batch (`braiding.solve_crossings`), and memoizes each
-block or failure.  It then makes the operators in order
-and raises a failure at its own piece, so the first error is the one a
-piece-by-piece solve would raise, and a context that holds every block
-solves nothing.  The state is then multiplied down the list.
+(`braiding.Crossing`, the one form of a crossing request, positive
+only), solves each distinct miss in one batch (`braiding.solve_crossings`),
+and memoizes each block or failure.  It then makes the operators in
+order, a negative crossing's as its block's inverse, and raises a failure
+at its own piece, so the first error is the one a piece-by-piece solve
+would raise, and a context that holds every block solves nothing.  The
+state is then multiplied down the list.
 
 Everything an evaluation derives is memoized on the `EvalContext` that
 owns it (see its docstring), or on the character it depends on alone
@@ -105,7 +106,8 @@ class EvalContext:
       (`rep`), and each arc's irrep by its exact colour and central
       scalars (`arc_rep`);
     - each crossing block, or its failure as type and message, by its
-      `braiding.Crossing` request (`_lookup`);
+      positive `braiding.Crossing` request (`_lookup`), and the inverse
+      that a negative crossing or a twist reads, read-only (`_inverse`);
     - each curl request and twist scale by its loop's (character, label);
     - each cup and cap operator (`cup_cap`), read-only: CUP_L and CAP_L
       once, CUP_R and CAP_R per (piece, character, label).
@@ -121,6 +123,7 @@ class EvalContext:
         self._twist = {}
         self._curls = {}
         self._blocks = {}
+        self._inverses = {}
         self._ops = {}
 
     def rep(self, char: CentralCharacter, branch):
@@ -163,7 +166,7 @@ class EvalContext:
         """The memo entry of each `braiding.Crossing` request: its block,
         or its failure as type and message.
 
-        A request is found by its four irrep objects and its sign; the
+        A request is found by its four irrep objects; the
         context's irreps come from `rep`, one object per module.  The
         distinct requests the memo lacks are solved in one batch
         (`braiding.solve_crossings`).  A failure is kept as its type and
@@ -179,36 +182,52 @@ class EvalContext:
                     if isinstance(out, Exception) else out
         return [blocks[req] for req in requests]
 
-    def _solve(self, inputs, outputs, sign):
-        """One crossing's block, or its failure raised; an irrep built
-        elsewhere is looked up as the context's own (`rep`)."""
+    def _inverse(self, req, hit):
+        """The inverse of the block of `req`'s memo entry `hit`, or its
+        failure raised: a negative crossing's operator, formed once."""
+        inv = self._inverses.get(req)
+        if inv is None:
+            inv = self._inverses[req] = np.linalg.inv(_block(hit).matrix)
+            inv.flags.writeable = False
+        return inv
+
+    def _solve(self, inputs, outputs):
+        """The positive crossing request out of `inputs` into `outputs` and
+        its memo entry; other irrep objects are mapped to the context's."""
         x, y, a, b = (self.rep(r.char, r.branch) for r in (*inputs, *outputs))
-        return _block(self._lookup([braiding.Crossing((x, y), (a, b),
-                                                      sign)])[0])
+        req = braiding.Crossing((x, y), (a, b))
+        return req, self._lookup([req])[0]
 
     def solve(self, repx, repy, outputs):
-        return self._solve((repx, repy), outputs, 1)
+        return _block(self._solve((repx, repy), outputs)[1])
 
     def solve_inverse(self, repc, repd, outputs):
-        return self._solve((repc, repd), outputs, -1)
+        """The negative crossing out of (repc, repd): the inverse of the
+        positive block out of `outputs`, with that block's residual."""
+        req, hit = self._solve(outputs, (repc, repd))
+        return braiding.BraidingBlock(
+            self._inverse(req, hit), tuple(rep.branch for rep in req.inputs),
+            1, _block(hit).residual)
 
     def operators(self, entries):
         """The matrix of each piece list entry (piece, top column,
         bottom arity, bottom irreps, top irreps), in order.
 
-        Each crossing, and the positive curl of each right cup or cap
-        whose loop has no twist yet (`mu` reads its scale), is looked up
-        first, every miss in one batch (`_lookup`); a curl whose through
-        strand cannot be formed is left out, for `twist_scale` to raise
-        that error at its piece.  The operators are then made in order
-        (`elementary_op`), so the error raised is the first one a
-        piece-by-piece contraction would meet.
+        Each crossing, as the positive block out of its bottom irreps
+        (X_POS) or its top ones (X_NEG), and the positive curl of each
+        right cup or cap whose loop has no twist yet (`mu` reads its
+        scale), is looked up first, every miss in one batch (`_lookup`); a
+        curl whose through strand cannot be formed is left out, for
+        `twist_scale` to raise that error at its piece.  The operators are
+        then made in order (`elementary_op`), so the error raised is the
+        first one a piece-by-piece contraction would meet.
         """
         crossings, curls = [], []
         for p, _, _, bottom, top in entries:
-            if p in _CROSSINGS:
-                crossings.append(braiding.Crossing(
-                    tuple(bottom), tuple(top), 1 if p is Piece.X_POS else -1))
+            if p is Piece.X_POS:
+                crossings.append(braiding.Crossing(tuple(bottom), tuple(top)))
+            elif p is Piece.X_NEG:
+                crossings.append(braiding.Crossing(tuple(top), tuple(bottom)))
             elif p is Piece.CUP_R or p is Piece.CAP_R:
                 loop = top[0] if p is Piece.CUP_R else bottom[0]
                 if (loop.char, loop.branch) in self._twist:
@@ -218,7 +237,7 @@ class EvalContext:
                 except (factgroup.NotFactorizable, NonGenericCharacter):
                     continue
                 curls.append(curl)
-        hits = iter(self._lookup(crossings + curls))
+        hits = zip(crossings, self._lookup(crossings + curls))
         return [elementary_op(p, bottom, top, self,
                               next(hits) if p in _CROSSINGS else None)
                 for p, _, _, bottom, top in entries]
@@ -274,27 +293,28 @@ class EvalContext:
             through = self.rep(strand, braiding.branch_of(
                 strand, loop.kappa / loop.lam, loop.cval, self.rd))
             curl = self._curls[key] = braiding.Crossing(
-                (through, loop), (through, loop), 1)
+                (through, loop), (through, loop))
         return curl
 
     def twist_scale(self, loop):
-        """Positive scalar normalizing mu so cancelling curl pairs drop out.
+        """Complex scalar normalizing mu so cancelling curl pairs drop out.
 
         The pivotal map on an irrep is only pinned up to a scalar; the curl
-        scalars theta_+- of a kink pair with loop module `loop` fix its
-        magnitude through |lambda|^2 |theta_+ theta_-| = 1.  The crossing
-        automorphism fixes the central elements K L^-1 and c slot by slot
-        up to the flip, so a crossing's slot-2 output carries the central
-        scalars of its slot-1 input.  The through-strand therefore gets the
-        label whose scalars are the loop's, and the positive curl M is
-        solved from (through, loop) to (through, loop); a curl with no such
-        intertwiner, or whose curl scalars vanish or are not finite, raises
-        KinkObstruction.
+        scalars theta_+- of a kink pair with loop module `loop` fix it
+        through lambda^2 theta_+ theta_- = 1, with lambda = 1/sqrt(theta_+
+        theta_-) on numpy's principal branch (real part >= 0, cut along the
+        negative reals).  The crossing automorphism fixes the central
+        elements K L^-1 and c slot by slot up to the flip, so a crossing's
+        slot-2 output carries the central scalars of its slot-1 input.  The
+        through-strand therefore gets the label whose scalars are the
+        loop's, and the positive curl M is solved from (through, loop) to
+        (through, loop); a curl with no such intertwiner, or whose curl
+        scalars vanish or are not finite, raises KinkObstruction.
 
         Only the positive curl is solved.  It returns both of its input
         modules, so the negative curl, the inverse crossing on the same
-        pair, is M^-1 up to the root of unity that normalization picks, and
-        theta_- is read from M^-1 (the solve has refused any M with
+        pair, is M^-1, the operator its X_NEG piece gets (`_inverse`), and
+        theta_- is read from it (the solve has refused any M with
         condition number above COND_LIMIT: `braiding._solve_group`'s
         class-block test raises SingularM).
         """
@@ -302,21 +322,22 @@ class EvalContext:
         val = self._twist.get(key)
         if val is None:
             curl = self._curl(loop)
+            hit = self._lookup([curl])[0]
             try:
-                m = _block(self._lookup([curl])[0]).matrix
+                m = _block(hit).matrix
             except braiding.NoIntertwiner as exc:
                 raise KinkObstruction(
                     "the curl does not return its through and loop "
                     "modules") from exc
             prod = (self._kink_scalar(m, loop.Kmat)
-                    * self._kink_scalar(np.linalg.inv(m), loop.Kmat))
+                    * self._kink_scalar(self._inverse(curl, hit), loop.Kmat))
             if not np.isfinite(prod):
                 raise KinkObstruction("curl scalars are not finite (%r)"
                                       % prod)
             if not abs(prod) > 1e-12:
                 raise KinkObstruction("curl scalars vanish (%.1e)"
                                       % abs(prod))
-            val = 1.0 / np.sqrt(abs(prod))
+            val = 1 / np.sqrt(complex(prod))
             self._twist[key] = val
         return val
 
@@ -329,13 +350,16 @@ def elementary_op(piece: Piece, bottom, top, ctx: EvalContext, hit):
     """The matrix of one elementary piece.
 
     `bottom` and `top` are the irreps on the piece's bottom and top arcs,
-    and a crossing's `hit` is its memo entry (`EvalContext._lookup`), whose
-    failure is raised here; other pieces get None.  Identity pieces have
-    no operator: contraction does not list them.
+    and a crossing's `hit` is its request and memo entry
+    (`EvalContext._lookup`), whose failure is raised here; other pieces
+    get None.  X_NEG takes the inverse of its block (`_inverse`).
+    Identity pieces have no operator: contraction does not list them.
     """
-    if piece not in _CROSSINGS:
-        return ctx.cup_cap(piece, bottom, top)
-    return _block(hit).matrix
+    if piece is Piece.X_POS:
+        return _block(hit[1]).matrix
+    if piece is Piece.X_NEG:
+        return ctx._inverse(*hit)
+    return ctx.cup_cap(piece, bottom, top)
 
 
 # ---------------------------------------------------------------------------

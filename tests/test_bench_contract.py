@@ -61,11 +61,11 @@ def _traced(workloads, name, limit=None):
 
 
 def test_traced_knot_cold_solves_once_per_crossing(workloads, monkeypatch):
-    # one factorized system per crossing block, 2, 4 and 6 for the three
-    # knots (4.0 per op), read from the leading dimension of the stacked
-    # SVD: a negative crossing that went through the public positive solve
-    # would count twice.  Each knot meets one index plan, so each
-    # contraction makes one SVD call.
+    # one factorized system per positive crossing block, 1, 4 and 6 for
+    # the three knots (11/3 per op), read from the leading dimension of the
+    # stacked SVD: the unknot's curl pair and its twist share one block,
+    # which its negative crossing inverts.  Each knot meets one index plan,
+    # so each contraction makes one SVD call.
     shapes = []
     svd = np.linalg.svd
 
@@ -76,8 +76,8 @@ def test_traced_knot_cold_solves_once_per_crossing(workloads, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     metrics = _traced(workloads, "knot-cold")
     ops = len(workloads.knots())
-    assert [shape[0] for shape in shapes] == [2, 4, 6]
-    assert sum(shape[0] for shape in shapes) / ops == 4.0
+    assert [shape[0] for shape in shapes] == [1, 4, 6]
+    assert sum(shape[0] for shape in shapes) / ops == 11 / 3
     assert metrics["braiding.nullspace_factorizations"]["value"] \
         == len(shapes) / ops == 1.0
 

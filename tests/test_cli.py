@@ -61,7 +61,7 @@ class TestInvariantMode:
         assert rep["writhe"] == 3
         assert rep["magnitude"] == pytest.approx(5.196152422706661,
                                                  abs=1e-6)
-        assert rep["normalization"] == "det1-phase-1"
+        assert rep["normalization"] == "det1-phase-2"
         assert rep["framing"] == "balanced"
 
     def test_unknot_with_char(self, capsys, unknot_file):

@@ -48,11 +48,12 @@ def counted_solves(monkeypatch):
     return batches
 
 
-def failing_negatives(monkeypatch, error):
-    """Make every negative crossing of a batch fail with `error`("probe");
-    the other requests are solved as before."""
+def failing_crossings(monkeypatch, error):
+    """Make every request of a batch that is not a curl (one whose outputs
+    are its inputs) fail with `error`("probe"); the curls are solved as
+    before."""
     def solve(requests, *args, _solve=braiding.solve_crossings, **kw):
-        return [error("probe") if req.sign < 0 else out
+        return [out if req.inputs == req.outputs else error("probe")
                 for req, out in zip(requests, _solve(requests, *args, **kw))]
     monkeypatch.setattr(braiding, "solve_crossings", solve)
 
@@ -77,6 +78,20 @@ def cold_knots():
     x1, _ = trefoil_boundary_2()
     col = coloring.propagate(d, ColoredBoundary(((1, x1),)), cup_seeds={})
     return [(d, col)] + trefoil_colourings()
+
+
+def curl_below_crossing():
+    """(diagram, colouring) of two strands, the first with a cancelling
+    curl pair, then a negative crossing of the two: its block is the one
+    request that is not a curl."""
+    strand = diagram.parse("id+")
+    curl = diagram.apply_move(
+        strand, "FramedR1", next(diagram.find_move_sites(strand, "FramedR1")))
+    d = diagram.compose(diagram.braid_word([-1], 2),
+                        diagram.tensor(curl, strand))
+    col = coloring.propagate(d, ColoredBoundary(
+        tuple((1, x) for x in trefoil_boundary_2())), cup_seeds={})
+    return d, col
 
 
 class TestElementaryIdentities:
@@ -113,8 +128,9 @@ class TestElementaryIdentities:
 
     def test_twist_is_load_bearing(self, monkeypatch):
         # the curl pair's two right caps close on one loop module, whose
-        # twist scale s is far from 1: mu = K alone would scale the pair
-        # by s^-2 (1.793 here), and the balanced mu = s K cancels it
+        # twist scale s is far from 1: mu = K alone would scale the pair's
+        # magnitude by |s|^-2 (1.793 here), and the balanced mu = s K
+        # cancels it
         d = diagram.parse("id+")
         d2 = diagram.apply_move(
             d, "FramedR1", next(iter(diagram.find_move_sites(d, "FramedR1"))))
@@ -130,7 +146,7 @@ class TestElementaryIdentities:
         assert abs(abs(balanced) - 1) < 1e-9
         monkeypatch.setattr(EvalContext, "twist_scale", lambda self, rep: 1.0)
         raw = evaluator.contract(d2, col, EvalContext(RootData(3))).matrix
-        assert abs(abs(np.trace(raw) / 3) - s ** -2) < 1e-9
+        assert abs(abs(np.trace(raw) / 3) - abs(s) ** -2) < 1e-9
 
     def test_r2_pair_is_phase(self, ctx):
         d = diagram.braid_word([1, -1], 2)
@@ -281,11 +297,12 @@ class TestPlanner:
         assert len(batches) == 1
         assert len(batches[0]) == crossings + len(ctx._twist) == 6
 
-    @pytest.mark.parametrize("knot, count", [(0, 2), (1, 4), (2, 6)],
+    @pytest.mark.parametrize("knot, count", [(0, 1), (1, 4), (2, 6)],
                              ids=["unknot-curl", "trefoil-2", "trefoil-3"])
     def test_cold_solve_count(self, monkeypatch, knot, count):
         # a fresh context solves each crossing block once and one curl per
-        # twist, in one batch; the curl pair of the unknot is its own kink
+        # twist, in one batch; the curl pair of the unknot is its own kink,
+        # and its negative crossing inverts the positive one's block
         d, col = cold_knots()[knot]
         batches = counted_solves(monkeypatch)
         evaluator.invariant(d, col, EvalContext(RootData(3)))
@@ -464,6 +481,47 @@ class TestOwnership:
         assert str(exc.value) == "coloring belongs to a different diagram"
 
 
+def trefoil_2_value(word, rd):
+    """The complex value of the partial closure of the 2-strand braid
+    `word` at the 2-strand trefoil's fixture colouring, from a fresh
+    context."""
+    x1, x2 = trefoil_boundary_2()
+    d = diagram.close_braid_partial(diagram.braid_word(word, 2))
+    col = coloring.propagate(d, ColoredBoundary(((1, x1),)),
+                             cup_seeds={0: x2})
+    return evaluator.invariant(d, col, EvalContext(rd))[0]
+
+
+class TestComplexValue:
+    # complex values compared with each other; no digit is pinned
+    @pytest.mark.parametrize("pad", [[1, -1], [-1, 1], [1, 1, -1, -1]],
+                             ids=["s1s1-", "s1-s1", "s1^2s1^-2"])
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_r2_pads_keep_the_value(self, ell, pad):
+        # a negative crossing is the inverse of its positive block, so a
+        # cancelling pair drops out with its phase
+        rd = RootData(ell)
+        base = trefoil_2_value([1, 1, 1], rd)
+        assert abs(trefoil_2_value([1, 1, 1] + pad, rd) / base - 1) < 1e-9
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_curl_pair_unknot_is_one(self, ell):
+        # the complex twist scale cancels the curl pair's phase as well
+        d, col = cold_knots()[0]
+        value, _ = evaluator.invariant(d, col, EvalContext(RootData(ell)))
+        assert abs(value - 1) < 1e-9
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_trefoil_presentations_differ_by_a_root_of_unity(self, ell):
+        # the det-1 rule fixes each block only up to an ell^2-th root of
+        # unity; the 3- and 2-strand trefoils differ by a root of order
+        # dividing 2 ell^2
+        rd = RootData(ell)
+        two, three = (evaluator.invariant(d, col, EvalContext(rd))[0]
+                      for d, col in trefoil_colourings())
+        assert abs((three / two) ** (2 * ell ** 2) - 1) < 1e-8
+
+
 class TestTwistScale:
     def test_curl_closes_off_the_principal_branch(self, monkeypatch):
         # at m = 2+i the curl of x2's loop on (0,0) needs a through-strand
@@ -471,7 +529,7 @@ class TestTwistScale:
         _, x2 = trefoil_boundary_2(trefoil_curve_meridians(2 + 1j))
         char = group_to_char(x2)
         ctx = EvalContext(RootData(3))
-        assert ctx.twist_scale(ctx.rep(char, (0, 0))) > 0
+        assert abs(ctx.twist_scale(ctx.rep(char, (0, 0)))) > 0
 
         class PrincipalThrough:
             def __getattr__(self, name):
@@ -489,8 +547,9 @@ class TestTwistScale:
     @pytest.mark.parametrize("ell, m", [(3, None), (3, 2 + 1j),
                                         (3, 1.3 + 0.2j), (5, None)])
     def test_negative_curl_is_the_inverse(self, ell, m):
-        # the solved negative curl N of every loop the trefoils normalize
-        # by is M^-1 up to a root of unity, so it gives the same |theta_-|
+        # the negative curl N of every loop the trefoils normalize by is
+        # M^-1: twist_scale reads theta_- from the context's one inverse of
+        # M, the very matrix a negative curl crossing gets
         rd = RootData(ell)
         ctx = EvalContext(rd)
         for d, col in trefoil_colourings(
@@ -502,15 +561,12 @@ class TestTwistScale:
             loop = fresh.rep(char, branch)
             fresh.twist_scale(loop)
             [(key, blk)] = fresh._blocks.items()
+            [(inv_key, inv)] = fresh._inverses.items()
+            assert inv_key == key
             through = key.inputs[0]
             n = fresh.solve_inverse(through, loop, (through, loop)).matrix
-            prod = n @ blk.matrix
-            scalar = np.trace(prod) / len(prod)
-            assert np.max(np.abs(prod - scalar * np.eye(len(prod)))) < 1e-10
-            theta_n = abs(fresh._kink_scalar(n, loop.Kmat))
-            theta_inv = abs(fresh._kink_scalar(np.linalg.inv(blk.matrix),
-                                               loop.Kmat))
-            assert theta_n == pytest.approx(theta_inv, rel=1e-10)
+            assert n is inv
+            assert np.max(np.abs(n @ blk.matrix - np.eye(len(n)))) < 1e-10
 
     def test_non_finite_curl_scalars_are_refused(self, monkeypatch):
         # a NaN curl product is refused as not finite, not reported as
@@ -603,7 +659,8 @@ class TestSolveMemo:
     def test_hit_by_key_with_other_rep_objects(self, monkeypatch, sign):
         # irreps built outside the context are other objects with the same
         # (character, label): the lookup by object misses, the one by key
-        # finds the block, and nothing is solved again
+        # finds the block (a negative crossing its memoized inverse), and
+        # nothing is solved again
         x1, x2 = trefoil_boundary_2()
         rd = RootData(3)
         ctx = EvalContext(rd)
@@ -616,31 +673,32 @@ class TestSolveMemo:
         others = [uqalgebra.build_irrep(rep.char, rep.branch, rd)
                   for rep in inputs + outputs]
         assert all(o is not r for o, r in zip(others, inputs + outputs))
-        assert solve(*others[:2], others[2:]) is blk
+        assert solve(*others[:2], others[2:]).matrix is blk.matrix
         assert batches == []
 
 
 class TestBatchedContraction:
     def test_failure_raises_at_its_own_piece(self, monkeypatch):
-        # the unknot's negative crossing fails in the batch; the pieces
-        # below it, the positive crossing and its curl's twist among them,
-        # are contracted first, and the error is raised at that crossing
-        d, col = cold_knots()[0]
-        failing_negatives(monkeypatch, braiding.SingularM)
+        # the crossing above the curl pair fails in the batch; the pieces
+        # below it, the curl's crossings and its twist among them, are
+        # contracted first, and the error is raised at that crossing
+        d, col = curl_below_crossing()
+        failing_crossings(monkeypatch, braiding.SingularM)
         pieces = visited_pieces(monkeypatch)
         ctx = EvalContext(RootData(3))
         with pytest.raises(braiding.SingularM, match="probe"):
             evaluator.contract(d, col, ctx)
         Piece = diagram.Piece
         assert pieces == [Piece.CUP_L, Piece.X_POS, Piece.CAP_R,
-                          Piece.CUP_L, Piece.X_NEG]
+                          Piece.CUP_L, Piece.X_NEG, Piece.CAP_R, Piece.X_NEG]
         assert len(ctx._twist) == 1
-        assert sorted(key.sign for key in ctx._blocks) == [-1, 1]
+        assert sorted(isinstance(hit, tuple)
+                      for hit in ctx._blocks.values()) == [False, True]
 
     def test_earlier_kink_obstruction_wins(self, monkeypatch):
         # the twist on the cap below the failing crossing raises first
-        d, col = cold_knots()[0]
-        failing_negatives(monkeypatch, braiding.SingularM)
+        d, col = curl_below_crossing()
+        failing_crossings(monkeypatch, braiding.SingularM)
         ctx = EvalContext(RootData(3))
         monkeypatch.setattr(ctx, "_kink_scalar",
                             lambda m, mu: complex("nan"))
@@ -652,8 +710,8 @@ class TestBatchedContraction:
         # the batch leaves out the curl whose through strand cannot be
         # formed; twist_scale raises NotFactorizable at the cap, before
         # the failing crossing above it
-        d, col = cold_knots()[0]
-        failing_negatives(monkeypatch, braiding.SingularM)
+        d, col = curl_below_crossing()
+        failing_crossings(monkeypatch, braiding.SingularM)
         batches = counted_solves(monkeypatch)
 
         def no_strand(_):
@@ -662,8 +720,8 @@ class TestBatchedContraction:
         monkeypatch.setattr(factgroup, "curl_unpartner", no_strand)
         with pytest.raises(factgroup.NotFactorizable, match="probe strand"):
             evaluator.contract(d, col, EvalContext(RootData(3)))
-        assert [sorted(req.sign for req in batch) for batch in batches] \
-            == [[-1, 1]]
+        assert [[req.inputs == req.outputs for req in batch]
+                for batch in batches] == [[True, False]]
 
 
 class TestReidemeisterReport:

@@ -83,3 +83,30 @@ def test_changed_site_exits_1(values, tmp_path, field):
     new = sample()
     new["sites"]["unknot/R2/0"][field] = "changed"
     assert status(values, tmp_path, new, sample()) == 1
+
+
+def test_phase_alone_shows_only_in_a_minus_b(values, tmp_path, capsys):
+    # a value and a block turned by the phase i keep their magnitude and
+    # fit the old ones with a unimodular z, and the command exits 0
+    new = sample()
+    new["knots"]["trefoil-2@3"] = [0.0, 5.196]
+    new["sweep"]["3/0/1"] = [[0.0, 1.0], [0.5, 0.5]]
+    assert status(values, tmp_path, new, sample()) == 0
+    out = capsys.readouterr().out
+    assert "largest |a - b|: trefoil-2@3 7.3e+00; largest ||a| - |b|| / " \
+        "|b|: trefoil-2@3 0.0e+00" in out
+    assert "largest |B - zA| / max |A|: 3/0/1 0.0e+00; largest " \
+        "||z| - 1|: 3/0/1 0.0e+00" in out
+
+
+def test_magnitude_change_shows_apart_from_phase(values, tmp_path, capsys):
+    # a value scaled by 1 + 1e-6 and a block doubled: the magnitude
+    # column and |z| show them; the fit of the doubled block is exact
+    new = sample()
+    new["moves"]["trefoil-2/R2/0"] = [5.196 * (1 + 1e-6), 0.0]
+    new["sweep"]["3/0/1"] = [[2.0, 0.0], [1.0, -1.0]]
+    assert status(values, tmp_path, new, sample()) == 0
+    out = capsys.readouterr().out
+    assert "largest ||a| - |b|| / |b|: trefoil-2/R2/0 1.0e-06" in out
+    assert "largest |B - zA| / max |A|: 3/0/1 0.0e+00; largest " \
+        "||z| - 1|: 3/0/1 5.0e-01" in out

@@ -25,13 +25,17 @@ Writes to OUT.json:
 tanglev is imported from the `src/` next to this file, and the workloads
 from the `bench/` next to it, so a copy of this file in another checkout
 writes that checkout's numbers.  With --against, the differences to
-OTHER.json are printed section by section: the largest |a - b| of the
-values, the outcomes that differ, and for blocks the largest |A - B|
-relative to the largest entry of B; for sites, also the keys whose site
-or moved diagram differ, so a changed enumeration or rewrite shows; for
-`exact`, every key whose strings or message differ.  The command then
-exits 1 if any knot, move or sweep outcome, any site or moved diagram, or
-any exact string or message differs; float differences alone exit 0.
+OTHER.json are printed section by section, with phase kept apart from
+value: the outcomes that differ; for values the largest |a - b| and the
+largest ||a| - |b|| / |b|; for blocks the largest |A - B| relative to the
+largest entry of B, and the largest |B - zA| / max |A| and ||z| - 1|,
+where z = <A, B> / <A, A> is the scalar that fits A to B best, so a block
+that changed by a phase alone reads near 0 in both; for sites, also the
+keys whose site or moved diagram differ, so a changed enumeration or
+rewrite shows; for `exact`, every key whose strings or message differ.
+The command then exits 1 if any knot, move or sweep outcome, any site or
+moved diagram, or any exact string or message differs; float differences
+alone exit 0.
 """
 
 import argparse
@@ -169,16 +173,20 @@ def compare(new, old):
     a moved diagram or an exact string differs."""
     changed = False
     for section in ("knots", "moves"):
-        rows, moved = [], []
+        rows, sizes, moved = [], [], []
         for key, a in new[section].items():
             b = old[section].get(key)
             if isinstance(a, str) or isinstance(b, str) or b is None:
                 if a != b:
                     moved.append(key)
                 continue
-            rows.append((key, abs(_complex(a) - _complex(b))[0]))
-        print("%s: %d compared, outcomes differ on %s; largest |a - b|: %s"
-              % (section, len(rows), moved or "none", _largest(rows)))
+            [a], [b] = _complex(a), _complex(b)
+            rows.append((key, abs(a - b)))
+            sizes.append((key, abs(abs(a) - abs(b)) / abs(b)))
+        print("%s: %d compared, outcomes differ on %s; largest |a - b|: %s; "
+              "largest ||a| - |b|| / |b|: %s" % (
+                  section, len(rows), moved or "none", _largest(rows),
+                  _largest(sizes)))
         changed |= bool(moved)
     sites, before = new["sites"], old["sites"]
     keys = sorted(set(sites) | set(before))
@@ -199,7 +207,7 @@ def compare(new, old):
         keys = [k for k in new["sweep"] if k.startswith(prefix)]
         counts = Counter("ok" if isinstance(new["sweep"][k], list)
                          else new["sweep"][k] for k in keys)
-        rows, moved = [], []
+        rows, fits, units, moved = [], [], [], []
         for key in keys:
             a, b = new["sweep"][key], old["sweep"].get(key)
             if not (isinstance(a, list) and isinstance(b, list)):
@@ -208,9 +216,14 @@ def compare(new, old):
                 continue
             ca, cb = _complex(a), _complex(b)
             rows.append((key, np.max(abs(ca - cb)) / np.max(abs(cb))))
+            z = np.vdot(ca, cb) / np.vdot(ca, ca)
+            fits.append((key, np.max(abs(cb - z * ca)) / np.max(abs(ca))))
+            units.append((key, abs(abs(z) - 1)))
         print("sweep l = %d: %s; outcomes differ on %d: %s; largest "
-              "|A - B| / max |B|: %s" % (ell, dict(counts), len(moved),
-                                         moved[:5], _largest(rows)))
+              "|A - B| / max |B|: %s; largest |B - zA| / max |A|: %s; "
+              "largest ||z| - 1|: %s" % (
+                  ell, dict(counts), len(moved), moved[:5], _largest(rows),
+                  _largest(fits), _largest(units)))
         changed |= bool(moved)
     exact, before = new["exact"], old["exact"]
     refused = sum(isinstance(v, str) for v in exact.values())
