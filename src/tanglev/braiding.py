@@ -64,14 +64,19 @@ SingularM.  M maps each weight class of ell source columns into the ell
 target rows of equal weight, so it is a direct sum of ell blocks of
 ell x ell, and its condition number is read from theirs.
 
-Which entries form the orbits and the weight classes, and which entries
-of the slots each row of the system meets, depends only on the weight
-mask and on the zero patterns of the two stacks, so `_index_plans` builds
-those index arrays once per pattern and memoizes them (at most
-PLAN_CAP).  The memo holds index arrays only, never a colour, character
-or block: a fresh EvalContext still solves every crossing, and each
-solve recomputes its transport coefficients, its system, its QR and its
-SVD.
+The weights are constant on the classes i1 + i2 = c mod ell of each
+side: the target's are kappa_c kappa_d eps^(2c) by construction, and the
+source's, the diagonal of K1 K2, are k1 k2 because N N^-1 = 1.  As eps^2
+is primitive, either no class matches or target class c matches source
+class c - s alone, for one class shift s.  Which entries form the orbits
+and the weight classes, and which entries of the slots each row of the
+system meets, follows from the grading: T_E1, S_E1, T_F2 and S_F2 move a
+point one step along one factor, and slot w moves the class by deg w
+(+1 for E, -1 for F, 0 for K and L).  So `_plan` builds those index
+arrays once per (ell, s), at most ell plans per ell.  The memo holds
+index arrays only, never a colour, character or block: a fresh
+EvalContext still solves every crossing, and each solve recomputes its
+transport coefficients, its system, its QR and its SVD.
 
 Crossings are solved in batches (`solve_crossings`), each stage once on
 the stack of the crossings still alive:
@@ -79,10 +84,9 @@ the stack of the crossings still alive:
 - the weight rule: the source's total K, which must be diagonal, and the
   target's, read off the diagonals of its K1 and K2 slots, which are
   diagonal by construction;
-- the index plans, their memo keys packed in one call, and per plan the
-  transport coefficients, the systems, one batched QR of them, one
-  batched SVD of the ell x ell R factors and each block's residual, read
-  off its system (`_solve_group`);
+- per class shift, its plan and the transport coefficients, the
+  systems, one batched QR of them, one batched SVD of the ell x ell R
+  factors and each block's residual, read off its system (`_solve_group`);
 - `_normalized`, which scales each residual as it scales the block.
 Every check is made per crossing, in the order above, and a crossing
 that fails one leaves the stack with the error it raises when solved
@@ -410,12 +414,13 @@ def _total_weights(slots):
                      for k in np.flatnonzero(bad)}
 
 
-def _weight_masks(target_w, source_w):
-    """mask[k, i, j]: target weight i of crossing k equals its source
-    weight j, under the margin rule of the module docstring; and the error
-    of each crossing that has one, by position: WeightGrading for a pair of
-    weights that is neither equal nor separated, else NoIntertwiner if no
-    weight matches."""
+def _weight_shifts(target_w, source_w):
+    """The class shift s of each crossing's weight mask, mask[i, j] when
+    target weight i equals source weight j under the margin rule of the
+    module docstring: the class of the target row that matches source
+    column 0.  And the error of each crossing that has one, by position:
+    WeightGrading for a pair of weights that is neither equal nor
+    separated, else NoIntertwiner if no weight matches."""
     ell = math.isqrt(source_w.shape[1])
     dist = np.abs(target_w[:, :, None] / source_w[:, None, :] - 1)
     mask = dist < WEIGHT_RTOL
@@ -425,12 +430,14 @@ def _weight_masks(target_w, source_w):
     found.update({k: WeightGrading(
         "weights neither equal nor separated (relative distance %.1e)"
         % np.min(dist[k][~mask[k]])) for k in np.flatnonzero(between)})
-    return mask, found
+    row = np.argmax(mask[:, :, 0], axis=1)
+    return (row // ell + row % ell) % ell, found
 
 
 class _Plan(NamedTuple):
-    """The index arrays of one solve (`_build_plan`).  Indices marked flat
-    index the raveled (8, ell^2, ell^2) stacks."""
+    """The index arrays of the solves of one class shift at one ell
+    (`_build_plan`).  Indices marked flat index the raveled (8, ell^2,
+    ell^2) stacks."""
 
     moves: np.ndarray  # (2, ell^2): flat, S_E1 and S_F2 entry of column j
     num: np.ndarray  # (ell, ell): flat, T_E1 or T_F2 entry of the step
@@ -443,11 +450,9 @@ class _Plan(NamedTuple):
     blocks: np.ndarray  # (ell, ell, ell): into raveled M, class c at (i, j)
 
 
-#: Plans by (ell^2, packed mask and zero patterns).  It holds index arrays
-#: only, never a colour, character or block; beyond PLAN_CAP plans it
-#: drops its oldest.  Each benchmark workload meets a single pattern.
+#: Plans by (ell, class shift): index arrays only, never a colour,
+#: character or block, at most ell plans per ell.
 _PLANS = {}
-PLAN_CAP = 16
 
 
 class _Constants(NamedTuple):
@@ -478,54 +483,43 @@ def _constants(ell):
     return const
 
 
-def _index_plans(masks, source_nz, target_nz):
-    """The plan of the solve of each crossing of the stacked patterns,
-    built once per pattern, with the memo keys of all of them packed in
-    one call."""
-    n, dim = masks.shape[:2]
-    if not n:
-        return []
-    keys = np.packbits(np.concatenate(
-        [nz.reshape(n, -1) for nz in (masks, source_nz, target_nz)],
-        axis=1), axis=1)
-    plans = []
-    for key, mask, snz, tnz in zip(keys, masks, source_nz, target_nz):
-        key = (dim, key.tobytes())
-        plan = _PLANS.get(key)
-        if plan is None:
-            if len(_PLANS) >= PLAN_CAP:
-                del _PLANS[next(iter(_PLANS))]
-            plan = _PLANS[key] = _build_plan(mask, snz, tnz)
-        plans.append(plan)
-    return plans
+def _plan(ell, shift):
+    """The `_Plan` of the class shift `shift` at ell, built once."""
+    plan = _PLANS.get((ell, shift))
+    if plan is None:
+        plan = _PLANS[ell, shift] = _build_plan(ell, shift)
+    return plan
 
 
-def _build_plan(mask, source_nz, target_nz):
+def _build_plan(ell, shift):
     """Orbits of E1 and F2 on the weight-matched entries, and the gather
-    indices of the system's rows.
+    indices of the system's rows, by index arithmetic on the grading of
+    the module docstring.  Point p = (n1, n2) is index n1 ell + n2.
 
-    Orbit o starts at the entry (i0, j_o) of the first weight class, j_o
-    its o-th source column, and holds the images after b F2 and then a E1
-    steps, (path[a, b], src[o, a, b]); the step into (a, b) multiplies
-    the coefficient by the slot entries num[a, b] / den[o, a, b].  An
-    orbit meets every target row and every source column once, so X_o is
+    Orbit o starts at the entry (0, j_o), j_o the o-th source column of
+    class -shift, and holds the images after b F2 and then a E1 steps,
+    (path[a, b], src[o, a, b]); the step into (a, b) multiplies the
+    coefficient by the slot entries num[a, b] / den[o, a, b].  An orbit
+    meets every target row and every source column once, so X_o is
     monomial, and row (w, p, q) of X_o S_w - T_w X_o is
     X_o[p, j] S_w[j, q] - T_w[p, i] X_o[i, q] with j = src_o(p) and
-    src_o(i) = q.  The rows are those that weight-matched entries reach.
+    src_o(i) = q.  The rows are those that weight-matched entries reach,
+    every (w, p, q) with class(p) - class(q) = shift + deg w: 8 ell^3.
     """
-    dim = len(mask)
-    ell = math.isqrt(dim)
+    dim = ell * ell
     cols = np.arange(dim)
-    tr, sr, tf, sf = (np.argmax(nz, axis=0) for nz in (
-        target_nz[_E1], source_nz[_E1], target_nz[_F2], source_nz[_F2]))
-    i0 = np.argmax(mask.any(axis=1))
-    path = np.empty((ell, ell), dtype=int)
-    src = np.empty((ell, ell, ell), dtype=int)
-    path[0, 0], src[:, 0, 0] = i0, np.flatnonzero(mask[i0])
-    for b in range(1, ell):
-        path[0, b], src[:, 0, b] = tf[path[0, b - 1]], sf[src[:, 0, b - 1]]
-    for a in range(1, ell):
-        path[a], src[:, a] = tr[path[a - 1]], sr[src[:, a - 1]]
+    n1, n2 = np.divmod(cols, ell)
+    gap = (n1 + n2)[:, None] - (n1 + n2)  # class(p) - class(q), unreduced
+    mask = gap % ell == shift
+    # each column's image under T_E1 = E (x) 1 and T_F2 = 1 (x) F, and in
+    # the flipped basis under S_E1 = 1 (x) E and S_F2 = F (x) 1
+    tr, tf = (n1 + 1) % ell * ell + n2, n1 * ell + (n2 - 1) % ell
+    sr, sf = n1 * ell + (n2 + 1) % ell, (n1 - 1) % ell * ell + n2
+    a, b = np.ogrid[:ell, :ell]
+    path = a * ell + -b % ell
+    j1, j2 = (v[:, None, None] for v in np.divmod(np.flatnonzero(mask[0]),
+                                                  ell))
+    src = (j1 - b) % ell * ell + (j2 + a) % ell
     tmoves, smoves = (np.stack((_E1 * dim + e1, _F2 * dim + f2)) * dim
                       + cols for e1, f2 in ((tr, tf), (sr, sf)))
     num = np.zeros((ell, ell), dtype=int)
@@ -540,8 +534,9 @@ def _build_plan(mask, source_nz, target_nz):
     at_row[path.ravel()] = cols
     at_col = np.empty((ell, dim), dtype=int)
     np.put_along_axis(at_col, src.reshape(ell, dim), cols[None], axis=1)
+    degrees = np.array([0, 0, 1, -1, 0, 0, 1, -1])  # in RImages.SLOTS order
     w, p, q = (v[:, None] for v in np.nonzero(
-        (mask @ source_nz) | (target_nz @ mask)))
+        (gap - degrees[:, None, None]) % ell == shift))
     orbit = np.arange(ell) * dim
     x1, x2 = orbit + at_row[p], orbit + at_col[:, q[:, 0]].T
     j, i = src.reshape(-1)[x1], path.reshape(-1)[x2 % dim]
@@ -558,10 +553,11 @@ def _build_plan(mask, source_nz, target_nz):
 
 def _solve_group(plan, source, target):
     """The nullspaces of M S_w - T_w M over the stacked slots of crossings
-    that share `plan`, on the orthonormal orbit basis X_o of the module
-    docstring: `_index_plans` gives the indices, and this pass computes the
-    transport coefficients, the systems of 8 ell^3 rows and ell columns,
-    one batched QR of them and one batched SVD of the ell x ell R factors.
+    of one class shift, on the orthonormal orbit basis X_o of the module
+    docstring: `plan`, that shift's `_plan`, gives the indices, and this
+    pass computes the transport coefficients, the systems of 8 ell^3 rows
+    and ell columns, one batched QR of them and one batched SVD of the
+    ell x ell R factors.
     Returns the error of each crossing that has one, by position, and the
     unit-norm blocks M of the others with their residuals
     max_w |M S_w - T_w M|.
@@ -626,7 +622,7 @@ def _solve_group(plan, source, target):
 def _solve_intertwiners(source, target):
     """The intertwiner of each crossing out of the source slot stacks into
     the target ones, (n, 8, ell^2, ell^2) each: the weight rule on every
-    crossing, then one `_solve_group` pass for each index plan.  Returns
+    crossing, then one `_solve_group` pass for each class shift.  Returns
     the error of each crossing that has one, by index, and the unit-norm
     blocks of the others with their residuals (`_solve_group`), in
     crossing order."""
@@ -637,18 +633,15 @@ def _solve_intertwiners(source, target):
     # a target pair's total K is K_a (x) K_b, diagonal by construction
     diag = np.diagonal(_take(target, live)[:, [_K1, _K2]], axis1=2, axis2=3)
     target_w = diag[:, 0] * diag[:, 1]
-    masks, found = _weight_masks(target_w, _take(source_w, live))
+    shifts, found = _weight_shifts(target_w, _take(source_w, live))
     keep = _fail(errors, live, found)
-    live = live[keep]
-    groups = {}
-    for i, plan in zip(live, _index_plans(
-            _take(masks, np.flatnonzero(keep)), _take(source, live) != 0,
-            _take(target, live) != 0)):
-        groups.setdefault(id(plan), (plan, []))[1].append(i)
+    live, shifts = live[keep], shifts[keep]
+    ell = math.isqrt(source.shape[-1])
     solved = {}
-    for plan, members in groups.values():
-        members = np.array(members)
-        found, m, residual = _solve_group(plan, _take(source, members),
+    for shift in set(shifts.tolist()):
+        members = live[shifts == shift]
+        found, m, residual = _solve_group(_plan(ell, shift),
+                                          _take(source, members),
                                           _take(target, members))
         solved.update(zip(members[_fail(errors, members, found)],
                           zip(m, residual)))

@@ -159,7 +159,8 @@ def _piece(token, position):
 
 
 def parse(text: str) -> TangleDiagram:
-    """Parse the slice DSL: pieces split by spaces, slices by ';'."""
+    """Parse the slice DSL: pieces split by spaces, slices by ';'.  An
+    empty chunk, as in ';;' or after a trailing ';', is skipped."""
     slices = []
     position = 0
     for chunk in text.split(";"):
@@ -169,8 +170,6 @@ def parse(text: str) -> TangleDiagram:
             pieces.append(_piece(token, position))
         if pieces:
             slices.append(tuple(pieces))
-        elif chunk.strip():
-            raise DiagramSyntaxError("empty slice", position)
     return diagram(slices)
 
 
@@ -372,7 +371,8 @@ def apply_move(d: TangleDiagram, move: str, site: MoveSite) -> TangleDiagram:
 
     An insert puts the variant's stack in, a remove takes it out, and R3
     swaps it for its partner's.  A site that does not fit, or whose level
-    lies outside 0..len(d.slices), raises PatternNotFound.
+    lies outside 0..len(d.slices), or whose direction is neither "insert"
+    nor "remove", raises PatternNotFound.
 
     Only the window is checked again: the new rows against the signs
     below them, and the top of the last against the bottom of the slice
@@ -388,15 +388,17 @@ def apply_move(d: TangleDiagram, move: str, site: MoveSite) -> TangleDiagram:
     if not 0 <= k <= len(d.slices):
         raise PatternNotFound("level %d outside 0..%d" % (k, len(d.slices)))
     signs = d._levels[k]
-    if site.direction != "insert":
+    if site.direction == "remove":
         old = stack
         new = _WINDOWS[move][_SWAPS[move][site.variant]] \
             if move in _SWAPS else ()
         fits = pos in _match_windows(d, k, old)
-    else:
+    elif site.direction == "insert":
         old, new = (), stack
         bottom = slice_bottom(stack[0])
         fits = move not in _SWAPS and signs[pos:pos + len(bottom)] == bottom
+    else:
+        raise PatternNotFound("no %s direction %r" % (move, site.direction))
     if not fits:
         raise PatternNotFound("%s %s %s does not fit at level %d column %d"
                               % (move, site.direction, site.variant, k, pos))

@@ -1,5 +1,6 @@
 """Test-side oracles: helpers that only the tests use."""
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,6 +85,64 @@ def pair_stack(ra: CyclicRep, rb: CyclicRep):
     """`braiding._pair_stacks` of the one pair V_a (x) V_b."""
     mats = braiding._mats
     return braiding._pair_stacks(mats([ra]), mats([rb]))[0]
+
+
+def weight_mask(source, target):
+    """mask[i, j]: target weight i of one crossing's slot stacks equals its
+    source weight j within `braiding.WEIGHT_RTOL`, each weight read off the
+    diagonal of total K = K1 K2."""
+    source_w, target_w = (np.diagonal(slots[braiding._K1]
+                                      @ slots[braiding._K2])
+                          for slots in (source, target))
+    return np.abs(target_w[:, None] / source_w - 1) < braiding.WEIGHT_RTOL
+
+
+def pattern_plan(mask, source_nz, target_nz):
+    """The index plan of one solve found by search over the weight mask and
+    the zero patterns of the two slot stacks: the reference for
+    `braiding._build_plan`, which derives it from (ell, class shift).
+
+    Each transport's image of a column is the row of its nonzero entry,
+    the orbits start at the first target row that matches a source column,
+    and the system's rows are the (w, p, q) that weight-matched entries
+    reach through a nonzero slot entry."""
+    dim = len(mask)
+    ell = math.isqrt(dim)
+    e1, f2 = braiding._E1, braiding._F2
+    cols = np.arange(dim)
+    tr, sr, tf, sf = (np.argmax(nz, axis=0) for nz in (
+        target_nz[e1], source_nz[e1], target_nz[f2], source_nz[f2]))
+    i0 = np.argmax(mask.any(axis=1))
+    path = np.empty((ell, ell), dtype=int)
+    src = np.empty((ell, ell, ell), dtype=int)
+    path[0, 0], src[:, 0, 0] = i0, np.flatnonzero(mask[i0])
+    for b in range(1, ell):
+        path[0, b], src[:, 0, b] = tf[path[0, b - 1]], sf[src[:, 0, b - 1]]
+    for a in range(1, ell):
+        path[a], src[:, a] = tr[path[a - 1]], sr[src[:, a - 1]]
+    tmoves, smoves = (np.stack((e1 * dim + e, f2 * dim + f)) * dim + cols
+                      for e, f in ((tr, tf), (sr, sf)))
+    num = np.zeros((ell, ell), dtype=int)
+    den = np.zeros((ell, ell, ell), dtype=int)
+    num[0, 1:] = tmoves[1, path[0, :-1]]
+    den[:, 0, 1:] = smoves[1, src[:, 0, :-1]]
+    num[1:] = tmoves[0, path[:-1]]
+    den[:, 1:] = smoves[0, src[:, :-1]]
+    at_row = np.empty(dim, dtype=int)
+    at_row[path.ravel()] = cols
+    at_col = np.empty((ell, dim), dtype=int)
+    np.put_along_axis(at_col, src.reshape(ell, dim), cols[None], axis=1)
+    w, p, q = (v[:, None] for v in np.nonzero(
+        (mask @ source_nz) | (target_nz @ mask)))
+    orbit = np.arange(ell) * dim
+    x1, x2 = orbit + at_row[p], orbit + at_col[:, q[:, 0]].T
+    j, i = src.reshape(-1)[x1], path.reshape(-1)[x2 % dim]
+    rows = np.argsort(np.argmax(mask, axis=1), kind="stable")
+    cols = np.nonzero(mask[rows[::ell]])[1]
+    return braiding._Plan(
+        smoves, num, den, path * dim + src,
+        x1, (w * dim + j) * dim + q, x2, (w * dim + p) * dim + i,
+        rows.reshape(ell, ell, 1) * dim + cols.reshape(ell, 1, ell))
 
 
 def _dev(m):

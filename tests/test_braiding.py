@@ -335,20 +335,39 @@ class TestSolver:
 
 
 def _plan_inputs(rx, ry):
-    """The weight mask and the two stacks of the positive crossing out of
-    (rx, ry) into the strand rule's outputs."""
+    """The class shift and the weight mask of the positive crossing out of
+    (rx, ry) into the strand rule's outputs, and its two stacks."""
     source = braiding._positive_slots(rx, ry)
     target = oracles.pair_stack(*strand_outputs(rx, ry))
     (target_w, _), (source_w, _) = (braiding._total_weights(slots[None])
                                      for slots in (target, source))
-    masks, _ = braiding._weight_masks(target_w, source_w)
-    return masks[0], source, target
+    [shift], _ = braiding._weight_shifts(target_w, source_w)
+    return int(shift), oracles.weight_mask(source, target), source, target
 
 
-def _plan_of(mask, source_nz, target_nz):
-    """The index plan of one crossing's patterns (`_index_plans`)."""
-    return braiding._index_plans(mask[None], source_nz[None],
-                                 target_nz[None])[0]
+def _plans_used(monkeypatch):
+    """A list that each `_solve_group` pass appends its plan and its two
+    stacks to."""
+    used = []
+    solve_group = braiding._solve_group
+
+    def recorded(plan, source, target):
+        used.append((plan, source, target))
+        return solve_group(plan, source, target)
+
+    monkeypatch.setattr(braiding, "_solve_group", recorded)
+    return used
+
+
+def _assert_plan_is_the_pattern_one(plan, source, target):
+    """`plan` equals, array for array, the plan found by search over each
+    crossing's weight mask and zero patterns."""
+    for src, tgt in zip(source, target):
+        ref = oracles.pattern_plan(oracles.weight_mask(src, tgt), src != 0,
+                                   tgt != 0)
+        for derived, searched in zip(plan, ref):
+            assert derived.shape == searched.shape
+            assert np.array_equal(derived, searched)
 
 
 def _intertwiner(source, target):
@@ -489,8 +508,8 @@ class TestGradedSolve:
         rx, ry = (build_irrep(generic_char(rng, rd),
                               (rng.randrange(ell), rng.randrange(ell)), rd)
                   for _ in range(2))
-        mask, source, target = _plan_inputs(rx, ry)
-        plan = _plan_of(mask, source != 0, target != 0)
+        shift, mask, _, _ = _plan_inputs(rx, ry)
+        plan = braiding._plan(ell, shift)
         dim = ell * ell
         orbits = plan.entries.reshape(ell, dim)
         for orbit in orbits:
@@ -498,50 +517,89 @@ class TestGradedSolve:
                 == list(range(dim))
         assert sorted(orbits.ravel()) == list(np.flatnonzero(mask))
 
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_derived_plan_is_the_pattern_one(self, rng, ell, monkeypatch):
+        # both crossings of seeded pairs with random labels: the plan
+        # derived from (ell, shift) is the one found from the patterns
+        used = _plans_used(monkeypatch)
+        rd = RootData(ell)
+        ctx = EvalContext(rd)
+        for _ in range(4):
+            rx, ry = (build_irrep(generic_char(rng, rd),
+                                  (rng.randrange(ell), rng.randrange(ell)),
+                                  rd)
+                      for _ in range(2))
+            ctx.solve(rx, ry, strand_outputs(rx, ry))
+            ctx.solve_inverse(rx, ry, strand_outputs(rx, ry, -1))
+        assert sum(len(source) for _, source, _ in used) == 8
+        for args in used:
+            _assert_plan_is_the_pattern_one(*args)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9])
+    def test_trefoil_plans_are_the_pattern_ones(self, ell, monkeypatch):
+        used = _plans_used(monkeypatch)
+        ctx = EvalContext(RootData(ell))
+        for d, col in trefoil_colourings():
+            evaluator.invariant(d, col, ctx)
+        assert used
+        for args in used:
+            _assert_plan_is_the_pattern_one(*args)
+
     def test_plan_memo_changes_no_bit(self, rng, rd3, monkeypatch):
         # a block solved on an emptied memo equals, bit for bit, the block
         # solved again on the plan that the first solve left there
         monkeypatch.setattr(braiding, "_PLANS", {})
         rx, ry, cold = random_block(rng, rd3)
-        assert len(braiding._PLANS) == 1
+        assert list(braiding._PLANS) == [(3, _plan_inputs(rx, ry)[0])]
         warm = EvalContext(rd3).solve(rx, ry, strand_outputs(rx, ry))
         assert len(braiding._PLANS) == 1
         assert np.array_equal(cold.matrix.view(np.uint64),
                               warm.matrix.view(np.uint64))
 
-    def test_plan_memo_holds_index_arrays_under_its_cap(self, rng, rd3,
-                                                        monkeypatch):
-        # fill the memo past its cap with distinct zero patterns: it keeps
-        # PLAN_CAP plans, each of integer or boolean arrays only
+    def test_plan_memo_holds_index_arrays_by_shift(self, rng, monkeypatch):
+        # one plan per (ell, shift), of integer arrays only: at most ell
+        # per ell, whatever crossings were solved
         monkeypatch.setattr(braiding, "_PLANS", {})
-        mask, source, target = _plan_inputs(*random_block(rng, rd3)[:2])
-        # zeros of the slots other than the transports E1 and F2
-        zeros = np.argwhere(source[[braiding._K1, braiding._L1]] == 0)
-        assert len(zeros) > braiding.PLAN_CAP
-        for w, i, j in zeros[:braiding.PLAN_CAP + 5]:
-            pattern = source != 0
-            pattern[(braiding._K1, braiding._L1)[w], i, j] = True
-            _plan_of(mask, pattern, target != 0)
-        assert len(braiding._PLANS) == braiding.PLAN_CAP
-        for plan in braiding._PLANS.values():
-            for arr in plan:
-                assert isinstance(arr, np.ndarray) and arr.dtype.kind in "iub"
+        for ell in (3, 5):
+            rd = RootData(ell)
+            for _ in range(3):
+                rx, ry = (build_irrep(generic_char(rng, rd),
+                                      (rng.randrange(ell),
+                                       rng.randrange(ell)), rd)
+                          for _ in range(2))
+                EvalContext(rd).solve(rx, ry, strand_outputs(rx, ry))
+            for shift in range(ell):
+                braiding._plan(ell, shift)
+        assert sorted(braiding._PLANS) == [(ell, shift) for ell in (3, 5)
+                                           for shift in range(ell)]
+        for (ell, shift), plan in braiding._PLANS.items():
+            assert type(ell) is int and type(shift) is int
+            for arr, built in zip(plan, braiding._build_plan(ell, shift)):
+                assert isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"
+                assert np.array_equal(arr, built)
 
-    def test_other_zero_pattern_gets_its_own_plan(self, rng, rd3,
-                                                 monkeypatch):
-        # a source slot entry set to zero makes another pattern, which
-        # gets a plan of its own and leaves the first as it was
-        monkeypatch.setattr(braiding, "_PLANS", {})
-        mask, source, target = _plan_inputs(*random_block(rng, rd3)[:2])
-        first = _plan_of(mask, source != 0, target != 0)
+    def test_other_zero_pattern_solves_on_the_derived_plan(self, rng, rd3):
+        # a source K1 entry set to zero changes the zero pattern, not the
+        # plan: the plan searched from the new pattern is the derived one,
+        # and both solve the crossing, and the changed stack, alike
+        shift, mask, source, target = _plan_inputs(
+            *random_block(rng, rd3)[:2])
         i, j = np.argwhere(source[braiding._K1] != 0)[-1]
         changed = source.copy()
         changed[braiding._K1, i, j] = 0
-        other = _plan_of(mask, changed != 0, target != 0)
-        assert len(braiding._PLANS) == 2 and other is not first
-        built = braiding._build_plan(mask, changed != 0, target != 0)
-        assert all(np.array_equal(a, b) for a, b in zip(other, built))
-        assert _plan_of(mask, source != 0, target != 0) is first
+        derived = braiding._plan(rd3.ell, shift)
+        searched = oracles.pattern_plan(mask, changed != 0, target != 0)
+        assert all(np.array_equal(a, b) for a, b in zip(derived, searched))
+        # the zero leaves no intertwiner: the changed stack has no block
+        for stack, blocks in ((source, 1), (changed, 0)):
+            (found, m, res), (ref_found, ref_m, ref_res) = (
+                braiding._solve_group(plan, stack[None], target[None])
+                for plan in (derived, searched))
+            assert [(type(e), str(e)) for e in found.values()] \
+                == [(type(e), str(e)) for e in ref_found.values()]
+            assert len(m) == len(ref_m) == blocks
+            assert np.all(np.abs(m - ref_m) < 1e-13)
+            assert np.all(np.abs(res - ref_res) < 1e-13)
 
     def test_weight_rule(self, rng, rd3):
         rx, ry, _ = random_block(rng, rd3)

@@ -1,5 +1,7 @@
 """Unit tests for tangle diagrams, the slice DSL, and move rewrites."""
 
+import dataclasses
+
 import pytest
 
 from tanglev import diagram
@@ -13,6 +15,8 @@ class TestParsing:
         text = "id+ cupL; x+ id-; id+ capR"
         d = diagram.parse(text)
         assert diagram.parse(oracles.pretty(d)).to_json() == d.to_json()
+        # empty chunks are skipped
+        assert diagram.parse("x+ ;; x+;") == diagram.parse("x+; x+")
 
     def test_json_round_trip(self):
         d = diagram.braid_word([1, -2, 1], 3)
@@ -150,6 +154,15 @@ class TestMoves:
         assert sites
         d2 = diagram.apply_move(d, "R2", sites[0])
         assert d2.bottom_arity == 2 and len(d2.slices) == 0
+
+    def test_unknown_direction_is_refused(self):
+        # only "remove" takes a window out
+        d = diagram.braid_word([1, -1], 2)
+        site = next(s for s in diagram.find_move_sites(d, "R2")
+                    if s.direction == "remove")
+        with pytest.raises(diagram.PatternNotFound):
+            diagram.apply_move(d, "R2", dataclasses.replace(
+                site, direction="sideways"))
 
     def test_r3_sites_and_rewrite(self):
         d = diagram.braid_word([1, 2, 1], 3)

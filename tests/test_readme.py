@@ -1,9 +1,13 @@
-"""The README's library example runs as written, and its command line
-section names every option of the CLI."""
+"""The README's library example runs as written, its command line
+section names every option of the CLI, and every module attribute it
+names exists."""
 
+import importlib
 import pathlib
+import pkgutil
 import re
 
+import tanglev
 from tanglev import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -26,3 +30,19 @@ def test_command_line_section_names_every_option():
                for opt in action.option_strings
                if opt.startswith("--") and opt != "--help"}
     assert documented == options
+
+
+def test_named_module_attributes_exist():
+    # a name the code drops cannot linger in the docs: each backticked
+    # `module.name` (or `module.name(...)`) of a tanglev module resolves
+    modules = {info.name for info in pkgutil.iter_modules(tanglev.__path__)}
+    named = re.findall(r"`([a-z_]+)((?:\.\w+)+)[`(]", README.read_text())
+    named = [(module, path) for module, path in named if module in modules]
+    missing = []
+    for module, path in named:
+        obj = importlib.import_module("tanglev." + module)
+        for attr in path[1:].split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(module + path)
+    assert named and missing == []
