@@ -91,9 +91,16 @@ the stack of the crossings still alive:
 Every check is made per crossing, in the order above, and a crossing
 that fails one leaves the stack with the error it raises when solved
 alone; the verdicts of a stage are read off reductions over the stack,
-and an error object is built only for a crossing that fails.  What
-depends on ell alone, the identities, N's class indices and the ell^2-th
-roots of `_normalized`, is formed once per ell (`_constants`).
+and an error object is built only for a crossing that fails.  A stage
+that refuses nothing compacts nothing: its stacks pass on as they are,
+and a batch of one class shift takes `_solve_group`'s arrays unchanged.
+What depends on ell alone, the identities, N's class indices and the
+ell^2-th roots of `_normalized`, is formed once per ell (`_constants`).
+At small ell the arrays hold a few hundred entries and a batch costs
+mostly its numpy calls, so the solve calls ndarray methods and C-level
+functions, not numpy's Python-level wrappers of them; np.linalg alone is
+read through this module's `np` at each call, where tests count its
+factorizations.
 """
 
 from __future__ import annotations
@@ -188,13 +195,13 @@ _K1, _L1, _E1, _F1, _K2, _L2, _E2, _F2 = range(len(RImages.SLOTS))
 
 
 def _kron(a, b):
-    """np.kron of two matrices, or of two stacks of matrices pairwise, as
-    one broadcast product: each entry is the same single product, without
-    np.kron's generic reshaping."""
-    *lead, m, n = a.shape
-    p, q = b.shape[-2:]
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
-        *lead, m * p, n * q)
+    """np.kron of two matrices, or of two stacks of matrices pairwise (a
+    single matrix broadcasts over a stack), as one broadcast product: each
+    entry is the same single product, without np.kron's generic
+    reshaping."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, m, p, n, q = prod.shape
+    return prod.reshape(*lead, m * p, n * q)
 
 
 def _mats(reps):
@@ -207,9 +214,8 @@ def _pair_stacks(ma, mb):
     """The eight generator slots evaluated in each pair V_a (x) V_b of the
     stacks `ma` and `mb` (`_mats`), M (x) 1 for slot 1 and 1 (x) M for
     slot 2: (n, 8, ell^2, ell^2) in RImages.SLOTS order."""
-    eye = np.broadcast_to(_constants(ma.shape[-1]).eye_c, ma.shape)
-    return _kron(np.concatenate((ma, eye), axis=1),
-                 np.concatenate((eye, mb), axis=1))
+    eye = _constants(ma.shape[-1]).eye_c
+    return np.concatenate((_kron(ma, eye), _kron(eye, mb)), axis=1)
 
 
 def _singular_blocks(blocks):
@@ -240,20 +246,19 @@ def _source_stacks(mx, my, rd):
     const = _constants(ell)
     # the powers 1 .. ell of both factors of A, flipped: F L of rho_x
     # first, eps K^-1 E of rho_y second
-    kinv_y = 1 / np.diagonal(my[:, 0], axis1=1, axis2=2)
-    factors = np.stack((mx[:, 3] @ mx[:, 1],
-                        rd.eps * kinv_y[:, :, None] * my[:, 2]), axis=1)
-    powers = [factors]
-    for _ in range(ell - 1):
-        powers.append(powers[-1] @ factors)
-    powers = np.stack(powers, axis=1)
+    kinv_y = 1 / my[:, 0].diagonal(0, 1, 2)
+    powers = np.empty((len(mx), ell, 2, ell, ell), dtype=complex)
+    powers[:, 0, 0] = mx[:, 3] @ mx[:, 1]
+    powers[:, 0, 1] = rd.eps * kinv_y[:, :, None] * my[:, 2]
+    for k in range(1, ell):
+        powers[:, k] = powers[:, k - 1] @ powers[:, 0]
     n_mat = const.eye - _kron(powers[:, 0, 0], powers[:, 0, 1])
     # A moves point (i1, i2) to (i1 - 1, i2 + 1), so N is the direct sum of
     # its ell blocks on the classes i1 + i2 = c mod ell
     cls = const.classes
     ok = ~_singular_blocks(n_mat[:, cls[:, :, None], cls[:, None, :]])
-    keep = np.flatnonzero(ok)
-    mx, my, powers, n_mat = (_take(v, keep) for v in (mx, my, powers, n_mat))
+    if not ok.all():
+        mx, my, powers, n_mat = (v[ok] for v in (mx, my, powers, n_mat))
     # A^k is the kron of the k-th factor powers: their sum over k < ell
     # without forming each A^k, and sigma as the (0, 0) entry of A^ell
     series = np.einsum("nkac,nkbd->nabcd", powers[:, :-1, 0],
@@ -263,10 +268,11 @@ def _source_stacks(mx, my, rd):
 
     # the pair slots of V_x (x) V_y with slots 1 and 2 swapped: 1 (x) M_y
     # first, M_x (x) 1 second
-    slot = np.roll(_pair_stacks(mx, my), 4, axis=1)
+    eye = const.eye_c
+    slot = np.concatenate((_kron(eye, my), _kron(mx, eye)), axis=1)
     # each diagonal as a column (row scaling) and as a row (column scaling)
-    k1, l1, k2, l2 = np.diagonal(slot[:, [_K1, _L1, _K2, _L2]], axis1=2,
-                                 axis2=3)[..., None].transpose(1, 0, 2, 3)
+    k1, l1, k2, l2 = slot[:, [_K1, _L1, _K2, _L2]].diagonal(
+        0, 2, 3)[..., None].transpose(1, 0, 2, 3)
     k1r, l1r, k2r, l2r = (v.transpose(0, 2, 1) for v in (k1, l1, k2, l2))
     # the images overwrite the slots, each slot after its last read
     e1 = slot[:, _E1] * l2r  # E (x) L
@@ -368,8 +374,10 @@ class Crossing(NamedTuple):
 
 def _fail(errors, live, found):
     """Record in `errors`, under its request, each error `found` (keyed by
-    a position in `live`), and return the mask of the live positions
-    without one."""
+    a position in `live`), and return the index of the live positions
+    without one: all of them, as a slice, when nothing failed."""
+    if not found:
+        return slice(None)
     keep = np.ones(len(live), dtype=bool)
     for k, exc in found.items():
         errors[live[k]] = exc
@@ -392,10 +400,10 @@ def _normalized(m):
     flat = m.reshape(len(m), -1)
     size = np.abs(flat)
     top = size.max(axis=1, keepdims=True)
-    pivot = flat[np.arange(len(m)), np.argmax(size > top - 1e-9 * top,
-                                              axis=1)]
+    pivot = flat[np.arange(len(m)),
+                 (size > top - 1e-9 * top).argmax(axis=1)]
     roots = _constants(math.isqrt(dim)).roots
-    keys = np.round(pivot[:, None] * roots, 9)
+    keys = (pivot[:, None] * roots).round(9)
     best = np.lexsort((keys.imag, keys.real))[:, -1]
     return m * roots[best][:, None, None], modulus
 
@@ -405,13 +413,13 @@ def _total_weights(slots):
     must be diagonal, and the WeightGrading of each stack where it is not,
     by position."""
     kk = slots[:, _K1] @ slots[:, _K2]
-    weights = np.diagonal(kk, axis1=1, axis2=2)
+    weights = kk.diagonal(0, 1, 2)
     eye = _constants(math.isqrt(kk.shape[-1])).eye
-    off = np.max(np.abs(kk - weights[:, :, None] * eye), axis=(1, 2))
-    bad = off > WEIGHT_RTOL * np.max(np.abs(weights), axis=1)
+    off = np.abs(kk - weights[:, :, None] * eye).max(axis=(1, 2))
+    bad = off > WEIGHT_RTOL * np.abs(weights).max(axis=1)
     return weights, {k: WeightGrading("total K is not diagonal (off-diagonal "
                                       "%.1e)" % off[k])
-                     for k in np.flatnonzero(bad)}
+                     for k in bad.nonzero()[0]}
 
 
 def _weight_shifts(target_w, source_w):
@@ -426,11 +434,11 @@ def _weight_shifts(target_w, source_w):
     mask = dist < WEIGHT_RTOL
     between = (~mask & (dist < math.sin(math.pi / ell))).any(axis=(1, 2))
     found = {k: NoIntertwiner("no target weight matches a source weight")
-             for k in np.flatnonzero(~mask.any(axis=(1, 2)) & ~between)}
+             for k in (~mask.any(axis=(1, 2)) & ~between).nonzero()[0]}
     found.update({k: WeightGrading(
         "weights neither equal nor separated (relative distance %.1e)"
-        % np.min(dist[k][~mask[k]])) for k in np.flatnonzero(between)})
-    row = np.argmax(mask[:, :, 0], axis=1)
+        % dist[k][~mask[k]].min()) for k in between.nonzero()[0]})
+    row = mask[:, :, 0].argmax(axis=1)
     return (row // ell + row % ell) % ell, found
 
 
@@ -574,39 +582,38 @@ def _solve_group(plan, source, target):
     singular = spread.max(axis=2) > COND_LIMIT * spread.min(axis=2)
     bad = singular.any(axis=1)
     found = {k: SingularM("%s slot of the source is singular"
-                          % ("E1", "F2")[np.argmax(singular[k])])
-             for k in np.flatnonzero(bad)}
-    live = np.flatnonzero(~bad)
+                          % ("E1", "F2")[singular[k].argmax()])
+             for k in bad.nonzero()[0]}
+    live = (~bad).nonzero()[0]
     if not live.size:
         return found, (), ()
     source, target = _take(source, live), _take(target, live)
     x = target[:, plan.num][:, None] / source[:, plan.den]
     x[:, :, 0, 0] = 1
-    x[:, :, 0] = np.cumprod(x[:, :, 0], axis=2)
-    x = np.cumprod(x, axis=2)
+    x[:, :, 0] = x[:, :, 0].cumprod(axis=2)
+    x = x.cumprod(axis=2)
     x /= np.linalg.norm(x, axis=(2, 3))[:, :, None, None]
     coef = x.reshape(len(x), -1)
     # gathered along axis 1 and combined in place: the (n, 8 ell^3, ell)
     # temporaries are the largest arrays of the solve
-    system = np.take(coef, plan.x1, axis=1)
-    system *= np.take(source, plan.g1, axis=1)
-    other = np.take(coef, plan.x2, axis=1)
-    other *= np.take(target, plan.g2, axis=1)
+    system = coef.take(plan.x1, axis=1)
+    system *= source.take(plan.g1, axis=1)
+    other = coef.take(plan.x2, axis=1)
+    other *= target.take(plan.g2, axis=1)
     system -= other
     # the R factor has the system's singular values and right singular
     # vectors, without the unused (8 ell^3 x ell) U factor
     _, svals, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
-    nullity = np.sum(svals < NULLITY_RTOL * svals[:, :1], axis=1)
-    for k in np.flatnonzero(nullity != 1):
+    nullity = (svals < NULLITY_RTOL * svals[:, :1]).sum(axis=1)
+    for k in (nullity != 1).nonzero()[0]:
         found[live[k]] = (
             NoIntertwiner("no intertwiner into these output irreps")
             if nullity[k] == 0 else
             AmbiguousIntertwiner("solution space has dimension %d"
                                  % nullity[k]))
-    one = np.flatnonzero(nullity == 1)
+    one = (nullity == 1).nonzero()[0]
     live, x, v = live[one], _take(x, one), _take(vh, one)[:, -1].conj()
-    residual = np.max(np.abs(_take(system, one) @ v[:, :, None]),
-                      axis=(1, 2))
+    residual = np.abs(_take(system, one) @ v[:, :, None]).max(axis=(1, 2))
     dim = plan.moves.shape[1]
     m = np.zeros((len(x), dim * dim), dtype=complex)
     m[:, plan.entries] = v[:, :, None, None] * x
@@ -614,7 +621,7 @@ def _solve_group(plan, source, target):
     singular = _singular_blocks(m[:, plan.blocks])
     for k in live[singular]:
         found[k] = SingularM("intertwiner is singular")
-    regular = np.flatnonzero(~singular)
+    regular = (~singular).nonzero()[0]
     return (found, _take(m, regular).reshape(-1, dim, dim),
             _take(residual, regular))
 
@@ -631,7 +638,7 @@ def _solve_intertwiners(source, target):
     source_w, found = _total_weights(source)
     live = live[_fail(errors, live, found)]
     # a target pair's total K is K_a (x) K_b, diagonal by construction
-    diag = np.diagonal(_take(target, live)[:, [_K1, _K2]], axis1=2, axis2=3)
+    diag = _take(target, live)[:, [_K1, _K2]].diagonal(0, 2, 3)
     target_w = diag[:, 0] * diag[:, 1]
     shifts, found = _weight_shifts(target_w, _take(source_w, live))
     keep = _fail(errors, live, found)
@@ -643,6 +650,9 @@ def _solve_intertwiners(source, target):
         found, m, residual = _solve_group(_plan(ell, shift),
                                           _take(source, members),
                                           _take(target, members))
+        if len(members) == len(live):  # one shift: already in crossing order
+            _fail(errors, members, found)
+            return errors, m, residual
         solved.update(zip(members[_fail(errors, members, found)],
                           zip(m, residual)))
     order = sorted(solved)
@@ -684,16 +694,19 @@ def solve_crossings(requests):
     out = [None] * len(requests)
     if not requests:
         return out
-    xs, ys = zip(*(r.inputs for r in requests))
-    source, ok = _source_stacks(_mats(xs), _mats(ys), xs[0].rd)
+    # the batch's irreps in one stack: every x, every y, every c, every d
+    rd = requests[0].inputs[0].rd
+    sides = zip(*(req.inputs + req.outputs for req in requests))
+    mx, my, mc, md = _mats([rep for side in sides for rep in side]).reshape(
+        4, len(requests), 4, rd.ell, rd.ell)
+    source, ok = _source_stacks(mx, my, rd)
     live = np.arange(len(requests))
     live = live[_fail(out, live, {
         k: SingularN("series factor N numerically singular")
-        for k in np.flatnonzero(~ok)})]
+        for k in (~ok).nonzero()[0]})]
     if not live.size:
         return out
-    cs, ds = zip(*(requests[i].outputs for i in live))
-    target = _pair_stacks(_mats(cs), _mats(ds))
+    target = _pair_stacks(_take(mc, live), _take(md, live))
     errors, m, residual = _solve_intertwiners(source, target)
     live = live[_fail(out, live, errors)]
     if not live.size:

@@ -278,7 +278,7 @@ class EvalContext:
         ell = self.rd.ell
         m4 = m.reshape(ell, ell, ell, ell)
         t = np.einsum("abik,kb->ai", m4, mu)
-        return complex(np.trace(t) / ell)
+        return complex(t.trace() / ell)
 
     def _curl(self, loop):
         """The positive curl that normalizes mu on `loop`: out of (through,

@@ -43,10 +43,13 @@ class RootData:
     def __post_init__(self):
         if self.ell < 3 or self.ell % 2 == 0:
             raise ValueError("ell must be an odd integer >= 3")
-        # eps^k for k = 0 .. ell - 1, formed once; not a field, so ==,
-        # hash and repr read ell alone
+        # eps^k for k < ell and the weights eps^(2n) of K, read-only, formed
+        # once; not fields, so ==, hash and repr read ell alone
         object.__setattr__(self, "_powers", tuple(
             cmath.exp(2j * cmath.pi * k / self.ell) for k in range(self.ell)))
+        phases = np.array([self.eps_pow(2 * n) for n in range(self.ell)])
+        phases.flags.writeable = False
+        object.__setattr__(self, "_phases", phases)
 
     @property
     def eps(self):
@@ -250,18 +253,15 @@ def build_irrep(char: CentralCharacter, branch, rd: RootData) -> CyclicRep:
     s = values.index(values[s])
     cval = complex(values[s])
 
-    phases = np.array([rd.eps_pow(2 * n) for n in range(ell)])
-    Kmat = np.diag(kappa * phases)
-    Lmat = np.diag(lam * phases)
-    Emat = np.zeros((ell, ell), dtype=complex)
-    for n in range(ell - 1):
-        Emat[n + 1, n] = 1.0
+    # the diagonal, subdiagonal and superdiagonal are strided runs of .flat
+    Kmat, Lmat, Emat, Fmat = np.zeros((4, ell, ell), dtype=complex)
+    Kmat.flat[::ell + 1] = kappa * rd._phases
+    Lmat.flat[::ell + 1] = lam * rd._phases
+    Emat.flat[ell::ell + 1] = 1.0
     Emat[0, ell - 1] = char.beta
     phi = [cval - kappa * rd.eps_pow(2 * n - 1) - rd.eps_pow(1 - 2 * n) / lam
            for n in range(ell)]
-    Fmat = np.zeros((ell, ell), dtype=complex)
-    for n in range(1, ell):
-        Fmat[n - 1, n] = phi[n]
+    Fmat.flat[1::ell + 1] = phi[1:]
     Fmat[ell - 1, 0] = phi[0] / char.beta
     return CyclicRep(rd, char, (r, s), kappa, lam, cval,
                      Kmat, Lmat, Emat, Fmat)

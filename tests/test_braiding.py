@@ -404,10 +404,34 @@ def _mixed_batch(rng, rd):
             braiding.Crossing((ru, rv), tuple(grading))]
 
 
+class _RefusingNumpy:
+    """numpy, except that reading one of `names` raises."""
+
+    def __init__(self, names):
+        self._names = names
+
+    def __getattr__(self, name):
+        if name in self._names:
+            raise AssertionError("np.%s read" % name)
+        return getattr(np, name)
+
+
+def _verdicts(outs):
+    """Each output's type and message, or its block's bits and residual."""
+    return [(type(out), str(out)) if isinstance(out, Exception) else
+            (out.matrix.tobytes(), out.target_branches, out.residual)
+            for out in outs]
+
+
 class TestBatchedSolve:
-    def test_batch_matches_requests_solved_alone(self, rng, rd3):
+    def test_batch_matches_requests_solved_alone(self, rng, rd3,
+                                                 monkeypatch):
         batch = _mixed_batch(rng, rd3)
+        used = _plans_used(monkeypatch)
         outs = braiding.solve_crossings(batch)
+        # the shifted output's class shift is not the others': the batch
+        # takes the general path of one `_solve_group` pass per shift
+        assert len(used) > 1
         assert [type(out).__name__ for out in outs] == [
             "BraidingBlock"] * 3 + ["NoIntertwiner", "WeightGrading"]
         for req, out in zip(batch, outs):
@@ -430,6 +454,76 @@ class TestBatchedSolve:
             assert np.array_equal(out.matrix.view(np.uint64),
                                   ref.matrix.view(np.uint64))
             assert out.residual == ref.residual
+
+    def test_each_refusal_leaves_the_stack_as_alone(self, rng, rd3):
+        # one stack of two passing crossings and one crossing for each
+        # refusal after the series factor: source total K not diagonal,
+        # weights neither equal nor separated, no weight matched, E1
+        # spread.  Each verdict is the crossing's own alone, and each
+        # passing block and residual, bit for bit, its clean batch's
+        passing = []
+        for _ in range(2):
+            rx, ry, _ = random_block(rng, rd3)
+            passing.append((braiding._positive_slots(rx, ry),
+                            oracles.pair_stack(*strand_outputs(rx, ry))))
+        source, target = passing[0]
+        twisted, skewed = source.copy(), source.copy()
+        twisted[braiding._K1] += 1e-3 * source[braiding._E1]
+        skewed[braiding._E1][:, 0] *= 1e13
+        close, far = target.copy(), target.copy()
+        close[braiding._K1] *= 1 + 1e-5
+        far[braiding._K1] *= 2.5
+        batch = [passing[0], (twisted, target), (source, close), passing[1],
+                 (source, far), (skewed, target)]
+        errors, m, residual = braiding._solve_intertwiners(
+            *map(np.stack, zip(*batch)))
+        assert [(k, type(errors[k]).__name__) for k in sorted(errors)] == [
+            (1, "WeightGrading"), (2, "WeightGrading"), (4, "NoIntertwiner"),
+            (5, "SingularM")]
+        for k, exc in errors.items():
+            [alone] = braiding._solve_intertwiners(
+                batch[k][0][None], batch[k][1][None])[0].values()
+            assert (type(exc), str(exc)) == (type(alone), str(alone))
+        _, clean_m, clean_residual = braiding._solve_intertwiners(
+            *map(np.stack, zip(*passing)))
+        assert np.array_equal(m.view(np.uint64), clean_m.view(np.uint64))
+        assert np.array_equal(residual.view(np.uint64),
+                              clean_residual.view(np.uint64))
+
+    def test_singular_n_leaves_the_batch_as_alone(self, rng, rd3,
+                                                  monkeypatch):
+        # COND_LIMIT between the two largest dense cond(N) of a batch: the
+        # request of the largest is refused with SingularN, as alone, and
+        # the others' blocks are, bit for bit, the batch's without it
+        batch, conds = [], []
+        for _ in range(4):
+            rx, ry, _ = random_block(rng, rd3)
+            batch.append(braiding.Crossing((rx, ry), strand_outputs(rx, ry)))
+            kinv_e = np.diag(1 / np.diagonal(ry.Kmat)) @ ry.Emat
+            conds.append(np.linalg.cond(np.eye(9) - np.kron(
+                rx.Fmat @ rx.Lmat, rd3.eps * kinv_e)))
+        low, high = sorted(conds)[-2:]
+        monkeypatch.setattr(braiding, "COND_LIMIT", (low * high) ** 0.5)
+        worst = conds.index(high)
+        outs = braiding.solve_crossings(batch)
+        assert [type(out).__name__ for out in outs] == [
+            "SingularN" if k == worst else "BraidingBlock" for k in range(4)]
+        assert _verdicts(outs[worst:worst + 1]) \
+            == _verdicts(braiding.solve_crossings(batch[worst:worst + 1]))
+        assert _verdicts(outs[:worst] + outs[worst + 1:]) == _verdicts(
+            braiding.solve_crossings(batch[:worst] + batch[worst + 1:]))
+
+    def test_batch_reads_no_numpy_wrapper(self, rng, rd3, monkeypatch):
+        # with the constants of ell = 3 and both index plans formed, the
+        # mixed batch solves, to the same bits, with the Python-level
+        # wrappers that an ndarray method or a C-level call replaces out
+        # of braiding's reach
+        batch = _mixed_batch(rng, rd3)
+        expected = _verdicts(braiding.solve_crossings(batch))
+        monkeypatch.setattr(braiding, "np", _RefusingNumpy(
+            ("stack", "broadcast_to", "roll", "flatnonzero", "diagonal",
+             "take", "cumprod")))
+        assert _verdicts(braiding.solve_crossings(batch)) == expected
 
     def test_duplicate_keys_are_factorized_once(self, rng, rd3,
                                                 monkeypatch):

@@ -115,6 +115,31 @@ class TestIrreps:
         s = np.linalg.svd(stack, compute_uv=False)
         assert sum(v < 1e-9 * s[0] for v in s) == 1
 
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_matrices_are_the_entrywise_ones_bitwise(self, rng, ell):
+        # the basis action of `build_irrep`'s docstring, written entry by
+        # entry: each entry is the same single operation, so no bit differs
+        rd = RootData(ell)
+        for _ in range(150):
+            rep = build_irrep(generic_char(rng, rd),
+                              (rng.randrange(ell), rng.randrange(ell)), rd)
+            phases = np.array([rd.eps_pow(2 * n) for n in range(ell)])
+            emat = np.zeros((ell, ell), dtype=complex)
+            fmat = np.zeros((ell, ell), dtype=complex)
+            phi = [rep.cval - rep.kappa * rd.eps_pow(2 * n - 1)
+                   - rd.eps_pow(1 - 2 * n) / rep.lam for n in range(ell)]
+            for n in range(1, ell):
+                emat[n, n - 1] = 1.0
+                fmat[n - 1, n] = phi[n]
+            emat[0, ell - 1] = rep.char.beta
+            fmat[ell - 1, 0] = phi[0] / rep.char.beta
+            for got, ref in ((rep.Kmat, np.diag(rep.kappa * phases)),
+                             (rep.Lmat, np.diag(rep.lam * phases)),
+                             (rep.Emat, emat), (rep.Fmat, fmat)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.array_equal(got.view(np.uint64),
+                                      ref.view(np.uint64))
+
 
 class TestPBW:
     def test_rep_is_algebra_map(self, rng, rd3):

@@ -4,6 +4,7 @@ hand-written value files instead of the full computation."""
 
 import importlib.util
 import json
+import math
 import pathlib
 import sys
 
@@ -49,7 +50,18 @@ def status(values, tmp_path, new, old):
 
 def test_identical_files_exit_0(values, tmp_path, capsys):
     assert status(values, tmp_path, sample(), sample()) == 0
-    assert "strings or messages differ on 0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "strings or messages differ on 0" in out
+    assert out.endswith("identical: yes, every float and string\n")
+
+
+def test_one_ulp_is_not_identical_and_exits_0(values, tmp_path, capsys):
+    # one float moved by one unit in the last place: float drift alone,
+    # so the exit status is 0, but the files are not identical
+    new = sample()
+    new["sweep"]["3/0/1"][1][0] = math.nextafter(0.5, 1)
+    assert status(values, tmp_path, new, sample()) == 0
+    assert capsys.readouterr().out.endswith("identical: no\n")
 
 
 def test_float_drift_alone_exits_0(values, tmp_path):

@@ -33,9 +33,12 @@ where z = <A, B> / <A, A> is the scalar that fits A to B best, so a block
 that changed by a phase alone reads near 0 in both; for sites, also the
 keys whose site or moved diagram differ, so a changed enumeration or
 rewrite shows; for `exact`, every key whose strings or message differ.
-The command then exits 1 if any knot, move or sweep outcome, any site or
-moved diagram, or any exact string or message differs; float differences
-alone exit 0.
+A last line says whether the two files are identical: every float and
+string equal to the other file's after a JSON round trip (floats print
+in their shortest round-trip form, so equal text is equal bits; keys are
+sorted).  The command then exits 1 if any knot, move or sweep outcome,
+any site or moved diagram, or any exact string or message differs; float
+differences alone exit 0.
 """
 
 import argparse
@@ -231,6 +234,8 @@ def compare(new, old):
                     if exact.get(k) != before.get(k))
     print("exact: %d parts, %d NotFactorizable; strings or messages differ "
           "on %d: %s" % (len(exact), refused, len(differ), differ))
+    same = json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+    print("identical: %s" % ("yes, every float and string" if same else "no"))
     return changed or bool(differ)
 
 
