@@ -105,7 +105,6 @@ factorizations.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -115,7 +114,7 @@ import numpy as np
 from . import factgroup
 from .factgroup import Factorization, Mat2
 from .uqalgebra import (CentralCharacter, CyclicRep, NonGenericCharacter,
-                        RootData, build_irrep, central_values, principal_root)
+                        RootData, build_irrep)
 
 NORMALIZATION_VERSION = "det1-phase-2"
 
@@ -206,8 +205,7 @@ def _kron(a, b):
 
 def _mats(reps):
     """The K, L, E and F matrices of each rep, stacked (n, 4, ell, ell)."""
-    return np.array([(rep.Kmat, rep.Lmat, rep.Emat, rep.Fmat)
-                     for rep in reps])
+    return np.array([rep.gens for rep in reps])
 
 
 def _pair_stacks(ma, mb):
@@ -658,21 +656,6 @@ def _solve_intertwiners(source, target):
     order = sorted(solved)
     return (errors, np.array([solved[i][0] for i in order]),
             np.array([solved[i][1] for i in order]))
-
-
-def branch_of(char, z, c, rd):
-    """The label (r, s) of the irrep of `char` on which the central
-    elements K L^-1 and c = E F + K eps^-1 + eps L^-1 act by the scalars
-    z and c: r from z = kappa/lam, with kappa = alpha^(1/ell) eps^(2r) as
-    in `central_values`, and s from c against the values at that r.  The
-    candidate eps^(2r) = eps^k nearest z/z0 has k = round(ell arg(z/z0)/2
-    pi), so r = k (ell + 1)/2 mod ell; no candidate is searched."""
-    z0 = principal_root(char.alpha, rd.ell) / principal_root(char.a, rd.ell)
-    k = round(rd.ell * (cmath.phase(z) - cmath.phase(z0)) / (2 * cmath.pi))
-    r = k * (rd.ell + 1) // 2 % rd.ell
-    values = central_values(char, rd, r)[2]
-    s = min(range(rd.ell), key=lambda s: abs(values[s] - c))
-    return r, s
 
 
 def _take(stack, idx):

@@ -7,14 +7,16 @@ antipode image.  The four cup/cap chiralities get the canonical pairing
 and copairing on the left-duality side and their mu-twisted versions on
 the right-duality side, where mu implements the squared antipode.
 
-Irrep branches are bookkept per arc and derived, not searched
-(`_plan_branches`): a crossing carries the central scalars of K L^-1 and c
-from each input slot to the opposite output slot, so each arc gets the
-irrep of its colour with its strand's scalars.  The plan is the only
-labelling.  Contraction hands each piece the irreps of its arcs from the
-plan and looks none of them up again; a crossing is solved between the
-irreps of its bottom and its top arcs, so a plan off the strand rule
-leaves the solve without an intertwiner, and it raises NoIntertwiner.
+Irrep branches are derived per strand, not searched (`_plan_branches`): a
+crossing conjugates the colours and carries the central scalars of K L^-1
+and c to the opposite slot, so a strand's arcs share their central values
+and label s, computed on its first arc alone (`arc_rep`, with a guard);
+values thus differ from a per-arc labelling at the rounding level, not
+bitwise.  The plan is the only labelling.  Contraction hands each piece
+the irreps of its arcs from the plan and looks none of them up again; a
+crossing is solved between the irreps of its bottom and its top arcs, so
+a plan off the strand rule leaves the solve without an intertwiner, and
+it raises NoIntertwiner.
 
 Nothing here walks a diagram: the colouring's scan (`coloring._scan`)
 is the only walk, and the planner and contraction read the arc starts
@@ -47,7 +49,11 @@ from .braiding import CROSSING_ERRORS, group_to_char
 from .coloring import GColoring, Inconsistent
 from .diagram import ArityMismatch, Piece, TangleDiagram
 from .uqalgebra import (CentralCharacter, NonGenericCharacter, RootData,
-                        build_irrep)
+                        _branch_trace, build_irrep, k_shift)
+
+#: Largest drift of T and alpha/a from an arc to its strand's first arc,
+#: relative to the larger of the latter's |T| and |alpha/a| (`arc_rep`).
+STRAND_RTOL = 1e-8
 
 
 class BranchObstruction(ValueError):
@@ -103,8 +109,8 @@ class EvalContext:
     A context memoizes, each entry derived once and never replaced:
     - each character by its exact colour (`char_of`);
     - each irrep by its rounded character and label, given and collapsed
-      (`rep`), and each arc's irrep by its exact colour and central
-      scalars (`arc_rep`);
+      (`rep`), and each arc's irrep by its exact colour and its strand's
+      first irrep (`arc_rep`);
     - each crossing block, or its failure as type and message, by its
       positive `braiding.Crossing` request (`_lookup`), and the inverse
       that a negative crossing or a twist reads, read-only (`_inverse`);
@@ -126,14 +132,15 @@ class EvalContext:
         self._inverses = {}
         self._ops = {}
 
-    def rep(self, char: CentralCharacter, branch):
+    def rep(self, char: CentralCharacter, branch, cval=None):
         """The irrep of `char` on label `branch`: one object per module, as
-        labels that name one module (`build_irrep`) share the one stored
-        under the label the module carries."""
+        labels that name one module (`build_irrep`, to which a given `cval`
+        is passed) share the one stored under the label the module
+        carries."""
         key = (char.rounded(12), tuple(branch))
         rep = self._reps.get(key)
         if rep is None:
-            rep = build_irrep(char, tuple(branch), self.rd)
+            rep = build_irrep(char, tuple(branch), self.rd, cval)
             rep = self._reps[key] = self._reps.setdefault(
                 (key[0], rep.branch), rep)
         return rep
@@ -146,20 +153,37 @@ class EvalContext:
             char = self._chars[key] = group_to_char(color)
         return char
 
-    def arc_rep(self, color, z, c):
-        """The irrep of a colour on which K L^-1 and c act by z and c.
+    def arc_rep(self, color, strand, arc):
+        """The irrep of a colour on the strand whose first arc carries the
+        irrep `strand`; `arc` is the arc's root endpoint id, or None for a
+        curl's through strand, which a refusal names.
 
-        Memoized on the exact colour's four entries and the scalars.  A
-        miss derives the rep from its key through `char_of` and `rep`, whose
-        entries are set once and never replaced, so a hit returns the very
-        object a miss would derive; a failing derivation stores nothing.
+        Conjugation keeps T and alpha/a, and with them the central values,
+        so none is computed: the irrep takes `strand`'s s and c, and r from
+        kappa/lam against its own principal roots (`k_shift`).  A colour
+        whose T or alpha/a drifts from `strand`'s by more than STRAND_RTOL
+        (1e-8 relative) raises NoIntertwiner; there is no per-arc fallback,
+        and c is `strand`'s, not bitwise the colour's own.  Memoized on the
+        exact colour's entries and `strand`; a miss derives the rep through
+        `char_of` and `rep`, whose entries are never replaced, so a hit
+        returns the very object a miss would derive; a failing derivation
+        stores nothing.
         """
-        key = (color.m11, color.m12, color.m21, color.m22, z, c)
+        key = (color.m11, color.m12, color.m21, color.m22, strand)
         rep = self._arcs.get(key)
         if rep is None:
-            char = self.char_of(color)
-            rep = self._arcs[key] = self.rep(
-                char, braiding.branch_of(char, z, c, self.rd))
+            char, first = self.char_of(color), strand.char
+            t, p = _branch_trace(first), first.alpha / first.a
+            drift = max(abs(_branch_trace(char) - t),
+                        abs(char.alpha / char.a - p)) / max(abs(t), abs(p))
+            if drift > STRAND_RTOL:
+                raise braiding.NoIntertwiner(
+                    "%s is not conjugate to its strand (T or alpha/a drifts "
+                    "by %.1e)" % ("the curl's through strand" if arc is None
+                                  else "the arc at endpoint %d" % arc, drift))
+            rep = self._arcs[key] = self.rep(char, (k_shift(
+                char, strand.kappa / strand.lam, self.rd), strand.branch[1]),
+                strand.cval)
         return rep
 
     def _lookup(self, requests):
@@ -234,7 +258,8 @@ class EvalContext:
                     continue
                 try:
                     curl = self._curl(loop)
-                except (factgroup.NotFactorizable, NonGenericCharacter):
+                except (factgroup.NotFactorizable, NonGenericCharacter,
+                        braiding.NoIntertwiner):
                     continue
                 curls.append(curl)
         hits = zip(crossings, self._lookup(crossings + curls))
@@ -266,7 +291,7 @@ class EvalContext:
             elif piece is Piece.CAP_L:
                 op = np.eye(ell).reshape(1, ell * ell)
             elif piece is Piece.CUP_R:
-                op = np.linalg.inv(self.mu(loop)).T.reshape(-1, 1)
+                op = np.diag(1 / self.mu(loop).diagonal()).reshape(-1, 1)
             else:
                 op = self.mu(loop).T.reshape(1, -1)
             op.flags.writeable = False
@@ -283,15 +308,14 @@ class EvalContext:
     def _curl(self, loop):
         """The positive curl that normalizes mu on `loop`: out of (through,
         loop) into (through, loop), with the through strand of the kink's
-        colour on the label whose scalars are the loop's.  Memoized on the
-        loop's (character, label); a failing derivation stores nothing."""
+        colour, conjugate to the loop's (`curl_unpartner`), on the loop's
+        strand (`arc_rep`).  Memoized on the loop's (character, label);
+        a failing derivation stores nothing."""
         key = (loop.char, loop.branch)
         curl = self._curls.get(key)
         if curl is None:
-            strand = group_to_char(factgroup.curl_unpartner(
-                braiding.char_to_group(loop.char)))
-            through = self.rep(strand, braiding.branch_of(
-                strand, loop.kappa / loop.lam, loop.cval, self.rd))
+            through = self.arc_rep(factgroup.curl_unpartner(
+                braiding.char_to_group(loop.char)), loop, None)
             curl = self._curls[key] = braiding.Crossing(
                 (through, loop), (through, loop))
         return curl
@@ -303,13 +327,10 @@ class EvalContext:
         scalars theta_+- of a kink pair with loop module `loop` fix it
         through lambda^2 theta_+ theta_- = 1, with lambda = 1/sqrt(theta_+
         theta_-) on numpy's principal branch (real part >= 0, cut along the
-        negative reals).  The crossing automorphism fixes the central
-        elements K L^-1 and c slot by slot up to the flip, so a crossing's
-        slot-2 output carries the central scalars of its slot-1 input.  The
-        through-strand therefore gets the label whose scalars are the
-        loop's, and the positive curl M is solved from (through, loop) to
-        (through, loop); a curl with no such intertwiner, or whose curl
-        scalars vanish or are not finite, raises KinkObstruction.
+        negative reals).  The positive curl M (`_curl`) is solved from
+        (through, loop) to (through, loop); a curl with no such
+        intertwiner, or whose curl scalars vanish or are not finite, raises
+        KinkObstruction.
 
         Only the positive curl is solved.  It returns both of its input
         modules, so the negative curl, the inverse crossing on the same
@@ -371,19 +392,22 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
     """Assign an irrep to every arc, derived from its strand.
 
     A crossing carries the central scalars of K L^-1 and c from each input
-    slot to the opposite output slot, so they are constant along a strand;
-    strands are the colouring's arcs joined through its crossings.  The
-    planner walks no diagram: the colouring's one scan listed the arc
-    starts in id order (the bottom points, then the pieces' top legs), and
-    an arc's smallest id is always a start, so one pass over them meets
-    each arc at its first endpoint.  A strand takes its scalars from the
-    module on its first arc: the given branch on a bottom boundary point,
-    and label (0, 0) for a closed strand.  Each arc then gets the irrep of
-    its colour with those scalars (`EvalContext.arc_rep`, memoized on the
-    exact colour and scalars), and no crossing is solved.  Branches given
-    for other than the bottom arity raise ArityMismatch.
-    A warm context derives a label only for a colour and scalars it has
-    not met.
+    slot to the opposite output slot and conjugates the colours, so the
+    scalars, T and alpha/a, the sorted central values and the label s are
+    constant along a strand, the colouring's arcs joined through its
+    crossings.  The planner walks no diagram: the colouring's one scan
+    listed the arc starts in id order (the bottom points, then the pieces'
+    top legs), and an arc's smallest id is always a start, so one pass
+    over them meets each arc at its first endpoint.  A strand's first arc
+    gets the irrep of its label, the given branch on a bottom boundary
+    point and (0, 0) on a closed strand, and is the only one to compute
+    central values; each other arc gets its colour's irrep with the first
+    arc's s and c (`EvalContext.arc_rep`), so its c differs from its own
+    character's at the rounding level, not bitwise; one whose T or alpha/a
+    drifts past STRAND_RTOL (1e-8 relative) raises NoIntertwiner naming
+    it, with no per-arc fallback.  No crossing is solved.  Branches given
+    for other than the bottom arity raise ArityMismatch.  A warm context
+    derives a label only for a colour and strand it has not met.
     """
     strands = coloring._classes(  # crossings are recorded on arc roots
         pair for cr in col._crossings
@@ -394,20 +418,20 @@ def _plan_branches(d: TangleDiagram, col: GColoring, ctx: EvalContext,
         raise ArityMismatch("%d bottom branches for %d bottom points"
                             % (len(given), n))
     colors = col._colors
-    scalars = {}
+    first = {}
     assign = {}
     roots = col._roots
     for pt in col._starts:
         root = roots[pt]
         if root in assign:
             continue
-        color = colors[root]
         strand = strands.get(root, root)
-        if strand not in scalars:  # an id below n is that bottom point
-            start = ctx.rep(ctx.char_of(color),
-                            given[pt] if pt < n else (0, 0))
-            scalars[strand] = start.kappa / start.lam, start.cval
-        assign[root] = ctx.arc_rep(color, *scalars[strand])
+        start = first.get(strand)
+        if start is None:  # an id below n is that bottom point
+            assign[root] = first[strand] = ctx.rep(
+                ctx.char_of(colors[root]), given[pt] if pt < n else (0, 0))
+        else:
+            assign[root] = ctx.arc_rep(colors[root], start, root)
     for i, branch in enumerate(given):
         rep = assign[roots[i]]
         if ctx.rep(rep.char, branch).branch != rep.branch:

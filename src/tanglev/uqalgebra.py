@@ -71,8 +71,12 @@ class CentralCharacter:
 
     Each character derives what depends on it alone once, in a memo that
     is not a field (so ==, repr and coords() ignore it): its hash, equal
-    to hash(coords()), each `rounded(digits)` tuple, and `central_values`
-    per (ell, r).
+    to hash(coords()), each `rounded(digits)` tuple, `principal_roots`
+    per ell, and `central_values` per (ell, r), which depend on it only
+    through T and alpha/a: conjugation keeps them, so the planner computes
+    them once per strand and refuses an arc whose T or alpha/a drifts past
+    `evaluator.STRAND_RTOL` (1e-8 relative); an arc's c is its strand's,
+    not bitwise its own character's (`evaluator._plan_branches`).
     """
 
     alpha: complex
@@ -99,9 +103,12 @@ class CentralCharacter:
         key = ("rounded", digits)
         out = self._memo.get(key)
         if out is None:
-            out = self._memo[key] = tuple(
-                (round(z.real, digits), round(z.imag, digits))
-                for z in map(complex, self.coords()))
+            alpha, beta, a, b = map(complex, self.coords())
+            out = self._memo[key] = (
+                (round(alpha.real, digits), round(alpha.imag, digits)),
+                (round(beta.real, digits), round(beta.imag, digits)),
+                (round(a.real, digits), round(a.imag, digits)),
+                (round(b.real, digits), round(b.imag, digits)))
         return out
 
 
@@ -112,6 +119,26 @@ def principal_root(z, ell):
         return 0j
     theta = cmath.phase(z) % (2 * cmath.pi)
     return abs(z) ** (1.0 / ell) * cmath.exp(1j * theta / ell)
+
+
+def principal_roots(char: CentralCharacter, rd: RootData):
+    """The principal roots of alpha and a, memoized on `char` per ell."""
+    key = ("roots", rd.ell)
+    out = char._memo.get(key)
+    if out is None:
+        out = char._memo[key] = (principal_root(char.alpha, rd.ell),
+                                 principal_root(char.a, rd.ell))
+    return out
+
+
+def k_shift(char: CentralCharacter, z, rd: RootData):
+    """The r at which kappa/lam = z0 eps^(2r), z0 the principal roots'
+    ratio, lies nearest z: eps^k nearest z/z0 has k = round(ell arg(z/z0)
+    / 2 pi), and r = k (ell + 1)/2 mod ell; no candidate is searched."""
+    root_alpha, root_a = principal_roots(char, rd)
+    k = round(rd.ell * (cmath.phase(z) - cmath.phase(root_alpha / root_a))
+              / (2 * cmath.pi))
+    return k * (rd.ell + 1) // 2 % rd.ell
 
 
 #: Characters whose scale-relative branch discriminant falls below this
@@ -173,8 +200,8 @@ def _central_values(char: CentralCharacter, rd: RootData, r: int):
     doubled for k and ell - k.
     """
     ell = rd.ell
-    kappa = principal_root(char.alpha, ell) * rd.eps_pow(2 * r)
-    lam = principal_root(char.a, ell)
+    root_alpha, lam = principal_roots(char, rd)
+    kappa = root_alpha * rd.eps_pow(2 * r)
     q = kappa / lam
     t = _branch_trace(char)
     if is_branch_degenerate(char):
@@ -208,8 +235,10 @@ def is_generic(char: CentralCharacter, rd: RootData) -> bool:
 class CyclicRep:
     """An ell-dimensional cyclic irreducible representation.
 
-    Equality and hash are by identity (the matrix fields have no usable
-    ==), so a rep can key a memo as the object it is.
+    Its generators are one read-only (4, ell, ell) array `gens`, K, L, E,
+    F in that order, and `Kmat` .. `Fmat` are views of it.  Equality and
+    hash are by identity (the matrix fields have no usable ==), so a rep
+    can key a memo as the object it is.
     """
 
     rd: RootData
@@ -218,26 +247,25 @@ class CyclicRep:
     kappa: complex
     lam: complex
     cval: complex
-    Kmat: np.ndarray = field(repr=False)
-    Lmat: np.ndarray = field(repr=False)
-    Emat: np.ndarray = field(repr=False)
-    Fmat: np.ndarray = field(repr=False)
+    gens: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.gens.flags.writeable = False
+        self.__dict__.update(zip(("Kmat", "Lmat", "Emat", "Fmat"), self.gens))
 
     @property
     def dim(self):
         return self.rd.ell
 
-    def matrices(self):
-        return {"K": self.Kmat, "L": self.Lmat,
-                "E": self.Emat, "F": self.Fmat}
 
-
-def build_irrep(char: CentralCharacter, branch, rd: RootData) -> CyclicRep:
+def build_irrep(char: CentralCharacter, branch, rd: RootData,
+                cval=None) -> CyclicRep:
     """Construct the cyclic irrep with branch (r, s).
 
     s indexes the sorted central values; labels whose values coincide (at
     a branch-degenerate character) name one module and collapse to the
-    smallest s, which is the branch the returned rep carries.
+    smallest s, which is the branch the returned rep carries.  A given
+    `cval`, the value of c at a collapsed s, computes no central value.
 
     On the basis v_0 .. v_{ell-1}:
         K v_n = kappa eps^{2n} v_n,   L v_n = lam eps^{2n} v_n,
@@ -249,12 +277,16 @@ def build_irrep(char: CentralCharacter, branch, rd: RootData) -> CyclicRep:
         raise NonGenericCharacter("character fails the genericity test")
     ell = rd.ell
     r, s = (k % ell for k in branch)
-    kappa, lam, values = central_values(char, rd, r)
-    s = values.index(values[s])
-    cval = complex(values[s])
+    root_alpha, lam = principal_roots(char, rd)
+    kappa = root_alpha * rd.eps_pow(2 * r)
+    if cval is None:
+        values = central_values(char, rd, r)[2]
+        s = values.index(values[s])
+        cval = complex(values[s])
 
     # the diagonal, subdiagonal and superdiagonal are strided runs of .flat
-    Kmat, Lmat, Emat, Fmat = np.zeros((4, ell, ell), dtype=complex)
+    gens = np.zeros((4, ell, ell), dtype=complex)
+    Kmat, Lmat, Emat, Fmat = gens
     Kmat.flat[::ell + 1] = kappa * rd._phases
     Lmat.flat[::ell + 1] = lam * rd._phases
     Emat.flat[ell::ell + 1] = 1.0
@@ -263,8 +295,7 @@ def build_irrep(char: CentralCharacter, branch, rd: RootData) -> CyclicRep:
            for n in range(ell)]
     Fmat.flat[1::ell + 1] = phi[1:]
     Fmat[ell - 1, 0] = phi[0] / char.beta
-    return CyclicRep(rd, char, (r, s), kappa, lam, cval,
-                     Kmat, Lmat, Emat, Fmat)
+    return CyclicRep(rd, char, (r, s), kappa, lam, cval, gens)
 
 
 def relation_residuals(rep: CyclicRep):

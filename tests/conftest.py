@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from tanglev import coloring, diagram, evaluator, factgroup
-from tanglev.braiding import branch_of, char_to_group, group_to_char
+from tanglev.braiding import char_to_group, group_to_char
 from tanglev.factgroup import Mat2
 # the samplers live in the library, which `tanglev verify` draws from too
 from tanglev.samplers import float_group, generic_char, rational_mat  # noqa
 from tanglev.uqalgebra import RootData, build_irrep, is_generic
+
+from oracles import branch_of
 
 
 def generic_group(rng, rd):

@@ -1,5 +1,6 @@
 """Test-side oracles: helpers that only the tests use."""
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,8 +51,24 @@ def slice_walk(d):
     return pieces, starts
 
 
+def branch_of(char, z, c, rd):
+    """The label (r, s) of the irrep of `char` on which the central
+    elements K L^-1 and c = E F + K eps^-1 + eps L^-1 act by the scalars
+    z and c, derived for one arc alone: r from z = kappa/lam against the
+    principal roots, as `uqalgebra.k_shift` reads it, and s as the
+    nearest of `char`'s own central values at that r.  The reference for
+    the planner's strand rule, which computes no central value past a
+    strand's first arc."""
+    z0 = principal_root(char.alpha, rd.ell) / principal_root(char.a, rd.ell)
+    k = round(rd.ell * (cmath.phase(z) - cmath.phase(z0)) / (2 * cmath.pi))
+    r = k * (rd.ell + 1) // 2 % rd.ell
+    values = central_values(char, rd, r)[2]
+    s = min(range(rd.ell), key=lambda s: abs(values[s] - c))
+    return r, s
+
+
 def branch_search(char, z, c, rd):
-    """`braiding.branch_of` by search: the r in range(ell) whose kappa/lam
+    """`branch_of` by search: the r in range(ell) whose kappa/lam
     = z0 eps^(2r) lies nearest z, then the s whose central value at that
     r lies nearest c."""
     z0 = principal_root(char.alpha, rd.ell) / principal_root(char.a, rd.ell)
@@ -347,7 +364,7 @@ def rep_matrix(rep: CyclicRep, elem: AlgebraElement) -> np.ndarray:
     """Evaluate an algebra element in an irrep (the PBW oracle)."""
     ell = rep.rd.ell
     pows = {}
-    for name, m in rep.matrices().items():
+    for name, m in zip("KLEF", rep.gens):
         acc = [np.eye(ell, dtype=complex)]
         for _ in range(ell - 1):
             acc.append(acc[-1] @ m)
@@ -441,7 +458,7 @@ class _TraceTable:
         pow_cache = []
         for rep in reps:
             pows = {}
-            for name, m in rep.matrices().items():
+            for name, m in zip("KLEF", rep.gens):
                 acc = [np.eye(ell, dtype=complex)]
                 for _ in range(ell - 1):
                     acc.append(acc[-1] @ m)

@@ -131,9 +131,10 @@ class TestBranchOf:
                     turn = np.exp(2j * np.pi * rng.uniform(-0.45, 0.45)
                                   / ell) * rng.uniform(0.5, 2)
                     for z in (kappa / lam, kappa / lam * turn):
-                        assert braiding.branch_of(char, z, c, rd) \
-                            == oracles.branch_search(char, z, c, rd)
-                    assert braiding.branch_of(char, kappa / lam, c, rd) \
+                        label = oracles.branch_search(char, z, c, rd)
+                        assert oracles.branch_of(char, z, c, rd) == label
+                        assert uqalgebra.k_shift(char, z, rd) == label[0]
+                    assert oracles.branch_of(char, kappa / lam, c, rd) \
                         == (r, s)
 
 
@@ -395,8 +396,8 @@ def _mixed_batch(rng, rd):
     r, s = shifted[0].branch
     shifted[0] = build_irrep(shifted[0].char, (r + 1, s), rd)
     grading = list(strand_outputs(ru, rv))
-    grading[0] = dataclasses.replace(grading[0],
-                                     Kmat=grading[0].Kmat * (1 + 1e-5))
+    gens = grading[0].gens * [[[1 + 1e-5]], [[1]], [[1]], [[1]]]
+    grading[0] = dataclasses.replace(grading[0], gens=gens)
     return [braiding.Crossing((rx, ry), strand_outputs(rx, ry)),
             braiding.Crossing(strand_outputs(rc, rd_, -1), (rc, rd_)),
             curl,

@@ -331,9 +331,8 @@ class TestPlanner:
         assert warm == cold
 
     def test_cold_trefoil_derives_central_values_once(self, monkeypatch):
-        # branch_of and build_irrep read the central values of one
-        # character at one r from its memo: no pair is computed twice
-        d, col = trefoil_colourings()[0]
+        # only a strand's first arc computes central values; its other
+        # arcs and the curls' through strands take the strand's
         computed = []
 
         def counted(char, rd, r, _fn=uqalgebra._central_values):
@@ -341,10 +340,52 @@ class TestPlanner:
             return _fn(char, rd, r)
 
         monkeypatch.setattr(uqalgebra, "_central_values", counted)
-        evaluator.invariant(d, col, EvalContext(RootData(3)))
-        assert computed
-        assert len({(char.coords(), r) for char, r in computed}) \
-            == len(computed)
+        for d, col in cold_knots():
+            computed.clear()
+            evaluator.invariant(d, col, EvalContext(RootData(3)))
+            strands = coloring._classes(
+                pair for cr in col._crossings
+                for pair in ((cr.c, cr.b), (cr.d, cr.a)))
+            assert len(computed) == len({strands.get(root, root)
+                                         for root in col._roots}) == 1
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    @pytest.mark.parametrize("m", [None, 2 + 1j, 1.3 + 0.2j])
+    def test_strand_labels_are_the_per_arc_ones(self, ell, m):
+        # every arc of a knot, and every curl's through strand, carries
+        # the label that the per-arc reference derives from its own
+        # character and the scalars of the knot's first arc, and a value
+        # of c within 1e-12 of its own character's
+        rd = RootData(ell)
+        knots = cold_knots() if m is None else trefoil_colourings(
+            trefoil_curve_meridians(m))
+        for d, col in knots:
+            ctx = EvalContext(rd)
+            evaluator.invariant(d, col, ctx)
+            plan = evaluator._plan_branches(d, col, ctx, None)
+            first = plan[col._roots[0]]
+            pairs = [(rep, first) for rep in plan.values()] + [
+                curl.inputs for curl in ctx._curls.values()]
+            assert len(pairs) > len(plan)
+            for rep, strand in pairs:
+                r, s = oracles.branch_of(rep.char, strand.kappa / strand.lam,
+                                         strand.cval, rd)
+                assert rep.branch == (r, s)
+                own = uqalgebra.central_values(rep.char, rd, r)[2][s]
+                assert abs(rep.cval - own) <= 1e-12 * abs(own)
+
+    def test_arc_off_its_strand_is_refused(self):
+        # one arc colour of the 3-strand trefoil moved by 1e-6 is no
+        # longer conjugate to its strand's: its label is refused by name
+        d, col = trefoil_colourings()[1]
+        root = col._roots[col._starts[-1]]
+        assert root != col._roots[0]
+        col._colors = dict(col._colors)
+        col._colors[root] = Mat2(*(v * (1 + 1e-6)
+                                   for v in col._colors[root].entries()))
+        with pytest.raises(braiding.NoIntertwiner,
+                           match="arc at endpoint %d is not conjugate" % root):
+            evaluator.invariant(d, col, EvalContext(RootData(3)))
 
     def test_contract_reuses_the_colouring(self, monkeypatch, ctx):
         # the planner reads the arcs and crossings propagation recorded
@@ -398,7 +439,8 @@ class TestPlanner:
 
         cold = values()
         derived = []
-        for module, name in ((braiding, "branch_of"),
+        for module, name in ((evaluator, "k_shift"),
+                             (evaluator, "build_irrep"),
                              (evaluator, "group_to_char")):
             def counted(*args, _fn=getattr(module, name), _name=name):
                 derived.append(_name)
@@ -409,21 +451,25 @@ class TestPlanner:
         assert np.array_equal(warm.view(np.uint64), cold.view(np.uint64))
 
     def test_arc_memo_is_keyed_on_the_exact_colour(self):
-        # a hit is the rep a miss derives; a colour 1e-6 away misses and
-        # gets the irrep of its own character
-        y1, _, _ = trefoil_boundary_3()
+        # a hit is the rep a miss derives; a conjugate colour misses and
+        # gets the irrep of its own character, and a colour 1e-6 away
+        # misses and is refused, storing nothing
+        y1, y2, _ = trefoil_boundary_3()
         ctx = EvalContext(RootData(3))
         start = ctx.rep(group_to_char(y1), (0, 0))
         z, c = start.kappa / start.lam, start.cval
-        rep = ctx.arc_rep(y1, z, c)
-        assert rep is ctx.rep(group_to_char(y1), braiding.branch_of(
-            group_to_char(y1), z, c, ctx.rd))
-        assert ctx.arc_rep(y1, z, c) is rep
-        near = factgroup.Mat2(*(v * (1 + 1e-6) for v in y1.entries()))
-        other = ctx.arc_rep(near, z, c)
-        char = group_to_char(near)
+        rep = ctx.arc_rep(y1, start, 1)
+        assert rep is start
+        assert ctx.arc_rep(y1, start, 1) is rep
+        conj = y2 * y1 * y2.inv()
+        other = ctx.arc_rep(conj, start, 2)
+        char = group_to_char(conj)
         assert other is not rep and other.char == char != rep.char
-        assert other.branch == braiding.branch_of(char, z, c, ctx.rd)
+        assert other.branch == oracles.branch_of(char, z, c, ctx.rd)
+        assert other is ctx.rep(char, other.branch)
+        near = factgroup.Mat2(*(v * (1 + 1e-6) for v in y1.entries()))
+        with pytest.raises(braiding.NoIntertwiner, match="endpoint 3"):
+            ctx.arc_rep(near, start, 3)
         assert len(ctx._arcs) == 2
 
     def test_bottom_branch_off_its_strand_is_refused(self, ctx):
@@ -531,15 +577,10 @@ class TestTwistScale:
         ctx = EvalContext(RootData(3))
         assert abs(ctx.twist_scale(ctx.rep(char, (0, 0)))) > 0
 
-        class PrincipalThrough:
-            def __getattr__(self, name):
-                return getattr(braiding, name)
+        def principal_through(self, color, strand, arc):
+            return self.rep(self.char_of(color), (0, 0))
 
-            @staticmethod
-            def branch_of(*_):
-                return (0, 0)
-
-        monkeypatch.setattr(evaluator, "braiding", PrincipalThrough())
+        monkeypatch.setattr(EvalContext, "arc_rep", principal_through)
         ctx = EvalContext(RootData(3))
         with pytest.raises(evaluator.KinkObstruction):
             ctx.twist_scale(ctx.rep(char, (0, 0)))
