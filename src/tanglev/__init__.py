@@ -14,7 +14,7 @@ from .diagram import TangleDiagram, Piece, parse, braid_word, close_braid, \
 from .coloring import ColoredBoundary, GColoring, propagate, functor_f_object
 from .braiding import group_to_char, char_to_group
 from .evaluator import EvalContext, ColoredObject, LinearBlock, contract, \
-    invariant, reidemeister_report
+    invariant
 
 __version__ = "0.1.0"
 
@@ -26,5 +26,4 @@ __all__ = [
     "ColoredBoundary", "GColoring", "propagate", "functor_f_object",
     "group_to_char", "char_to_group", "EvalContext",
     "ColoredObject", "LinearBlock", "contract", "invariant",
-    "reidemeister_report",
 ]

@@ -665,18 +665,16 @@ def _take(stack, idx):
 
 
 def solve_crossings(requests):
-    """Solve a batch of distinct positive crossing blocks (`Crossing`s,
-    all at one root of unity) in one pass: each stage runs once on the
-    stack of the requests still alive.  Returns, in request order, each
-    request's BraidingBlock or the error that it raises when solved alone,
-    with that error's type and message.
+    """Solve a nonempty batch of distinct positive crossing blocks
+    (`Crossing`s, all at one root of unity) in one pass: each stage runs
+    once on the stack of the requests still alive.  Returns, in request
+    order, each request's BraidingBlock or the error that it raises when
+    solved alone, with that error's type and message.
 
     A request that fails a check leaves the stack before the next stage,
     so it changes nothing in the others.  Equal requests are each solved:
     the one caller, `EvalContext._lookup`, passes distinct ones."""
     out = [None] * len(requests)
-    if not requests:
-        return out
     # the batch's irreps in one stack: every x, every y, every c, every d
     rd = requests[0].inputs[0].rd
     sides = zip(*(req.inputs + req.outputs for req in requests))

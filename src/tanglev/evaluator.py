@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import braiding, coloring, factgroup
-from .braiding import CROSSING_ERRORS, group_to_char
-from .coloring import GColoring, Inconsistent
+from .braiding import group_to_char
+from .coloring import GColoring
 from .diagram import ArityMismatch, Piece, TangleDiagram
 from .uqalgebra import (CentralCharacter, NonGenericCharacter, RootData,
                         _branch_trace, build_irrep, k_shift)
@@ -510,56 +510,9 @@ def invariant(d: TangleDiagram, col: GColoring, ctx: EvalContext,
 
 
 # ---------------------------------------------------------------------------
-# Move invariance reporting
+# Recolouring moved diagrams
 
 
 #: Re-colour a moved diagram from its bottom and seeds (`coloring.recolor`).
 _recolor = coloring.recolor
 
-
-def reidemeister_report(d: TangleDiagram, bottom, seeds, moves,
-                        ctx: EvalContext):
-    """Apply framed moves, recolor, re-evaluate; tabulate scalar agreement.
-
-    Works for closed diagrams (bottom = empty ColoredBoundary) and for
-    (1,1)-tangles, where the Schur scalar is compared.  The first two sites
-    of each move are tried; a magnitude within 1e-8 of the base passes.
-    """
-    tol = 1e-8
-    from . import diagram as dg
-    if isinstance(bottom, coloring.ColoredBoundary):
-        bnd = bottom
-    else:
-        bnd = coloring.ColoredBoundary(tuple(bottom))
-    base_col = coloring.propagate(d, bnd, cup_seeds=dict(enumerate(seeds)))
-    base, _ = invariant(d, base_col, ctx)
-    report = {"base": base, "moves": []}
-    for move in moves:
-        sites = list(dg.find_move_sites(d, move))[:2]
-        for site in sites:
-            d2 = dg.apply_move(d, move, site)
-            try:
-                col2 = _recolor(d2, bnd, seeds)
-                val, _ = invariant(d2, col2, ctx)
-            except CROSSING_ERRORS + (Inconsistent, BranchObstruction,
-                                      KinkObstruction) as exc:
-                report["moves"].append({
-                    "move": move, "variant": site.variant,
-                    "direction": site.direction,
-                    "skipped": "%s: %s" % (type(exc).__name__, exc),
-                    "pass": None,
-                })
-                continue
-            report["moves"].append({
-                "move": move, "variant": site.variant,
-                "direction": site.direction,
-                "value": val,
-                "magnitude_defect": abs(abs(val) - abs(base)),
-                "phase_drift": float(np.angle(val / base))
-                if abs(base) > tol else 0.0,
-                "pass": abs(abs(val) - abs(base)) < tol,
-            })
-    evaluated = [m for m in report["moves"] if m["pass"] is not None]
-    report["skipped"] = len(report["moves"]) - len(evaluated)
-    report["all_pass"] = all(m["pass"] for m in evaluated)
-    return report

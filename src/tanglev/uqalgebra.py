@@ -71,10 +71,10 @@ class CentralCharacter:
 
     Each character derives what depends on it alone once, in a memo that
     is not a field (so ==, repr and coords() ignore it): its hash, equal
-    to hash(coords()), each `rounded(digits)` tuple, `principal_roots`
-    per ell, and `central_values` per (ell, r), which depend on it only
-    through T and alpha/a: conjugation keeps them, so the planner computes
-    them once per strand and refuses an arc whose T or alpha/a drifts past
+    to hash(coords()), each `rounded(digits)` tuple and `principal_roots`
+    per ell.  Its `central_values` depend on it only through T and
+    alpha/a: conjugation keeps them, so the planner computes them once per
+    strand and refuses an arc whose T or alpha/a drifts past
     `evaluator.STRAND_RTOL` (1e-8 relative); an arc's c is its strand's,
     not bitwise its own character's (`evaluator._plan_branches`).
     """
@@ -180,24 +180,12 @@ def central_values(char: CentralCharacter, rd: RootData, r: int):
     that a conjugate pair, whose real parts tie up to rounding, keeps its
     order across two roundings of one character.
 
-    Computed once per (ell, r) in the character's memo; `values` is a
-    tuple, shared by every caller.
-    """
-    key = ("central", rd.ell, r)
-    out = char._memo.get(key)
-    if out is None:
-        out = char._memo[key] = _central_values(char, rd, r)
-    return out
-
-
-def _central_values(char: CentralCharacter, rd: RootData, r: int):
-    """`central_values`, computed.
-
     Closed form c_k = y_k + q/y_k, q = kappa/lam, with y_k the ell-th roots
     of a root Y of Y^2 - T Y + alpha/a (both roots give the same set).  At
     a branch-degenerate character Y is snapped to T/2, y_k = y* eps^{2k}
     with y*^2 = q, and c_k = y* (eps^{2k} + eps^{-2k}) comes out exactly
-    doubled for k and ell - k.
+    doubled for k and ell - k.  Not memoized: only a strand's first arc
+    computes them (`evaluator._plan_branches`).
     """
     ell = rd.ell
     root_alpha, lam = principal_roots(char, rd)

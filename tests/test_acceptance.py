@@ -280,13 +280,14 @@ def test_criterion_07_colored_braiding():
 # -- 8 ----------------------------------------------------------------------
 
 
-def _strand_value(ctx, pad_moves):
+def _strand_value(ctx, move=None, index=0):
+    # the bare strand, or the strand after `move` at its index-th site
     d = diagram.parse("id+")
     x1, _ = trefoil_boundary_2()
     bottom = coloring.ColoredBoundary(((1, x1),))
-    for move in pad_moves:
-        site = next(diagram.find_move_sites(d, move))
-        d = diagram.apply_move(d, move, site)
+    if move is not None:
+        sites = list(diagram.find_move_sites(d, move))
+        d = diagram.apply_move(d, move, sites[index])
     col = evaluator._recolor(d, bottom, [])
     val, _ = evaluator.invariant(d, col, ctx)
     return val
@@ -319,20 +320,21 @@ def _trefoil3_value(ctx, r3_variant=None):
 def test_criterion_08_framed_invariance():
     t0 = time.monotonic()
     ctx = EvalContext(RootData(3))
-    unknot = _strand_value(ctx, [])
-    unknot_zz = _strand_value(ctx, ["SlideCupCap"])
-    unknot_curl = _strand_value(ctx, ["FramedR1"])
+    unknot = _strand_value(ctx)
+    # the first two sites of each move on the bare strand
+    moved = [_strand_value(ctx, move, i)
+             for move in ("FramedR1", "SlideCupCap") for i in (0, 1)]
     tre2 = _trefoil2_value(ctx)
     tre2_r2 = _trefoil2_value(ctx, extra_word=[1, -1])
     tre3 = _trefoil3_value(ctx)
-    tre3_r3 = _trefoil3_value(ctx, r3_variant="pos-212")
+    tre3_r3 = [_trefoil3_value(ctx, r3_variant=variant)
+               for variant in ("pos-121", "pos-212")]
     _SHARED["unknot"] = unknot
     _SHARED["trefoil"] = tre2
-    defects = [abs(abs(unknot_zz) - abs(unknot)),
-               abs(abs(unknot_curl) - abs(unknot)),
-               abs(abs(tre2_r2) - abs(tre2)),
-               abs(abs(tre3_r3) - abs(tre3)),
-               abs(abs(tre3) - abs(tre2))]
+    defects = ([abs(abs(v) - abs(unknot)) for v in moved]
+               + [abs(abs(tre2_r2) - abs(tre2))]
+               + [abs(abs(v) - abs(tre3)) for v in tre3_r3]
+               + [abs(abs(tre3) - abs(tre2))])
     worst = max(defects)
     phases = [float(np.angle(v / tre2)) for v in (tre2_r2,)]
     _verdict(8, "framed move invariance of the scalar", worst < 1e-8,
@@ -351,7 +353,7 @@ def test_criterion_09_discrimination():
     unknot = _SHARED.get("unknot")
     trefoil = _SHARED.get("trefoil")
     if unknot is None or trefoil is None:
-        unknot = _strand_value(ctx, [])
+        unknot = _strand_value(ctx)
         trefoil = _trefoil2_value(ctx)
     gap = abs(abs(trefoil) - abs(unknot))
     ok = abs(unknot - 1) < 1e-10 and gap > 1e-2

@@ -191,6 +191,19 @@ class TestAutomorphism:
         assert list(ok) == [not c > limit for c in conds]
         assert 0 < ok.sum() < len(ok)
 
+    def test_singular_n_is_refused_by_name(self, monkeypatch, rng, rd3):
+        # with COND_LIMIT at 1 every series factor N counts as singular:
+        # the images, and the pull-back check that `tanglev verify` runs,
+        # raise SingularN instead of returning a value
+        ra, rb = (build_irrep(generic_char(rng, rd3), (0, 0), rd3)
+                  for _ in range(2))
+        x, y = generic_group(rng, rd3), generic_group(rng, rd3)
+        monkeypatch.setattr(braiding, "COND_LIMIT", 1)
+        with pytest.raises(braiding.SingularN, match="series factor N"):
+            braiding.r_images(ra, rb)
+        with pytest.raises(braiding.SingularN, match="series factor N"):
+            braiding.z0_pullback_check(x, y, rd3)
+
     def test_pullback_matches_group_map(self, rng, rd3):
         x, y = generic_group(rng, rd3), generic_group(rng, rd3)
         rep = braiding.z0_pullback_check(x, y, rd3)
@@ -509,6 +522,40 @@ class TestBatchedSolve:
         outs = braiding.solve_crossings(batch)
         assert [type(out).__name__ for out in outs] == [
             "SingularN" if k == worst else "BraidingBlock" for k in range(4)]
+        assert _verdicts(outs[worst:worst + 1]) \
+            == _verdicts(braiding.solve_crossings(batch[worst:worst + 1]))
+        assert _verdicts(outs[:worst] + outs[worst + 1:]) == _verdicts(
+            braiding.solve_crossings(batch[:worst] + batch[worst + 1:]))
+
+    def test_singular_m_leaves_the_batch_as_alone(self, rd3, monkeypatch):
+        # COND_LIMIT between cond(M) of a trefoil-2 crossing and the larger
+        # of its cond(N) and its E1 and F2 entry spreads: that request
+        # passes every check before M and is refused as a singular
+        # intertwiner, as alone, and the others' verdicts are, bit for
+        # bit, the batch's without it
+        d, col = trefoil_colourings()[0]
+        ctx = EvalContext(rd3)
+        evaluator.invariant(d, col, ctx)
+        batch, gaps = list(ctx._blocks), []
+        for req in batch:
+            rx, ry = req.inputs
+            kinv_e = np.diag(1 / np.diagonal(ry.Kmat)) @ ry.Emat
+            cond_n = np.linalg.cond(np.eye(9) - np.kron(
+                rx.Fmat @ rx.Lmat, rd3.eps * kinv_e))
+            # S_E1 and S_F2 are monomial: one entry per column
+            source = braiding._positive_slots(rx, ry)
+            spread = max(cols.max() / cols.min() for cols in (
+                np.abs(source[w]).max(axis=0)
+                for w in (braiding._E1, braiding._F2)))
+            cond_m = np.linalg.cond(ctx._blocks[req].matrix)
+            gaps.append((cond_m, max(cond_n, spread)))
+        worst = max(range(len(batch)), key=lambda k: gaps[k][0] / gaps[k][1])
+        high, low = gaps[worst]
+        assert high > 2 * low
+        monkeypatch.setattr(braiding, "COND_LIMIT", (low * high) ** 0.5)
+        outs = braiding.solve_crossings(batch)
+        assert (type(outs[worst]), str(outs[worst])) \
+            == (braiding.SingularM, "intertwiner is singular")
         assert _verdicts(outs[worst:worst + 1]) \
             == _verdicts(braiding.solve_crossings(batch[worst:worst + 1]))
         assert _verdicts(outs[:worst] + outs[worst + 1:]) == _verdicts(

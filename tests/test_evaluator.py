@@ -321,7 +321,7 @@ class TestPlanner:
         # nor does it derive a cup or cap operator or a central value again
         derived = []
         for owner, name in ((EvalContext, "mu"),
-                            (uqalgebra, "_central_values")):
+                            (uqalgebra, "central_values")):
             def counted(*args, _fn=getattr(owner, name), _name=name):
                 derived.append(_name)
                 return _fn(*args)
@@ -335,11 +335,11 @@ class TestPlanner:
         # arcs and the curls' through strands take the strand's
         computed = []
 
-        def counted(char, rd, r, _fn=uqalgebra._central_values):
+        def counted(char, rd, r, _fn=uqalgebra.central_values):
             computed.append((char, r))
             return _fn(char, rd, r)
 
-        monkeypatch.setattr(uqalgebra, "_central_values", counted)
+        monkeypatch.setattr(uqalgebra, "central_values", counted)
         for d, col in cold_knots():
             computed.clear()
             evaluator.invariant(d, col, EvalContext(RootData(3)))
@@ -611,14 +611,16 @@ class TestTwistScale:
 
     def test_non_finite_curl_scalars_are_refused(self, monkeypatch):
         # a NaN curl product is refused as not finite, not reported as
-        # curl scalars that vanish
+        # curl scalars that vanish; a zero one is refused as vanishing
         x1, _ = trefoil_boundary_2()
-        ctx = EvalContext(RootData(3))
-        loop = ctx.rep(group_to_char(x1), (0, 0))
-        monkeypatch.setattr(ctx, "_kink_scalar",
-                            lambda m, mu: complex("nan"))
-        with pytest.raises(evaluator.KinkObstruction, match="not finite"):
-            ctx.twist_scale(loop)
+        for scalar, message in ((complex("nan"), "not finite"),
+                                (0j, "curl scalars vanish")):
+            ctx = EvalContext(RootData(3))
+            loop = ctx.rep(group_to_char(x1), (0, 0))
+            monkeypatch.setattr(ctx, "_kink_scalar",
+                                lambda m, mu, _s=scalar: _s)
+            with pytest.raises(evaluator.KinkObstruction, match=message):
+                ctx.twist_scale(loop)
 
     def test_no_fallback_without_a_through_strand(self):
         # (1 + beta b)/a is the (1,1) entry of the loop colour, so b =
@@ -764,74 +766,3 @@ class TestBatchedContraction:
         assert [[req.inputs == req.outputs for req in batch]
                 for batch in batches] == [[True, False]]
 
-
-class TestReidemeisterReport:
-    @pytest.mark.parametrize("error", [braiding.SingularN,
-                                       braiding.WeightGrading])
-    def test_report_skips_failing_crossing(self, monkeypatch, error):
-        # the bare strand needs no solve; its curl sites all do
-        def failing(requests, *_, **__):
-            return [error("probe") for _ in requests]
-
-        monkeypatch.setattr(braiding, "solve_crossings", failing)
-        x1, _ = trefoil_boundary_2()
-        report = evaluator.reidemeister_report(
-            diagram.parse("id+"), ColoredBoundary(((1, x1),)), [],
-            ["FramedR1"], EvalContext(RootData(3)))
-        assert report["skipped"] == len(report["moves"]) == 2
-        assert all(m["pass"] is None
-                   and m["skipped"] == "%s: probe" % error.__name__
-                   for m in report["moves"])
-
-    def test_strand_report_all_pass(self, ctx):
-        d = diagram.parse("id+")
-        x1, _ = trefoil_boundary_2()
-        report = evaluator.reidemeister_report(
-            d, ColoredBoundary(((1, x1),)), [],
-            ["FramedR1", "SlideCupCap"], ctx)
-        assert report["all_pass"]
-        assert report["skipped"] == 0
-        for entry in report["moves"]:
-            assert entry["magnitude_defect"] < 1e-8
-
-    def test_trefoil_r3_report_all_pass(self, ctx):
-        d = diagram.close_braid_partial(
-            diagram.braid_word([1, 2, 1, 2], 3))
-        y1, y2, y3 = trefoil_boundary_3()
-        report = evaluator.reidemeister_report(
-            d, ColoredBoundary(((1, y1),)), [y2, y3], ["R3"], ctx)
-        assert report["all_pass"]
-        assert report["skipped"] == 0
-        assert [m["variant"] for m in report["moves"]] \
-            == ["pos-121", "pos-212"]
-
-    def test_report_skips_unrecolourable_sites(self, ctx):
-        # the R2 sites of the curl pair cannot be recoloured from the
-        # bottom strand alone; they are reported as skipped with the
-        # reason, not failed or silently dropped
-        d = diagram.parse("id+")
-        d = diagram.apply_move(
-            d, "FramedR1", next(diagram.find_move_sites(d, "FramedR1")))
-        x1, _ = trefoil_boundary_2()
-        report = evaluator.reidemeister_report(
-            d, ColoredBoundary(((1, x1),)), [], ["R2"], ctx)
-        assert report["all_pass"]
-        assert report["skipped"] == len(report["moves"]) == 2
-        assert all(m["pass"] is None
-                   and m["skipped"].startswith("Inconsistent")
-                   for m in report["moves"])
-
-    def test_phase_drift_wraps_across_pi(self, monkeypatch, ctx):
-        # e^{3.1i} against e^{-3.1i}: the drift is 2 pi - 6.2, not -6.2
-        d = diagram.parse("id+")
-
-        def invariant(d2, col, ctx):
-            return np.exp(3.1j if d2 is d else -3.1j), ()
-
-        monkeypatch.setattr(evaluator, "invariant", invariant)
-        x1, _ = trefoil_boundary_2()
-        report = evaluator.reidemeister_report(
-            d, ColoredBoundary(((1, x1),)), [], ["FramedR1"], ctx)
-        assert len(report["moves"]) == 2
-        for m in report["moves"]:
-            assert m["phase_drift"] == pytest.approx(2 * np.pi - 6.2)

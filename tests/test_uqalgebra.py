@@ -10,7 +10,7 @@ from tanglev.braiding import char_to_group, group_to_char
 from tanglev.uqalgebra import (CentralCharacter, NonGenericCharacter,
                                RootData, build_irrep, central_values,
                                is_branch_degenerate, is_generic,
-                               relation_residuals)
+                               principal_roots, relation_residuals)
 
 from conftest import generic_char, rational_mat, trefoil_boundary_2
 from oracles import (BranchDegenerate, all_irreps, antipode,
@@ -61,10 +61,10 @@ class TestCentralCharacter:
         # the memo does not show in repr
         ch = CentralCharacter(1.5 - 0.25j, 2 + 1j, 0.5j, -3 + 0.125j)
         filled = (hash(ch), ch.rounded(9), ch.rounded(12),
-                  central_values(ch, RootData(3), 1))
+                  principal_roots(ch, RootData(3)))
         # what the memo holds is shared, not derived again
         assert ch.rounded(12) is filled[2]
-        assert central_values(ch, RootData(3), 1) is filled[3]
+        assert principal_roots(ch, RootData(3)) is filled[3]
         again = CentralCharacter(*ch.coords())
         assert again == ch and again.coords() == ch.coords()
         assert hash(again) == hash(ch) == hash(ch.coords()) == filled[0]
